@@ -11,8 +11,7 @@ import (
 // predictor family behind one Predict/Update/Reset interface with
 // confidence grading (see predictor.Backend). New builds one from a
 // spec; every driver in this package (Run, RunSuiteSpec, the serving
-// sessions) accepts any Backend. A *Estimator is itself a Backend, so
-// the TAGE simulation hot path stays devirtualized.
+// sessions) accepts any Backend. A *Estimator is itself a Backend.
 type Backend = predictor.Backend
 
 // Spec is the parsed, canonical, comparable form of a backend spec

@@ -538,29 +538,3 @@ func BenchmarkCheckpoint(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkPredictorSpeed measures raw predict+update throughput of the
-// three configurations through the facade (complementing the per-package
-// micro-benchmarks).
-func BenchmarkPredictorSpeed(b *testing.B) {
-	for _, cfg := range StandardConfigs() {
-		b.Run(cfg.Name, func(b *testing.B) {
-			est := NewEstimator(cfg, Options{Mode: ModeProbabilistic})
-			tr, err := TraceByName("INT-2")
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := tr.Open()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				br, err := r.Next()
-				if err != nil {
-					r = tr.Open()
-					br, _ = r.Next()
-				}
-				est.Predict(br.PC)
-				est.Update(br.PC, br.Taken)
-			}
-		})
-	}
-}

@@ -90,24 +90,6 @@ func main() {
 	compare(pool, sp, bf.Explicit(), traces, *branches)
 }
 
-// backendAdapter exposes a Backend's raw predictions to the
-// storage-based estimators (sim.Predictor).
-type backendAdapter struct{ b predictor.Backend }
-
-func (a backendAdapter) Predict(pc uint64) bool {
-	pred, _, _ := a.b.Predict(pc)
-	return pred
-}
-func (a backendAdapter) Update(pc uint64, taken bool) { a.b.Update(pc, taken) }
-
-// tageAdapter lets storage-based estimators grade raw TAGE predictions
-// (the legacy default: the unmodified standard-automaton predictor, as
-// in the paper's related-work comparison).
-type tageAdapter struct{ p *tage.Predictor }
-
-func (a tageAdapter) Predict(pc uint64) bool       { return a.p.Predict(pc).Pred }
-func (a tageAdapter) Update(pc uint64, taken bool) { a.p.Update(pc, taken) }
-
 func compare(pool sim.SuiteRunner, sp predictor.Spec, explicitBackend bool, traces []trace.Trace, limit uint64) {
 	probe, err := predictor.Build(sp)
 	if err != nil {
@@ -119,16 +101,16 @@ func compare(pool sim.SuiteRunner, sp predictor.Spec, explicitBackend bool, trac
 	// predictor (the graded row wraps the probabilistic estimator of the
 	// same configuration). With -backend both rows run over the named
 	// backend.
-	substrate := func() sim.Predictor {
+	substrate := func() predictor.Backend {
 		b, err := predictor.Build(sp)
 		if err != nil {
 			fatal(err)
 		}
-		return backendAdapter{b}
+		return b
 	}
 	if !explicitBackend {
 		cfg := probe.(*core.Estimator).Predictor().Config()
-		substrate = func() sim.Predictor { return tageAdapter{tage.New(cfg)} }
+		substrate = func() predictor.Backend { return core.NewEstimator(cfg, core.Options{}) }
 	}
 	type estimatorRun struct {
 		name    string
@@ -139,12 +121,8 @@ func compare(pool sim.SuiteRunner, sp predictor.Spec, explicitBackend bool, trac
 		{
 			name: fmt.Sprintf("%s self-confidence (high vs rest)", label), storage: 0,
 			run: func(tr trace.Trace) (metrics.Binary, error) {
-				b, err := predictor.Build(sp)
-				if err != nil {
-					return metrics.Binary{}, err
-				}
-				res, err := sim.RunGradedBinary(b, tr, limit)
-				return res.Confusion, err
+				res, err := sim.RunSpec(sp, tr, limit)
+				return res.Binary(), err
 			},
 		},
 		{

@@ -23,7 +23,7 @@
 //	tageserved -addr :7421 -state-dir /var/lib/tageserved
 //
 // The -metrics listener serves Prometheus text exposition at /metrics,
-// liveness at /healthz and /livez, readiness at /readyz (503 while
+// liveness at /livez, readiness at /readyz (503 while
 // draining), and the flight-recorder event ring at /debug/events.
 // -debug-addr opts into a separate pprof listener.
 //
@@ -53,7 +53,7 @@ func main() {
 	var (
 		bf          = core.AddBackendFlags(flag.CommandLine, "64K", "probabilistic")
 		addr        = flag.String("addr", ":7421", "wire-protocol TCP listen address")
-		metricsAddr = flag.String("metrics", "", "HTTP listen address for /metrics, /healthz, /livez, /readyz and /debug/events (empty = disabled)")
+		metricsAddr = flag.String("metrics", "", "HTTP listen address for /metrics, /livez, /readyz and /debug/events (empty = disabled)")
 		debugAddr   = flag.String("debug-addr", "", "HTTP listen address for pprof profiling endpoints (empty = disabled)")
 		eventBuffer = flag.Int("event-buffer", 0, "flight-recorder ring size in events (0 = default, <0 disables the recorder)")
 		shards      = flag.Int("shards", serve.DefaultShards, "session-registry lock stripes (rounded up to a power of two)")

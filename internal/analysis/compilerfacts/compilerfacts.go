@@ -40,7 +40,8 @@ const GCFlags = "-m=1 -d=ssa/check_bce/debug=1"
 
 // mustBeZero lists hotpath functions that may carry no unwaived bounds
 // check and no heap escape, golden or not: the per-branch TAGE loops,
-// the serve batch loop, and the observability record paths.
+// the shared sim/serve branch step, the serve batch loop, and the
+// observability record paths.
 var mustBeZero = []string{
 	"repro/internal/tage.Predictor.Predict",
 	"repro/internal/tage.Predictor.Update",
@@ -48,6 +49,7 @@ var mustBeZero = []string{
 	"repro/internal/tage.Predictor.pathHash",
 	"repro/internal/tage.Predictor.tableIndex",
 	"repro/internal/tage.Predictor.tableTag",
+	"repro/internal/sim.Result.Step",
 	"repro/internal/serve.Session.step",
 	"repro/internal/serve.Session.Serve",
 	"repro/internal/obs.Histogram.Observe",

@@ -166,8 +166,7 @@ func (e *Estimator) Update(pc uint64, taken bool) {
 // tables, classifier window, automaton randomness and adaptive
 // controller all rebuilt exactly as a fresh NewEstimator with the same
 // inputs. Together with Predict/Update/Label this makes *Estimator
-// satisfy the backend-agnostic contract (predictor.Backend) directly,
-// so the simulation drivers stay devirtualized on the TAGE hot path.
+// satisfy the backend-agnostic contract (predictor.Backend) directly.
 func (e *Estimator) Reset() { *e = *NewEstimator(e.cfg, e.opts) }
 
 // Label returns the predictor configuration name — the value simulation

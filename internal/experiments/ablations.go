@@ -214,17 +214,6 @@ func (a CtrWidthAblation) Render(w io.Writer) {
 	textplot.Table(w, "Ablation: widening the prediction counter (§6 remark; CBP-1, standard automaton)", header, rows)
 }
 
-// tagePredictorAdapter exposes a raw TAGE predictor through the
-// sim.Predictor interface so storage-based estimators can grade its
-// predictions.
-type tagePredictorAdapter struct {
-	p *tage.Predictor
-}
-
-func (a tagePredictorAdapter) Predict(pc uint64) bool { return a.p.Predict(pc).Pred }
-
-func (a tagePredictorAdapter) Update(pc uint64, taken bool) { a.p.Update(pc, taken) }
-
 // EstimatorComparison pits the paper's storage-free estimator against the
 // JRS storage-based baselines on the same 16 Kbit TAGE predictions,
 // reporting Grunwald et al.'s binary metrics and the extra storage each
@@ -260,18 +249,15 @@ func (r *Runner) RunEstimatorComparison() (EstimatorComparison, error) {
 		run  func(tr trace.Trace) (metrics.Binary, error)
 	}{
 		{"storage-free (high level)", 0, func(tr trace.Trace) (metrics.Binary, error) {
-			est := core.NewEstimator(tage.Small16K(), modifiedOpts())
-			res, err := sim.RunTAGEBinary(est, tr, r.Limit)
-			return res.Confusion, err
+			res, err := sim.RunConfig(tage.Small16K(), modifiedOpts(), tr, r.Limit)
+			return res.Binary(), err
 		}},
 		{"JRS 4-bit", jrsBits, func(tr trace.Trace) (metrics.Binary, error) {
-			p := tagePredictorAdapter{tage.New(tage.Small16K())}
-			res, err := sim.RunBinary(p, jrs.NewDefault(10, 10), tr, r.Limit)
+			res, err := sim.RunBinary(core.NewEstimator(tage.Small16K(), standardOpts()), jrs.NewDefault(10, 10), tr, r.Limit)
 			return res.Confusion, err
 		}},
 		{"JRS 4-bit enhanced", jrsBits, func(tr trace.Trace) (metrics.Binary, error) {
-			p := tagePredictorAdapter{tage.New(tage.Small16K())}
-			res, err := sim.RunBinary(p, jrs.NewDefault(10, 10).Enhanced(), tr, r.Limit)
+			res, err := sim.RunBinary(core.NewEstimator(tage.Small16K(), standardOpts()), jrs.NewDefault(10, 10).Enhanced(), tr, r.Limit)
 			return res.Confusion, err
 		}},
 	}

@@ -1,10 +1,15 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/looppred"
+	"repro/internal/tage"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func TestLTAGEComparison(t *testing.T) {
@@ -42,6 +47,48 @@ func TestLTAGEComparison(t *testing.T) {
 	c.Render(&sb)
 	if !strings.Contains(sb.String(), "L-TAGE") {
 		t.Fatal("render incomplete")
+	}
+}
+
+// failingTrace replays the first n records of inner, then fails with err.
+type failingTrace struct {
+	inner trace.Trace
+	n     int
+	err   error
+}
+
+func (f failingTrace) Name() string { return f.inner.Name() }
+func (f failingTrace) Open() trace.Reader {
+	return &failingReader{inner: f.inner.Open(), left: f.n, err: f.err}
+}
+
+type failingReader struct {
+	inner trace.Reader
+	left  int
+	err   error
+}
+
+func (r *failingReader) Next() (trace.Branch, error) {
+	if r.left == 0 {
+		return trace.Branch{}, r.err
+	}
+	r.left--
+	return r.inner.Next()
+}
+
+// TestCompareLTAGESurfacesReadErrors: a trace reader failing mid-stream
+// must fail the comparison, not silently truncate it to a shorter trace.
+func TestCompareLTAGESurfacesReadErrors(t *testing.T) {
+	inner, err := workload.ByName("FP-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readErr := errors.New("disk read failed")
+	r := NewWorkers(0, 1)
+	_, err = r.compareLTAGE(tage.Small16K(), looppred.DefaultConfig(), "broken",
+		[]trace.Trace{failingTrace{inner: inner, n: 1000, err: readErr}})
+	if !errors.Is(err, readErr) {
+		t.Fatalf("compareLTAGE error = %v, want the reader's %v", err, readErr)
 	}
 }
 

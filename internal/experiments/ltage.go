@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -96,8 +97,11 @@ func (r *Runner) compareLTAGE(cfg tage.Config, loopCfg looppred.Config, label st
 		var c ltageCell
 		for {
 			b, err := reader.Next()
-			if err != nil {
+			if errors.Is(err, io.EOF) {
 				break
+			}
+			if err != nil {
+				return err
 			}
 			if tg.Predict(b.PC).Pred != b.Taken {
 				c.tageMiss++

@@ -5,14 +5,13 @@ import (
 	"io"
 
 	"repro/internal/bimodal"
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/ogehl"
 	"repro/internal/perceptron"
+	"repro/internal/predictor"
 	"repro/internal/sim"
 	"repro/internal/tage"
 	"repro/internal/textplot"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -37,37 +36,6 @@ type SelfConfidenceRow struct {
 	Confusion metrics.Binary
 }
 
-// bimodalSelf adapts Smith's predictor to the binary driver: high
-// confidence when the 2-bit counter is saturated.
-type bimodalSelf struct{ p *bimodal.Predictor }
-
-func (b bimodalSelf) Predict(pc uint64) bool       { return b.p.Predict(pc) }
-func (b bimodalSelf) Update(pc uint64, taken bool) { b.p.Update(pc, taken) }
-func (b bimodalSelf) HighConfidence(pc uint64, pred bool) bool {
-	return !b.p.Weak(pc)
-}
-
-// ogehlSelf adapts O-GEHL with |sum| >= θ self-confidence.
-type ogehlSelf struct{ p *ogehl.Predictor }
-
-func (o ogehlSelf) Predict(pc uint64) bool           { return o.p.Predict(pc) }
-func (o ogehlSelf) Update(pc uint64, taken bool)     { o.p.Update(pc, taken) }
-func (o ogehlSelf) HighConfidence(uint64, bool) bool { return o.p.HighConfidence() }
-
-// perceptronSelf adapts the perceptron with |sum| >= θ self-confidence.
-type perceptronSelf struct{ p *perceptron.Predictor }
-
-func (s perceptronSelf) Predict(pc uint64) bool           { return s.p.Predict(pc) }
-func (s perceptronSelf) Update(pc uint64, taken bool)     { s.p.Update(pc, taken) }
-func (s perceptronSelf) HighConfidence(uint64, bool) bool { return s.p.HighConfidence() }
-
-// selfConfidencePredictor is a predictor with an intrinsic (storage-free)
-// confidence estimate.
-type selfConfidencePredictor interface {
-	sim.Predictor
-	HighConfidence(pc uint64, pred bool) bool
-}
-
 // RunSelfConfidence evaluates each scheme over CBP-1.
 func (r *Runner) RunSelfConfidence() (SelfConfidence, error) {
 	var out SelfConfidence
@@ -76,116 +44,62 @@ func (r *Runner) RunSelfConfidence() (SelfConfidence, error) {
 		return out, err
 	}
 
+	// Each scheme is a registry backend whose High grade is its intrinsic
+	// confidence estimate: a saturated 2-bit counter (Smith), |sum| >= θ
+	// (perceptron, O-GEHL).
 	schemes := []struct {
 		name    string
 		storage int
-		build   func() selfConfidencePredictor
+		spec    predictor.Spec
 	}{
-		{
-			name:    "bimodal saturation (Smith)",
-			storage: bimodal.New(13).StorageBits(),
-			build: func() selfConfidencePredictor {
-				return bimodalSelf{bimodal.New(13)}
-			},
-		},
-		{
-			name:    "perceptron |sum|>=theta",
-			storage: perceptron.New(9, 24).StorageBits(),
-			build: func() selfConfidencePredictor {
-				return perceptronSelf{perceptron.New(9, 24)}
-			},
-		},
-		{
-			name:    "O-GEHL |sum|>=theta",
-			storage: ogehl.DefaultConfig().StorageBits(),
-			build: func() selfConfidencePredictor {
-				return ogehlSelf{ogehl.New(ogehl.DefaultConfig())}
-			},
-		},
+		{"bimodal saturation (Smith)", bimodal.New(13).StorageBits(), predictor.MustParse("bimodal-16K")},
+		{"perceptron |sum|>=theta", perceptron.New(9, 24).StorageBits(), predictor.MustParse("perceptron?hist=24&log=9")},
+		{"O-GEHL |sum|>=theta", ogehl.DefaultConfig().StorageBits(), predictor.MustParse("ogehl")},
 	}
 
 	// Every (scheme, trace) run is independent, and so is each trace of
-	// the paper's TAGE storage-free estimator in binary mode (64 Kbit, the
-	// size class of the O-GEHL configuration above; its misp/KI column is
-	// rendered as "-" because the binary driver tallies predictions, not
-	// instructions). The whole flat matrix — schemes plus the TAGE tail
-	// rows — fans out across the pool in one pass, then merges in
-	// scheme-major, trace-minor order so the totals match the serial
-	// reference exactly.
-	type cell struct {
-		conf         metrics.Binary
-		misps, instr uint64
-	}
+	// the paper's TAGE storage-free estimator (64 Kbit, the size class of
+	// the O-GEHL configuration above). The whole flat matrix — schemes
+	// plus the TAGE tail rows — fans out across the pool in one pass, then
+	// merges in scheme-major, trace-minor order so the totals match the
+	// serial reference exactly.
 	nt := len(traces)
-	cells := make([]cell, (len(schemes)+1)*nt)
+	cells := make([]sim.Result, (len(schemes)+1)*nt)
 	if err := r.Pool.ForEach(len(cells), func(i int) error {
-		tr := traces[i%nt]
+		var err error
 		if si := i / nt; si < len(schemes) {
-			p := schemes[si].build()
-			c, m, in, err := runSelfConfidence(p, tr, r.Limit)
-			if err != nil {
-				return err
-			}
-			cells[i] = cell{conf: c, misps: m, instr: in}
-			return nil
+			cells[i], err = sim.RunSpec(schemes[si].spec, traces[i%nt], r.Limit)
+		} else {
+			cells[i], err = sim.RunConfig(tage.Medium64K(), modifiedOpts(), traces[i%nt], r.Limit)
 		}
-		est := core.NewEstimator(tage.Medium64K(), modifiedOpts())
-		res, err := sim.RunTAGEBinary(est, tr, r.Limit)
-		if err != nil {
-			return err
-		}
-		cells[i] = cell{conf: res.Confusion}
-		return nil
+		return err
 	}); err != nil {
 		return out, err
 	}
-	for si, s := range schemes {
-		var conf metrics.Binary
-		var misps, instr uint64
-		for ti := 0; ti < nt; ti++ {
-			c := cells[si*nt+ti]
-			conf.Add(c.conf)
-			misps += c.misps
-			instr += c.instr
+	suite := func(si int) sim.Result {
+		var agg sim.Result
+		for _, c := range cells[si*nt : (si+1)*nt] {
+			agg.Add(c)
 		}
+		return agg
+	}
+	for si, s := range schemes {
+		agg := suite(si)
 		out.Rows = append(out.Rows, SelfConfidenceRow{
 			Name:      s.name,
 			Storage:   s.storage,
-			MPKI:      metrics.MPKI(misps, instr),
-			Confusion: conf,
+			MPKI:      agg.MPKI(),
+			Confusion: agg.Binary(),
 		})
 	}
-	var conf metrics.Binary
-	for ti := 0; ti < nt; ti++ {
-		conf.Add(cells[len(schemes)*nt+ti].conf)
-	}
+	// The TAGE row leaves misp/KI empty ("-"): its accuracy is Table 1's,
+	// and this table compares confidence schemes.
 	out.Rows = append(out.Rows, SelfConfidenceRow{
 		Name:      "TAGE storage-free (this paper)",
 		Storage:   tage.Medium64K().StorageBits(),
-		Confusion: conf,
+		Confusion: suite(len(schemes)).Binary(),
 	})
 	return out, nil
-}
-
-func runSelfConfidence(p selfConfidencePredictor, tr trace.Trace, limit uint64) (metrics.Binary, uint64, uint64, error) {
-	var conf metrics.Binary
-	var misps, instr uint64
-	r := trace.Limit(tr, limit).Open()
-	for {
-		b, err := r.Next()
-		if err != nil {
-			return conf, misps, instr, nil
-		}
-		pred := p.Predict(b.PC)
-		high := p.HighConfidence(b.PC, pred)
-		miss := pred != b.Taken
-		if miss {
-			misps++
-		}
-		instr += uint64(b.Instr)
-		conf.Record(high, miss)
-		p.Update(b.PC, b.Taken)
-	}
 }
 
 // Render writes the comparison table.

@@ -405,7 +405,7 @@ func TestSharedSessionAcrossConnections(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint scrapes /healthz and /metrics and checks the
+// TestMetricsEndpoint scrapes /livez and /metrics and checks the
 // counters reflect served traffic, including the per-level breakdown.
 func TestMetricsEndpoint(t *testing.T) {
 	srv := startServer(t, Config{MetricsAddr: "127.0.0.1:0"})
@@ -423,14 +423,14 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	base := "http://" + srv.MetricsAddr().String()
-	resp, err := http.Get(base + "/healthz")
+	resp, err := http.Get(base + "/livez")
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != 200 || strings.TrimSpace(string(body)) != "ok" {
-		t.Fatalf("healthz: %d %q", resp.StatusCode, body)
+		t.Fatalf("livez: %d %q", resp.StatusCode, body)
 	}
 
 	resp, err = http.Get(base + "/metrics")

@@ -26,8 +26,8 @@ type Config struct {
 	// (ListenAndServe; Serve takes an explicit listener).
 	Addr string
 	// MetricsAddr is the HTTP listen address for /metrics, the
-	// liveness/readiness probes (/livez, /readyz, with /healthz kept as
-	// a liveness alias) and /debug/events; empty disables the endpoint.
+	// liveness/readiness probes (/livez, /readyz) and /debug/events;
+	// empty disables the endpoint.
 	MetricsAddr string
 	// DebugAddr is an opt-in HTTP listen address exposing net/http/pprof
 	// profiles alongside the same /metrics and /debug/events handlers;
@@ -395,13 +395,9 @@ func (s *Server) sweepLoop() {
 // flight-recorder dump.
 func (s *Server) baseMux() *http.ServeMux {
 	mux := http.NewServeMux()
-	live := func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/livez", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
-	}
-	// /healthz stays as a liveness alias for existing probes and the CI
-	// smoke's curl; /livez is the canonical spelling.
-	mux.HandleFunc("/healthz", live)
-	mux.HandleFunc("/livez", live)
+	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
 		if !s.ready.Load() {
 			http.Error(w, "draining", http.StatusServiceUnavailable)

@@ -13,10 +13,10 @@ import (
 
 // Session is one live predictor instance: a predictor.Backend (a TAGE
 // core.Estimator by default, any registry family via an Open spec) plus
-// the running per-class tallies, updated branch by branch exactly as the
-// offline driver (sim.Run) updates them — which is what makes the
-// server-side stats bit-identical to an offline run over the same
-// stream.
+// the running per-class tallies, updated branch by branch by the same
+// sim.Result.Step the offline driver (sim.Run) loops over — which is what
+// makes the server-side stats bit-identical to an offline run over the
+// same stream.
 //
 // A session is exclusive while serving: Serve and Stats take the session
 // lock, so concurrent batches for the same session serialize (and
@@ -76,20 +76,13 @@ func (s *Session) Branches() uint64 {
 //repro:locked res.Config is immutable after construction; audited lock-free read
 func (s *Session) ConfigName() string { return s.res.Config }
 
-// step serves one branch: predict, tally, train — the exact per-branch
-// sequence of sim.Run — and returns the encoded grade byte. Caller holds
-// s.mu.
+// step serves one branch through sim.Result.Step — the same per-branch
+// step sim.Run loops over — and returns the encoded grade byte. Caller
+// holds s.mu.
 //repro:hotpath
 //repro:locked caller holds s.mu (Serve/batch loop)
 func (s *Session) step(b trace.Branch) byte {
-	pred, class, level := s.bk.Predict(b.PC)
-	miss := pred != b.Taken
-	s.res.Total.Record(miss)
-	s.res.Class[class].Record(miss) //repro:allow-bce class comes from the backend's classifier, always < NumClasses; clamping would silently misattribute tallies
-	s.res.Branches++
-	s.res.Instructions += uint64(b.Instr)
-	s.bk.Update(b.PC, b.Taken)
-	return EncodeGrade(pred, class, level)
+	return EncodeGrade(s.res.Step(s.bk, b))
 }
 
 // Serve runs one branch batch through the session, appending one grade

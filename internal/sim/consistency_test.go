@@ -9,10 +9,10 @@ import (
 	"repro/internal/workload"
 )
 
-// TestBinaryAndClassDriversAgree cross-checks the two simulation paths:
-// the class-statistics driver (Run) and the binary-confusion driver
-// (RunTAGEBinary) must see the identical prediction stream, so totals and
-// the high-level split must match exactly.
+// TestBinaryAndClassDriversAgree cross-checks the two views of one run:
+// the seven-class tally (Level) and the binary confusion (Binary) must
+// describe the identical prediction stream, so totals and the high-level
+// split must match exactly.
 func TestBinaryAndClassDriversAgree(t *testing.T) {
 	tr, _ := workload.ByName("197.parser")
 	opts := core.Options{Mode: core.ModeProbabilistic}
@@ -21,21 +21,21 @@ func TestBinaryAndClassDriversAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin, err := RunTAGEBinary(core.NewEstimator(tage.Small16K(), opts), tr, 50000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bin := full.Binary()
 
-	if full.Total != bin.Total {
-		t.Fatalf("totals diverge: %+v vs %+v", full.Total, bin.Total)
+	if bin.Total() != full.Total.Preds {
+		t.Fatalf("totals diverge: %d vs %d", bin.Total(), full.Total.Preds)
+	}
+	if bin.HighWrong+bin.LowWrong != full.Total.Misps {
+		t.Fatalf("mispredictions diverge: %d vs %d", bin.HighWrong+bin.LowWrong, full.Total.Misps)
 	}
 	hi := full.Level(core.High)
-	if bin.Confusion.HighCorrect+bin.Confusion.HighWrong != hi.Preds {
+	if bin.HighCorrect+bin.HighWrong != hi.Preds {
 		t.Fatalf("high-level predictions: %d vs %d",
-			bin.Confusion.HighCorrect+bin.Confusion.HighWrong, hi.Preds)
+			bin.HighCorrect+bin.HighWrong, hi.Preds)
 	}
-	if bin.Confusion.HighWrong != hi.Misps {
-		t.Fatalf("high-level mispredictions: %d vs %d", bin.Confusion.HighWrong, hi.Misps)
+	if bin.HighWrong != hi.Misps {
+		t.Fatalf("high-level mispredictions: %d vs %d", bin.HighWrong, hi.Misps)
 	}
 }
 

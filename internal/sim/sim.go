@@ -1,7 +1,8 @@
 // Package sim provides the trace-driven simulation drivers that produce
 // every number in the paper: per-class statistics for a TAGE predictor
-// with the storage-free confidence estimator, whole-suite aggregation, and
-// binary-estimator comparison runs (storage-free vs JRS).
+// with the storage-free confidence estimator (Result.Step is the one
+// per-branch step), whole-suite aggregation, the binary confusion derived
+// from the class tally, and the storage-based JRS comparison runs.
 //
 // Simulation is functional (no timing): the predictor sees each branch's
 // address, predicts, and is updated with the resolved direction, exactly
@@ -96,16 +97,41 @@ func (r *Result) Add(other Result) {
 	r.FinalProbability = other.FinalProbability
 }
 
-// Run drives a backend over one trace (optionally truncated to limit
-// records; 0 = full trace) and collects per-class statistics. Any
-// predictor.Backend works; the TAGE estimator keeps its devirtualized
-// hot loop (a *core.Estimator is dispatched to a concrete-typed driver,
-// so the per-branch path pays no interface-call overhead and existing
-// callers see bit-identical results).
-func Run(b predictor.Backend, tr trace.Trace, limit uint64) (Result, error) {
-	if est, ok := b.(*core.Estimator); ok {
-		return runEstimator(est, tr, limit)
+// Binary returns the run's Grunwald-style binary confusion: the High
+// level is high confidence, Medium and Low are not. It is exact because
+// every backend grades with class.Level() == level (the predictor.Backend
+// contract), so the seven-class tally determines the binary split.
+//repro:deterministic
+func (r Result) Binary() metrics.Binary {
+	hi := r.Level(core.High)
+	return metrics.Binary{
+		HighCorrect: hi.Preds - hi.Misps,
+		HighWrong:   hi.Misps,
+		LowCorrect:  (r.Total.Preds - hi.Preds) - (r.Total.Misps - hi.Misps),
+		LowWrong:    r.Total.Misps - hi.Misps,
 	}
+}
+
+// Step runs one branch through a backend: predict, tally into r, then
+// train with the resolved direction. It is the single definition of the
+// per-branch sequence: Run loops over it offline and the serve session
+// calls it per served branch, so online tallies equal offline ones by
+// construction.
+//repro:hotpath
+func (r *Result) Step(b predictor.Backend, br trace.Branch) (pred bool, class core.Class, level core.Level) {
+	pred, class, level = b.Predict(br.PC)
+	miss := pred != br.Taken
+	r.Total.Record(miss)
+	r.Class[class].Record(miss) //repro:allow-bce class comes from the backend's classifier, always < NumClasses; clamping would silently misattribute tallies
+	r.Branches++
+	r.Instructions += uint64(br.Instr)
+	b.Update(br.PC, br.Taken)
+	return pred, class, level
+}
+
+// Run drives a backend over one trace (optionally truncated to limit
+// records; 0 = full trace) and collects per-class statistics.
+func Run(b predictor.Backend, tr trace.Trace, limit uint64) (Result, error) {
 	res := Result{
 		Trace:  tr.Name(),
 		Config: b.Label(),
@@ -120,44 +146,9 @@ func Run(b predictor.Backend, tr trace.Trace, limit uint64) (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		pred, class, _ := b.Predict(br.PC)
-		miss := pred != br.Taken
-		res.Total.Record(miss)
-		res.Class[class].Record(miss)
-		res.Branches++
-		res.Instructions += uint64(br.Instr)
-		b.Update(br.PC, br.Taken)
+		res.Step(b, br)
 	}
 	res.FinalProbability = predictor.SaturationProbabilityOf(b)
-	return res, nil
-}
-
-// runEstimator is the concrete-typed TAGE driver: the exact loop Run ran
-// before backends existed, kept devirtualized for the hot path.
-func runEstimator(est *core.Estimator, tr trace.Trace, limit uint64) (Result, error) {
-	res := Result{
-		Trace:  tr.Name(),
-		Config: est.Predictor().Config().Name,
-		Mode:   est.Mode(),
-	}
-	r := trace.Limit(tr, limit).Open()
-	for {
-		b, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return res, err
-		}
-		pred, class, _ := est.Predict(b.PC)
-		miss := pred != b.Taken
-		res.Total.Record(miss)
-		res.Class[class].Record(miss)
-		res.Branches++
-		res.Instructions += uint64(b.Instr)
-		est.Update(b.PC, b.Taken)
-	}
-	res.FinalProbability = est.SaturationProbability()
 	return res, nil
 }
 
@@ -186,20 +177,10 @@ type SuiteResult struct {
 }
 
 // RunSuite runs a fresh estimator per trace (predictor state never leaks
-// across traces, as in the championship framework).
+// across traces, as in the championship framework) with the serial
+// reference runner.
 func RunSuite(cfg tage.Config, opts core.Options, traces []trace.Trace, limit uint64) (SuiteResult, error) {
-	per := make([]Result, 0, len(traces))
-	for _, tr := range traces {
-		res, err := RunConfig(cfg, opts, tr, limit)
-		if err != nil {
-			var out SuiteResult
-			out.Aggregate.Config = cfg.Name
-			out.PerTrace = per
-			return out, err
-		}
-		per = append(per, res)
-	}
-	return AssembleSuite(cfg.Name, opts.Mode, per), nil
+	return Serial.RunSuite(cfg, opts, traces, limit)
 }
 
 // AssembleSuite builds a SuiteResult from per-trace results, accumulating
@@ -221,22 +202,14 @@ func AssembleSuite(configName string, mode core.AutomatonMode, per []Result) Sui
 	return out
 }
 
-// BinaryEstimator is a two-way confidence estimator over an arbitrary
-// predictor, the interface the related-work baselines implement (JRS,
-// enhanced JRS, perceptron self-confidence, bimodal saturation).
+// BinaryEstimator is a storage-based two-way confidence estimator that
+// grades another predictor's predictions (JRS, enhanced JRS).
 type BinaryEstimator interface {
 	// HighConfidence grades the upcoming prediction for pc, given the
 	// predictor's prediction.
 	HighConfidence(pc uint64, pred bool) bool
 	// Update trains the estimator with the resolved outcome.
 	Update(pc uint64, pred, taken bool)
-}
-
-// Predictor is the minimal predict/train interface the binary-estimator
-// driver needs; all baseline predictors in this repository satisfy it.
-type Predictor interface {
-	Predict(pc uint64) bool
-	Update(pc uint64, taken bool)
 }
 
 // BinaryResult holds a binary-estimator comparison run.
@@ -246,8 +219,12 @@ type BinaryResult struct {
 	Confusion metrics.Binary
 }
 
-// RunBinary drives a predictor plus binary estimator over a trace.
-func RunBinary(p Predictor, est BinaryEstimator, tr trace.Trace, limit uint64) (BinaryResult, error) {
+// RunBinary drives a substrate backend plus a storage-based binary
+// estimator over a trace: the estimator grades the substrate's raw
+// prediction stream, and the substrate's own grade is ignored. A
+// standard-mode core.Estimator is the raw TAGE stream. Storage-free
+// estimates need no second driver: see Result.Binary.
+func RunBinary(substrate predictor.Backend, est BinaryEstimator, tr trace.Trace, limit uint64) (BinaryResult, error) {
 	res := BinaryResult{Trace: tr.Name()}
 	r := trace.Limit(tr, limit).Open()
 	for {
@@ -258,72 +235,12 @@ func RunBinary(p Predictor, est BinaryEstimator, tr trace.Trace, limit uint64) (
 		if err != nil {
 			return res, err
 		}
-		pred := p.Predict(b.PC)
+		pred, _, _ := substrate.Predict(b.PC)
 		high := est.HighConfidence(b.PC, pred)
 		miss := pred != b.Taken
 		res.Total.Record(miss)
 		res.Confusion.Record(high, miss)
 		est.Update(b.PC, pred, b.Taken)
-		p.Update(b.PC, b.Taken)
-	}
-}
-
-// RunGradedBinary runs any confidence-graded backend in binary (high vs
-// not-high) mode over a trace, producing the Grunwald-style confusion
-// metrics — the backend-agnostic generalization of RunTAGEBinary.
-func RunGradedBinary(b predictor.Backend, tr trace.Trace, limit uint64) (BinaryResult, error) {
-	res := BinaryResult{Trace: tr.Name()}
-	r := trace.Limit(tr, limit).Open()
-	for {
-		br, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return res, nil
-		}
-		if err != nil {
-			return res, err
-		}
-		pred, _, level := b.Predict(br.PC)
-		miss := pred != br.Taken
-		res.Total.Record(miss)
-		res.Confusion.Record(level == core.High, miss)
-		b.Update(br.PC, br.Taken)
-	}
-}
-
-// TAGEBinary adapts the storage-free three-level estimator to the binary
-// interface by treating High as high confidence, for head-to-head
-// comparison with the JRS baseline. It must wrap the same Estimator whose
-// predictions drive the run.
-type TAGEBinary struct {
-	Est *core.Estimator
-}
-
-// HighConfidence implements BinaryEstimator. The wrapped estimator's
-// Predict must have been called for pc already (RunTAGEBinary does this).
-func (t TAGEBinary) HighConfidence(pc uint64, pred bool) bool {
-	_ = pc
-	_ = pred
-	cls := t.Est.Classifier().Classify(t.Est.Observation())
-	return cls.Level() == core.High
-}
-
-// RunTAGEBinary runs the storage-free estimator in binary mode over a
-// trace, producing the Grunwald-style confusion metrics.
-func RunTAGEBinary(est *core.Estimator, tr trace.Trace, limit uint64) (BinaryResult, error) {
-	res := BinaryResult{Trace: tr.Name()}
-	r := trace.Limit(tr, limit).Open()
-	for {
-		b, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return res, nil
-		}
-		if err != nil {
-			return res, err
-		}
-		pred, _, level := est.Predict(b.PC)
-		miss := pred != b.Taken
-		res.Total.Record(miss)
-		res.Confusion.Record(level == core.High, miss)
-		est.Update(b.PC, b.Taken)
+		substrate.Update(b.PC, b.Taken)
 	}
 }

@@ -5,8 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/gshare"
 	"repro/internal/jrs"
+	"repro/internal/metrics"
+	"repro/internal/predictor"
 	"repro/internal/tage"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -134,7 +135,10 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestRunBinaryJRS(t *testing.T) {
 	tr, _ := workload.ByName("INT-1")
-	p := gshare.New(12, 10)
+	p, _, err := predictor.New("gshare-16K?log=12&hist=10")
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := jrs.NewDefault(12, 10)
 	res, err := RunBinary(p, e, tr, 60000)
 	if err != nil {
@@ -153,19 +157,67 @@ func TestRunBinaryJRS(t *testing.T) {
 	}
 }
 
+// TestResultBinaryMatchesReference: for every registry family, the binary
+// confusion derived from Run's seven-class tally must equal a reference
+// loop that records High-vs-rest straight from the level Predict returns.
+func TestResultBinaryMatchesReference(t *testing.T) {
+	tr, _ := workload.ByName("197.parser")
+	const limit = 50000
+	for _, spec := range []string{
+		"tage-16K?mode=standard",
+		"tage-16K?mode=probabilistic",
+		"ltage-16K",
+		"gshare-16K",
+		"bimodal-16K",
+		"perceptron",
+		"ogehl",
+		"jrs-16K?enhanced=true",
+	} {
+		t.Run(spec, func(t *testing.T) {
+			sp := predictor.MustParse(spec)
+			res, err := RunSpec(sp, tr, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := predictor.Build(sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want metrics.Binary
+			r := trace.Limit(tr, limit).Open()
+			for {
+				br, err := r.Next()
+				if err != nil {
+					break
+				}
+				pred, _, level := b.Predict(br.PC)
+				want.Record(level == core.High, pred != br.Taken)
+				b.Update(br.PC, br.Taken)
+			}
+			if got := res.Binary(); got != want {
+				t.Fatalf("Result.Binary() = %+v, reference loop = %+v", got, want)
+			}
+			if want.Total() != limit {
+				t.Fatalf("reference loop saw %d branches, want %d", want.Total(), limit)
+			}
+		})
+	}
+}
+
 func TestRunTAGEBinary(t *testing.T) {
 	tr, _ := workload.ByName("INT-1")
 	est := core.NewEstimator(tage.Small16K(), core.Options{Mode: core.ModeProbabilistic})
-	res, err := RunTAGEBinary(est, tr, 60000)
+	res, err := Run(est, tr, 60000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Confusion.Total() != res.Total.Preds {
+	bin := res.Binary()
+	if bin.Total() != res.Total.Preds {
 		t.Fatal("confusion total mismatch")
 	}
 	// The high-confidence class must be very clean (paper: < 1%).
-	if res.Confusion.PVP() < 0.97 {
-		t.Errorf("storage-free PVP = %.3f, want > 0.97", res.Confusion.PVP())
+	if bin.PVP() < 0.97 {
+		t.Errorf("storage-free PVP = %.3f, want > 0.97", bin.PVP())
 	}
 }
 

@@ -197,7 +197,7 @@ func TraceByName(name string) (Trace, error) { return workload.ByName(name) }
 
 // Run simulates a backend over a trace (limit 0 = full trace),
 // collecting per-class statistics. Any Backend works (a *Estimator is
-// one); the TAGE hot path stays devirtualized.
+// one).
 func Run(b Backend, tr Trace, limit uint64) (Result, error) {
 	return sim.Run(b, tr, limit)
 }
