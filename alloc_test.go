@@ -257,6 +257,45 @@ func TestServeHotPathZeroAllocs(t *testing.T) {
 	measure()
 }
 
+// TestSessionSnapshotZeroAllocs pins the durable snapshot of a warmed
+// session of the served configuration (64K probabilistic) at zero heap
+// allocations when it is appended into a pre-grown buffer — the path
+// FrameSnapGet and the checkpoint pass take with their reused buffers.
+// Only the first snapshot of a session allocates, to resolve its spec.
+func TestSessionSnapshotZeroAllocs(t *testing.T) {
+	tr, err := workload.ByName("INT-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	branches, err := trace.Collect(trace.Limit(tr, 20_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := serve.NewEngine(serve.EngineConfig{}).Open(serve.OpenRequest{
+		Config:  "64K",
+		Options: Options{Mode: ModeProbabilistic},
+		Key:     "alloc/snapshot",
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := sess.Serve(branches, nil, 0); !ok {
+		t.Fatal("session retired")
+	}
+	buf, err := sess.AppendSnapshot(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if buf, err = sess.AppendSnapshot(buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocs per snapshot into a reused buffer, want 0", allocs)
+	}
+}
+
 // TestObsHotPathZeroAllocs pins each observability primitive at zero
 // heap allocations per operation in isolation: atomic counter and gauge
 // updates, a histogram observation (bucket index + three atomic adds),

@@ -467,15 +467,16 @@ func BenchmarkServeThroughput(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "branches/sec")
 }
 
-// BenchmarkCheckpoint measures the durability tax of the serve layer:
-// "encode" is the cost of serializing a warmed keyed session into its
-// versioned snapshot blob (what the failover token and the SnapGet frame
-// pay), and "write" is a full forced checkpoint pass — snapshot under the
-// session lock plus the atomic temp+rename file write (what the
-// background checkpoint loop pays per dirty session per interval). The
-// serving hot path itself stays zero-alloc regardless (alloc_test.go);
-// this benchmark prices the between-batch passes. PERF.md records the
-// numbers.
+// BenchmarkCheckpoint measures the durability tax of the serve layer at
+// 16K and at 64K, the served configuration: "encode" is the cost of
+// serializing a warmed keyed session into its versioned snapshot blob,
+// appended into a reused buffer as the SnapGet frame and the checkpoint
+// pass do (0 allocs), and "write" is a full forced checkpoint pass —
+// snapshot under the session lock plus the atomic temp+rename file
+// write (what the background checkpoint loop pays per dirty session per
+// interval). The serving hot path itself stays zero-alloc regardless
+// (alloc_test.go); this benchmark prices the between-batch passes.
+// PERF.md records the numbers.
 func BenchmarkCheckpoint(b *testing.B) {
 	tr, err := workload.ByName("INT-1")
 	if err != nil {
@@ -485,7 +486,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	newWarmEngine := func(b *testing.B) (*serve.Engine, *serve.Session) {
+	newWarmEngine := func(b *testing.B, config string) (*serve.Engine, *serve.Session) {
 		eng := serve.NewEngine(serve.EngineConfig{})
 		cs, err := serve.OpenCheckpointStore(b.TempDir())
 		if err != nil {
@@ -495,7 +496,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 			b.Fatal(err)
 		}
 		sess, err := eng.Open(serve.OpenRequest{
-			Config:  "16K",
+			Config:  config,
 			Options: Options{Mode: ModeProbabilistic},
 			Key:     "bench/checkpoint",
 		}, 0)
@@ -514,27 +515,31 @@ func BenchmarkCheckpoint(b *testing.B) {
 		}
 		return eng, sess
 	}
-	b.Run("encode", func(b *testing.B) {
-		_, sess := newWarmEngine(b)
-		var blob []byte
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var err error
-			if blob, err = sess.Snapshot(); err != nil {
+	for _, config := range []string{"16K", "64K"} {
+		b.Run("encode/"+config, func(b *testing.B) {
+			_, sess := newWarmEngine(b, config)
+			blob, err := sess.AppendSnapshot(nil)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-		b.ReportMetric(float64(len(blob)), "bytes/snapshot")
-	})
-	b.Run("write", func(b *testing.B) {
-		eng, _ := newWarmEngine(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if n := eng.CheckpointDirty(int64(i), true); n != 1 {
-				b.Fatalf("forced checkpoint pass wrote %d sessions, want 1", n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if blob, err = sess.AppendSnapshot(blob[:0]); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+			b.ReportMetric(float64(len(blob)), "bytes/snapshot")
+		})
+		b.Run("write/"+config, func(b *testing.B) {
+			eng, _ := newWarmEngine(b, config)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if n := eng.CheckpointDirty(int64(i), true); n != 1 {
+					b.Fatalf("forced checkpoint pass wrote %d sessions, want 1", n)
+				}
+			}
+		})
+	}
 }

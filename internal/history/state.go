@@ -7,6 +7,7 @@ package history
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/statecodec"
 )
@@ -18,13 +19,17 @@ import (
 func (b *Buffer) AppendState(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(b.bits)))
 	dst = binary.AppendUvarint(dst, uint64(b.head))
-	packed := make([]byte, (len(b.bits)+7)/8)
+	off, n := len(dst), (len(b.bits)+7)/8
+	// Grown and cleared in place: append(dst, make(...)...) allocates under -race.
+	dst = slices.Grow(dst, n)[:off+n]
+	packed := dst[off:]
+	clear(packed)
 	for i, bit := range b.bits {
 		if bit != 0 {
 			packed[i/8] |= 1 << (uint(i) % 8)
 		}
 	}
-	return append(dst, packed...)
+	return dst
 }
 
 // RestoreState reads state written by AppendState into b. The recorded

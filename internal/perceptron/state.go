@@ -8,6 +8,7 @@ package perceptron
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/statecodec"
 )
@@ -21,13 +22,17 @@ func (p *Predictor) AppendState(dst []byte) []byte {
 			dst = binary.LittleEndian.AppendUint16(dst, uint16(w))
 		}
 	}
-	packed := make([]byte, (p.histLen+7)/8)
+	off, n := len(dst), (p.histLen+7)/8
+	// Grown and cleared in place: append(dst, make(...)...) allocates under -race.
+	dst = slices.Grow(dst, n)[:off+n]
+	packed := dst[off:]
+	clear(packed)
 	for i, h := range p.ghist {
 		if h >= 0 {
 			packed[i/8] |= 1 << (uint(i) % 8)
 		}
 	}
-	return append(dst, packed...)
+	return dst
 }
 
 // RestoreState reads state written by AppendState into p, validating

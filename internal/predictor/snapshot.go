@@ -59,18 +59,29 @@ func SnapshotSpec(b Backend) (Spec, error) {
 // rebuild recipe, so the blob is self-contained: RestoreSnapshot needs
 // nothing but the registry.
 func AppendSnapshot(dst []byte, b Backend) ([]byte, error) {
-	sn, ok := b.(Snapshotter)
-	if !ok {
-		return dst, fmt.Errorf("%w: backend %q does not support snapshots", ErrSnapshot, b.Label())
-	}
 	sp, err := SnapshotSpec(b)
 	if err != nil {
 		return dst, err
 	}
+	return AppendSnapshotSpec(dst, b, sp.String())
+}
+
+// AppendSnapshotSpec is AppendSnapshot with b's canonical spec string
+// (SnapshotSpec(b).String()) supplied by the caller, which resolves it
+// once per backend: the state is encoded in place into dst, so a reused
+// buffer makes the whole snapshot allocation-free.
+func AppendSnapshotSpec(dst []byte, b Backend, spec string) ([]byte, error) {
+	sn, ok := b.(Snapshotter)
+	if !ok {
+		return dst, fmt.Errorf("%w: backend %q does not support snapshots", ErrSnapshot, b.Label())
+	}
 	start := len(dst)
 	dst = append(dst, SnapshotVersion)
-	dst = statecodec.AppendBytes(dst, []byte(sp.String()))
-	dst = statecodec.AppendBytes(dst, sn.AppendState(nil))
+	dst = statecodec.AppendString(dst, spec)
+	state := len(dst)
+	dst = statecodec.BeginBlob(dst)
+	dst = sn.AppendState(dst)
+	dst = statecodec.EndBlob(dst, state)
 	crc := crc32.ChecksumIEEE(dst[start:])
 	return binary.LittleEndian.AppendUint32(dst, crc), nil
 }

@@ -2,8 +2,10 @@ package predictor_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"testing"
@@ -161,6 +163,57 @@ func TestSnapshotRestoreBitIdentity(t *testing.T) {
 			if got != offline {
 				t.Errorf("%s on %s: snapshot-cut result diverges\n got: %+v\nwant: %+v", c.spec, trName, got, offline)
 			}
+		}
+	}
+}
+
+// TestSnapshotBytesPinned pins the snapshot byte format: warmed backends
+// of every registry family encode to blobs whose SHA-256 was recorded
+// when the format was introduced (version 1), so a stored checkpoint
+// keeps restoring. The state sizes straddle the in-place length
+// prefix's reserved width (1 KB, 4–16 KB, 64 KB), and encoding after a
+// non-empty prefix must leave the prefix alone and append the same
+// bytes.
+func TestSnapshotBytesPinned(t *testing.T) {
+	branches := collectBranches(t, "INT-1", 20_000)
+	for _, c := range []struct {
+		spec   string
+		size   int
+		sha256 string
+	}{
+		{"tage-16K?mode=probabilistic", 4475, "2b3b225db402b960981e5249d56321a0c368420f3b84e98ca6a09400b3ed8c6b"},
+		{"tage-64K?mode=probabilistic", 15519, "1ebd947d7daba362bcbd950169c4a6a22eadc336c1a1cfc658028c3d78f21a9c"},
+		{"tage-256K?mode=adaptive", 67782, "bc74f4135eaeec561bdc80909a536e035f326761b1195f22beac26839382e961"},
+		{"gshare-16K?hist=10", 8228, "387ced6bd0c1d7a8e38ae81b1c40b444a9c0ff4cd77c3d426acabb399c752ba2"},
+		{"bimodal-16K", 8213, "c6eca3b2f4ba029982d85e2c36d4a758bf7f795a5176eced6c9189ca373ad057"},
+		{"perceptron", 65562, "69ab57c3dff11a537700ac7d7ce3c18a38431696c00c53e925d6b94956350624"},
+		{"perceptron?log=8&hist=24", 12838, "b09bd2b2ca9b05ece69b968a79ef6070804dfc0f4d18dc280fb2fb7f30a36593"},
+		{"ogehl?tables=4&log=8&maxhist=60", 1081, "d13c7a84186daa03d8e684a4b4d9e1a104dd675599e69f446c7cd47815127da3"},
+		{"jrs-16K?enhanced=true", 9265, "295c2bce2ed6df69367cab28ad5e5417a1e05f63df405069d0e4134fd2cc3833"},
+		{"ltage-16K", 4807, "76f4482202cdf37df32d761930629e3412a15ef91fa79b81e30865792e4bb50e"},
+	} {
+		b, _, err := predictor.New(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, br := range branches {
+			b.Predict(br.PC)
+			b.Update(br.PC, br.Taken)
+		}
+		blob, err := predictor.AppendSnapshot(nil, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256(blob)); len(blob) != c.size || sum != c.sha256 {
+			t.Errorf("%s: snapshot is %d bytes sha256 %s, want %d bytes %s", c.spec, len(blob), sum, c.size, c.sha256)
+		}
+		prefix := []byte("prefix")
+		got, err := predictor.AppendSnapshot(bytes.Clone(prefix), b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, append(prefix, blob...)) {
+			t.Errorf("%s: snapshot appended after a prefix differs", c.spec)
 		}
 	}
 }

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -386,5 +389,68 @@ func TestSnapshotRejections(t *testing.T) {
 	// The connection survived all three rejections.
 	if _, err := keyed.Predict(collectBranches(t, tr, 10)); err != nil {
 		t.Fatalf("connection dead after snapshot rejections: %v", err)
+	}
+}
+
+// TestSessionSnapshotBytesPinned pins the session snapshot byte format
+// for warmed sessions of several backend families: the SHA-256 of each
+// blob was recorded when the format was introduced (version 1), so a
+// stored checkpoint keeps restoring. The in-place encoder must also
+// equal the blob-wrapping form, AppendSessionSnapshot over
+// predictor.AppendSnapshot, and leave a non-empty dst prefix alone.
+func TestSessionSnapshotBytesPinned(t *testing.T) {
+	tr, err := workload.ByName("INT-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	branches, err := trace.Collect(trace.Limit(tr, 20_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		req    OpenRequest
+		size   int
+		sha256 string
+	}{
+		{OpenRequest{Config: "64K", Options: core.Options{Mode: core.ModeProbabilistic}}, 15577, "3d4be9a57130c766f7f26cb333036d40d857e9ade3eb0923578c0f97db1fc838"},
+		{OpenRequest{Config: "16K"}, 4505, "1f0ef197bfeb6ee79f22515fb932e4b02b7aae2e82f7bf908c1a12f138a7aac4"},
+		{OpenRequest{Spec: "tage-256K?mode=adaptive"}, 67862, "8aea084e94b659b86d5106567567501451b4c8af9609f18b73479f1c622cf0d3"},
+		{OpenRequest{Spec: "perceptron"}, 65625, "955ccfe9ae9f998e50f97e14a8243b747c9fcc9d72d7dd7e6ee10d756ed26ad9"},
+		{OpenRequest{Spec: "ogehl?tables=4&log=8&maxhist=60"}, 1185, "a8873aae784cb6ee7652bd6cb4f923985112f942b6f036f7f54910317abf29b2"},
+		{OpenRequest{Spec: "ltage-16K"}, 4872, "01840f6c8f3891a8c99d7f29cfbf68e897497186e8660382224a4d5e82c012fd"},
+	} {
+		c.req.Key = "golden/" + c.req.Config + c.req.Spec
+		s, err := NewEngine(EngineConfig{}).Open(c.req, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var grades []byte
+		for off := 0; off < len(branches); off += 1000 {
+			grades, _ = s.Serve(branches[off:off+1000], grades, 0)
+		}
+		blob, err := s.AppendSnapshot(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256(blob)); len(blob) != c.size || sum != c.sha256 {
+			t.Errorf("%s: session snapshot is %d bytes sha256 %s, want %d bytes %s", c.req.Key, len(blob), sum, c.size, c.sha256)
+		}
+		s.mu.Lock()
+		pb, err := predictor.AppendSnapshot(nil, s.bk)
+		s.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wrapped := AppendSessionSnapshot(nil, SessionSnapshot{Key: s.key, Res: s.Stats(), Predictor: pb}); !bytes.Equal(blob, wrapped) {
+			t.Errorf("%s: in-place encoding differs from AppendSessionSnapshot", c.req.Key)
+		}
+		prefix := []byte("prefix")
+		got, err := s.AppendSnapshot(bytes.Clone(prefix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, append(prefix, blob...)) {
+			t.Errorf("%s: snapshot appended after a prefix differs", c.req.Key)
+		}
 	}
 }

@@ -66,6 +66,9 @@ type Engine struct {
 	keys   map[string]uint64
 	parked map[string]sim.Result
 	store  *CheckpointStore
+	// ckptBuf is the one encode buffer every checkpoint write reuses:
+	// the store copies it to disk before the next session encodes.
+	ckptBuf []byte //repro:guardedby keyMu
 
 	// retired accumulates the tallies of closed and evicted sessions so
 	// service-wide counters never lose history when a session goes away;
@@ -451,7 +454,9 @@ func (e *Engine) SweepIdle(cutoff int64) int {
 			if s.key != "" {
 				delete(e.keys, s.key)
 				if e.store != nil {
-					if blob, err := s.retiredSnapshot(); err == nil {
+					blob, err := s.appendRetiredSnapshot(e.ckptBuf[:0])
+					e.ckptBuf = blob
+					if err == nil {
 						e.writeBlobLocked(s.key, blob, now)
 						e.parked[s.key] = res
 					}
@@ -486,34 +491,31 @@ func (e *Engine) CheckpointDirty(now int64, force bool) int {
 	}
 	n := 0
 	e.reg.forEach(func(s *Session) {
-		blob, ok, err := s.checkpoint(force)
-		if err != nil {
-			e.ckptWriteFailures.Add(1)
-			return
-		}
-		if !ok {
-			return
-		}
-		if e.writeBlobLocked(s.key, blob, now) {
+		if e.checkpointLocked(s, now, force) {
 			n++
 		}
 	})
 	return n
 }
 
+// checkpointLocked encodes one session's checkpoint into the reused
+// ckptBuf and writes it, reporting whether a checkpoint was written.
+// Caller holds keyMu and has checked that a store is attached.
+func (e *Engine) checkpointLocked(s *Session, now int64, force bool) bool {
+	blob, ok, err := s.appendCheckpoint(e.ckptBuf[:0], force)
+	e.ckptBuf = blob
+	if err != nil {
+		e.ckptWriteFailures.Add(1)
+		return false
+	}
+	return ok && e.writeBlobLocked(s.key, blob, now)
+}
+
 // writeCheckpointLocked force-writes one session's checkpoint. Caller
 // holds keyMu.
 func (e *Engine) writeCheckpointLocked(s *Session, now int64) {
-	if e.store == nil {
-		return
-	}
-	blob, ok, err := s.checkpoint(true)
-	if err != nil {
-		e.ckptWriteFailures.Add(1)
-		return
-	}
-	if ok {
-		e.writeBlobLocked(s.key, blob, now)
+	if e.store != nil {
+		e.checkpointLocked(s, now, true)
 	}
 }
 

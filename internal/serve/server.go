@@ -845,19 +845,21 @@ func (s *Server) handleFrame(st *connState, typ byte, payload []byte) (fatal boo
 				fmt.Sprintf("unknown session %d", id))
 			return false
 		}
-		blob, err := sess.Snapshot()
+		// The snapshot is encoded straight into the response frame.
+		start := len(st.out)
+		out, err := sess.AppendSnapshot(beginSnap(st.out, id))
 		if err != nil {
-			st.out = AppendError(st.out, ErrCodeSnapshot, err.Error())
+			st.out = AppendError(out[:start], ErrCodeSnapshot, err.Error())
 			return false
 		}
+		st.out = endSnap(out, start)
 		// A blob the frame cannot carry answers with a clean error
 		// instead of a connection-fatal oversized frame.
-		if len(blob)+16 > MaxFrame {
-			st.out = AppendError(st.out, ErrCodeSnapshot,
-				fmt.Sprintf("snapshot of %d bytes exceeds frame limit", len(blob)))
+		if n := len(st.out) - start - 4; n > MaxFrame {
+			st.out = AppendError(st.out[:start], ErrCodeSnapshot,
+				fmt.Sprintf("snapshot frame of %d bytes exceeds frame limit", n))
 			return false
 		}
-		st.out = AppendSnap(st.out, id, blob)
 	case FrameOpenSnap:
 		blob, err := DecodeOpenSnap(payload)
 		if err != nil {

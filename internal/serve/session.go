@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/predictor"
 	"repro/internal/sim"
+	"repro/internal/statecodec"
 	"repro/internal/trace"
 )
 
@@ -36,6 +37,9 @@ type Session struct {
 	// the dirty bit: the checkpoint loop skips sessions whose count has
 	// not moved since.
 	ckptBranches uint64 //repro:guardedby mu
+	// spec is the backend's canonical snapshot spec string, resolved on
+	// the first snapshot so later ones allocate nothing.
+	spec string //repro:guardedby mu
 
 	// lastUsed is the engine-clock nanosecond of the last Open/Serve,
 	// read by the idle evictor without taking the session lock.
@@ -133,67 +137,81 @@ func (s *Session) liveStats() (sim.Result, bool) {
 	return s.statsLocked(), true
 }
 
-// snapshotLocked encodes the session's durable snapshot. Caller holds
-// s.mu, which is what makes the cut exact: Serve holds the lock for the
-// whole batch, so a snapshot always lands on a batch boundary where the
-// backend is between a resolved Update and the next Predict and every
-// served branch is tallied exactly once.
-func (s *Session) snapshotLocked() ([]byte, error) {
-	pb, err := predictor.AppendSnapshot(nil, s.bk)
-	if err != nil {
-		return nil, err
+// appendSnapshotLocked is the session snapshot encoder: it appends the
+// AppendSessionSnapshot layout to dst with the predictor envelope
+// encoded in place, so a reused dst makes it allocation-free. On error
+// dst comes back unextended. Caller holds s.mu, which is what makes the
+// cut exact: Serve holds the lock for the whole batch, so a snapshot
+// always lands on a batch boundary where the backend is between a
+// resolved Update and the next Predict and every served branch is
+// tallied exactly once.
+func (s *Session) appendSnapshotLocked(dst []byte) ([]byte, error) {
+	if s.spec == "" {
+		sp, err := predictor.SnapshotSpec(s.bk)
+		if err != nil {
+			return dst, err
+		}
+		s.spec = sp.String()
 	}
-	res := s.res
-	res.Trace = ""
-	res.FinalProbability = 0
-	return AppendSessionSnapshot(nil, SessionSnapshot{Key: s.key, Res: res, Predictor: pb}), nil
+	start := len(dst)
+	dst = appendSessionHead(dst, s.key, &s.res)
+	blob := len(dst)
+	dst = statecodec.BeginBlob(dst)
+	dst, err := predictor.AppendSnapshotSpec(dst, s.bk, s.spec)
+	if err != nil {
+		return dst[:start], err
+	}
+	dst = statecodec.EndBlob(dst, blob)
+	return sealSessionSnapshot(dst, start), nil
 }
 
-// Snapshot encodes the session's durable snapshot (FrameSnapGet, tests).
-// It fails once the session has been retired — the engine owns a retired
+// AppendSnapshot appends the session's durable snapshot to dst
+// (FrameSnapGet encodes it straight into the response frame). It fails
+// once the session has been retired — the engine owns a retired
 // session's final checkpoint.
-func (s *Session) Snapshot() ([]byte, error) {
+func (s *Session) AppendSnapshot(dst []byte) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.key == "" {
 		// An anonymous blob would fail the decoder's key check anyway;
 		// reject it here so the client gets a meaningful error.
-		return nil, fmt.Errorf("serve: session %d is anonymous (no durable key)", s.id)
+		return dst, fmt.Errorf("serve: session %d is anonymous (no durable key)", s.id)
 	}
 	if s.retired {
-		return nil, fmt.Errorf("serve: session %d retired", s.id)
+		return dst, fmt.Errorf("serve: session %d retired", s.id)
 	}
-	return s.snapshotLocked()
+	return s.appendSnapshotLocked(dst)
 }
 
-// checkpoint encodes the session snapshot for the background checkpoint
-// loop, reporting ok=false when there is nothing to write: the session
-// is anonymous, already retired (its final checkpoint is the evictor's
-// job), or — unless force — clean since the last checkpoint.
-func (s *Session) checkpoint(force bool) (blob []byte, ok bool, err error) {
+// appendCheckpoint appends the session snapshot for the background
+// checkpoint loop, reporting ok=false (dst unextended) when there is
+// nothing to write: the session is anonymous, already retired (its
+// final checkpoint is the evictor's job), or — unless force — clean
+// since the last checkpoint.
+func (s *Session) appendCheckpoint(dst []byte, force bool) (out []byte, ok bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.key == "" || s.retired {
-		return nil, false, nil
+		return dst, false, nil
 	}
 	if !force && s.res.Branches == s.ckptBranches {
-		return nil, false, nil
+		return dst, false, nil
 	}
-	blob, err = s.snapshotLocked()
+	dst, err = s.appendSnapshotLocked(dst)
 	if err != nil {
-		return nil, false, err
+		return dst, false, err
 	}
 	s.ckptBranches = s.res.Branches
-	return blob, true, nil
+	return dst, true, nil
 }
 
-// retiredSnapshot encodes the snapshot of an already-retired session —
-// the evictor's final checkpoint. Safe because retirement froze the
-// tallies and no Serve can touch the backend again.
-func (s *Session) retiredSnapshot() ([]byte, error) {
+// appendRetiredSnapshot appends the snapshot of an already-retired
+// session — the evictor's final checkpoint. Safe because retirement
+// froze the tallies and no Serve can touch the backend again.
+func (s *Session) appendRetiredSnapshot(dst []byte) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.snapshotLocked()
+	return s.appendSnapshotLocked(dst)
 }
 
 // retire freezes the session and returns its final tallies. The second

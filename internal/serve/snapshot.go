@@ -43,20 +43,34 @@ type SessionSnapshot struct {
 //
 // where strings and the predictor blob are uvarint length-prefixed and
 // counters are uvarints. Only per-class tallies travel; Total is their
-// exact sum and is reconstructed on decode.
+// exact sum and is reconstructed on decode. Live sessions encode the
+// same layout in place (Session.AppendSnapshot); this form wraps an
+// already-encoded predictor blob.
 func AppendSessionSnapshot(dst []byte, snap SessionSnapshot) []byte {
 	start := len(dst)
+	dst = appendSessionHead(dst, snap.Key, &snap.Res)
+	dst = statecodec.AppendBytes(dst, snap.Predictor)
+	return sealSessionSnapshot(dst, start)
+}
+
+// appendSessionHead appends every session-snapshot field before the
+// predictor blob.
+func appendSessionHead(dst []byte, key string, res *sim.Result) []byte {
 	dst = append(dst, SessionSnapshotVersion)
-	dst = statecodec.AppendBytes(dst, []byte(snap.Key))
-	dst = statecodec.AppendBytes(dst, []byte(snap.Res.Config))
-	dst = append(dst, byte(snap.Res.Mode))
-	dst = binary.AppendUvarint(dst, snap.Res.Branches)
-	dst = binary.AppendUvarint(dst, snap.Res.Instructions)
-	for _, c := range snap.Res.Class {
+	dst = statecodec.AppendString(dst, key)
+	dst = statecodec.AppendString(dst, res.Config)
+	dst = append(dst, byte(res.Mode))
+	dst = binary.AppendUvarint(dst, res.Branches)
+	dst = binary.AppendUvarint(dst, res.Instructions)
+	for _, c := range res.Class {
 		dst = binary.AppendUvarint(dst, c.Preds)
 		dst = binary.AppendUvarint(dst, c.Misps)
 	}
-	dst = statecodec.AppendBytes(dst, snap.Predictor)
+	return dst
+}
+
+// sealSessionSnapshot appends the CRC over the snapshot begun at start.
+func sealSessionSnapshot(dst []byte, start int) []byte {
 	crc := crc32.ChecksumIEEE(dst[start:])
 	return binary.LittleEndian.AppendUint32(dst, crc)
 }

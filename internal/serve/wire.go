@@ -77,6 +77,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/predictor"
 	"repro/internal/sim"
+	"repro/internal/statecodec"
 	"repro/internal/trace"
 )
 
@@ -476,11 +477,20 @@ func DecodeSnapGet(payload []byte) (uint64, error) {
 // AppendSnap appends a complete FrameSnap to dst.
 func AppendSnap(dst []byte, sessionID uint64, blob []byte) []byte {
 	start := len(dst)
+	return endSnap(append(beginSnap(dst, sessionID), blob...), start)
+}
+
+// beginSnap opens a FrameSnap whose blob the caller appends in place;
+// endSnap(dst, start) seals it, start being len(dst) before beginSnap.
+func beginSnap(dst []byte, sessionID uint64) []byte {
 	dst = BeginFrame(dst, FrameSnap)
 	dst = binary.AppendUvarint(dst, sessionID)
-	dst = binary.AppendUvarint(dst, uint64(len(blob)))
-	dst = append(dst, blob...)
-	return EndFrame(dst, start)
+	return statecodec.BeginBlob(dst)
+}
+
+func endSnap(dst []byte, start int) []byte {
+	_, n := binary.Uvarint(dst[start+5:]) // the session id beginSnap wrote
+	return EndFrame(statecodec.EndBlob(dst, start+5+n), start)
 }
 
 // DecodeSnap decodes a FrameSnap payload. The returned blob is a

@@ -76,6 +76,30 @@ func TestOpenedRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapRoundTrip covers the in-place FrameSnap blob prefix on both
+// sides of its reserved width, after a non-empty dst and with
+// multi-byte session ids.
+func TestSnapRoundTrip(t *testing.T) {
+	for _, id := range []uint64{0, 300, 1 << 40} {
+		for _, n := range []int{0, 1, 127, 128, 16383, 16384, 70_000} {
+			blob := bytes.Repeat([]byte{0xA5}, n)
+			prefix := []byte("prefix")
+			frame := AppendSnap(bytes.Clone(prefix), id, blob)
+			if !bytes.HasPrefix(frame, prefix) {
+				t.Fatalf("id %d, %d-byte blob: prefix clobbered", id, n)
+			}
+			typ, payload := readOne(t, frame[len(prefix):])
+			if typ != FrameSnap {
+				t.Fatalf("type %#02x", typ)
+			}
+			gotID, got, err := DecodeSnap(payload)
+			if err != nil || gotID != id || !bytes.Equal(got, blob) {
+				t.Fatalf("id %d, %d-byte blob: got id %d, %d bytes, err %v", id, n, gotID, len(got), err)
+			}
+		}
+	}
+}
+
 func TestBatchRoundTrip(t *testing.T) {
 	records := sampleBranches(1000, 42)
 	frame := AppendBatch(nil, 99, records)

@@ -6,8 +6,10 @@
 // surfaces as one error at the end instead of a panic in the middle.
 //
 // Appending uses encoding/binary's Append* helpers directly; this
-// package only adds the decode side plus the one append helper the
-// standard library lacks (length-prefixed byte blobs).
+// package only adds the decode side plus the append helpers the
+// standard library lacks: length-prefixed byte blobs, either copied in
+// (AppendBytes) or encoded in place (BeginBlob/EndBlob), so a nested
+// envelope is written straight into the caller's buffer.
 package statecodec
 
 import (
@@ -26,6 +28,43 @@ var ErrCorrupt = fmt.Errorf("statecodec: corrupt state")
 func AppendBytes(dst, b []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(b)))
 	return append(dst, b...)
+}
+
+// AppendString is AppendBytes for a string, without converting it.
+func AppendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+// blobReserve is the length-prefix room BeginBlob reserves: two uvarint
+// bytes cover bodies under 16 KiB (the 16K and 64K TAGE states) without
+// moving them; a longer body is shifted once by EndBlob.
+const blobReserve = 2
+
+// BeginBlob opens an in-place length-prefixed blob: it reserves room for
+// the uvarint length prefix, the caller appends the body, and
+// EndBlob(dst, start) — start being len(dst) before BeginBlob — writes
+// the prefix. The result is byte-identical to AppendBytes of the body.
+func BeginBlob(dst []byte) []byte {
+	var room [blobReserve]byte
+	return append(dst, room[:]...)
+}
+
+// EndBlob seals the blob BeginBlob opened at start, moving the body when
+// its length prefix does not take exactly the reserved room.
+func EndBlob(dst []byte, start int) []byte {
+	body := len(dst) - start - blobReserve
+	var hdr [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(hdr[:], uint64(body))
+	if n > blobReserve {
+		dst = append(dst, hdr[blobReserve:n]...)
+	}
+	if n != blobReserve {
+		copy(dst[start+n:], dst[start+blobReserve:start+blobReserve+body])
+		dst = dst[:start+n+body]
+	}
+	copy(dst[start:], hdr[:n])
+	return dst
 }
 
 // Reader decodes a state payload field by field. The first decode error

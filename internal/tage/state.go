@@ -11,6 +11,7 @@ package tage
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/statecodec"
 )
@@ -18,8 +19,12 @@ import (
 // AppendState appends the predictor's mutable state to dst.
 func (p *Predictor) AppendState(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(p.arena)))
+	off := len(dst)
+	dst = slices.Grow(dst, 4*len(p.arena))[:off+4*len(p.arena)]
+	words := dst[off:]
 	for _, w := range p.arena {
-		dst = binary.LittleEndian.AppendUint32(dst, w)
+		binary.LittleEndian.PutUint32(words, w)
+		words = words[4:]
 	}
 	// Three folded registers per table, written as one flat count so the
 	// byte stream is unchanged from when folds was a flat slice.

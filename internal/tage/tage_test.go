@@ -459,31 +459,3 @@ func TestTaggedEntries(t *testing.T) {
 		t.Fatalf("256K tagged entries = %d, want 2048", got)
 	}
 }
-
-func BenchmarkPredictUpdate16K(b *testing.B) {
-	benchConfig(b, Small16K())
-}
-
-func BenchmarkPredictUpdate64K(b *testing.B) {
-	benchConfig(b, Medium64K())
-}
-
-func BenchmarkPredictUpdate256K(b *testing.B) {
-	benchConfig(b, Large256K())
-}
-
-func benchConfig(b *testing.B, cfg Config) {
-	p := New(cfg)
-	tr := workload.CBP1()[6]
-	r := tr.Open()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		br, err := r.Next()
-		if err != nil {
-			r = tr.Open()
-			br, _ = r.Next()
-		}
-		p.Predict(br.PC)
-		p.Update(br.PC, br.Taken)
-	}
-}
