@@ -7,6 +7,8 @@ package repro
 // failure, not as a mysterious slowdown.
 
 import (
+	"context"
+	"net"
 	"testing"
 	"time"
 
@@ -255,6 +257,61 @@ func TestServeHotPathZeroAllocs(t *testing.T) {
 		t.Fatalf("CheckpointDirty wrote %d checkpoints, want 1", n)
 	}
 	measure()
+}
+
+// TestClientPredictZeroAllocs pins a warm 64-branch client round trip
+// against an in-process server over loopback at zero heap allocations.
+// AllocsPerRun counts process-wide, so the server's read, serve and
+// write of the frame are inside the measured window too.
+func TestClientPredictZeroAllocs(t *testing.T) {
+	tr, err := workload.ByName("INT-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	branches, err := trace.Collect(trace.Limit(tr, 6400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.NewServer(serve.Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		if err := <-done; err != nil {
+			t.Errorf("serve returned: %v", err)
+		}
+	}()
+	c, err := serve.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sess, err := c.Open("16K", Options{Mode: ModeProbabilistic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	step := func() {
+		off := i % (len(branches) / 64) * 64
+		i++
+		if _, err := sess.Predict(branches[off : off+64]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for j := 0; j < 200; j++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(500, step); allocs != 0 {
+		t.Fatalf("%v allocs per 64-branch round trip, want 0", allocs)
+	}
 }
 
 // TestSessionSnapshotZeroAllocs pins the durable snapshot of a warmed

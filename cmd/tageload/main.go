@@ -14,6 +14,10 @@
 // suite exactly once and the per-level counts are exact: they match an
 // offline sim.Run over the same traces bit for bit (the repository's
 // equivalence tests pin this; -verify recomputes the comparison inline).
+// Every replay also cross-checks the grades it received against the
+// server's final tallies and fails on any disagreement. The batch
+// latency line reads one histogram shared by all connections; its
+// quantiles can read up to 12.5% high.
 // In duration mode (-duration > 0) the connections loop over their
 // traces until the deadline — the throughput-soak configuration the CI
 // smoke job uses.
@@ -38,6 +42,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/predictor"
 	"repro/internal/serve"
 	"repro/internal/sim"
@@ -113,7 +118,6 @@ func main() {
 			MaxRetries:       *retries,
 			BreakerThreshold: *brkThresh,
 			BreakerCooldown:  *brkCool,
-			Seed:             *seed,
 			Logger:           logger,
 		})
 		if err != nil {
@@ -146,11 +150,13 @@ func main() {
 	// suite run.
 	type workerOut struct {
 		results []sim.Result
-		lat     metrics.Latency
 		busy    uint64
 		err     error
 	}
 	outs := make([]workerOut, n)
+	// One batch-latency histogram for every worker: Observe is wait-free,
+	// so the workers share it instead of merging per-worker copies.
+	var lat obs.Histogram
 	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < n; w++ {
@@ -176,7 +182,7 @@ func main() {
 						out.err = err
 						return false
 					}
-					res, err := rs.Replay(traces[i], *branches, *batch, &out.lat)
+					res, err := rs.Replay(traces[i], *branches, *batch, &lat)
 					if err != nil {
 						out.err = fmt.Errorf("%s: %w", traces[i].Name(), err)
 						return false
@@ -204,7 +210,7 @@ func main() {
 						out.err = err
 						return false
 					}
-					res, err := sess.Replay(traces[i], *branches, *batch, &out.lat)
+					res, err := sess.Replay(traces[i], *branches, *batch, &lat)
 					if err != nil {
 						out.err = fmt.Errorf("%s: %w", traces[i].Name(), err)
 						return false
@@ -239,7 +245,6 @@ func main() {
 	elapsed := time.Since(start)
 
 	var all []sim.Result
-	var lat metrics.Latency
 	var busy uint64
 	for i := range outs {
 		if outs[i].err != nil {
@@ -253,7 +258,6 @@ func main() {
 			fatal("tageload: connection failed", "conn", i, "err", outs[i].err)
 		}
 		all = append(all, outs[i].results...)
-		lat.Merge(&outs[i].lat)
 		busy += outs[i].busy
 	}
 	if len(all) == 0 {
@@ -267,7 +271,8 @@ func main() {
 	fmt.Printf("tageload: %d connections, %d trace replays, %s\n", n, len(all), elapsed.Round(time.Millisecond))
 	fmt.Printf("  throughput: %.0f branches/sec (%d branches)\n",
 		float64(agg.Branches)/elapsed.Seconds(), agg.Branches)
-	fmt.Printf("  batch latency (%d branches/batch): %v\n", *batch, &lat)
+	fmt.Printf("  batch latency (%d branches/batch): p50=%v p90=%v p99=%v max=%v\n", *batch,
+		lat.Quantile(0.5), lat.Quantile(0.9), lat.Quantile(0.99), lat.Quantile(1))
 	fmt.Printf("  accuracy: %.2f misp/KI, %.2f%% mispredicted\n", agg.MPKI(), 100*agg.Total.Rate())
 	fmt.Println("  per-level breakdown:")
 	for _, l := range core.Levels() {

@@ -16,6 +16,7 @@ import (
 
 	"repro"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -52,14 +53,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var lat metrics.Latency
+	var lat obs.Histogram
 	res, err := sess.Replay(tr, 50_000, 1000, &lat)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("served %d branches of %s over the wire (%d batches, p99 %v)\n",
-		res.Branches, res.Trace, lat.N(), lat.Quantile(0.99))
+		res.Branches, res.Trace, lat.Count(), lat.Quantile(0.99))
 	fmt.Printf("overall: %.2f misp/KI\n", res.MPKI())
 	fmt.Println("confidence-level breakdown (server-side tallies, bit-identical to offline repro.Run):")
 	for _, l := range repro.Levels() {

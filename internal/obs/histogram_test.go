@@ -65,17 +65,13 @@ func TestHistogramQuantileError(t *testing.T) {
 			return d
 		},
 	}
-	// 10k samples keeps metrics.Latency below its reservoir cap, so its
-	// Summary is truly exact here.
 	const n = 10_000
 	for name, gen := range distributions {
 		var h Histogram
-		var exact metrics.Latency
 		durs := make([]time.Duration, 0, n)
 		for i := 0; i < n; i++ {
 			d := gen()
 			h.Observe(d)
-			exact.Observe(d)
 			durs = append(durs, d)
 		}
 		sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
@@ -93,7 +89,11 @@ func TestHistogramQuantileError(t *testing.T) {
 		}
 		// Cross-check against the exact estimator: the bucketed median
 		// may only exceed the interpolated one by the bucket width.
-		med := time.Duration(exact.Summary().Median * 1e9)
+		ns := make([]float64, n)
+		for i, d := range durs {
+			ns[i] = float64(d)
+		}
+		med := time.Duration(metrics.Summarize(ns).Median)
 		if got := h.Quantile(0.5); got < time.Duration(float64(med)*0.98) || got > time.Duration(float64(med)*1.15)+1 {
 			t.Errorf("%s: bucketed median %v vs exact %v", name, got, med)
 		}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/xrand"
@@ -49,14 +50,6 @@ const DefaultBusyBackoff = 2 * time.Millisecond
 // maxBusyBackoff caps the doubling busy-retry backoff.
 const maxBusyBackoff = 250 * time.Millisecond
 
-// BatchObserver receives one round-trip latency sample per served
-// batch. Both *metrics.Latency (exact, unbounded-percentile reporting)
-// and *obs.Histogram (fixed-footprint, hot-path safe) satisfy it; a nil
-// interface disables sampling.
-type BatchObserver interface {
-	Observe(d time.Duration)
-}
-
 // Client speaks the wire protocol over one connection. It is not safe
 // for concurrent use; a load generator opens one Client per goroutine.
 type Client struct {
@@ -69,7 +62,7 @@ type Client struct {
 	out    []byte
 	grades []Grade
 
-	rng         *xrand.Rand // backoff jitter, lazily seeded from cfg.Seed
+	rng         *xrand.Rand // busy-retry jitter, lazily seeded from cfg.Seed
 	busyRetries uint64
 }
 
@@ -109,22 +102,43 @@ func (c *Client) Close() error { return c.conn.Close() }
 // client has performed — the load generators roll it up per node.
 func (c *Client) BusyRetries() uint64 { return c.busyRetries }
 
-// jitter spreads a backoff duration uniformly over [d/2, 3d/2) using the
-// client's seeded stream, so synchronized clients retrying a shed server
-// do not re-stampede it in lockstep.
-func (c *Client) jitter(d time.Duration) time.Duration {
+// backoff is the one retry schedule of the client side, shared by busy
+// retries and router recovery. Each wait is jittered uniformly over
+// [d/2, 3d/2) from a seeded stream, so synchronized clients retrying
+// the same fault spread out instead of stampeding in lockstep. The base
+// d doubles per wait until it reaches max; a server's retry-after hint
+// replaces it for one wait.
+type backoff struct {
+	rng       *xrand.Rand
+	base, max time.Duration
+}
+
+// jitterRand seeds a backoff stream: replayable when seed is fixed (0
+// derives one from the clock), decorrelated across session keys.
+func jitterRand(seed uint64, key string) *xrand.Rand {
+	if seed == 0 {
+		seed = uint64(time.Now().UnixNano())
+	}
+	return xrand.New(seed ^ ringHash(key))
+}
+
+// next returns the wait before the next retry and advances the base.
+func (b *backoff) next(hint time.Duration) time.Duration {
+	d := b.base
+	if hint > 0 {
+		d = hint
+	}
+	if b.base < b.max {
+		b.base = min(2*b.base, b.max)
+	}
 	if d <= 0 {
 		return 0
 	}
-	if c.rng == nil {
-		seed := c.cfg.Seed
-		if seed == 0 {
-			seed = uint64(time.Now().UnixNano())
-		}
-		c.rng = xrand.New(seed)
-	}
-	return d/2 + time.Duration(c.rng.Uint64()%uint64(d))
+	return d/2 + time.Duration(b.rng.Uint64()%uint64(d))
 }
+
+// sleep waits out next(hint).
+func (b *backoff) sleep(hint time.Duration) { time.Sleep(b.next(hint)) }
 
 // roundTrip writes the frame already assembled in c.out and reads one
 // response frame, translating FrameError into *RemoteError.
@@ -297,25 +311,27 @@ func (s *ClientSession) Predict(records []trace.Branch) ([]Grade, error) {
 	if budget == 0 {
 		budget = DefaultBusyRetries
 	}
-	backoff := c.cfg.BusyBackoff
-	if backoff <= 0 {
-		backoff = DefaultBusyBackoff
-	}
+	var bo backoff
 	for attempt := 0; ; attempt++ {
 		grades, err := s.predictOnce(records)
+		if err == nil {
+			return grades, nil
+		}
 		var be *BusyError
-		if err == nil || !errors.As(err, &be) || attempt >= budget {
-			return grades, err
+		if !errors.As(err, &be) || attempt >= budget {
+			return nil, err
+		}
+		if attempt == 0 {
+			if c.rng == nil {
+				c.rng = jitterRand(c.cfg.Seed, "")
+			}
+			bo = backoff{rng: c.rng, base: c.cfg.BusyBackoff, max: maxBusyBackoff}
+			if bo.base <= 0 {
+				bo.base = DefaultBusyBackoff
+			}
 		}
 		c.busyRetries++
-		wait := backoff
-		if be.RetryAfterMillis > 0 {
-			wait = time.Duration(be.RetryAfterMillis) * time.Millisecond
-		}
-		time.Sleep(c.jitter(wait))
-		if backoff < maxBusyBackoff {
-			backoff *= 2
-		}
+		bo.sleep(time.Duration(be.RetryAfterMillis) * time.Millisecond)
 	}
 }
 
@@ -374,44 +390,98 @@ func (s *ClientSession) Close() (sim.Result, error) {
 // session applies the exact per-branch sequence of the offline driver to
 // an identically-seeded estimator. Replay verifies this end to end: the
 // client-side tally derived from the wire grades must equal the
-// server-side stats, or an error is returned.
+// server-side stats, or an error is returned. A session that resumed
+// server-side state (Resumed() > 0) first adopts the server's tallies
+// and replays the trace from its cursor.
 //
 // When lat is non-nil, one round-trip latency sample is recorded per
 // batch.
-func (s *ClientSession) Replay(tr trace.Trace, limit uint64, batchSize int, lat BatchObserver) (sim.Result, error) {
+func (s *ClientSession) Replay(tr trace.Trace, limit uint64, batchSize int, lat *obs.Histogram) (sim.Result, error) {
+	local := sim.Result{Trace: tr.Name(), Config: s.config, Mode: s.opts.Mode}
+	if s.resumed > 0 {
+		if _, err := s.resync(&local); err != nil {
+			return sim.Result{}, err
+		}
+	}
+	return s.stream(tr, limit, newBatch(batchSize), lat, &local, nil)
+}
+
+// newBatch allocates the replay batch buffer; its capacity is the batch
+// size (out-of-range sizes select 1024).
+func newBatch(batchSize int) []trace.Branch {
 	if batchSize <= 0 || batchSize > MaxBatch {
 		batchSize = 1024
 	}
-	local := sim.Result{Trace: tr.Name(), Config: s.config, Mode: s.opts.Mode}
-	r := trace.Limit(tr, limit).Open()
+	return make([]trace.Branch, 0, batchSize)
+}
+
+// resync overwrites local with the server's authoritative tallies for
+// the session, which moves the replay cursor (local.Branches) to the
+// server's branch count, and returns the snapshot blob it read them
+// from.
+func (s *ClientSession) resync(local *sim.Result) ([]byte, error) {
+	blob, err := s.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	snap, err := DecodeSessionSnapshot(blob)
+	if err != nil {
+		return nil, err
+	}
+	name := local.Trace
+	*local = snap.Res
+	local.Trace = name
+	// Label like Close labels its result (OpenSession carries the
+	// request's mode, OpenSnapshot the snapshot's), so the final
+	// cross-check compares like with like.
+	local.Mode = s.opts.Mode
+	return blob, nil
+}
+
+// stream is the one client-side replay loop. It opens tr (truncated to
+// limit) at the cursor local.Branches and streams it through the
+// session in batches of cap(batch) branches. Each batch's wire grades
+// are tallied into local, its round trip is sampled into lat (nil
+// disables), and onBatch (nil skips) runs after it. At the end of the
+// trace stream closes the session and returns the server's final stats,
+// cross-checked against local. On error, local holds exactly the
+// batches the server answered, so the router can resync and call stream
+// again. Trace read errors are properties of the input, which
+// IsRetryable never classifies as transport failures.
+func (s *ClientSession) stream(tr trace.Trace, limit uint64, batch []trace.Branch, lat *obs.Histogram,
+	local *sim.Result, onBatch func()) (sim.Result, error) {
+	rd := trace.Limit(tr, limit).Open()
 	// Release the reader's resources (open file, pooled decode or
-	// generator state) if the replay aborts mid-trace — a server or
+	// generator state) if the stream aborts mid-trace — a server or
 	// network error must not leak a file descriptor per failed replay.
-	// Once the reader returns io.EOF it must not be touched again (its
-	// state may already be recycled into another Open), so the release
-	// only fires on the not-yet-drained paths.
+	// Once the reader returns io.EOF or a decode error it must not be
+	// touched again (it closes itself, and its state may already be
+	// recycled into another Open), so the release only fires on the
+	// not-yet-drained paths.
 	drained := false
 	defer func() {
-		if drained {
-			return
-		}
-		if c, ok := r.(interface{ Close() }); ok {
+		if c, ok := rd.(interface{ Close() }); ok && !drained {
 			c.Close()
 		}
 	}()
-	batch := make([]trace.Branch, 0, batchSize)
-	for eof := false; !eof; {
+	for skip := local.Branches; skip > 0; skip-- {
+		if _, err := rd.Next(); err != nil {
+			drained = true
+			// %v, not %w: a trace shorter than the server's cursor ends in
+			// io.EOF, which must not read as a retryable transport error.
+			return sim.Result{}, fmt.Errorf("serve: rewinding %s to branch %d: %v", tr.Name(), local.Branches, err)
+		}
+	}
+	for !drained {
 		batch = batch[:0]
-		for len(batch) < batchSize {
-			b, err := r.Next()
-			if errors.Is(err, io.EOF) {
-				eof = true
-				drained = true
-				break
-			}
+		for len(batch) < cap(batch) {
+			b, err := rd.Next()
 			if err != nil {
-				drained = true // reader closes itself on decode errors
-				return sim.Result{}, err
+				drained = true
+				if !errors.Is(err, io.EOF) {
+					return sim.Result{}, err
+				}
+				break
 			}
 			batch = append(batch, b)
 		}
@@ -434,22 +504,21 @@ func (s *ClientSession) Replay(tr trace.Trace, limit uint64, batchSize int, lat 
 			// Mirror the wire codec's clamp (Instr 0 is not representable
 			// and travels as 1) so the cross-check below compares what the
 			// server actually saw.
-			instr := batch[i].Instr
-			if instr == 0 {
-				instr = 1
-			}
-			local.Instructions += uint64(instr)
+			local.Instructions += uint64(max(batch[i].Instr, 1))
+		}
+		if onBatch != nil {
+			onBatch()
 		}
 	}
 	res, err := s.Close()
 	if err != nil {
 		return sim.Result{}, err
 	}
-	res.Trace = tr.Name()
+	res.Trace = local.Trace
 	local.FinalProbability = res.FinalProbability
-	if local != res {
+	if *local != res {
 		return sim.Result{}, fmt.Errorf("serve: wire grades disagree with server stats for %s: client %+v server %+v",
-			tr.Name(), local, res)
+			tr.Name(), *local, res)
 	}
 	return res, nil
 }

@@ -110,6 +110,54 @@ func TestSnapshotCutEquivalence(t *testing.T) {
 	}
 }
 
+// TestReplayResumedKeyedSession pins Replay's resume path: a keyed
+// session resumed on a new connection adopts the server's tallies and
+// replays the trace from the server's cursor, so the result still equals
+// an uninterrupted offline run.
+func TestReplayResumedKeyedSession(t *testing.T) {
+	srv := startServer(t, Config{})
+	tr, err := workload.ByName("MM-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cut, limit = 2000, 6000
+	req := OpenRequest{
+		Config:  "16K",
+		Options: core.Options{Mode: core.ModeProbabilistic},
+		Key:     "resume/replay",
+	}
+	c1 := dial(t, srv)
+	sess, err := c1.OpenSession(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamSlice(t, sess, collectBranches(t, tr, cut), 500)
+	// The keyed session outlives its connection.
+	c1.Close()
+	sess2, err := dial(t, srv).OpenSession(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sess2.Resumed(); got != cut {
+		t.Fatalf("resumed at %d, want %d", got, cut)
+	}
+	got, err := sess2.Replay(tr, limit, 500, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := tage.ConfigByName("16K")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sim.RunConfig(cfg, req.Options, tr, limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("resumed replay %+v != offline %+v", got, want)
+	}
+}
+
 // TestCheckpointWarmStart pins the WAL-free restart path end to end: a
 // keyed session's state survives a graceful shutdown via the drain
 // checkpoint, a second server booting on the same state directory

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"log/slog"
 	"sort"
 	"strings"
@@ -45,7 +44,9 @@ type RouterConfig struct {
 	// (0 selects DefaultReplicas). More replicas smooth the key
 	// distribution at the cost of a larger ring.
 	Replicas int
-	// Client configures the per-node connections (deadlines).
+	// Client configures the per-node connections (deadlines, busy
+	// retries). Its Seed also keys each session's recovery-backoff
+	// jitter, decorrelated per session key.
 	Client ClientConfig
 	// MaxRetries bounds the consecutive recovery attempts (each attempt
 	// tries every node once) before an operation gives up; 0 selects
@@ -69,10 +70,6 @@ type RouterConfig struct {
 	// re-opens it for another cooldown). 0 selects
 	// DefaultBreakerCooldown.
 	BreakerCooldown time.Duration
-	// Seed keys the per-session backoff-jitter streams (0 derives one
-	// from the clock). Fixing it makes a chaos run's recovery timing
-	// replayable.
-	Seed uint64
 	// Events receives the router's flight-recorder stream (retries,
 	// breaker transitions, failovers, recoveries). Nil selects a private
 	// DefaultEventBuffer-sized recorder, reachable via Router.Events.
@@ -298,16 +295,6 @@ func (r *Router) nodeOK(node string) {
 	b.fails = 0
 }
 
-// sessionRand derives the per-session jitter stream: decorrelated across
-// keys, replayable when RouterConfig.Seed is fixed.
-func (r *Router) sessionRand(key string) *xrand.Rand {
-	seed := r.cfg.Seed
-	if seed == 0 {
-		seed = uint64(time.Now().UnixNano())
-	}
-	return xrand.New(seed ^ ringHash(key))
-}
-
 // RouterSession is one durable session driven through the router. It is
 // not safe for concurrent use.
 type RouterSession struct {
@@ -322,7 +309,7 @@ type RouterSession struct {
 	sess   *ClientSession
 	snap   []byte      // last fetched snapshot blob — the failover token
 	placed bool        // session counted in a node's Sessions roll-up
-	rng    *xrand.Rand // backoff jitter (seeded per key: replayable, decorrelated)
+	rng    *xrand.Rand // recovery-backoff jitter (seeded per key: replayable, decorrelated)
 }
 
 // Open places (or resumes) the keyed session on its ring node. The key
@@ -332,7 +319,7 @@ func (r *Router) Open(key string, req OpenRequest) (*RouterSession, error) {
 		return nil, fmt.Errorf("serve: router sessions require a key")
 	}
 	req.Key = key
-	rs := &RouterSession{r: r, key: key, req: req, nodes: r.nodesFor(key), rng: r.sessionRand(key)}
+	rs := &RouterSession{r: r, key: key, req: req, nodes: r.nodesFor(key), rng: jitterRand(r.cfg.Client.Seed, key)}
 	if err := rs.establish(); err != nil {
 		return nil, err
 	}
@@ -428,23 +415,17 @@ func (rs *RouterSession) reconnectPass(respectBreakers bool) (err error, attempt
 		}
 		attempted = true
 		c, err := DialConfig(node, rs.r.cfg.Client)
-		if err != nil {
-			lastErr = err
-			rs.r.nodeFailed(node)
-			rs.r.bump(node, func(ns *NodeStats) { ns.Retries++ })
-			rs.r.rec.Record(obs.Event{
-				UnixNano: time.Now().UnixNano(), Kind: obs.EvRetry,
-				Key: rs.key, Backend: node, Cause: err.Error(),
-			})
-			continue
-		}
-		sess, err := rs.openOn(c, idx)
-		if err != nil {
-			c.Close()
-			lastErr = err
-			if !recoverable(err) {
-				return err, true
+		var sess *ClientSession
+		if err == nil {
+			if sess, err = rs.openOn(c, idx); err != nil {
+				c.Close()
+				if !recoverable(err) {
+					return err, true
+				}
 			}
+		}
+		if err != nil {
+			lastErr = err
 			rs.r.nodeFailed(node)
 			rs.r.bump(node, func(ns *NodeStats) { ns.Retries++ })
 			rs.r.rec.Record(obs.Event{
@@ -492,72 +473,34 @@ func (rs *RouterSession) openOn(c *Client, idx int) (*ClientSession, error) {
 	return c.OpenSession(rs.req)
 }
 
-// sleepBackoff sleeps a jittered backoff (uniform over [d/2, 3d/2),
-// from the session's seeded stream) so many sessions recovering from
-// the same fault spread out instead of stampeding in lockstep.
-func (rs *RouterSession) sleepBackoff(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	time.Sleep(d/2 + time.Duration(rs.rng.Uint64()%uint64(d)))
-}
-
-// establish runs reconnect under the retry policy: jittered capped
-// exponential backoff between attempts, fatal errors surfacing
-// immediately.
-func (rs *RouterSession) establish() error {
+// retry runs op under the recovery policy: up to MaxRetries+1 attempts
+// with the jittered, capped, doubling backoff between them. An error
+// that recoverable rejects surfaces at once; an exhausted budget
+// reports what failed.
+func (rs *RouterSession) retry(what string, op func() error) error {
 	cfg := rs.r.cfg
-	backoff := cfg.RetryBackoff
-	var lastErr error
+	bo := backoff{rng: rs.rng, base: cfg.RetryBackoff, max: maxRetryBackoff}
+	var err error
 	for attempt := 0; attempt <= cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
-			rs.sleepBackoff(backoff)
-			backoff *= 2
-			if backoff > maxRetryBackoff {
-				backoff = maxRetryBackoff
-			}
+			bo.sleep(0)
 		}
-		err := rs.reconnect()
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if !recoverable(err) {
+		if err = op(); err == nil || !recoverable(err) {
 			return err
 		}
 	}
-	return fmt.Errorf("serve: no node reachable for session %q after %d attempts: %w",
-		rs.key, cfg.MaxRetries+1, lastErr)
+	return fmt.Errorf("serve: session %q %s after %d attempts: %w", rs.key, what, cfg.MaxRetries+1, err)
 }
 
-// sync reads the server's authoritative state for the session and
-// rewinds the client to it: local tallies are overwritten with the
-// server's, the replay cursor moves to the server's branch count, and
-// the snapshot blob becomes the new failover token.
-func (rs *RouterSession) sync(local *sim.Result, pos *uint64) error {
-	blob, err := rs.sess.Snapshot()
-	if err != nil {
-		return err
-	}
-	snap, err := DecodeSessionSnapshot(blob)
-	if err != nil {
-		return err
-	}
-	rs.snap = blob
-	next := snap.Res
-	next.Trace = local.Trace
-	// Label like the client session labels its Close result (OpenSession
-	// carries the request's mode, OpenSnapshot the snapshot's), so the
-	// final local-vs-server cross-check compares like with like.
-	next.Mode = rs.sess.opts.Mode
-	*local = next
-	*pos = snap.Res.Branches
-	return nil
+// establish connects the session under the retry policy.
+func (rs *RouterSession) establish() error {
+	return rs.retry("found no reachable node", rs.reconnect)
 }
 
 // recoverAndSync is the full client-side recovery path: drop the broken
-// connection, re-establish (same node, else failover), and resync the
-// replay cursor — all under the retry policy.
+// connection, re-establish (same node, else failover), and resync local
+// — tallies and replay cursor — from the server, all under the retry
+// policy. The fetched snapshot becomes the new failover token.
 //
 // cause, the error that triggered the recovery, counts as a health
 // strike against the hosting node's circuit breaker: a node whose
@@ -565,50 +508,38 @@ func (rs *RouterSession) sync(local *sim.Result, pos *uint64) error {
 // refuses dials. Overload (BusyError) is exempt — a shedding node is
 // protecting itself, and opening its breaker would amplify load
 // shedding into unavailability.
-func (rs *RouterSession) recoverAndSync(cause error, local *sim.Result, pos *uint64) error {
+func (rs *RouterSession) recoverAndSync(cause error, local *sim.Result) error {
 	var be *BusyError
-	if cause != nil && !errors.As(cause, &be) {
+	if !errors.As(cause, &be) {
 		rs.r.nodeFailed(rs.Node())
 	}
-	cfg := rs.r.cfg
-	backoff := cfg.RetryBackoff
-	var lastErr error
-	for attempt := 0; attempt <= cfg.MaxRetries; attempt++ {
-		if attempt > 0 {
-			rs.sleepBackoff(backoff)
-			backoff *= 2
-			if backoff > maxRetryBackoff {
-				backoff = maxRetryBackoff
-			}
-		}
+	err := rs.retry("is unrecoverable", func() error {
 		rs.dropConn()
 		if err := rs.reconnect(); err != nil {
-			lastErr = err
-			if !recoverable(err) {
-				return err
-			}
-			continue
+			return err
 		}
-		if err := rs.sync(local, pos); err != nil {
-			lastErr = err
-			if !recoverable(err) {
-				return err
-			}
-			continue
-		}
-		rs.r.bump(rs.Node(), func(ns *NodeStats) { ns.Recoveries++ })
-		causeMsg := ""
-		if cause != nil {
-			causeMsg = cause.Error()
-		}
-		rs.r.rec.Record(obs.Event{
-			UnixNano: time.Now().UnixNano(), Kind: obs.EvRecovery,
-			Key: rs.key, Backend: rs.Node(), Cause: causeMsg,
-		})
-		return nil
+		return rs.sync(local)
+	})
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("serve: session %q unrecoverable after %d attempts: %w",
-		rs.key, cfg.MaxRetries+1, lastErr)
+	rs.r.bump(rs.Node(), func(ns *NodeStats) { ns.Recoveries++ })
+	rs.r.rec.Record(obs.Event{
+		UnixNano: time.Now().UnixNano(), Kind: obs.EvRecovery,
+		Key: rs.key, Backend: rs.Node(), Cause: cause.Error(),
+	})
+	return nil
+}
+
+// sync adopts the server's tallies and cursor into local and keeps the
+// snapshot blob they came from as the failover token.
+func (rs *RouterSession) sync(local *sim.Result) error {
+	blob, err := rs.sess.resync(local)
+	if err != nil {
+		return err
+	}
+	rs.snap = blob
+	return nil
 }
 
 // Replay streams tr (truncated to limit records; 0 = full trace) through
@@ -622,110 +553,17 @@ func (rs *RouterSession) recoverAndSync(cause error, local *sim.Result, pos *uin
 // restored state (the tallies stay exact; a caller consuming grades live
 // sees the affected batches again). When lat is non-nil one round-trip
 // latency sample is recorded per served batch.
-func (rs *RouterSession) Replay(tr trace.Trace, limit uint64, batchSize int, lat BatchObserver) (sim.Result, error) {
-	if batchSize <= 0 || batchSize > MaxBatch {
-		batchSize = 1024
-	}
+func (rs *RouterSession) Replay(tr trace.Trace, limit uint64, batchSize int, lat *obs.Histogram) (sim.Result, error) {
 	local := sim.Result{Trace: tr.Name(), Config: rs.sess.Config(), Mode: rs.sess.opts.Mode}
-	pos := uint64(0)
+	var err error
 	if rs.sess.Resumed() > 0 {
-		// The open resumed server-side state: adopt its tallies and
-		// cursor before streaming.
-		if err := rs.sync(&local, &pos); err != nil {
-			if !recoverable(err) {
-				return sim.Result{}, err
-			}
-			if err := rs.recoverAndSync(err, &local, &pos); err != nil {
-				return sim.Result{}, err
-			}
-		}
+		err = rs.sync(&local)
 	}
-	batch := make([]trace.Branch, 0, batchSize)
+	batch := newBatch(batchSize)
 	batches := 0
-	for {
-		rd, err := openReaderAt(tr, limit, pos)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		res, done, drained, err := rs.replayFrom(rd, &local, &pos, batch[:0], batchSize, &batches, lat)
-		if !drained {
-			// A drained (or self-closed) reader must not be touched
-			// again; anything else still owns resources.
-			closeReader(rd)
-		}
-		if err != nil {
-			return sim.Result{}, err
-		}
-		if done {
-			res.Trace = tr.Name()
-			local.FinalProbability = res.FinalProbability
-			if local != res {
-				return sim.Result{}, fmt.Errorf("serve: routed replay disagrees with server stats for %s: client %+v server %+v",
-					tr.Name(), local, res)
-			}
-			return res, nil
-		}
-		// A recovery rewound the cursor; reopen the reader at pos and
-		// continue.
-	}
-}
-
-// replayFrom streams the open reader through the session. It returns
-// done=false (with a rewound cursor already synced) when a recovery
-// interrupted the stream, and done=true with the server's final stats
-// once the trace drained and the session closed. drained reports whether
-// the reader reached io.EOF (or closed itself on a decode error) — a
-// drained reader must not be closed again by the caller.
-func (rs *RouterSession) replayFrom(rd trace.Reader, local *sim.Result, pos *uint64,
-	batch []trace.Branch, batchSize int, batches *int, lat BatchObserver) (res sim.Result, done, drained bool, err error) {
-	cfg := rs.r.cfg
-	for eof := false; !eof; {
-		batch = batch[:0]
-		for len(batch) < batchSize {
-			b, err := rd.Next()
-			if errors.Is(err, io.EOF) {
-				eof = true
-				drained = true
-				break
-			}
-			if err != nil {
-				// Readers close themselves on decode errors.
-				return sim.Result{}, false, true, err
-			}
-			batch = append(batch, b)
-		}
-		if len(batch) == 0 {
-			break
-		}
-		start := time.Now()
-		grades, err := rs.sess.Predict(batch)
-		if err != nil {
-			if !recoverable(err) {
-				return sim.Result{}, false, drained, err
-			}
-			if err := rs.recoverAndSync(err, local, pos); err != nil {
-				return sim.Result{}, false, drained, err
-			}
-			return sim.Result{}, false, drained, nil
-		}
-		if lat != nil {
-			lat.Observe(time.Since(start))
-		}
-		for i, g := range grades {
-			miss := g.Pred != batch[i].Taken
-			local.Total.Record(miss)
-			local.Class[g.Class].Record(miss)
-			local.Branches++
-			// Mirror the wire codec's clamp (Instr 0 travels as 1).
-			instr := batch[i].Instr
-			if instr == 0 {
-				instr = 1
-			}
-			local.Instructions += uint64(instr)
-		}
-		*pos += uint64(len(grades))
-		*batches++
-		if cfg.SnapshotEvery > 0 && *batches%cfg.SnapshotEvery == 0 {
+	refresh := func() {
+		batches++
+		if every := rs.r.cfg.SnapshotEvery; every > 0 && batches%every == 0 {
 			// Refresh the failover token. Best-effort: a failure here
 			// means the connection is likely broken and the next Predict
 			// runs the real recovery.
@@ -734,24 +572,27 @@ func (rs *RouterSession) replayFrom(rd trace.Reader, local *sim.Result, pos *uin
 			}
 		}
 	}
-	res, err = rs.sess.Close()
-	if err != nil {
-		if !recoverable(err) {
-			return sim.Result{}, false, drained, err
+	for {
+		if err != nil {
+			if !recoverable(err) {
+				return sim.Result{}, err
+			}
+			if err := rs.recoverAndSync(err, &local); err != nil {
+				return sim.Result{}, err
+			}
 		}
-		if err := rs.recoverAndSync(err, local, pos); err != nil {
-			return sim.Result{}, false, drained, err
+		var res sim.Result
+		if res, err = rs.sess.stream(tr, limit, batch, lat, &local, refresh); err == nil {
+			rs.dropConn()
+			rs.r.bump(rs.Node(), func(ns *NodeStats) {
+				if ns.Sessions > 0 {
+					ns.Sessions--
+				}
+			})
+			rs.placed = false
+			return res, nil
 		}
-		return sim.Result{}, false, drained, nil
 	}
-	rs.dropConn()
-	rs.r.bump(rs.Node(), func(ns *NodeStats) {
-		if ns.Sessions > 0 {
-			ns.Sessions--
-		}
-	})
-	rs.placed = false
-	return res, true, drained, nil
 }
 
 // Close abandons the routed session client-side without retiring it on
@@ -764,24 +605,4 @@ func (rs *RouterSession) Close() error {
 		return err
 	}
 	return nil
-}
-
-// openReaderAt opens the trace reader and skips to the replay cursor.
-func openReaderAt(tr trace.Trace, limit, skip uint64) (trace.Reader, error) {
-	rd := trace.Limit(tr, limit).Open()
-	for i := uint64(0); i < skip; i++ {
-		if _, err := rd.Next(); err != nil {
-			closeReader(rd)
-			return nil, fmt.Errorf("serve: rewinding %s to branch %d: %w", tr.Name(), skip, err)
-		}
-	}
-	return rd, nil
-}
-
-// closeReader releases a reader's resources when it was not drained to
-// io.EOF (a drained reader must not be touched again).
-func closeReader(rd trace.Reader) {
-	if c, ok := rd.(interface{ Close() }); ok {
-		c.Close()
-	}
 }

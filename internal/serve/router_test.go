@@ -299,3 +299,33 @@ func TestRouterResumeAfterRestart(t *testing.T) {
 		t.Errorf("restart replay %+v != offline %+v", o.res, offline)
 	}
 }
+
+// TestRouterReplayCursorPastTrace pins that a routed session whose
+// server cursor lies beyond the requested trace length fails the replay
+// instead of recovering forever: the short trace is a property of the
+// request, not a transport fault.
+func TestRouterReplayCursorPastTrace(t *testing.T) {
+	srv := startServer(t, Config{})
+	tr, err := workload.ByName("MM-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key, spec = "router/past-end", "tage-16K"
+	sess, err := dial(t, srv).OpenSession(OpenRequest{Spec: spec, Key: key})
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamSlice(t, sess, collectBranches(t, tr, 3000), 1000)
+	r, err := NewRouter(RouterConfig{Nodes: []string{srv.Addr().String()}, RetryBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := r.Open(key, OpenRequest{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	if _, err := rs.Replay(tr, 2000, 500, nil); err == nil || recoverable(err) {
+		t.Fatalf("replay to 2000 of a session at 3000: err = %v, want a fatal error", err)
+	}
+}

@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/predictor"
 	"repro/internal/sim"
 	"repro/internal/tage"
@@ -462,7 +462,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestLatencyRecording pins that Replay feeds the latency recorder one
+// TestLatencyRecording pins that Replay feeds the latency histogram one
 // sample per batch.
 func TestLatencyRecording(t *testing.T) {
 	srv := startServer(t, Config{})
@@ -475,12 +475,12 @@ func TestLatencyRecording(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lat metrics.Latency
+	var lat obs.Histogram
 	if _, err := sess.Replay(tr, 4000, 1000, &lat); err != nil {
 		t.Fatal(err)
 	}
-	if lat.N() != 4 {
-		t.Fatalf("recorded %d latency samples, want 4", lat.N())
+	if lat.Count() != 4 {
+		t.Fatalf("recorded %d latency samples, want 4", lat.Count())
 	}
 	if lat.Quantile(0.99) <= 0 {
 		t.Fatal("p99 latency not positive")

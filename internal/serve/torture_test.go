@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -341,6 +342,43 @@ func TestClientBusyBudgetExhausted(t *testing.T) {
 	}
 }
 
+// TestBackoff pins the one retry schedule of busy retries and router
+// recovery, computing the waits without sleeping: jitter replays from a
+// fixed seed and decorrelates across keys, every wait lies in
+// [d/2, 3d/2), doubling stops at the cap, and a retry-after hint
+// replaces the computed base.
+func TestBackoff(t *testing.T) {
+	const base, limit = time.Millisecond, 8 * time.Millisecond
+	waits := func(seed uint64, key string) []time.Duration {
+		bo := backoff{rng: jitterRand(seed, key), base: base, max: limit}
+		out := make([]time.Duration, 16)
+		for i := range out {
+			out[i] = bo.next(0)
+		}
+		return out
+	}
+	if a, b := waits(42, "k1"), waits(42, "k1"); !slices.Equal(a, b) {
+		t.Fatalf("same seed and key, different waits:\n%v\n%v", a, b)
+	}
+	if a, b := waits(42, "k1"), waits(42, "k2"); slices.Equal(a, b) {
+		t.Fatalf("keys k1 and k2 share a wait sequence: %v", a)
+	}
+	bo := backoff{rng: jitterRand(7, "bounds"), base: base, max: limit}
+	for i := 0; i < 1000; i++ {
+		d := min(base<<min(i, 8), limit)
+		if w := bo.next(0); w < d/2 || w >= d+d/2 {
+			t.Fatalf("wait %d = %v outside [%v, %v)", i, w, d/2, d+d/2)
+		}
+	}
+	const hint = 100 * time.Millisecond
+	bo = backoff{rng: jitterRand(7, "hint"), base: base, max: limit}
+	for i := 0; i < 1000; i++ {
+		if w := bo.next(hint); w < hint/2 || w >= hint+hint/2 {
+			t.Fatalf("hinted wait %d = %v outside [%v, %v)", i, w, hint/2, hint+hint/2)
+		}
+	}
+}
+
 // TestServerShedsUnderOverload saturates a MaxInflight=0-equivalent
 // choke point: with admission closed (negative limit) every batch must
 // come back FrameBusy without moving the session cursor, and reopening
@@ -462,7 +500,7 @@ func TestChaosEndToEnd(t *testing.T) {
 		RetryBackoff:     time.Millisecond,
 		BreakerThreshold: 3,
 		BreakerCooldown:  5 * time.Millisecond,
-		Seed:             1337,
+		Client:           ClientConfig{Seed: 1337},
 	})
 	if err != nil {
 		t.Fatal(err)

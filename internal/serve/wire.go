@@ -59,8 +59,10 @@
 // unknown-session rejections retry with capped exponential backoff —
 // reconnecting to the same node (which restores from its checkpoint) or
 // failing over to the next ring node seeded with the last fetched
-// snapshot — and RouterSession.Replay rewinds its trace cursor to the
-// server's authoritative branch count after every recovery, so the final
+// snapshot. ClientSession.Replay and RouterSession.Replay run one batch
+// loop: a session that resumed server-side state, and a routed session
+// after every recovery, adopts the server's tallies and rewinds its
+// trace cursor to the server's authoritative branch count, so the final
 // tallies stay bit-identical to an uninterrupted offline sim.Run even
 // across a kill -9 (crash_test.go proves exactly that).
 package serve
@@ -259,20 +261,28 @@ func ReadFrame(br *bufio.Reader, buf []byte) (typ byte, payload, bufOut []byte, 
 // it has started one it must finish within Config.FrameTimeout or be
 // evicted as a slow reader.
 func readFrame(br *bufio.Reader, buf []byte, started func()) (typ byte, payload, bufOut []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:1]); err != nil {
-		if err == io.EOF {
-			return 0, nil, buf, io.EOF
+	// The length prefix is read byte by byte: a header array passed to
+	// io.ReadFull would escape through the io.Reader and cost a heap
+	// allocation per frame.
+	var length uint32
+	for i := 0; i < 4; i++ {
+		b, err := br.ReadByte()
+		if err != nil {
+			if i == 0 && err == io.EOF {
+				return 0, nil, buf, io.EOF
+			}
+			if i > 1 && err == io.EOF {
+				// Match io.ReadFull over the rest of the header, which
+				// reports a partial read as io.ErrUnexpectedEOF.
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, buf, fmt.Errorf("%w: header: %w", ErrIO, err)
 		}
-		return 0, nil, buf, fmt.Errorf("%w: header: %w", ErrIO, err)
+		if i == 0 && started != nil {
+			started()
+		}
+		length |= uint32(b) << (8 * i)
 	}
-	if started != nil {
-		started()
-	}
-	if _, err := io.ReadFull(br, hdr[1:]); err != nil {
-		return 0, nil, buf, fmt.Errorf("%w: header: %w", ErrIO, err)
-	}
-	length := binary.LittleEndian.Uint32(hdr[:])
 	if length < 5 || length > MaxFrame {
 		return 0, nil, buf, fmt.Errorf("%w: frame length %d", ErrProtocol, length)
 	}
