@@ -1,29 +1,35 @@
 // Package compilerfacts gates the hot path on facts extracted from the
-// compiler itself: bounds-check elimination, escape analysis, and
-// inlinability.
+// compiler itself: bounds-check elimination, shift-guard elimination,
+// escape analysis, and inlinability.
 //
 // The repo's performance contract ("as fast as the hardware allows",
 // 0 allocs per branch) ultimately rests on compiler behavior that no
 // source-level analyzer can see: whether the TAGE probe loop keeps a
-// bounds check, whether a receiver is moved to the heap, whether the
-// entry accessors still inline. Benchmarks catch regressions of those
+// bounds check, whether a folded-history shift still carries an
+// oversized-count guard, whether a receiver is moved to the heap, whether
+// the entry accessors still inline. Benchmarks catch regressions of those
 // facts only as a >10% latency drift several PRs later. This gate makes
 // them explicit: `tagevet -facts` shells out to
 //
-//	go build -gcflags='-m=1 -d=ssa/check_bce/debug=1' <patterns>
+//	go build -gcflags='-m=1 -d=ssa/check_bce/debug=1,ssa/prove/debug=1' <patterns>
 //
 // (cheap: Go's build cache replays compiler diagnostics on cached
 // builds), parses the diagnostics, attributes them to //repro:hotpath
 // functions, and compares the result against a committed golden
-// (testdata/compilerfacts.golden). A named must-be-zero set — the TAGE
-// probe/update loops, the serve batch loop, the obs Observe/Record
-// paths — additionally fails the gate on any unwaived bounds check or
-// heap escape regardless of what the golden says, so a refresh cannot
-// legitimize a regression there. Individual sites are waived with
-// //repro:allow-bce <why> (justification mandatory, stale waivers
-// reported). The golden is keyed to the Go toolchain version: on a
-// mismatched toolchain the gate skips with a warning instead of
-// producing noise diffs.
+// (testdata/compilerfacts.golden). Shifts are matched the other way
+// round: the syntax inventory lists every shift with a non-constant
+// count, and each one the compiler does not report as "Proved …
+// bounded" counts as unproven — it carries a CMP/SBB/AND guard. A named
+// must-be-zero set — the TAGE probe/update loops and the history and
+// counter helpers they run, the serve batch loop, the obs Observe/Record
+// paths — additionally fails the gate on any unwaived bounds check,
+// unproven shift or heap escape regardless of what the golden says, so a
+// refresh cannot legitimize a regression there. Individual bounds-check
+// sites are waived with //repro:allow-bce <why> (justification
+// mandatory, stale waivers reported); unproven shifts have no waiver.
+// The golden is keyed to the Go toolchain version: on a mismatched
+// toolchain the gate skips with a warning instead of producing noise
+// diffs.
 package compilerfacts
 
 import (
@@ -36,19 +42,26 @@ import (
 )
 
 // GCFlags is the compiler flag set the gate builds with.
-const GCFlags = "-m=1 -d=ssa/check_bce/debug=1"
+const GCFlags = "-m=1 -d=ssa/check_bce/debug=1,ssa/prove/debug=1"
 
 // mustBeZero lists hotpath functions that may carry no unwaived bounds
-// check and no heap escape, golden or not: the per-branch TAGE loops,
+// check, no unproven shift and no heap escape, golden or not: the
+// per-branch TAGE loops and the history and counter helpers they run,
 // the shared sim/serve branch step, the serve batch loop, and the
 // observability record paths.
 var mustBeZero = []string{
 	"repro/internal/tage.Predictor.Predict",
 	"repro/internal/tage.Predictor.Update",
 	"repro/internal/tage.Predictor.allocate",
-	"repro/internal/tage.Predictor.pathHash",
-	"repro/internal/tage.Predictor.tableIndex",
-	"repro/internal/tage.Predictor.tableTag",
+	"repro/internal/history.Folded.UpdateBits",
+	"repro/internal/history.Path.Push",
+	"repro/internal/counter.SignedMin",
+	"repro/internal/counter.SignedMax",
+	"repro/internal/counter.UpdateSigned",
+	"repro/internal/counter.IncUnsigned",
+	"repro/internal/counter.DecUnsigned",
+	"repro/internal/counter.Standard.Update",
+	"repro/internal/counter.Probabilistic.Update",
 	"repro/internal/sim.Result.Step",
 	"repro/internal/serve.Session.step",
 	"repro/internal/serve.Session.Serve",
@@ -86,6 +99,9 @@ type FuncFacts struct {
 	BCE int
 	// Waived is the number of sites excused by //repro:allow-bce.
 	Waived int
+	// Shifts is the number of variable-count shifts in the body, and
+	// Unproven how many of them the compiler did not prove bounded.
+	Shifts, Unproven int
 	// Heap lists locals/args moved to the heap, sorted.
 	Heap []string
 }
@@ -142,8 +158,13 @@ func Collect(dir string, patterns []string) (*Report, error) {
 		}
 	}
 	canInline := make(map[string]bool) // "pkg\x00name"
+	bounded := make(map[string]bool)   // "file:line:col" of proven shifts
 	for _, d := range diags {
 		switch d.Kind {
+		case ShiftBounded:
+			// Inlined copies report at the callee's position, so a site
+			// counts as proven if any compiled copy of it is.
+			bounded[fmt.Sprintf("%s:%d:%d", d.File, d.Line, d.Col)] = true
 		case BoundsCheck, SliceBoundsCheck:
 			fs, ok := inv.spanOf(d.File, d.Line)
 			if !ok {
@@ -162,6 +183,16 @@ func Collect(dir string, patterns []string) (*Report, error) {
 			byKey[fs.Key].Heap = append(byKey[fs.Key].Heap, d.Name)
 		case CanInline:
 			canInline[d.Pkg+"\x00"+d.Name] = true
+		}
+	}
+
+	for _, fs := range inv.Funcs {
+		ff := byKey[fs.Key]
+		for _, sh := range fs.Shifts {
+			ff.Shifts++
+			if !bounded[fmt.Sprintf("%s:%d:%d", fs.File, sh.Line, sh.Col)] {
+				ff.Unproven++
+			}
 		}
 	}
 
@@ -208,6 +239,11 @@ func (r *Report) Render() string {
 		b.WriteByte('\n')
 	}
 	for _, ff := range r.Funcs {
+		if ff.Shifts > 0 {
+			fmt.Fprintf(&b, "shift %s %d\n", ff.Key, ff.Unproven)
+		}
+	}
+	for _, ff := range r.Funcs {
 		if len(ff.Heap) > 0 {
 			fmt.Fprintf(&b, "heap %s %s\n", ff.Key, strings.Join(ff.Heap, ","))
 		}
@@ -238,6 +274,9 @@ func (r *Report) Violations() []string {
 		}
 		if ff.BCE > 0 {
 			out = append(out, fmt.Sprintf("%s: %d unwaived bounds check(s); eliminate them (uint compare, clamp, re-slice hints) or waive each site with //repro:allow-bce <why>", k, ff.BCE))
+		}
+		if ff.Unproven > 0 {
+			out = append(out, fmt.Sprintf("%s: %d shift(s) with an unproven count carry an oversized-shift guard; mask the count at the site (& 31, & 63) or precompute the mask at construction", k, ff.Unproven))
 		}
 		if len(ff.Heap) > 0 {
 			out = append(out, fmt.Sprintf("%s: moved to heap: %s", k, strings.Join(ff.Heap, ",")))

@@ -1,13 +1,18 @@
 package compilerfacts
 
 import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"strings"
 	"testing"
 )
 
 // TestParseSample pins the parser against a checked-in excerpt of real
-// `go build -gcflags='-m=1 -d=ssa/check_bce/debug=1'` output. If a
+// `go build -gcflags='-m=1 -d=ssa/check_bce/debug=1,ssa/prove/debug=1'`
+// output. If a
 // future Go release changes the diagnostic spelling, this test fails
 // loudly instead of the facts gate going silently empty.
 func TestParseSample(t *testing.T) {
@@ -36,6 +41,21 @@ func TestParseSample(t *testing.T) {
 	}
 	if got, want := counts[MovedToHeap], 2; got != want {
 		t.Errorf("moved-to-heap: got %d, want %d", got, want)
+	}
+	// Only "Proved <shift op> bounded" is a shift fact: the other prove
+	// lines (Mod64 fix-ups, IsInBounds, induction variables, shifts to
+	// zero) must not parse as one.
+	if got, want := counts[ShiftBounded], 2; got != want {
+		t.Errorf("shift-bounded: got %d, want %d", got, want)
+	}
+	var shiftAt []string
+	for _, d := range diags {
+		if d.Kind == ShiftBounded {
+			shiftAt = append(shiftAt, fmt.Sprintf("%s@%d:%d", d.Name, d.Line, d.Col))
+		}
+	}
+	if got, want := strings.Join(shiftAt, ","), "Lsh32x64@127:28,Rsh32Ux64@128:19"; got != want {
+		t.Errorf("shift-bounded sites: got %s, want %s", got, want)
 	}
 
 	// Package attribution from "# pkg" headers, with test-variant
@@ -108,5 +128,38 @@ func TestDiff(t *testing.T) {
 	}
 	if GoldenVersion(golden) != "go1.24.0" {
 		t.Errorf("GoldenVersion: %q", GoldenVersion(golden))
+	}
+}
+
+// TestVariableShifts pins which shifts the inventory hands to the
+// bounded-shift match: every shift whose count is not a constant
+// expression, at its operator position, and no constant-count shift.
+func TestVariableShifts(t *testing.T) {
+	const src = `package p
+
+const width = 8
+
+func f(x uint32, n uint) uint32 {
+	const local = 3
+	x = x<<1 | x>>width          // constant counts: not listed
+	x ^= x << (width - local)    // constant expression: not listed
+	x ^= x << n                  // variable: listed
+	x ^= x >> (n & 31)           // variable, masked: listed (the compiler proves it)
+	x <<= n                      // variable shift-assign: listed
+	return x
+}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	consts := make(map[string]bool)
+	addConstNames(f, consts)
+	body := f.Decls[1].(*ast.FuncDecl).Body
+	got := variableShifts(fset, body, consts)
+	want := []LineCol{{9, 9}, {10, 9}, {11, 4}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("variable shifts: got %v, want %v", got, want)
 	}
 }

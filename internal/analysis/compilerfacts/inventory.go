@@ -24,7 +24,14 @@ type FuncSpan struct {
 	File string
 	// Start and End are the declaration's line range, inclusive.
 	Start, End int
+	// Shifts are the body's shifts whose count is not a constant
+	// expression, each at the operator's line and column — the position
+	// the compiler reports a proven-bounded shift at.
+	Shifts []LineCol
 }
+
+// LineCol is a source position within FuncSpan.File.
+type LineCol struct{ Line, Col int }
 
 // waiver is one //repro:allow-bce directive occurrence.
 type waiver struct {
@@ -35,7 +42,8 @@ type waiver struct {
 }
 
 // Inventory is the syntax-level view of the module the facts gate needs:
-// hotpath function spans and allow-bce waivers, keyed by file and line.
+// hotpath function spans with their variable-count shift sites, and
+// allow-bce waivers keyed by file and line.
 type Inventory struct {
 	Funcs []FuncSpan
 	// waivers maps module-relative file → line → directive. A directive
@@ -57,8 +65,9 @@ type listEntry struct {
 }
 
 // CollectInventory parses the module packages matching patterns (syntax
-// only) and records every //repro:hotpath function span and every
-// //repro:allow-bce waiver. dir is the module root the build runs from.
+// only) and records every //repro:hotpath function span with its
+// variable-count shifts, and every //repro:allow-bce waiver. dir is the
+// module root the build runs from.
 func CollectInventory(dir string, patterns []string) (*Inventory, error) {
 	args := append([]string{"list", "-json=ImportPath,Dir,GoFiles,Module"}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -83,24 +92,94 @@ func CollectInventory(dir string, patterns []string) (*Inventory, error) {
 		if p.Module == nil || !p.Module.Main {
 			continue
 		}
-		for _, name := range p.GoFiles {
+		// The whole package is parsed before any file is inventoried:
+		// telling a constant shift count from a variable one needs the
+		// package's constant names.
+		files := make([]*ast.File, len(p.GoFiles))
+		rels := make([]string, len(p.GoFiles))
+		consts := make(map[string]bool)
+		for i, name := range p.GoFiles {
 			abs := filepath.Join(p.Dir, name)
 			rel, err := filepath.Rel(dir, abs)
 			if err != nil {
 				rel = abs
 			}
-			rel = filepath.ToSlash(rel)
+			rels[i] = filepath.ToSlash(rel)
 			f, err := parser.ParseFile(fset, abs, nil, parser.ParseComments|parser.SkipObjectResolution)
 			if err != nil {
-				return nil, fmt.Errorf("parse %s: %v", rel, err)
+				return nil, fmt.Errorf("parse %s: %v", rels[i], err)
 			}
-			inv.addFile(fset, p.ImportPath, rel, f)
+			files[i] = f
+			addConstNames(f, consts)
+		}
+		for i, f := range files {
+			inv.addFile(fset, p.ImportPath, rels[i], f, consts)
 		}
 	}
 	return inv, nil
 }
 
-func (inv *Inventory) addFile(fset *token.FileSet, pkgPath, rel string, f *ast.File) {
+// addConstNames records every constant declared in f, at package level
+// or inside a function.
+func addConstNames(f *ast.File, consts map[string]bool) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		if d, ok := n.(*ast.GenDecl); ok && d.Tok == token.CONST {
+			for _, spec := range d.Specs {
+				for _, name := range spec.(*ast.ValueSpec).Names {
+					consts[name.Name] = true
+				}
+			}
+		}
+		return true
+	})
+}
+
+// isConstExpr reports whether e is built only from literals and named
+// constants. It is a syntax-only test (the inventory has no type
+// information): a local variable shadowing a constant's name reads as
+// constant, and a conversion of a constant reads as variable.
+func isConstExpr(e ast.Expr, consts map[string]bool) bool {
+	switch e := e.(type) {
+	case *ast.BasicLit:
+		return true
+	case *ast.Ident:
+		return consts[e.Name]
+	case *ast.ParenExpr:
+		return isConstExpr(e.X, consts)
+	case *ast.UnaryExpr:
+		return isConstExpr(e.X, consts)
+	case *ast.BinaryExpr:
+		return isConstExpr(e.X, consts) && isConstExpr(e.Y, consts)
+	}
+	return false
+}
+
+// variableShifts returns the position of every shift in body whose
+// count is not a constant expression: the shifts that carry an
+// oversized-count guard unless the compiler proves the count in range.
+func variableShifts(fset *token.FileSet, body *ast.BlockStmt, consts map[string]bool) []LineCol {
+	var out []LineCol
+	add := func(pos token.Pos) {
+		p := fset.Position(pos)
+		out = append(out, LineCol{p.Line, p.Column})
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.BinaryExpr:
+			if (n.Op == token.SHL || n.Op == token.SHR) && !isConstExpr(n.Y, consts) {
+				add(n.OpPos)
+			}
+		case *ast.AssignStmt:
+			if (n.Tok == token.SHL_ASSIGN || n.Tok == token.SHR_ASSIGN) && !isConstExpr(n.Rhs[0], consts) {
+				add(n.TokPos)
+			}
+		}
+		return true
+	})
+	return out
+}
+
+func (inv *Inventory) addFile(fset *token.FileSet, pkgPath, rel string, f *ast.File, consts map[string]bool) {
 	for _, decl := range f.Decls {
 		fn, ok := decl.(*ast.FuncDecl)
 		if !ok || fn.Body == nil {
@@ -110,10 +189,11 @@ func (inv *Inventory) addFile(fset *token.FileSet, pkgPath, rel string, f *ast.F
 			continue
 		}
 		inv.Funcs = append(inv.Funcs, FuncSpan{
-			Key:   analysis.DeclFuncKey(pkgPath, fn),
-			File:  rel,
-			Start: fset.Position(fn.Pos()).Line,
-			End:   fset.Position(fn.End()).Line,
+			Key:    analysis.DeclFuncKey(pkgPath, fn),
+			File:   rel,
+			Start:  fset.Position(fn.Pos()).Line,
+			End:    fset.Position(fn.End()).Line,
+			Shifts: variableShifts(fset, fn.Body, consts),
 		})
 	}
 	for _, group := range f.Comments {

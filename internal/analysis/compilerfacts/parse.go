@@ -22,6 +22,10 @@ const (
 	CanInline
 	// MovedToHeap is a "moved to heap: x" escape; Name holds the variable.
 	MovedToHeap
+	// ShiftBounded is an ssa/prove "Proved Lsh32x64 bounded" fact: the
+	// compiler proved the shift count below the operand width and emits
+	// the shift without its oversized-count guard. Name holds the op.
+	ShiftBounded
 )
 
 func (k DiagKind) String() string {
@@ -34,6 +38,8 @@ func (k DiagKind) String() string {
 		return "can-inline"
 	case MovedToHeap:
 		return "moved-to-heap"
+	case ShiftBounded:
+		return "shift-bounded"
 	}
 	return "unknown"
 }
@@ -48,19 +54,21 @@ type Diag struct {
 	Line int
 	Col  int
 	Kind DiagKind
-	// Name is the function (CanInline) or variable (MovedToHeap) name.
+	// Name is the function (CanInline), variable (MovedToHeap) or SSA
+	// shift op (ShiftBounded) name.
 	Name string
 }
 
 // ParseDiagnostics reads `go build -gcflags='-m=1
-// -d=ssa/check_bce/debug=1'` output and extracts the diagnostics the
-// facts gate consumes: bounds-check sites, inlinability facts, and
-// moved-to-heap escapes. Unrecognized diagnostic lines are skipped
-// (escape analysis emits many shapes the gate does not use), but lines
-// that are not "# pkg" headers and do not carry a file:line:col prefix
-// are counted as noise — a build error or a wholesale format change in
-// a future Go release surfaces as an error from the caller's
-// zero-diagnostics check, not as a silently-empty report.
+// -d=ssa/check_bce/debug=1,ssa/prove/debug=1'` output and extracts the
+// diagnostics the facts gate consumes: bounds-check sites, inlinability
+// facts, moved-to-heap escapes, and proven-bounded shifts. Unrecognized
+// diagnostic lines are skipped (escape analysis and the prove pass emit
+// many shapes the gate does not use), but lines that are not "# pkg"
+// headers and do not carry a file:line:col prefix are counted as noise —
+// a build error or a wholesale format change in a future Go release
+// surfaces as an error from the caller's zero-diagnostics check, not as
+// a silently-empty report.
 func ParseDiagnostics(r io.Reader) ([]Diag, error) {
 	var diags []Diag
 	pkg := ""
@@ -92,6 +100,9 @@ func ParseDiagnostics(r io.Reader) ([]Diag, error) {
 		case strings.HasPrefix(msg, "moved to heap: "):
 			d.Kind = MovedToHeap
 			d.Name = strings.TrimPrefix(msg, "moved to heap: ")
+		case isBoundedShift(msg):
+			d.Kind = ShiftBounded
+			d.Name = strings.Fields(msg)[1]
 		default:
 			continue
 		}
@@ -117,6 +128,13 @@ func splitPosLine(line string) (file string, ln, col int, msg string, ok bool) {
 		return "", 0, 0, "", false
 	}
 	return parts[0], ln, col, strings.TrimSpace(parts[3]), true
+}
+
+// isBoundedShift matches "Proved Rsh32Ux64 bounded" and its siblings.
+func isBoundedShift(msg string) bool {
+	f := strings.Fields(msg)
+	return len(f) == 3 && f[0] == "Proved" && f[2] == "bounded" &&
+		(strings.HasPrefix(f[1], "Lsh") || strings.HasPrefix(f[1], "Rsh"))
 }
 
 // normalizeFuncName strips the "with cost N as: ..." tail -m=1 appends

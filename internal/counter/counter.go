@@ -19,17 +19,21 @@ package counter
 import "repro/internal/xrand"
 
 // SignedMin returns the minimum value of a signed saturating counter of the
-// given width in bits. A 3-bit counter spans [-4, 3].
+// given width in bits, 1..8. A 3-bit counter spans [-4, 3].
+//
+// The signed helpers mask their shift counts to the int8 width (& 7, a
+// no-op on every legal width) so the compiler emits no oversized-shift
+// guard on the per-branch path.
 //repro:hotpath
 func SignedMin(bits uint) int8 {
-	return int8(-1) << (bits - 1)
+	return int8(-1) << ((bits - 1) & 7)
 }
 
 // SignedMax returns the maximum value of a signed saturating counter of the
-// given width in bits.
+// given width in bits, 1..8.
 //repro:hotpath
 func SignedMax(bits uint) int8 {
-	return int8(1<<(bits-1)) - 1
+	return int8(1<<((bits-1)&7)) - 1
 }
 
 // UpdateSigned moves a signed saturating counter of the given width one step
@@ -86,10 +90,12 @@ func NearlySaturatedSigned(v int8, bits uint) bool {
 	return v == SignedMin(bits)+1 || v == SignedMax(bits)-1
 }
 
-// IncUnsigned increments an unsigned saturating counter of the given width.
+// IncUnsigned increments an unsigned saturating counter of the given width
+// in bits, 0..8. The bound is computed in 32 bits so that width 8 fits
+// under the guard-free & 31 shift mask.
 //repro:hotpath
 func IncUnsigned(v uint8, bits uint) uint8 {
-	if v < uint8(1<<bits)-1 {
+	if uint32(v) < uint32(1)<<(bits&31)-1 {
 		return v + 1
 	}
 	return v
@@ -217,21 +223,23 @@ func (p *Probabilistic) Probability() float64 {
 	return 1.0 / float64(uint64(1)<<p.denomLog)
 }
 
-// Update implements Automaton.
+// Update implements Automaton. denomLog never exceeds MaxDenomLog, so the
+// & 63 on the draw's shift count is a no-op that only removes the
+// compiler's oversized-shift guard.
 //repro:hotpath
 func (p *Probabilistic) Update(v int8, bits uint, taken bool) int8 {
 	max := SignedMax(bits)
 	min := SignedMin(bits)
 	if taken && v == max-1 {
 		// Correct taken prediction about to saturate positively.
-		if p.denomLog == 0 || p.rng.OneIn(1<<p.denomLog) {
+		if p.denomLog == 0 || p.rng.OneIn(1<<(p.denomLog&63)) {
 			return max
 		}
 		return v
 	}
 	if !taken && v == min+1 {
 		// Correct not-taken prediction about to saturate negatively.
-		if p.denomLog == 0 || p.rng.OneIn(1<<p.denomLog) {
+		if p.denomLog == 0 || p.rng.OneIn(1<<(p.denomLog&63)) {
 			return min
 		}
 		return v

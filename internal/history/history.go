@@ -80,8 +80,10 @@ type Folded struct {
 }
 
 // NewFolded returns a folded image of the most recent origLen bits
-// compressed into compLen bits. compLen must be in (0, 32]; origLen must be
-// non-negative.
+// compressed into compLen bits. compLen must be in [1, 31]: the wrap bit
+// of a full 32-bit register would fall off the top of the shift, and
+// bounding the width lets UpdateBits mask its shift counts to 31 for
+// free. origLen must be non-negative.
 func NewFolded(origLen, compLen int) *Folded {
 	f := MakeFolded(origLen, compLen)
 	return &f
@@ -91,7 +93,7 @@ func NewFolded(origLen, compLen int) *Folded {
 // their fold state in one contiguous slice (cache-friendly flat storage)
 // embed Folded by value instead of chasing per-table pointers.
 func MakeFolded(origLen, compLen int) Folded {
-	if compLen <= 0 || compLen > 32 {
+	if compLen < 1 || compLen > 31 {
 		panic(fmt.Sprintf("history: invalid folded compression length %d", compLen))
 	}
 	if origLen < 0 {
@@ -116,11 +118,14 @@ func (f *Folded) Update(b *Buffer) {
 // predictors that maintain several folds over the same history window
 // (TAGE keeps three per table) load the newest and leaving bit once and
 // feed every fold of the window from registers.
+//
+// Both shift counts are below compLen <= 31 by construction; the & 31
+// masks are no-ops that let the compiler drop its oversized-shift guards.
 //repro:hotpath
 func (f *Folded) UpdateBits(newest, leaving uint8) {
 	f.comp = (f.comp << 1) | uint32(newest)
-	f.comp ^= uint32(leaving) << f.outPoint
-	f.comp ^= f.comp >> f.compLen
+	f.comp ^= uint32(leaving) << (f.outPoint & 31)
+	f.comp ^= f.comp >> (uint(f.compLen) & 31)
 	f.comp &= f.mask
 }
 
@@ -157,6 +162,9 @@ func (f *Folded) Recompute(b *Buffer) uint32 {
 type Path struct {
 	value uint32
 	width uint
+	// mask is (1<<width)-1, computed once: width 32 is legal, so a
+	// per-push shift by width could not be bounded below 32.
+	mask uint32
 }
 
 // NewPath returns a path history register of the given width (≤ 32).
@@ -164,13 +172,13 @@ func NewPath(width uint) *Path {
 	if width > 32 {
 		width = 32
 	}
-	return &Path{width: width}
+	return &Path{width: width, mask: uint32(1)<<width - 1}
 }
 
 // Push shifts in the low bit of pc.
 //repro:hotpath
 func (p *Path) Push(pc uint64) {
-	p.value = ((p.value << 1) | uint32(pc&1)) & ((1 << p.width) - 1)
+	p.value = ((p.value << 1) | uint32(pc&1)) & p.mask
 }
 
 // Value returns the current path history bits.

@@ -73,10 +73,16 @@ func TestBufferCapacityRounding(t *testing.T) {
 func TestFoldedMatchesRecompute(t *testing.T) {
 	// The incremental CSR automaton must equal the direct chunked-XOR
 	// definition at every step, for a spread of window/compression shapes
-	// including compLen > origLen and exact multiples.
+	// including compLen > origLen and exact multiples, and for every
+	// legal width at the window lengths around one and two folds.
 	shapes := []struct{ orig, comp int }{
 		{3, 2}, {5, 5}, {9, 4}, {27, 10}, {80, 9}, {130, 11},
 		{300, 10}, {300, 9}, {7, 9}, {16, 8}, {17, 8},
+	}
+	for c := 1; c <= 31; c++ {
+		for _, orig := range []int{0, 1, c - 1, c, 2*c + 1, 300} {
+			shapes = append(shapes, struct{ orig, comp int }{orig, c})
+		}
 	}
 	for _, s := range shapes {
 		buf := NewBuffer(s.orig + 2)
@@ -154,7 +160,7 @@ func TestFoldedAccessors(t *testing.T) {
 }
 
 func TestFoldedPanicsOnBadArgs(t *testing.T) {
-	for _, c := range []struct{ orig, comp int }{{10, 0}, {10, 33}, {-1, 5}} {
+	for _, c := range []struct{ orig, comp int }{{10, 0}, {10, 32}, {100, 32}, {10, 33}, {-1, 5}} {
 		func() {
 			defer func() {
 				if recover() == nil {

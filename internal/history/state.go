@@ -67,5 +67,5 @@ func (f *Folded) SetValue(v uint32) { f.comp = v & f.mask }
 // SetValue restores a path-history value captured by Value, masked to
 // the register width.
 func (p *Path) SetValue(v uint32) {
-	p.value = v & ((1 << p.width) - 1)
+	p.value = v & p.mask
 }

@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -261,6 +263,64 @@ func TestCheckpointWarmStart(t *testing.T) {
 	}
 	if sess3.Resumed() != 0 {
 		t.Fatalf("closed key resumed at %d, want fresh", sess3.Resumed())
+	}
+}
+
+// TestServeRestoresBeforeAddr pins the boot order: Serve publishes its
+// listener, which turns Addr non-nil, only after every checkpoint is
+// restored. A caller that waits on Addr, as startServer does, must find
+// the restored sessions already in the engine. Many sessions make the
+// restore long enough that a listener published first is always seen
+// before the restore ends.
+func TestServeRestoresBeforeAddr(t *testing.T) {
+	dir := t.TempDir()
+	const sessions = 64
+	eng := NewEngine(EngineConfig{})
+	cs, err := OpenCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.AttachStore(cs, 0); err != nil {
+		t.Fatal(err)
+	}
+	branches := sampleBranches(500, 1)
+	for i := 0; i < sessions; i++ {
+		s, err := eng.Open(OpenRequest{Spec: "tage-64K", Key: fmt.Sprintf("boot/%d", i)}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.Serve(branches, nil, 1); !ok {
+			t.Fatal("session refused to serve")
+		}
+	}
+	if n := eng.CheckpointDirty(2, true); n != sessions {
+		t.Fatalf("checkpointed %d sessions, want %d", n, sessions)
+	}
+
+	srv := NewServer(Config{StateDir: dir, CheckpointInterval: -1})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		if err := <-done; err != nil {
+			t.Errorf("serve returned: %v", err)
+		}
+	})
+	for deadline := time.Now().Add(10 * time.Second); srv.Addr() == nil; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("server never published its address")
+		}
+	}
+	if got := srv.Engine().Snapshot().CheckpointRestores; got != sessions {
+		t.Fatalf("Addr published with %d of %d checkpoints restored", got, sessions)
 	}
 }
 

@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/predictor"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -81,6 +83,42 @@ func keyOn(t *testing.T, r *Router, node string) string {
 	return ""
 }
 
+// gatedTrace wraps a trace so that every reader blocks before returning
+// branch at until release is closed; the first reader to get there
+// closes reached. Readers opened after the release pass straight
+// through.
+type gatedTrace struct {
+	trace.Trace
+	at      uint64
+	reached chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (g *gatedTrace) Open() trace.Reader { return &gatedReader{g: g, rd: g.Trace.Open()} }
+
+type gatedReader struct {
+	g  *gatedTrace
+	rd trace.Reader
+	n  uint64
+}
+
+func (r *gatedReader) Next() (trace.Branch, error) {
+	if r.n == r.g.at {
+		r.g.once.Do(func() { close(r.g.reached) })
+		<-r.g.release
+	}
+	r.n++
+	return r.rd.Next()
+}
+
+// Close forwards an early release to the wrapped reader.
+func (r *gatedReader) Close() {
+	if c, ok := r.rd.(interface{ Close() }); ok {
+		c.Close()
+	}
+}
+
 // TestRouterFailover is the cluster acceptance pin: a routed replay
 // survives its primary node dying mid-stream — the session fails over to
 // the next ring node carrying the client-held snapshot, the cursor
@@ -119,35 +157,33 @@ func TestRouterFailover(t *testing.T) {
 		res sim.Result
 		err error
 	}
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := rs.Replay(tr, limit, batchSize, nil)
-		done <- outcome{res, err}
-	}()
-
 	// Kill the primary once the replay is far enough in to have refreshed
 	// its failover snapshot at least once (SnapshotEvery defaults to 8
-	// batches), but nowhere near done.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if srv1.Engine().Snapshot().Branches >= 16*batchSize {
-			break
-		}
-		select {
-		case o := <-done:
-			t.Fatalf("replay finished before the induced failure (err=%v)", o.err)
-		default:
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("replay never progressed on the primary")
-		}
-		time.Sleep(200 * time.Microsecond)
+	// batches), but nowhere near done: the replay's reader blocks before
+	// branch 16*batchSize until the primary is down, so the kill lands at
+	// the same point of the stream on every run.
+	gate := &gatedTrace{Trace: tr, at: 16 * batchSize, reached: make(chan struct{}), release: make(chan struct{})}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := rs.Replay(gate, limit, batchSize, nil)
+		done <- outcome{res, err}
+	}()
+	select {
+	case <-gate.reached:
+	case o := <-done:
+		t.Fatalf("replay finished before the induced failure (err=%v)", o.err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("replay never reached the failure point")
+	}
+	if got := srv1.Engine().Snapshot().Branches; got != 16*batchSize {
+		t.Fatalf("primary served %d branches at the failure point, want %d", got, 16*batchSize)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	if err := srv1.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown primary: %v", err)
 	}
 	cancel()
+	close(gate.release)
 
 	var o outcome
 	select {

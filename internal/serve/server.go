@@ -230,13 +230,12 @@ func (s *Server) ListenAndServe() error {
 // metrics endpoint (when configured) and starts the idle-eviction sweep.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
 		ln.Close()
 		return errors.New("serve: server already shut down")
 	}
-	s.ln = ln
-	s.mu.Unlock()
 
 	if err := s.startMetrics(); err != nil {
 		ln.Close()
@@ -257,6 +256,17 @@ func (s *Server) Serve(ln net.Listener) error {
 			return err
 		}
 	}
+	// Publish the listener (Addr turns non-nil) only once checkpoints are
+	// restored, so whoever waits on Addr sees the restored sessions. A
+	// Shutdown that ran during startup found no listener to close.
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		ln.Close()
+		return nil
+	}
+	s.ln = ln
+	s.mu.Unlock()
 	if s.eng.HasStore() && s.cfg.CheckpointInterval > 0 {
 		s.mu.Lock()
 		if !s.closed {
@@ -539,7 +549,7 @@ func (s *Server) collectEngine(tw *obs.TextWriter) {
 	counter("tage_serve_shed_total", "Batches shed by admission control.", snap.ShedBatches)
 	gauge("tage_serve_inflight_batches", "Batches currently in flight.", float64(snap.InflightBatches))
 	counter("tage_serve_slow_peer_evictions_total", "Connections evicted as slow readers or writers.", s.slowEvicted.Load())
-	counter("tage_serve_corrupt_frames_total", "Frames rejected with a checksum mismatch.", s.corruptFrames.Load())
+	counter("tage_serve_corrupt_frames_total", "Frames rejected as corrupt: checksum mismatch or out-of-range length.", s.corruptFrames.Load())
 	counter("tage_serve_checkpoints_written_total", "Checkpoints written.", snap.CheckpointsWritten)
 	counter("tage_serve_checkpoint_bytes_total", "Checkpoint bytes written.", snap.CheckpointBytes)
 	counter("tage_serve_checkpoint_restores_total", "Sessions restored from checkpoints.", snap.CheckpointRestores)

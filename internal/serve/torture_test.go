@@ -8,8 +8,10 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"os"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -198,6 +200,45 @@ func TestWireTortureBitFlips(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestServerAnswersBadLengthAsCorrupt pins the server side of a mangled
+// length prefix: the frame is answered with ErrCodeCorrupt, counted as a
+// corrupt frame, and the connection is dropped. Only the 4-byte prefix
+// is sent, so the server decides on it alone and closes with nothing
+// unread.
+func TestServerAnswersBadLengthAsCorrupt(t *testing.T) {
+	srv := startServer(t, Config{MetricsAddr: "127.0.0.1:0"})
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Write([]byte{3, 0, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	typ, payload, _, err := ReadFrame(br, nil)
+	if err != nil || typ != FrameError {
+		t.Fatalf("reply: type %#02x err %v, want FrameError", typ, err)
+	}
+	re, err := DecodeError(payload)
+	if err != nil || re.Code != ErrCodeCorrupt {
+		t.Fatalf("reply %+v (err %v), want code ErrCodeCorrupt", re, err)
+	}
+	if _, _, _, err := ReadFrame(br, nil); err != io.EOF {
+		t.Fatalf("after the error frame: err = %v, want io.EOF (connection dropped)", err)
+	}
+	resp, err := http.Get("http://" + srv.MetricsAddr().String() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(body), "tage_serve_corrupt_frames_total 1\n") {
+		t.Errorf("corrupt frame not counted:\n%s", body)
 	}
 }
 

@@ -172,7 +172,7 @@ const (
 	ErrCodeSessionLimit   uint64 = 3 // max-sessions cap reached
 	ErrCodeBadConfig      uint64 = 4 // unknown predictor config/options
 	ErrCodeSnapshot       uint64 = 5 // unusable snapshot blob or state
-	ErrCodeCorrupt        uint64 = 6 // frame failed its CRC — bytes mangled in flight
+	ErrCodeCorrupt        uint64 = 6 // frame failed its CRC or length check — bytes mangled in flight
 )
 
 // ErrProtocol reports a malformed frame or payload: the stream's contents
@@ -180,7 +180,8 @@ const (
 var ErrProtocol = fmt.Errorf("serve: protocol error")
 
 // ErrCorrupt reports a frame whose CRC trailer does not match its
-// contents: the bytes were mangled in flight. It wraps ErrProtocol —
+// contents, or whose length prefix (which the CRC does not cover) is out
+// of range: the bytes were mangled in flight. It wraps ErrProtocol —
 // fatal for the connection, and NOT blindly retryable (a corrupt
 // *response* means the server may already have applied the request;
 // resending would double-apply). The Router recovers from it anyway,
@@ -284,7 +285,9 @@ func readFrame(br *bufio.Reader, buf []byte, started func()) (typ byte, payload,
 		length |= uint32(b) << (8 * i)
 	}
 	if length < 5 || length > MaxFrame {
-		return 0, nil, buf, fmt.Errorf("%w: frame length %d", ErrProtocol, length)
+		// The CRC does not cover the length prefix, so a mangled prefix
+		// is corruption in flight exactly like a mangled body.
+		return 0, nil, buf, fmt.Errorf("%w: frame length %d out of range", ErrCorrupt, length)
 	}
 	n := int(length)
 	if cap(buf) < n {

@@ -3,8 +3,10 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -205,19 +207,20 @@ func TestErrorRoundTrip(t *testing.T) {
 }
 
 func TestReadFrameLimits(t *testing.T) {
-	// Zero-length frame.
-	br := bufio.NewReader(bytes.NewReader([]byte{0, 0, 0, 0}))
-	if _, _, _, err := ReadFrame(br, nil); !errors.Is(err, ErrProtocol) {
-		t.Fatalf("zero-length frame: err = %v", err)
-	}
-	// Oversized length prefix must be rejected before any allocation of
-	// that size.
-	br = bufio.NewReader(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1}))
-	if _, _, _, err := ReadFrame(br, nil); !errors.Is(err, ErrProtocol) {
-		t.Fatalf("oversized frame: err = %v", err)
+	// A length prefix out of range — too short for a type byte and CRC,
+	// or oversized, which must be rejected before any allocation of that
+	// size — is corruption in flight exactly like a mangled body, since
+	// the CRC does not cover the prefix: ErrCorrupt, which the router
+	// recovers from, not a bare (fatal) ErrProtocol.
+	for _, length := range []uint32{0, 3, 4, MaxFrame + 1, math.MaxUint32} {
+		frame := binary.LittleEndian.AppendUint32(nil, length)
+		frame = append(frame, FrameClose, 0, 0, 0, 0)
+		if _, _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)), nil); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("length %d: err = %v, want ErrCorrupt", length, err)
+		}
 	}
 	// Clean EOF between frames is io.EOF, not a protocol error.
-	br = bufio.NewReader(bytes.NewReader(nil))
+	br := bufio.NewReader(bytes.NewReader(nil))
 	if _, _, _, err := ReadFrame(br, nil); err != io.EOF {
 		t.Fatalf("clean EOF: err = %v", err)
 	}

@@ -83,20 +83,22 @@ func TestStateInvariantsWithProbabilisticAutomaton(t *testing.T) {
 func TestIndicesAndTagsWithinRange(t *testing.T) {
 	p := New(Large256K())
 	r := xrand.New(5)
-	// Push random history and verify index/tag ranges at every step.
+	// Push random history and verify, at every step and for every bank,
+	// that the flat position Predict recorded falls inside that bank's
+	// own rows and the recorded tag fits TagBits.
+	rows := uint32(1) << p.cfg.TaggedLog
 	for i := 0; i < 3000; i++ {
 		pc := uint64(r.Uint32()) &^ 3
+		p.Predict(pc)
 		for bank := 1; bank <= p.numTables; bank++ {
-			idx := p.tableIndex(pc, bank)
-			if idx >= uint32(1)<<p.cfg.TaggedLog {
-				t.Fatalf("index %d out of range for bank %d", idx, bank)
+			lo := uint32(bank-1) * rows
+			if pos := p.pos[bank]; pos < lo || pos >= lo+rows {
+				t.Fatalf("step %d: bank %d position %d outside its rows [%d, %d)", i, bank, pos, lo, lo+rows)
 			}
-			tag := p.tableTag(pc, bank)
-			if tag >= 1<<p.cfg.TagBits {
-				t.Fatalf("tag %#x out of range", tag)
+			if tag := p.tagc[bank]; tag >= 1<<p.cfg.TagBits {
+				t.Fatalf("step %d: bank %d tag %#x out of range", i, bank, tag)
 			}
 		}
-		p.Predict(pc)
 		p.Update(pc, r.Bool())
 	}
 }
