@@ -9,9 +9,8 @@
 //	reprotables -experiment all -parallel 4
 //	reprotables -listnames
 //
-// Experiments (see DESIGN.md §5 for the index): table1, fig2, fig3, fig4,
-// fig5, fig6, table2, table3, sweep, ablation-window, ablation-usealt,
-// ablation-ctr, estimators, all.
+// -listnames prints every experiment name (experiments.Names()); "all"
+// runs them all.
 //
 // -parallel sets the simulation worker count (0 = GOMAXPROCS, 1 = serial).
 // Both the experiment axis (sweep points, ablation arms, figure panels,

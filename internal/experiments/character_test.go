@@ -103,7 +103,7 @@ func TestCharacterCapacitySensitivity(t *testing.T) {
 		t.Errorf("gcc capacity gain %.3f should exceed twolf %.3f", footprint, noise)
 	}
 	// Loose absolute floor: warmup at the test trace length mutes the
-	// capacity effect (full-length gain is ~0.5, see EXPERIMENTS.md).
+	// capacity effect (full-length gain is ~0.5 at DefaultLimit).
 	if footprint < 0.08 {
 		t.Errorf("gcc should gain substantially from 256Kbits, got %.3f", footprint)
 	}

@@ -53,7 +53,7 @@ func TestClaimLowConfBimRate(t *testing.T) {
 // (paper: 24 of 40 below 1 MKP). Our synthetic "strongly biased" branches
 // carry 1.5-3% irreducible noise where real BIM-provided branches are
 // near-deterministic, so the absolute <1 MKP claim does not transfer (see
-// EXPERIMENTS.md); the scale-invariant form — the BIM class rate sits
+// the workload package doc); the scale-invariant form — the BIM class rate sits
 // below the trace's overall rate for a clear majority of traces, and far
 // below it for the regular (FP-style) traces — must hold.
 func TestClaimLargePredictorBimClean(t *testing.T) {

@@ -46,7 +46,8 @@ func TestTable1ShapeMatchesPaper(t *testing.T) {
 		}
 	}
 	// At the shortened test trace length warmup mispredictions compress the
-	// size gap; the full-length gap (EXPERIMENTS.md) is much larger.
+	// size gap; the full-length gap (`reprotables -experiment table1`) is
+	// much larger.
 	if tab.Rows[2].CBP1MPKI > tab.Rows[0].CBP1MPKI*0.92 {
 		t.Errorf("CBP-1 256K should clearly beat 16K: %+v", tab.Rows)
 	}

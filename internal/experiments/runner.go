@@ -1,5 +1,6 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §5 for the experiment index):
+// evaluation (Names lists every experiment; `reprotables -listnames`
+// prints it):
 //
 //	Table 1   — the three predictor configurations and their misp/KI
 //	Figure 2  — prediction/misprediction class distributions, CBP-1
@@ -11,8 +12,8 @@
 //	Table 3   — the same with the adaptive probability controller
 //	§6.2      — the saturation-probability sweep
 //
-// plus the ablation studies DESIGN.md calls out (USE_ALT_ON_NA, the
-// medium-conf-bim window, counter width, storage-free vs JRS estimation).
+// plus ablation studies (USE_ALT_ON_NA, the medium-conf-bim window,
+// counter width, storage-free vs JRS estimation).
 //
 // A Runner caches simulations at (configuration, options, trace)
 // granularity, so composite invocations (`-experiment all`, the
@@ -34,7 +35,7 @@ import (
 
 // DefaultLimit is the per-trace record budget used when none is given.
 // Experiments remain meaningful from ~100k records; the full SuiteLength
-// (600k) is used for the committed EXPERIMENTS.md numbers.
+// (600k) is what `reprotables` renders by default.
 const DefaultLimit = workload.SuiteLength
 
 // Runner executes and caches simulations at (config, options, trace)

@@ -12,8 +12,7 @@ type Family struct {
 	Name string
 	// Summary is a one-line description for listings and docs.
 	Summary string
-	// Paper cites the predictor's origin (reference or paper section),
-	// rendered in the PERF.md backend table and `-list` output.
+	// Paper cites the predictor's origin (reference or paper section).
 	Paper string
 	// Variants lists the named variants the family accepts (empty when
 	// the family takes no variant).

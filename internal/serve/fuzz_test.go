@@ -3,8 +3,10 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -20,6 +22,15 @@ func framePayload(t *testing.T, frame []byte) []byte {
 		t.Fatalf("frame of %d bytes cannot carry header and CRC trailer", len(frame))
 	}
 	return frame[5 : len(frame)-4]
+}
+
+// rawBatchFrame is a one-record batch frame whose record carries the given
+// packed (Instr-1)<<1|taken field verbatim, so seeds can reach values
+// AppendBatch never writes.
+func rawBatchFrame(packed uint64) []byte {
+	frame := BeginFrame(nil, FrameBatch)
+	frame = append(frame, 7, 1, 0) // session 7, one record, pc delta 0
+	return EndFrame(binary.AppendUvarint(frame, packed), 0)
 }
 
 // FuzzFrame mirrors internal/trace's FuzzRead for the wire protocol:
@@ -64,7 +75,11 @@ func FuzzFrame(f *testing.F) {
 		[]byte("garbage data, not a frame"),
 		{},
 	}
-	seeds = append(seeds, seeds[2][:8])
+	seeds = append(seeds, seeds[2][:8],
+		// Instruction counts past uint32: Instr-1 = 2^32-1 would wrap to
+		// Instr 0 and Instr-1 = 2^32 would alias Instr 1.
+		rawBatchFrame(math.MaxUint32<<1),
+		rawBatchFrame(1<<33))
 	for _, s := range seeds {
 		f.Add(s)
 	}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -27,6 +28,10 @@ func FuzzRead(f *testing.F) {
 	f.Add(append(append([]byte{}, header...), 0xFF, 0xFF, 0xFF, 0xFF, 0x0F))       // count = 2^32-1
 	f.Add(append(append([]byte{}, header...), 0x81, 0x80, 0x80, 0x80, 0x10))       // count = 2^32+1
 	f.Add(append(append([]byte{}, header...), 0x80, 0x80, 0x40, 0x00, 0x03, 0x00)) // count = 2^20, one record
+	// Instruction counts past uint32: Instr-1 = 2^32-1 would wrap to Instr
+	// 0 and Instr-1 = 2^32 would alias Instr 1.
+	f.Add(rawRecordFile(math.MaxUint32 << 1))
+	f.Add(rawRecordFile(1 << 33))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Read(bytes.NewReader(data))

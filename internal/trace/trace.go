@@ -7,7 +7,7 @@
 //
 // The paper evaluates on the CBP-1 and CBP-2 championship trace sets, which
 // are not redistributable; internal/workload provides deterministic
-// synthetic Trace implementations standing in for them (see DESIGN.md §2).
+// synthetic Trace implementations standing in for them (see its package doc).
 // This package additionally provides a compact binary on-disk format so
 // generated traces can be exported, inspected and re-read.
 package trace
@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sync"
 )
@@ -199,8 +200,9 @@ func AppendRecord(dst []byte, prevPC uint64, b Branch) ([]byte, uint64) {
 
 // DecodeRecord decodes one branch record from src (the inverse of
 // AppendRecord), returning the record, the number of bytes consumed and
-// the new previous PC. A truncated or malformed record yields an
-// ErrBadFormat-wrapped error and consumes nothing.
+// the new previous PC. A truncated or malformed record, or one whose
+// instruction count does not fit a uint32, yields an ErrBadFormat-wrapped
+// error and consumes nothing.
 //repro:hotpath
 func DecodeRecord(src []byte, prevPC uint64) (Branch, int, uint64, error) {
 	delta, n := binary.Varint(src)
@@ -210,6 +212,9 @@ func DecodeRecord(src []byte, prevPC uint64) (Branch, int, uint64, error) {
 	packed, n2 := binary.Uvarint(src[n:])
 	if n2 <= 0 {
 		return Branch{}, 0, prevPC, fmt.Errorf("%w: packed: truncated varint", ErrBadFormat) //repro:allow-alloc cold path: malformed record aborts the decode, allocation is fine
+	}
+	if packed>>1 >= math.MaxUint32 {
+		return Branch{}, 0, prevPC, fmt.Errorf("%w: instruction count %d out of range", ErrBadFormat, packed>>1+1) //repro:allow-alloc cold path: malformed record aborts the decode, allocation is fine
 	}
 	pc := uint64(int64(prevPC) + delta)
 	b := Branch{PC: pc, Taken: packed&1 == 1, Instr: uint32(packed>>1) + 1}
@@ -318,6 +323,9 @@ func Read(r io.Reader) (*Mem, error) {
 		packed, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("%w: record %d packed: %v", ErrBadFormat, i, err)
+		}
+		if packed>>1 >= math.MaxUint32 {
+			return nil, fmt.Errorf("%w: record %d: instruction count %d out of range", ErrBadFormat, i, packed>>1+1)
 		}
 		out.Records = append(out.Records, Branch{
 			PC:    pc,

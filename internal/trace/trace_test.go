@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -377,5 +379,51 @@ func TestAppendRecordZeroInstr(t *testing.T) {
 	got, _, _, err := DecodeRecord(enc, 0)
 	if err != nil || got.Instr != 1 {
 		t.Fatalf("got %+v err=%v, want Instr 1", got, err)
+	}
+}
+
+// rawRecordFile is a one-record trace file whose record carries the given
+// packed (Instr-1)<<1|taken field verbatim, so tests can reach values
+// AppendRecord never writes.
+func rawRecordFile(packed uint64) []byte {
+	data := append([]byte{}, magic[:]...)
+	data = append(data, 0, 1, 0) // empty name, one record, pc delta 0
+	return binary.AppendUvarint(data, packed)
+}
+
+// TestDecodeRejectsOutOfRangeInstr pins the instruction-count range of
+// both record decoders: Instr-1 must fit below math.MaxUint32, so no
+// record decodes to Instr 0 and no two encodings alias one record.
+func TestDecodeRejectsOutOfRangeInstr(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		instrLess uint64 // the encoded Instr-1
+		want      uint32 // decoded Instr; 0 = must be rejected
+	}{
+		{"max", math.MaxUint32 - 1, math.MaxUint32},
+		{"wraps to zero", math.MaxUint32, 0},
+		{"aliases one", 1 << 32, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			packed := tc.instrLess<<1 | 1
+			rec := binary.AppendUvarint([]byte{0}, packed)
+			b, n, _, err := DecodeRecord(rec, 0)
+			m, ferr := Read(bytes.NewReader(rawRecordFile(packed)))
+			if tc.want == 0 {
+				if !errors.Is(err, ErrBadFormat) || n != 0 {
+					t.Fatalf("DecodeRecord: got %+v n=%d err=%v, want ErrBadFormat", b, n, err)
+				}
+				if !errors.Is(ferr, ErrBadFormat) {
+					t.Fatalf("Read: got %+v err=%v, want ErrBadFormat", m, ferr)
+				}
+				return
+			}
+			if err != nil || b.Instr != tc.want || n != len(rec) {
+				t.Fatalf("DecodeRecord: got %+v n=%d err=%v, want Instr %d", b, n, err, tc.want)
+			}
+			if ferr != nil || len(m.Records) != 1 || m.Records[0] != b {
+				t.Fatalf("Read: got %+v err=%v, want [%+v]", m, ferr, b)
+			}
+		})
 	}
 }

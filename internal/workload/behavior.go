@@ -1,6 +1,6 @@
 // Package workload synthesizes deterministic branch traces that stand in
 // for the CBP-1 and CBP-2 championship trace sets used by the paper (the
-// originals are not redistributable; see DESIGN.md §2).
+// originals are not redistributable; `tagesim -list` names every trace).
 //
 // A workload is a Program: a set of static branch Sites, each with a
 // Behavior (loop, biased-random, periodic pattern, history-correlated,

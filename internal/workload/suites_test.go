@@ -194,14 +194,3 @@ func TestPatternBitsNotDegenerate(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkProgramGeneration(b *testing.B) {
-	tr := CBP1()[0]
-	r := tr.Open()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Next(); err != nil {
-			r = tr.Open()
-		}
-	}
-}

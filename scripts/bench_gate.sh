@@ -1,0 +1,57 @@
+#!/usr/bin/env bash
+# Benchmark regression gate. Runs tagebench on two checkouts of this
+# repository in alternating pairs, each side with its own bench/run.sh,
+# then compares them with `tagebench -compare`, which judges every
+# end-to-end metric against the parent's own spread across the pairs.
+# No committed baseline is involved, so the gate enforces on any host.
+#
+#   bash scripts/bench_gate.sh PARENT_DIR CHANGE_DIR
+#
+# Prints the comparison table. Exits non-zero when a row reads
+# `regressed`, or when a run exits non-zero (tagebench exits 1 when a
+# result differs from its golden, `"correct": false`).
+set -euo pipefail
+
+if [ "$#" -ne 2 ]; then
+  echo "usage: $0 PARENT_DIR CHANGE_DIR" >&2
+  exit 2
+fi
+parent=$(cd "$1" && pwd)
+change=$(cd "$2" && pwd)
+
+# The predictor hot path (tage, core, sim tally) and nothing else.
+readonly workload=offline-suite
+# tagebench's minPairs: fewer pairs read `unresolved`, never `regressed`.
+readonly pairs=10
+# Held out: bench/README.md reserves seeds 1-5 for development.
+readonly first_seed=11
+# About 5 s a run, so the 20 runs take about 2 minutes.
+readonly seconds=3
+
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
+
+# run SIDE DIR SEED appends one run of DIR's tagebench to SIDE.jsonl.
+run() {
+  if ! bash "$2/bench/run.sh" --workload "$workload" --seed "$3" --seconds "$seconds" --trace 0 >> "$out/$1.jsonl"; then
+    echo "bench_gate: $1 run with seed $3 failed" >&2
+    exit 1
+  fi
+}
+
+for ((i = 1; i <= pairs; i++)); do
+  seed=$((first_seed + i - 1))
+  if ((i % 2 == 1)); then
+    run parent "$parent" "$seed"
+    run change "$change" "$seed"
+  else
+    run change "$change" "$seed"
+    run parent "$parent" "$seed"
+  fi
+done
+
+bash "$change/bench/run.sh" -compare "$out/parent.jsonl" "$out/change.jsonl" | tee "$out/compare.txt"
+if grep -qw regressed "$out/compare.txt"; then
+  echo "bench_gate: regressed" >&2
+  exit 1
+fi
