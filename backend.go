@@ -101,7 +101,7 @@ func WithParam(key, value string) Option {
 //
 // For TAGE specs the returned Backend is a *Estimator constructed
 // exactly as NewEstimator(cfg, opts) — outputs are bit-identical to the
-// legacy Config+Options path. Unknown families, variants and parameter
+// typed Config+Options constructor. Unknown families, variants and parameter
 // keys error with the valid choices listed.
 func New(spec string, opts ...Option) (Backend, error) {
 	sp, err := predictor.Parse(spec)

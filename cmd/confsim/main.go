@@ -40,7 +40,7 @@ import (
 
 func main() {
 	var (
-		bf        = core.AddBackendFlags(flag.CommandLine, "16K", "probabilistic")
+		bf        = predictor.AddBackendFlags(flag.CommandLine, "16K", "probabilistic")
 		suiteName = flag.String("suite", "cbp1", "suite: cbp1, cbp2 or all")
 		traceName = flag.String("trace", "", "single trace instead of a suite")
 		branches  = flag.Uint64("branches", 0, "branch records per trace (0 = full)")

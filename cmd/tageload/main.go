@@ -46,14 +46,13 @@ import (
 	"repro/internal/predictor"
 	"repro/internal/serve"
 	"repro/internal/sim"
-	"repro/internal/tage"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 func main() {
 	var (
-		bf        = core.AddBackendFlags(flag.CommandLine, "64K", "probabilistic")
+		bf        = predictor.AddBackendFlags(flag.CommandLine, "64K", "probabilistic")
 		addr      = flag.String("addr", "localhost:7421", "tageserved wire-protocol address")
 		suiteName = flag.String("suite", "cbp1", "suite to replay: cbp1, cbp2 or all")
 		traceName = flag.String("trace", "", "replay a single trace instead of a suite")
@@ -92,10 +91,15 @@ func main() {
 		clientCfg.BusyRetries = *retries
 	}
 
-	opts, err := bf.Options()
+	spec, err := bf.Spec()
 	if err != nil {
-		fatal("tageload: bad backend options", "err", err)
+		fatal("tageload: bad backend flags", "err", err)
 	}
+	sp, err := predictor.Parse(spec)
+	if err != nil {
+		fatal("tageload: bad backend spec", "err", err)
+	}
+	req := serve.OpenRequest{Spec: spec}
 	var traces []trace.Trace
 	if *traceName != "" {
 		tr, err := workload.ByName(*traceName)
@@ -170,12 +174,6 @@ func main() {
 				// failures retried inside Replay (reported in the cluster
 				// roll-up) instead of aborting the worker.
 				replay = func(i int) bool {
-					req := serve.OpenRequest{}
-					if bf.Explicit() {
-						req.Spec = *bf.Backend
-					} else {
-						req.Config, req.Options = *bf.Config, opts
-					}
 					key := fmt.Sprintf("%s/%d/%s", *keyPrefix, w, traces[i].Name())
 					rs, err := router.Open(key, req)
 					if err != nil {
@@ -198,14 +196,8 @@ func main() {
 				}
 				defer c.Close()
 				defer func() { out.busy = c.BusyRetries() }()
-				open := func() (*serve.ClientSession, error) {
-					if bf.Explicit() {
-						return c.OpenSpec(*bf.Backend)
-					}
-					return c.Open(*bf.Config, opts)
-				}
 				replay = func(i int) bool {
-					sess, err := open()
+					sess, err := c.OpenSession(req)
 					if err != nil {
 						out.err = err
 						return false
@@ -294,7 +286,7 @@ func main() {
 		fmt.Printf("  busy retries (load-shed batches retried): %d\n", busy)
 	}
 	if *verify {
-		if err := verifyOffline(all, bf, opts, *branches); err != nil {
+		if err := verifyOffline(all, sp, *branches); err != nil {
 			fatal("tageload: VERIFY FAILED", "err", err)
 		}
 		fmt.Printf("  verify: %d replays bit-identical to offline sim.Run\n", len(all))
@@ -307,32 +299,15 @@ func main() {
 // verifyOffline recomputes every served replay with the offline simulator
 // and requires bit-identical tallies — the end-to-end durability check a
 // soak script runs after killing and restarting nodes mid-replay.
-func verifyOffline(all []sim.Result, bf *core.BackendFlags, opts core.Options, limit uint64) error {
+func verifyOffline(all []sim.Result, sp predictor.Spec, limit uint64) error {
 	for _, res := range all {
 		tr, err := workload.ByName(res.Trace)
 		if err != nil {
 			return err
 		}
-		var offline sim.Result
-		if bf.Explicit() {
-			sp, err := predictor.Parse(*bf.Backend)
-			if err != nil {
-				return err
-			}
-			if offline, err = sim.RunSpec(sp, tr, limit); err != nil {
-				return err
-			}
-			// Spec-opened sessions label results with the request's mode;
-			// the tallies are what the check is about.
-			offline.Mode = res.Mode
-		} else {
-			cfg, err := tage.ConfigByName(*bf.Config)
-			if err != nil {
-				return err
-			}
-			if offline, err = sim.RunConfig(cfg, opts, tr, limit); err != nil {
-				return err
-			}
+		offline, err := sim.RunSpec(sp, tr, limit)
+		if err != nil {
+			return err
 		}
 		if res != offline {
 			return fmt.Errorf("%s: served %+v != offline %+v", res.Trace, res, offline)

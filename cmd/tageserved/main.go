@@ -10,9 +10,10 @@
 //	tageserved -config 16K -mode adaptive -shards 32 -max-sessions 10000
 //	tageserved -backend gshare-64K
 //
-// The -backend flag (or the legacy -config/-mode pair) sets the
-// predictor a session gets when its open request names no backend;
-// clients may request any registered backend per session.
+// The -backend flag (or -config/-mode/-window, which build a TAGE
+// spec) sets the default spec: the predictor a session gets when its
+// open request names no backend. Clients may request any registered
+// backend per session.
 //
 // With -state-dir, keyed sessions are durable: their state is
 // checkpointed to the directory every -checkpoint-interval (and on
@@ -43,15 +44,13 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/predictor"
 	"repro/internal/serve"
-	"repro/internal/tage"
 )
 
 func main() {
 	var (
-		bf          = core.AddBackendFlags(flag.CommandLine, "64K", "probabilistic")
+		bf          = predictor.AddBackendFlags(flag.CommandLine, "64K", "probabilistic")
 		addr        = flag.String("addr", ":7421", "wire-protocol TCP listen address")
 		metricsAddr = flag.String("metrics", "", "HTTP listen address for /metrics, /livez, /readyz and /debug/events (empty = disabled)")
 		debugAddr   = flag.String("debug-addr", "", "HTTP listen address for pprof profiling endpoints (empty = disabled)")
@@ -91,24 +90,14 @@ func main() {
 		logger.Warn("tageserved: -write-timeout < 0: slow-writer eviction disabled, an undrained peer can park a handler forever")
 	}
 
-	cfg, err := tage.ConfigByName(*bf.Config)
+	// Validate the default spec up front so a typo fails at startup, not
+	// on the first open request.
+	defaultSpec, err := bf.Spec()
 	if err != nil {
 		fatal(err)
 	}
-	opts, err := bf.Options()
-	if err != nil {
+	if _, _, err := predictor.New(defaultSpec); err != nil {
 		fatal(err)
-	}
-	// Validate an explicit -backend up front so a typo fails at startup,
-	// not on the first open request; resolve its canonical label for the
-	// startup log line.
-	defaultLabel := cfg.Name + "/" + opts.Mode.String()
-	if bf.Explicit() {
-		probe, _, err := predictor.New(*bf.Backend)
-		if err != nil {
-			fatal(err)
-		}
-		defaultLabel = probe.Label()
 	}
 
 	srv := serve.NewServer(serve.Config{
@@ -121,12 +110,10 @@ func main() {
 		FrameTimeout:       *frameTO,
 		WriteTimeout:       *writeTO,
 		Engine: serve.EngineConfig{
-			Shards:         *shards,
-			MaxSessions:    *maxSessions,
-			MaxInflight:    *maxInflight,
-			DefaultConfig:  cfg,
-			DefaultOptions: opts,
-			DefaultSpec:    *bf.Backend,
+			Shards:      *shards,
+			MaxSessions: *maxSessions,
+			MaxInflight: *maxInflight,
+			DefaultSpec: defaultSpec,
 		},
 	})
 	if *stateDir != "" {
@@ -162,7 +149,7 @@ func main() {
 		}
 	}
 	logger.Info("tageserved: serving",
-		"addr", srv.Addr().String(), "default_backend", defaultLabel,
+		"addr", srv.Addr().String(), "default_backend", defaultSpec,
 		"shards", *shards, "max_sessions", *maxSessions, "idle_timeout", *idleTimeout)
 	if ma := srv.MetricsAddr(); ma != nil {
 		logger.Info("tageserved: metrics listener up", "url", "http://"+ma.String()+"/metrics")

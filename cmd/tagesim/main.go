@@ -1,7 +1,7 @@
 // Command tagesim runs a branch predictor over a synthetic trace or a
 // whole suite and reports accuracy with the confidence-class breakdown.
 // Any registered backend runs through the shared -backend flag; the
-// legacy -config/-mode flags remain as shorthand for TAGE specs.
+// -config/-mode/-window flags build a TAGE spec.
 //
 // Usage:
 //
@@ -29,7 +29,7 @@ import (
 
 func main() {
 	var (
-		bf        = core.AddBackendFlags(flag.CommandLine, "64K", "standard")
+		bf        = predictor.AddBackendFlags(flag.CommandLine, "64K", "standard")
 		traceName = flag.String("trace", "", "single trace to simulate (see -list)")
 		suiteName = flag.String("suite", "", "suite to simulate: cbp1, cbp2 or all")
 		branches  = flag.Uint64("branches", 0, "branch records per trace (0 = full trace)")

@@ -42,7 +42,7 @@ func ExampleClass_Level() {
 // Predicting a branch returns the direction plus its confidence grade.
 // New builds any registered backend from a spec string; functional
 // options are parameter overrides, so both forms below are the same
-// predictor — and both are bit-identical to the legacy
+// predictor — and both are bit-identical to the typed
 // NewEstimator(Config, Options) constructor.
 func ExampleNew() {
 	est, err := repro.New("tage-16K?mode=probabilistic")

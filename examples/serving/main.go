@@ -24,10 +24,7 @@ func main() {
 	// 64K/probabilistic for minimal clients. Production deployments run
 	// cmd/tageserved instead; the engine is the same.
 	srv := repro.NewServer(repro.ServeConfig{
-		Engine: repro.ServeEngineConfig{
-			DefaultConfig:  repro.Medium64K(),
-			DefaultOptions: repro.Options{Mode: repro.ModeProbabilistic},
-		},
+		Engine: repro.ServeEngineConfig{DefaultSpec: "tage-64K?mode=probabilistic"},
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -72,7 +69,7 @@ func main() {
 	// Sessions are heterogeneous: the same server hosts any registered
 	// backend by spec. Open a gshare session next to the TAGE one and
 	// compare — /metrics reports the two under separate backend labels.
-	gs, err := c.OpenSpec("gshare-64K")
+	gs, err := c.OpenSession(repro.ServeOpenRequest{Spec: "gshare-64K"})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -190,7 +187,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	offline.Mode = o.res.Mode
 	fmt.Printf("\nrouted session %q survived its node dying mid-stream on %s\n", key, rs.Node())
 	fmt.Printf("failover replay bit-identical to offline run: %v (%.2f misp/KI over %d branches)\n",
 		o.res == offline, o.res.MPKI(), o.res.Branches)

@@ -137,8 +137,10 @@ func buildTAGE(sp Spec) (Backend, error) {
 }
 
 // tageConfig resolves a tage-family spec into the (Config, Options) pair
-// core.NewEstimator takes — the single translation the builder, the
-// CLIs' legacy flags and the experiments cache key all share.
+// core.NewEstimator takes — the single translation back from the spec
+// every construction path (builder, CLI flags, served opens, the
+// experiments cache key) goes through. It is also the one place a
+// served open's parameters are range-checked.
 func tageConfig(sp Spec) (tage.Config, core.Options, error) {
 	cfg, err := tageBase(sp.Variant)
 	if err != nil {

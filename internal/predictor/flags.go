@@ -1,20 +1,20 @@
-package core
+package predictor
 
 import (
 	"flag"
-	"fmt"
-	"strings"
+
+	"repro/internal/core"
 )
 
 // BackendFlags bundles the predictor-selection flags shared by every
-// CLI (tagesim, confsim, tageserved, tageload): the legacy TAGE triple
+// CLI (tagesim, confsim, tageserved, tageload): the TAGE triple
 // -config/-mode/-window plus -backend, which accepts any registered
 // backend spec ("tage-64K?mode=adaptive", "gshare-64K", "perceptron",
-// ...). It replaces the per-command copies of this parsing.
+// ...).
 //
 // Spec() resolves the flags into one backend spec string: -backend wins
-// verbatim when set; otherwise a TAGE spec is synthesized from the
-// legacy triple, so `-config 64K -mode adaptive` and
+// verbatim when set; otherwise the triple is a typed builder for a
+// TAGE spec (TAGEVariantSpec), so `-config 64K -mode adaptive` and
 // `-backend tage-64K?mode=adaptive` select the identical predictor.
 type BackendFlags struct {
 	Config  *string
@@ -41,37 +41,16 @@ func AddBackendFlags(fs *flag.FlagSet, defConfig, defMode string) *BackendFlags 
 // Explicit reports whether -backend was set.
 func (f *BackendFlags) Explicit() bool { return *f.Backend != "" }
 
-// Options parses the legacy -mode/-window pair into estimator Options
-// (the path servers and legacy session opens still take).
-func (f *BackendFlags) Options() (Options, error) {
-	mode, err := ParseMode(*f.Mode)
-	if err != nil {
-		return Options{}, err
-	}
-	return Options{Mode: mode, BimWindow: *f.Window}, nil
-}
-
 // Spec resolves the flags into one backend spec string. With -backend
-// set it is returned verbatim (the registry validates it); otherwise a
-// canonical TAGE spec is synthesized from -config/-mode/-window.
+// set it is returned verbatim (the registry validates it); otherwise the
+// TAGE spec for -config/-mode/-window is built.
 func (f *BackendFlags) Spec() (string, error) {
 	if *f.Backend != "" {
 		return *f.Backend, nil
 	}
-	mode, err := ParseMode(*f.Mode)
+	mode, err := core.ParseMode(*f.Mode)
 	if err != nil {
 		return "", err
 	}
-	var params []string
-	if mode != ModeStandard {
-		params = append(params, "mode="+mode.String())
-	}
-	if *f.Window != 0 {
-		params = append(params, fmt.Sprintf("window=%d", *f.Window))
-	}
-	spec := "tage-" + *f.Config
-	if len(params) > 0 {
-		spec += "?" + strings.Join(params, "&")
-	}
-	return spec, nil
+	return TAGEVariantSpec(*f.Config, core.Options{Mode: mode, BimWindow: *f.Window}), nil
 }

@@ -59,6 +59,22 @@ func TAGESpec(cfg tage.Config, opts core.Options) Spec {
 	if cfg.DisableUseAltOnNA != base.DisableUseAltOnNA {
 		add("noalt", strconv.FormatBool(cfg.DisableUseAltOnNA))
 	}
+	return tageSpec(variant, appendOptionParams(params, opts))
+}
+
+// TAGEVariantSpec is the tage-family spec string for a variant name and
+// estimator options: "tage-<variant>" plus the Options parameters
+// TAGESpec would emit. The variant is passed through unresolved, so an
+// unknown name still fails where the spec is built, with the registry's
+// error.
+func TAGEVariantSpec(variant string, opts core.Options) string {
+	return tageSpec(variant, appendOptionParams(nil, opts)).String()
+}
+
+// appendOptionParams appends one parameter per non-zero Options field:
+// the Options half of the TAGESpec encoding.
+func appendOptionParams(params []Param, opts core.Options) []Param {
+	add := func(key, value string) { params = append(params, Param{Key: key, Value: value}) }
 	if opts.Mode != core.ModeStandard {
 		add("mode", opts.Mode.String())
 	}
@@ -74,9 +90,14 @@ func TAGESpec(cfg tage.Config, opts core.Options) Spec {
 	if opts.AdaptiveWindow != 0 {
 		add("awindow", strconv.FormatUint(opts.AdaptiveWindow, 10))
 	}
-	// Constructed directly rather than through MakeSpec: the encoding
-	// above emits unique keys and a cache key must never fail. Sorting
-	// matches the canonical order Parse produces.
+	return params
+}
+
+// tageSpec assembles a tage-family Spec from unique parameters.
+// Constructed directly rather than through MakeSpec: the encodings
+// above emit unique keys and a cache key must never fail. Sorting
+// matches the canonical order Parse produces.
+func tageSpec(variant string, params []Param) Spec {
 	sp := Spec{Family: "tage", Variant: variant}
 	sort.SliceStable(params, func(i, j int) bool { return params[i].Key < params[j].Key })
 	sp.params = encodeParams(params)

@@ -191,69 +191,52 @@ type ClientSession struct {
 	id      uint64
 	key     string
 	config  string
-	opts    core.Options
+	mode    core.AutomatonMode
 	resumed uint64
 }
 
-// Open creates a session with the named predictor configuration (empty
-// = server default) and options.
+// Open is OpenSession for a TAGE configuration name (empty = 64K, or
+// the server default when opts is zero too) and options.
 func (c *Client) Open(config string, opts core.Options) (*ClientSession, error) {
-	return c.open(OpenRequest{Config: config, Options: opts}, opts)
+	return c.OpenSession(OpenRequest{Config: config, Options: opts})
 }
 
-// OpenSpec creates a session for any registered backend spec
-// ("tage-64K?mode=adaptive", "gshare-64K", "perceptron", ...; empty =
-// server default). Results are labeled with the server-resolved backend
-// label and, like offline sim.Run over a registry-built backend,
-// ModeStandard for non-TAGE families; TAGE sessions that need a mode
-// label on the client side should use Open.
-func (c *Client) OpenSpec(spec string) (*ClientSession, error) {
-	return c.open(OpenRequest{Spec: spec}, core.Options{})
-}
-
-// OpenSession creates a session from a full OpenRequest — the keyed
-// (durable) path: a request with a Key resumes the live or checkpointed
-// session holding it, and Resumed reports how many branches the session
-// had already served.
+// OpenSession creates a session for the request: any registered backend
+// spec ("tage-64K?mode=adaptive", "gshare-64K", "perceptron", ...; see
+// OpenRequest for the server default). A request with a Key resumes the
+// live or checkpointed session holding it, and Resumed reports how many
+// branches the session had already served. Results are labeled with the
+// backend label and automaton mode the server reports, as offline
+// sim.Run labels the same backend.
 func (c *Client) OpenSession(req OpenRequest) (*ClientSession, error) {
-	return c.open(req, req.Options)
+	c.out = AppendOpen(c.out[:0], req)
+	return c.opened(req.Key)
 }
 
 // OpenSnapshot opens (or resumes) a session from a snapshot blob — the
 // migration/failover path. The blob must decode locally so the session
-// can carry its key and labels client-side.
+// can carry its key client-side.
 func (c *Client) OpenSnapshot(blob []byte) (*ClientSession, error) {
 	snap, err := DecodeSessionSnapshot(blob)
 	if err != nil {
 		return nil, err
 	}
 	c.out = AppendOpenSnap(c.out[:0], blob)
-	payload, err := c.roundTrip(FrameOpened)
-	if err != nil {
-		return nil, err
-	}
-	id, resolved, branches, err := DecodeOpened(payload)
-	if err != nil {
-		return nil, err
-	}
-	return &ClientSession{
-		c: c, id: id, key: snap.Key, config: resolved,
-		opts:    core.Options{Mode: snap.Res.Mode},
-		resumed: branches,
-	}, nil
+	return c.opened(snap.Key)
 }
 
-func (c *Client) open(req OpenRequest, opts core.Options) (*ClientSession, error) {
-	c.out = AppendOpen(c.out[:0], req)
+// opened sends the open frame assembled in c.out and builds the session
+// from the server's FrameOpened.
+func (c *Client) opened(key string) (*ClientSession, error) {
 	payload, err := c.roundTrip(FrameOpened)
 	if err != nil {
 		return nil, err
 	}
-	id, resolved, branches, err := DecodeOpened(payload)
+	o, err := DecodeOpened(payload)
 	if err != nil {
 		return nil, err
 	}
-	return &ClientSession{c: c, id: id, key: req.Key, config: resolved, opts: opts, resumed: branches}, nil
+	return &ClientSession{c: c, id: o.ID, key: key, config: o.Config, mode: o.Mode, resumed: o.Branches}, nil
 }
 
 // ID returns the server-assigned session id.
@@ -376,7 +359,7 @@ func (s *ClientSession) Close() (sim.Result, error) {
 		return sim.Result{}, fmt.Errorf("%w: stats for session %d, want %d", ErrProtocol, id, s.id)
 	}
 	res.Config = s.config
-	res.Mode = s.opts.Mode
+	res.Mode = s.mode
 	return res, nil
 }
 
@@ -397,7 +380,7 @@ func (s *ClientSession) Close() (sim.Result, error) {
 // When lat is non-nil, one round-trip latency sample is recorded per
 // batch.
 func (s *ClientSession) Replay(tr trace.Trace, limit uint64, batchSize int, lat *obs.Histogram) (sim.Result, error) {
-	local := sim.Result{Trace: tr.Name(), Config: s.config, Mode: s.opts.Mode}
+	local := sim.Result{Trace: tr.Name(), Config: s.config, Mode: s.mode}
 	if s.resumed > 0 {
 		if _, err := s.resync(&local); err != nil {
 			return sim.Result{}, err
@@ -431,10 +414,6 @@ func (s *ClientSession) resync(local *sim.Result) ([]byte, error) {
 	name := local.Trace
 	*local = snap.Res
 	local.Trace = name
-	// Label like Close labels its result (OpenSession carries the
-	// request's mode, OpenSnapshot the snapshot's), so the final
-	// cross-check compares like with like.
-	local.Mode = s.opts.Mode
 	return blob, nil
 }
 

@@ -242,9 +242,6 @@ func TestCheckpointWarmStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	res.Trace = tr.Name()
-	// OpenSession labels results with the request's (zero) mode, like
-	// OpenSpec; compare everything else bit for bit.
-	offline.Mode = res.Mode
 	if res != offline {
 		t.Errorf("warm-started replay %+v != offline %+v", res, offline)
 	}
@@ -559,6 +556,58 @@ func TestSessionSnapshotBytesPinned(t *testing.T) {
 		}
 		if !bytes.Equal(got, append(prefix, blob...)) {
 			t.Errorf("%s: snapshot appended after a prefix differs", c.req.Key)
+		}
+	}
+}
+
+// TestOpenRequestResolverLossless pins that Config/Options is only a
+// typed builder for a TAGE spec: for every standard configuration, mode
+// and non-default option, a Config/Options open and an open by the
+// equivalent TAGESpec string build sessions whose snapshots are
+// byte-identical after the same trace prefix. An empty Config is 64K.
+func TestOpenRequestResolverLossless(t *testing.T) {
+	tr, err := workload.ByName("INT-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	branches, err := trace.Collect(trace.Limit(tr, 3000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func(req OpenRequest) []byte {
+		t.Helper()
+		req.Key = "lossless"
+		s, err := NewEngine(EngineConfig{}).Open(req, 0)
+		if err != nil {
+			t.Fatalf("open %+v: %v", req, err)
+		}
+		s.Serve(branches, nil, 0)
+		blob, err := s.AppendSnapshot(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	for _, name := range append(tage.ConfigNames(), "") {
+		cfg := tage.Medium64K()
+		if name != "" {
+			cfg, _ = tage.ConfigByName(name)
+		}
+		for _, mode := range []core.AutomatonMode{core.ModeStandard, core.ModeProbabilistic, core.ModeAdaptive} {
+			for _, opts := range []core.Options{
+				{},
+				{DenomLog: 9},
+				{BimWindow: -1},
+				{TargetMKP: 12.5},
+				{AdaptiveWindow: 8192},
+			} {
+				opts.Mode = mode
+				spec := predictor.TAGESpec(cfg, opts).String()
+				typed := snapshot(OpenRequest{Config: name, Options: opts})
+				if byspec := snapshot(OpenRequest{Spec: spec}); !bytes.Equal(typed, byspec) {
+					t.Errorf("config %q options %+v: snapshot differs from spec %q", name, opts, spec)
+				}
+			}
 		}
 	}
 }

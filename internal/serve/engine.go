@@ -12,7 +12,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/predictor"
 	"repro/internal/sim"
-	"repro/internal/tage"
 )
 
 // Engine hosts the session registry plus the service-wide counters. It
@@ -22,13 +21,9 @@ import (
 type Engine struct {
 	reg *registry
 
-	// defaultConfig/defaultOptions serve FrameOpen requests with an
-	// empty config name (and, for the options, an all-zero options
-	// block: a minimal client gets the operator-tuned predictor).
-	// defaultSpec, when set, wins over both for such requests.
-	defaultConfig  tage.Config
-	defaultOptions core.Options
-	defaultSpec    string
+	// defaultSpec serves open requests that resolve to no spec: a
+	// minimal client gets the operator-chosen predictor.
+	defaultSpec string
 
 	opened  atomic.Uint64
 	evicted atomic.Uint64
@@ -89,18 +84,11 @@ type EngineConfig struct {
 	// MaxSessions caps live sessions (0 = unlimited). Opens beyond the
 	// cap fail with ErrCodeSessionLimit.
 	MaxSessions int
-	// DefaultConfig serves open requests that name no configuration.
-	// A zero value selects tage.Medium64K.
-	DefaultConfig tage.Config
-	// DefaultOptions serves open requests that name no configuration
-	// and carry all-zero options.
-	DefaultOptions core.Options
-	// DefaultSpec, when non-empty, serves open requests that carry
-	// neither a spec nor a configuration name — it may name any
-	// registered backend family, so a server can default to a non-TAGE
-	// predictor. It is validated at engine construction via
-	// NewServer/NewEngine callers building a probe backend on first use;
-	// an invalid spec surfaces as ErrCodeBadConfig on open.
+	// DefaultSpec serves open requests with no Spec, Config or Options
+	// (empty selects "tage-64K"). It may name any registered
+	// backend family, so a server can default to a non-TAGE predictor.
+	// It is not validated here: an invalid spec surfaces as
+	// ErrCodeBadConfig on open, and tageserved builds a probe at startup.
 	DefaultSpec string
 	// MaxInflight caps batches being served concurrently across the whole
 	// engine (0 = unlimited; negative admits nothing, for tests). A batch
@@ -113,26 +101,28 @@ type EngineConfig struct {
 // DefaultShards is the registry stripe count when none is configured.
 const DefaultShards = 16
 
+// defaultBackendSpec is the backend an engine serves to requests that
+// name none when EngineConfig.DefaultSpec is empty.
+const defaultBackendSpec = "tage-64K"
+
 // NewEngine builds an engine.
 func NewEngine(cfg EngineConfig) *Engine {
 	shards := cfg.Shards
 	if shards <= 0 {
 		shards = DefaultShards
 	}
-	def := cfg.DefaultConfig
-	if def.Name == "" {
-		def = tage.Medium64K()
+	def := cfg.DefaultSpec
+	if def == "" {
+		def = defaultBackendSpec
 	}
 	return &Engine{
-		reg:            newRegistry(shards, cfg.MaxSessions),
-		defaultConfig:  def,
-		defaultOptions: cfg.DefaultOptions,
-		defaultSpec:    cfg.DefaultSpec,
-		maxInflight:    int64(cfg.MaxInflight),
-		retiredBy:      make(map[string]BackendCounts),
-		openedBy:       make(map[string]uint64),
-		keys:           make(map[string]uint64),
-		parked:         make(map[string]sim.Result),
+		reg:         newRegistry(shards, cfg.MaxSessions),
+		defaultSpec: def,
+		maxInflight: int64(cfg.MaxInflight),
+		retiredBy:   make(map[string]BackendCounts),
+		openedBy:    make(map[string]uint64),
+		keys:        make(map[string]uint64),
+		parked:      make(map[string]sim.Result),
 	}
 }
 
@@ -177,10 +167,9 @@ func (e *Engine) ReleaseBatch() {
 // request. Failures carry a RemoteError whose code the TCP layer
 // forwards verbatim.
 //
-// Backend resolution order: an explicit request spec wins; then an
-// explicit config name (the legacy TAGE path, with the request
-// options); then the engine's default spec; then the default
-// config/options pair.
+// Every session is built by predictor.New from the request's spec
+// (OpenRequest.spec: Spec, or the TAGE spec Config and Options build),
+// or from the engine's default spec when the request names none.
 //
 // Keyed requests resolve in durability order: a live session holding the
 // key is resumed as-is (the request's predictor fields are ignored —
@@ -189,8 +178,9 @@ func (e *Engine) ReleaseBatch() {
 // corrupt checkpoint is counted as a restore failure and falls back to a
 // fresh session rather than failing the open.
 func (e *Engine) Open(req OpenRequest, now int64) (*Session, error) {
+	spec := req.spec()
 	if req.Key == "" {
-		return e.openFresh(req, now)
+		return e.openFresh(spec, "", now)
 	}
 	if len(req.Key) > maxSessionKey {
 		return nil, &RemoteError{Code: ErrCodeMalformed,
@@ -229,7 +219,7 @@ func (e *Engine) Open(req OpenRequest, now int64) (*Session, error) {
 			e.events.Record(obs.Event{UnixNano: now, Kind: obs.EvRestoreFail, Key: req.Key, Cause: err.Error()})
 		}
 	}
-	s, err := e.openFresh(req, now)
+	s, err := e.openFresh(spec, req.Key, now)
 	if err != nil {
 		return nil, err
 	}
@@ -316,13 +306,10 @@ func (e *Engine) OpenSnapshot(snap SessionSnapshot, now int64) (*Session, error)
 	return s, nil
 }
 
-// openFresh creates a brand-new session (the pre-durability Open body).
-func (e *Engine) openFresh(req OpenRequest, now int64) (*Session, error) {
-	spec := req.Spec
-	if spec == "" && req.Config == "" && req.Options == (core.Options{}) && e.defaultSpec != "" {
-		// The default spec serves only fully default requests; a legacy
-		// client sending explicit options still gets the default TAGE
-		// configuration with those options (the pre-spec behavior).
+// openFresh builds a brand-new session from spec ("" selects the
+// engine's default spec) under key ("" for anonymous).
+func (e *Engine) openFresh(spec, key string, now int64) (*Session, error) {
+	if spec == "" {
 		spec = e.defaultSpec
 	}
 	// Reserve the cap slot before building: a rejected open must not
@@ -334,35 +321,14 @@ func (e *Engine) openFresh(req OpenRequest, now int64) (*Session, error) {
 			Message: fmt.Sprintf("session limit %d reached", e.reg.max),
 		}
 	}
-	var (
-		bk    predictor.Backend
-		label string
-		mode  core.AutomatonMode
-	)
-	switch {
-	case spec != "":
-		b, _, err := predictor.New(spec)
-		if err != nil {
-			e.reg.release()
-			return nil, &RemoteError{Code: ErrCodeBadConfig, Message: err.Error()}
-		}
-		bk, label, mode = b, b.Label(), predictor.ModeOf(b)
-	default:
-		cfg := e.defaultConfig
-		if req.Config != "" {
-			var err error
-			cfg, err = tage.ConfigByName(req.Config)
-			if err != nil {
-				e.reg.release()
-				return nil, &RemoteError{Code: ErrCodeBadConfig, Message: err.Error()}
-			}
-		} else if req.Options == (core.Options{}) {
-			req.Options = e.defaultOptions
-		}
-		bk, label, mode = core.NewEstimator(cfg, req.Options), cfg.Name, req.Options.Mode
+	bk, _, err := predictor.New(spec)
+	if err != nil {
+		e.reg.release()
+		return nil, &RemoteError{Code: ErrCodeBadConfig, Message: err.Error()}
 	}
-	s := newSession(id, bk, label, mode, now)
-	s.key = req.Key
+	label := bk.Label()
+	s := newSession(id, bk, label, predictor.ModeOf(bk), now)
+	s.key = key
 	e.reg.insert(s)
 	e.opened.Add(1)
 	e.retiredMu.Lock()

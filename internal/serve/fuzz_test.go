@@ -51,12 +51,12 @@ func FuzzFrame(f *testing.F) {
 		grades = append(grades, EncodeGrade(true, cl, cl.Level()))
 	}
 	seeds := [][]byte{
-		AppendOpen(nil, OpenRequest{Config: "64K", Options: core.Options{Mode: core.ModeAdaptive, TargetMKP: 10}}),
+		AppendOpen(nil, OpenRequest{Spec: "tage-64K?mkp=10&mode=adaptive"}),
 		AppendOpen(nil, OpenRequest{Spec: "gshare-64K?hist=13"}),
 		AppendOpen(nil, OpenRequest{Spec: "tage-16K?mkp=4&mode=adaptive"}),
 		AppendOpen(nil, OpenRequest{Spec: "tage-16K", Key: "trace/INT-1#0"}),
-		AppendOpened(nil, 7, "64Kbits", 0),
-		AppendOpened(nil, 7, "64Kbits", 123456),
+		AppendOpened(nil, Opened{ID: 7, Config: "64Kbits"}),
+		AppendOpened(nil, Opened{ID: 7, Branches: 123456, Mode: core.ModeAdaptive, Config: "64Kbits"}),
 		AppendBatch(nil, 7, sampleBranches(20, 5)),
 		AppendPredictions(nil, 7, grades),
 		AppendClose(nil, 7),
@@ -79,7 +79,9 @@ func FuzzFrame(f *testing.F) {
 		// Instruction counts past uint32: Instr-1 = 2^32-1 would wrap to
 		// Instr 0 and Instr-1 = 2^32 would alias Instr 1.
 		rawBatchFrame(math.MaxUint32<<1),
-		rawBatchFrame(1<<33))
+		rawBatchFrame(1<<33),
+		// A FrameOpen in the pre-spec-only layout must fail to decode.
+		legacyOpenFrame("64K", core.Options{Mode: core.ModeAdaptive, TargetMKP: 10}, "", ""))
 	for _, s := range seeds {
 		f.Add(s)
 	}
@@ -101,6 +103,9 @@ func FuzzFrame(f *testing.F) {
 		case FrameOpen:
 			req, err := DecodeOpen(payload)
 			if err != nil {
+				if !errors.Is(err, ErrProtocol) {
+					t.Fatalf("DecodeOpen error is not ErrProtocol: %v", err)
+				}
 				return
 			}
 			reenc := AppendOpen(nil, req)
@@ -109,14 +114,13 @@ func FuzzFrame(f *testing.F) {
 				t.Fatalf("open round trip: %+v -> %+v (%v)", req, got, err)
 			}
 		case FrameOpened:
-			id, config, branches, err := DecodeOpened(payload)
+			o, err := DecodeOpened(payload)
 			if err != nil {
 				return
 			}
-			reenc := AppendOpened(nil, id, config, branches)
-			id2, config2, branches2, err := DecodeOpened(framePayload(t, reenc))
-			if err != nil || id2 != id || config2 != config || branches2 != branches {
-				t.Fatalf("opened round trip: %d/%q/%d -> %d/%q/%d (%v)", id, config, branches, id2, config2, branches2, err)
+			got, err := DecodeOpened(framePayload(t, AppendOpened(nil, o)))
+			if err != nil || got != o {
+				t.Fatalf("opened round trip: %+v -> %+v (%v)", o, got, err)
 			}
 		case FrameBatch:
 			id, records, err := DecodeBatch(payload, nil)

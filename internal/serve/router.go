@@ -554,7 +554,7 @@ func (rs *RouterSession) sync(local *sim.Result) error {
 // sees the affected batches again). When lat is non-nil one round-trip
 // latency sample is recorded per served batch.
 func (rs *RouterSession) Replay(tr trace.Trace, limit uint64, batchSize int, lat *obs.Histogram) (sim.Result, error) {
-	local := sim.Result{Trace: tr.Name(), Config: rs.sess.Config(), Mode: rs.sess.opts.Mode}
+	local := sim.Result{Trace: tr.Name(), Config: rs.sess.Config(), Mode: rs.sess.mode}
 	var err error
 	if rs.sess.Resumed() > 0 {
 		err = rs.sync(&local)

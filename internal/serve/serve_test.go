@@ -117,10 +117,7 @@ func TestOnlineOfflineEquivalence(t *testing.T) {
 // with no config name and all-zero options gets the operator-configured
 // predictor and options.
 func TestServerDefaults(t *testing.T) {
-	eng := NewEngine(EngineConfig{
-		DefaultConfig:  tage.Small16K(),
-		DefaultOptions: core.Options{Mode: core.ModeProbabilistic},
-	})
+	eng := NewEngine(EngineConfig{DefaultSpec: "tage-16K?mode=probabilistic"})
 	s, err := eng.Open(OpenRequest{}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -377,7 +374,7 @@ func TestSharedSessionAcrossConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2 := dial(t, srv)
-	shared := &ClientSession{c: c2, id: sess.ID(), config: sess.config, opts: sess.opts}
+	shared := &ClientSession{c: c2, id: sess.ID(), config: sess.config, mode: sess.mode}
 
 	const per = 2000
 	var wg sync.WaitGroup
@@ -591,24 +588,21 @@ func TestOnlineOfflineEquivalenceBackends(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess, err := c.OpenSpec(spec)
+		sess, err := c.OpenSession(OpenRequest{Spec: spec})
 		if err != nil {
-			t.Fatalf("OpenSpec(%q): %v", spec, err)
+			t.Fatalf("OpenSession(%q): %v", spec, err)
 		}
 		online, err := sess.Replay(tr, limit, 999, nil)
 		if err != nil {
 			t.Fatalf("Replay(%q): %v", spec, err)
 		}
-		// OpenSpec labels client-side results ModeStandard (the client
-		// does not parse the spec); compare everything else bit for bit.
-		offline.Mode = online.Mode
 		if online != offline {
 			t.Errorf("%s: online %+v != offline %+v", spec, online, offline)
 		}
 	}
 	// A bad spec answers ErrCodeBadConfig and names the valid families.
 	var re *RemoteError
-	if _, err := c.OpenSpec("nosuch-64K"); !errors.As(err, &re) || re.Code != ErrCodeBadConfig ||
+	if _, err := c.OpenSession(OpenRequest{Spec: "nosuch-64K"}); !errors.As(err, &re) || re.Code != ErrCodeBadConfig ||
 		!strings.Contains(re.Message, "gshare") {
 		t.Fatalf("bad spec error = %v", err)
 	}
@@ -640,7 +634,7 @@ func TestEngineDefaultSpec(t *testing.T) {
 	if _, err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// A legacy client that sends explicit options (but no config) still
+	// A client that sends explicit options (but no config) still
 	// gets the default TAGE configuration with those options — the
 	// default spec serves only fully default requests, it never
 	// silently swallows a client's options.
@@ -711,7 +705,7 @@ func TestPerBackendMetrics(t *testing.T) {
 	if _, err := tage1.Replay(tr, 4000, 512, nil); err != nil {
 		t.Fatal(err)
 	}
-	gs, err := c.OpenSpec("gshare-64K")
+	gs, err := c.OpenSession(OpenRequest{Spec: "gshare-64K"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -768,7 +768,7 @@ func (s *Server) handleFrame(st *connState, typ byte, payload []byte) (fatal boo
 			st.out = appendRemoteError(st.out, err)
 			return false
 		}
-		st.out = AppendOpened(st.out, sess.ID(), sess.ConfigName(), sess.Branches())
+		st.out = AppendOpened(st.out, sess.opened())
 	case FrameBatch:
 		id, records, err := DecodeBatch(payload, st.records)
 		st.records = records[:0]
@@ -891,7 +891,7 @@ func (s *Server) handleFrame(st *connState, typ byte, payload []byte) (fatal boo
 			}
 			return false
 		}
-		st.out = AppendOpened(st.out, sess.ID(), sess.ConfigName(), sess.Branches())
+		st.out = AppendOpened(st.out, sess.opened())
 	default:
 		// Unknown frame types are unrecoverable: a future peer speaking
 		// a newer protocol would race our misinterpretation of its

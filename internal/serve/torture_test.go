@@ -123,7 +123,7 @@ func tortureFrames(t *testing.T) [][]byte {
 	}
 	return [][]byte{
 		AppendOpen(nil, OpenRequest{Spec: "tage-16K?mkp=4&mode=adaptive", Key: "torture/1"}),
-		AppendOpened(nil, 7, "64Kbits", 123456),
+		AppendOpened(nil, Opened{ID: 7, Branches: 123456, Config: "64Kbits"}),
 		AppendBatch(nil, 7, sampleBranches(100, 5)),
 		AppendPredictions(nil, 7, grades),
 		AppendClose(nil, 7),
@@ -296,7 +296,7 @@ func TestClientBusyRetry(t *testing.T) {
 		if _, _, _, err := ReadFrame(br, nil); err != nil {
 			return
 		}
-		out = AppendOpened(out[:0], 9, "16K", 0)
+		out = AppendOpened(out[:0], Opened{ID: 9, Config: "16K"})
 		sc.Write(out)
 		// Shed the first batches, then serve.
 		for i := 0; ; i++ {
@@ -325,7 +325,7 @@ func TestClientBusyRetry(t *testing.T) {
 	}()
 	c := NewClient(cc)
 	c.cfg = ClientConfig{BusyRetries: 8, BusyBackoff: time.Millisecond, Seed: 1}
-	sess, err := c.OpenSpec("tage-16K")
+	sess, err := c.OpenSession(OpenRequest{Spec: "tage-16K"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestClientBusyBudgetExhausted(t *testing.T) {
 		if _, _, _, err := ReadFrame(br, nil); err != nil {
 			return
 		}
-		out = AppendOpened(out[:0], 9, "16K", 0)
+		out = AppendOpened(out[:0], Opened{ID: 9, Config: "16K"})
 		sc.Write(out)
 		for {
 			if _, _, _, err := ReadFrame(br, nil); err != nil {
@@ -366,7 +366,7 @@ func TestClientBusyBudgetExhausted(t *testing.T) {
 	}()
 	c := NewClient(cc)
 	c.cfg = ClientConfig{BusyRetries: 2, BusyBackoff: time.Microsecond, Seed: 1}
-	sess, err := c.OpenSpec("tage-16K")
+	sess, err := c.OpenSession(OpenRequest{Spec: "tage-16K"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +432,7 @@ func TestServerShedsUnderOverload(t *testing.T) {
 	}
 	defer c.Close()
 	c.cfg.BusyRetries = -1 // surface the first shed, no internal retry
-	sess, err := c.OpenSpec("tage-16K")
+	sess, err := c.OpenSession(OpenRequest{Spec: "tage-16K"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +486,7 @@ func TestServerEvictsSlowReader(t *testing.T) {
 	}
 	// The idle conn is still serviceable.
 	ic := NewClient(idle)
-	if _, err := ic.OpenSpec("tage-16K"); err != nil {
+	if _, err := ic.OpenSession(OpenRequest{Spec: "tage-16K"}); err != nil {
 		t.Fatalf("idle connection died with the slow one: %v", err)
 	}
 }

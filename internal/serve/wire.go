@@ -69,6 +69,7 @@ package serve
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -85,24 +86,20 @@ import (
 
 // Frame types. Client→server types are odd, server→client even.
 const (
-	// FrameOpen opens a session: config name (uvarint length + bytes,
-	// empty selects the server default — and, when the options block is
-	// all zero too, the server's default options) followed by the
-	// serialized options (mode byte, denomLog uvarint, bimWindow
-	// svarint, targetMKP float64 LE bits, adaptiveWindow uvarint),
-	// followed by a backend spec (uvarint length + bytes; zero length
-	// means no spec), followed by a session key (uvarint length + bytes;
-	// zero length means anonymous). A non-empty spec selects any
-	// registered backend family and overrides the config/options fields;
+	// FrameOpen opens a session: a backend spec (uvarint length + bytes,
+	// at most predictor.MaxSpecLen; empty selects the server's default
+	// spec) followed by a session key (uvarint length + bytes; empty
+	// means anonymous). The spec may name any registered backend family;
 	// a non-empty key makes the session durable (see OpenRequest.Key).
 	//repro:frame request
 	FrameOpen byte = 0x01
 	// FrameOpened acknowledges FrameOpen with the session id (uvarint),
 	// the branches the session has already served (uvarint; non-zero when
 	// a keyed open resumed a live or checkpointed session — the client's
-	// replay cursor), and the resolved configuration name (uvarint length
-	// + bytes) — canonical even when the request named an alias or relied
-	// on the server default.
+	// replay cursor), the session's automaton mode (one byte; standard
+	// for backends without one), and the resolved backend label (uvarint
+	// length + bytes) — canonical even when the request named an alias or
+	// relied on the server default.
 	//repro:frame response
 	FrameOpened byte = 0x02
 	// FrameBatch streams branches into a session: session id uvarint,
@@ -314,160 +311,132 @@ func uvarint(src []byte) (uint64, int, error) {
 	return v, n, nil
 }
 
-// OpenRequest is the decoded FrameOpen payload.
+// OpenRequest is an open request. Only Spec and Key cross the wire:
+// Config and Options are a typed builder for a TAGE spec, resolved by
+// spec() before the request is encoded or served.
 type OpenRequest struct {
-	// Config names the predictor configuration (tage.ConfigByName); empty
-	// selects the server's default.
+	// Config names a TAGE configuration ("16K", "64K", "256K" or an
+	// alias tage.ConfigByName accepts); empty with non-zero Options
+	// selects 64K. Ignored when Spec is set.
 	Config string
-	// Options configures the estimator exactly as core.NewEstimator.
+	// Options configures the TAGE estimator exactly as
+	// core.NewEstimator. Ignored when Spec is set.
 	Options core.Options
-	// Spec, when non-empty, selects any registered backend family
-	// (predictor.New) and takes precedence over Config/Options — the
-	// spec's own parameters carry the estimator configuration, so
+	// Spec selects any registered backend family (predictor.New), so
 	// heterogeneous sessions (gshare next to TAGE next to perceptron)
-	// share one server.
+	// share one server. A request with no Spec, Config or Options gets
+	// the server's default spec.
 	Spec string
 	// Key, when non-empty, names a durable session: an open with a key
-	// held by a live session resumes that session (the request's
-	// config/options/spec are ignored), an open whose key has a
-	// checkpoint on the server's state dir restores it, and only keyed
-	// sessions are checkpointed. At most maxSessionKey bytes.
+	// held by a live session resumes that session (the request's spec is
+	// ignored), an open whose key has a checkpoint on the server's state
+	// dir restores it, and only keyed sessions are checkpointed. At most
+	// maxSessionKey bytes.
 	Key string
+}
+
+// spec resolves the request to the spec string FrameOpen carries: Spec
+// when set, "" (the server default) for an all-empty request, and
+// otherwise the TAGE spec for Config and Options. An unknown Config
+// passes through unresolved, so the server answers it with
+// ErrCodeBadConfig.
+func (r OpenRequest) spec() string {
+	if r.Spec != "" || r.Config == "" && r.Options == (core.Options{}) {
+		return r.Spec
+	}
+	return predictor.TAGEVariantSpec(cmp.Or(r.Config, "64K"), r.Options)
 }
 
 // AppendOpen appends a complete FrameOpen to dst.
 func AppendOpen(dst []byte, req OpenRequest) []byte {
+	spec := req.spec()
 	start := len(dst)
 	dst = BeginFrame(dst, FrameOpen)
-	dst = binary.AppendUvarint(dst, uint64(len(req.Config)))
-	dst = append(dst, req.Config...)
-	dst = append(dst, byte(req.Options.Mode))
-	dst = binary.AppendUvarint(dst, uint64(req.Options.DenomLog))
-	dst = binary.AppendVarint(dst, int64(req.Options.BimWindow))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(req.Options.TargetMKP))
-	dst = binary.AppendUvarint(dst, req.Options.AdaptiveWindow)
-	dst = binary.AppendUvarint(dst, uint64(len(req.Spec)))
-	dst = append(dst, req.Spec...)
+	dst = binary.AppendUvarint(dst, uint64(len(spec)))
+	dst = append(dst, spec...)
 	dst = binary.AppendUvarint(dst, uint64(len(req.Key)))
 	dst = append(dst, req.Key...)
 	return EndFrame(dst, start)
 }
 
-// DecodeOpen decodes a FrameOpen payload.
+// DecodeOpen decodes a FrameOpen payload into a request carrying only
+// Spec and Key. It checks lengths alone: whether the spec names a
+// buildable backend is predictor.New's job on the serving side.
 func DecodeOpen(payload []byte) (OpenRequest, error) {
-	var req OpenRequest
-	nameLen, n, err := uvarint(payload)
+	spec, payload, err := lenPrefixed(payload, maxSpecLen, "spec")
 	if err != nil {
-		return req, fmt.Errorf("config name length: %w", err)
+		return OpenRequest{}, err
 	}
-	payload = payload[n:]
-	if nameLen > maxConfigName || nameLen > uint64(len(payload)) {
-		return req, fmt.Errorf("%w: config name length %d", ErrProtocol, nameLen)
-	}
-	req.Config = string(payload[:nameLen])
-	payload = payload[nameLen:]
-	if len(payload) < 1 {
-		return req, fmt.Errorf("%w: missing mode", ErrProtocol)
-	}
-	mode := core.AutomatonMode(payload[0])
-	payload = payload[1:]
-	if mode > core.ModeAdaptive {
-		return req, fmt.Errorf("%w: invalid mode %d", ErrProtocol, mode)
-	}
-	req.Options.Mode = mode
-	denomLog, n, err := uvarint(payload)
+	key, payload, err := lenPrefixed(payload, maxSessionKey, "session key")
 	if err != nil {
-		return req, fmt.Errorf("denomLog: %w", err)
+		return OpenRequest{}, err
 	}
-	payload = payload[n:]
-	if denomLog > 62 {
-		return req, fmt.Errorf("%w: denomLog %d out of range", ErrProtocol, denomLog)
-	}
-	req.Options.DenomLog = uint(denomLog)
-	window, n := binary.Varint(payload)
-	if n <= 0 {
-		return req, fmt.Errorf("%w: bimWindow: truncated varint", ErrProtocol)
-	}
-	payload = payload[n:]
-	if window > math.MaxInt32 || window < math.MinInt32 {
-		return req, fmt.Errorf("%w: bimWindow %d out of range", ErrProtocol, window)
-	}
-	req.Options.BimWindow = int(window)
-	if len(payload) < 8 {
-		return req, fmt.Errorf("%w: missing targetMKP", ErrProtocol)
-	}
-	req.Options.TargetMKP = math.Float64frombits(binary.LittleEndian.Uint64(payload))
-	payload = payload[8:]
-	adaptiveWindow, n, err := uvarint(payload)
-	if err != nil {
-		return req, fmt.Errorf("adaptiveWindow: %w", err)
-	}
-	payload = payload[n:]
-	req.Options.AdaptiveWindow = adaptiveWindow
-	specLen, n, err := uvarint(payload)
-	if err != nil {
-		return req, fmt.Errorf("spec length: %w", err)
-	}
-	payload = payload[n:]
-	if specLen > maxSpecLen || specLen > uint64(len(payload)) {
-		return req, fmt.Errorf("%w: spec length %d", ErrProtocol, specLen)
-	}
-	req.Spec = string(payload[:specLen])
-	payload = payload[specLen:]
-	keyLen, n, err := uvarint(payload)
-	if err != nil {
-		return req, fmt.Errorf("key length: %w", err)
-	}
-	payload = payload[n:]
-	if keyLen > maxSessionKey || keyLen > uint64(len(payload)) {
-		return req, fmt.Errorf("%w: session key length %d", ErrProtocol, keyLen)
-	}
-	req.Key = string(payload[:keyLen])
-	payload = payload[keyLen:]
 	if len(payload) != 0 {
-		return req, fmt.Errorf("%w: %d trailing bytes after open request", ErrProtocol, len(payload))
+		return OpenRequest{}, fmt.Errorf("%w: %d trailing bytes after open request", ErrProtocol, len(payload))
 	}
-	if f := req.Options.TargetMKP; math.IsNaN(f) || math.IsInf(f, 0) || f < 0 {
-		return req, fmt.Errorf("%w: targetMKP %v not a finite non-negative value", ErrProtocol, f)
-	}
-	return req, nil
+	return OpenRequest{Spec: spec, Key: key}, nil
 }
 
-// AppendOpened appends a complete FrameOpened to dst. branches is the
+// lenPrefixed decodes one uvarint-length-prefixed string of at most
+// limit bytes and returns it with the rest of src.
+func lenPrefixed(src []byte, limit uint64, what string) (string, []byte, error) {
+	n, k, err := uvarint(src)
+	if err != nil {
+		return "", nil, fmt.Errorf("%s length: %w", what, err)
+	}
+	src = src[k:]
+	if n > limit || n > uint64(len(src)) {
+		return "", nil, fmt.Errorf("%w: %s length %d", ErrProtocol, what, n)
+	}
+	return string(src[:n]), src[n:], nil
+}
+
+// Opened is the decoded FrameOpened payload.
+type Opened struct {
+	ID       uint64
+	Branches uint64
+	Mode     core.AutomatonMode
+	Config   string
+}
+
+// AppendOpened appends a complete FrameOpened to dst. Branches is the
 // session's already-served branch count (0 for a fresh session).
-func AppendOpened(dst []byte, sessionID uint64, config string, branches uint64) []byte {
+func AppendOpened(dst []byte, o Opened) []byte {
 	start := len(dst)
 	dst = BeginFrame(dst, FrameOpened)
-	dst = binary.AppendUvarint(dst, sessionID)
-	dst = binary.AppendUvarint(dst, branches)
-	dst = binary.AppendUvarint(dst, uint64(len(config)))
-	dst = append(dst, config...)
+	dst = binary.AppendUvarint(dst, o.ID)
+	dst = binary.AppendUvarint(dst, o.Branches)
+	dst = append(dst, byte(o.Mode))
+	dst = binary.AppendUvarint(dst, uint64(len(o.Config)))
+	dst = append(dst, o.Config...)
 	return EndFrame(dst, start)
 }
 
-// DecodeOpened decodes a FrameOpened payload into the session id, the
-// server-resolved configuration name, and the session's already-served
-// branch count.
-func DecodeOpened(payload []byte) (id uint64, config string, branches uint64, err error) {
+// DecodeOpened decodes a FrameOpened payload.
+func DecodeOpened(payload []byte) (Opened, error) {
+	var o Opened
 	id, n, err := uvarint(payload)
 	if err != nil {
-		return 0, "", 0, fmt.Errorf("opened session id: %w", err)
+		return o, fmt.Errorf("opened session id: %w", err)
 	}
 	payload = payload[n:]
-	branches, n, err = uvarint(payload)
+	branches, n, err := uvarint(payload)
 	if err != nil {
-		return 0, "", 0, fmt.Errorf("opened branches: %w", err)
+		return o, fmt.Errorf("opened branches: %w", err)
 	}
 	payload = payload[n:]
-	nameLen, n, err := uvarint(payload)
+	if len(payload) < 1 || core.AutomatonMode(payload[0]) > core.ModeAdaptive {
+		return o, fmt.Errorf("%w: opened mode missing or invalid", ErrProtocol)
+	}
+	mode := core.AutomatonMode(payload[0])
+	config, payload, err := lenPrefixed(payload[1:], maxConfigName, "opened config")
 	if err != nil {
-		return 0, "", 0, fmt.Errorf("opened config length: %w", err)
+		return o, err
 	}
-	payload = payload[n:]
-	if nameLen > maxConfigName || nameLen != uint64(len(payload)) {
-		return 0, "", 0, fmt.Errorf("%w: opened config length %d", ErrProtocol, nameLen)
+	if len(payload) != 0 {
+		return o, fmt.Errorf("%w: %d trailing bytes after opened", ErrProtocol, len(payload))
 	}
-	return id, string(payload), branches, nil
+	return Opened{ID: id, Branches: branches, Mode: mode, Config: config}, nil
 }
 
 // AppendSnapGet appends a complete FrameSnapGet to dst.

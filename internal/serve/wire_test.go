@@ -41,15 +41,15 @@ func readOne(t *testing.T, raw []byte) (byte, []byte) {
 	return typ, payload
 }
 
+// TestOpenRoundTrip pins that FrameOpen carries only a spec and a key:
+// spec requests round-trip verbatim, and a Config/Options request
+// crosses the wire as the TAGE spec it resolves to.
 func TestOpenRoundTrip(t *testing.T) {
 	for _, req := range []OpenRequest{
 		{},
-		{Config: "64K"},
-		{Config: "16K", Options: core.Options{Mode: core.ModeProbabilistic, DenomLog: 9}},
-		{Config: "256K", Options: core.Options{
-			Mode: core.ModeAdaptive, DenomLog: 7, BimWindow: -1,
-			TargetMKP: 12.5, AdaptiveWindow: 8192,
-		}},
+		{Spec: "gshare-64K?hist=13"},
+		{Spec: "tage-16K", Key: "trace/INT-1#0"},
+		{Key: "default-spec"},
 	} {
 		frame := AppendOpen(nil, req)
 		typ, payload := readOne(t, frame)
@@ -64,17 +64,65 @@ func TestOpenRoundTrip(t *testing.T) {
 			t.Fatalf("round trip: got %+v want %+v", got, req)
 		}
 	}
+	req := OpenRequest{Options: core.Options{Mode: core.ModeAdaptive, TargetMKP: 12.5}, Key: "k"}
+	got, err := DecodeOpen(framePayload(t, AppendOpen(nil, req)))
+	if want := (OpenRequest{Spec: "tage-64K?mkp=12.5&mode=adaptive", Key: "k"}); err != nil || got != want {
+		t.Fatalf("options-only request crossed as %+v (%v), want %+v", got, err, want)
+	}
+}
+
+// legacyOpenFrame builds a FrameOpen in the layout that predates
+// spec-only opens: config name, mode byte, denomLog uvarint, bimWindow
+// varint, targetMKP float64 bits, adaptiveWindow uvarint, spec, key.
+func legacyOpenFrame(config string, opts core.Options, spec, key string) []byte {
+	dst := BeginFrame(nil, FrameOpen)
+	dst = binary.AppendUvarint(dst, uint64(len(config)))
+	dst = append(dst, config...)
+	dst = append(dst, byte(opts.Mode))
+	dst = binary.AppendUvarint(dst, uint64(opts.DenomLog))
+	dst = binary.AppendVarint(dst, int64(opts.BimWindow))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(opts.TargetMKP))
+	dst = binary.AppendUvarint(dst, opts.AdaptiveWindow)
+	dst = binary.AppendUvarint(dst, uint64(len(spec)))
+	dst = append(dst, spec...)
+	dst = binary.AppendUvarint(dst, uint64(len(key)))
+	dst = append(dst, key...)
+	return EndFrame(dst, 0)
+}
+
+// TestDecodeOpenRejects pins DecodeOpen's only checks — spec length, key
+// length, trailing bytes — and that a pre-change FrameOpen fails with
+// ErrProtocol instead of decoding as some other spec or key.
+func TestDecodeOpenRejects(t *testing.T) {
+	lenPrefixed := func(n int) []byte {
+		return append(binary.AppendUvarint(nil, uint64(n)), bytes.Repeat([]byte{'a'}, n)...)
+	}
+	for _, c := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"legacy-default", framePayload(t, legacyOpenFrame("", core.Options{}, "", ""))},
+		{"legacy-config", framePayload(t, legacyOpenFrame("64K", core.Options{Mode: core.ModeAdaptive, TargetMKP: 10}, "", ""))},
+		{"legacy-spec-key", framePayload(t, legacyOpenFrame("", core.Options{}, "tage-16K", "trace/INT-1#0"))},
+		{"spec-too-long", append(lenPrefixed(maxSpecLen+1), 0)},
+		{"key-too-long", append([]byte{0}, lenPrefixed(maxSessionKey+1)...)},
+		{"trailing", append(framePayload(t, AppendOpen(nil, OpenRequest{Spec: "tage-16K"})), 0)},
+	} {
+		got, err := DecodeOpen(c.payload)
+		if !errors.Is(err, ErrProtocol) || got != (OpenRequest{}) {
+			t.Errorf("%s: decoded %+v, err %v; want ErrProtocol and no request", c.name, got, err)
+		}
+	}
 }
 
 func TestOpenedRoundTrip(t *testing.T) {
-	frame := AppendOpened(nil, 1234567, "64Kbits", 987654)
-	typ, payload := readOne(t, frame)
+	want := Opened{ID: 1234567, Branches: 987654, Mode: core.ModeAdaptive, Config: "64Kbits"}
+	typ, payload := readOne(t, AppendOpened(nil, want))
 	if typ != FrameOpened {
 		t.Fatalf("type %#02x", typ)
 	}
-	id, config, branches, err := DecodeOpened(payload)
-	if err != nil || id != 1234567 || config != "64Kbits" || branches != 987654 {
-		t.Fatalf("got id=%d config=%q branches=%d err=%v", id, config, branches, err)
+	if got, err := DecodeOpened(payload); err != nil || got != want {
+		t.Fatalf("got %+v err=%v, want %+v", got, err, want)
 	}
 }
 
@@ -260,10 +308,12 @@ func TestDecodeTruncations(t *testing.T) {
 	}{
 		{"open", payloadOf(AppendOpen(nil, OpenRequest{Config: "64K", Options: core.Options{Mode: core.ModeAdaptive, TargetMKP: 5}})),
 			func(p []byte) error { _, err := DecodeOpen(p); return err }},
+		{"open-default", payloadOf(AppendOpen(nil, OpenRequest{})),
+			func(p []byte) error { _, err := DecodeOpen(p); return err }},
 		{"open-keyed", payloadOf(AppendOpen(nil, OpenRequest{Spec: "tage-16K", Key: "trace/INT-1#0"})),
 			func(p []byte) error { _, err := DecodeOpen(p); return err }},
-		{"opened", payloadOf(AppendOpened(nil, 42, "64Kbits", 77)),
-			func(p []byte) error { _, _, _, err := DecodeOpened(p); return err }},
+		{"opened", payloadOf(AppendOpened(nil, Opened{ID: 42, Branches: 77, Mode: core.ModeProbabilistic, Config: "64Kbits"})),
+			func(p []byte) error { _, err := DecodeOpened(p); return err }},
 		{"snapget", payloadOf(AppendSnapGet(nil, 42)),
 			func(p []byte) error { _, err := DecodeSnapGet(p); return err }},
 		{"snap", payloadOf(AppendSnap(nil, 42, []byte("blobby"))),

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/predictor"
 	"repro/internal/tage"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -43,7 +44,7 @@ func TestBinaryAndClassDriversAgree(t *testing.T) {
 // per-trace results.
 func TestSuiteAggregateEqualsManualSum(t *testing.T) {
 	traces := workload.CBP1()[:4]
-	sr, err := RunSuite(tage.Small16K(), core.Options{}, traces, 15000)
+	sr, err := RunSuiteSpec(predictor.TAGESpec(tage.Small16K(), core.Options{}), traces, 15000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestHeterogeneousJobsParallelMatchesSerial(t *testing.T) {
 func TestFreshEstimatorPerTrace(t *testing.T) {
 	a, _ := workload.ByName("FP-1")
 	b, _ := workload.ByName("MM-1")
-	suite, err := RunSuite(tage.Small16K(), core.Options{}, []trace.Trace{a, b}, 20000)
+	suite, err := RunSuiteSpec(predictor.TAGESpec(tage.Small16K(), core.Options{}), []trace.Trace{a, b}, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,27 +144,11 @@ func (s SuiteRunner) RunJobs(jobs []Job) ([]Result, error) {
 	return out, nil
 }
 
-// RunSuite is the parallel counterpart of the package-level RunSuite: a
-// fresh estimator per trace, per-trace results in trace order, and the
+// RunSuiteSpec runs a suite: a fresh backend built from the spec per
+// trace (predictor state never leaks across traces, as in the
+// championship framework), per-trace results in trace order, and the
 // aggregate accumulated in trace order (bit-identical to the serial
 // aggregate).
-func (s SuiteRunner) RunSuite(cfg tage.Config, opts core.Options, traces []trace.Trace, limit uint64) (SuiteResult, error) {
-	jobs := make([]Job, len(traces))
-	for i, tr := range traces {
-		jobs[i] = Job{Cfg: cfg, Opts: opts, Trace: tr, Limit: limit}
-	}
-	per, err := s.RunJobs(jobs)
-	if err != nil {
-		return SuiteResult{}, err
-	}
-	return AssembleSuite(cfg.Name, opts.Mode, per), nil
-}
-
-// RunSuiteSpec is the backend-agnostic counterpart of RunSuite: a fresh
-// backend built from the spec per trace (state never leaks across
-// traces), per-trace results in trace order, deterministic aggregate.
-// For TAGE specs the output is bit-identical to RunSuite over the
-// equivalent (Config, Options) pair.
 func (s SuiteRunner) RunSuiteSpec(sp predictor.Spec, traces []trace.Trace, limit uint64) (SuiteResult, error) {
 	// Build one probe instance up front: it validates the spec once
 	// (before any worker runs) and supplies the aggregate's label/mode.
@@ -188,7 +172,8 @@ func (s SuiteRunner) RunSuiteSpec(sp predictor.Spec, traces []trace.Trace, limit
 }
 
 // RunSuiteSpec runs a suite over the spec's backend with the serial
-// reference runner.
+// reference runner. A TAGE (Config, Options) pair runs as
+// RunSuiteSpec(predictor.TAGESpec(cfg, opts), ...).
 func RunSuiteSpec(sp predictor.Spec, traces []trace.Trace, limit uint64) (SuiteResult, error) {
 	return Serial.RunSuiteSpec(sp, traces, limit)
 }

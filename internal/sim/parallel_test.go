@@ -8,24 +8,25 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/predictor"
 	"repro/internal/tage"
 	"repro/internal/workload"
 )
 
 // TestParallelSuiteBitIdenticalToSerial is the determinism contract of the
-// sharded engine: for every automaton mode, a multi-worker RunSuite must
+// sharded engine: for every automaton mode, a multi-worker RunSuiteSpec must
 // produce exactly the same SuiteResult — per-trace results, aggregate
 // counts, and final float fields — as the serial reference path.
 func TestParallelSuiteBitIdenticalToSerial(t *testing.T) {
 	traces := workload.CBP1()[:6]
 	for _, mode := range []core.AutomatonMode{core.ModeStandard, core.ModeProbabilistic, core.ModeAdaptive} {
 		opts := core.Options{Mode: mode}
-		serial, err := RunSuite(tage.Small16K(), opts, traces, 20000)
+		serial, err := RunSuiteSpec(predictor.TAGESpec(tage.Small16K(), opts), traces, 20000)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 3, 8} {
-			par, err := SuiteRunner{Workers: workers}.RunSuite(tage.Small16K(), opts, traces, 20000)
+			par, err := SuiteRunner{Workers: workers}.RunSuiteSpec(predictor.TAGESpec(tage.Small16K(), opts), traces, 20000)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -158,8 +158,8 @@ func RunConfig(cfg tage.Config, opts core.Options, tr trace.Trace, limit uint64)
 }
 
 // RunSpec builds a fresh backend from the spec and runs it over tr. For
-// TAGE specs this is bit-identical to RunConfig over the equivalent
-// (Config, Options) pair.
+// TAGE specs this is bit-identical to RunConfig over the (Config,
+// Options) pair the spec encodes (predictor.TAGESpec).
 func RunSpec(sp predictor.Spec, tr trace.Trace, limit uint64) (Result, error) {
 	b, err := predictor.Build(sp)
 	if err != nil {
@@ -174,13 +174,6 @@ func RunSpec(sp predictor.Spec, tr trace.Trace, limit uint64) (Result, error) {
 type SuiteResult struct {
 	PerTrace  []Result
 	Aggregate Result
-}
-
-// RunSuite runs a fresh estimator per trace (predictor state never leaks
-// across traces, as in the championship framework) with the serial
-// reference runner.
-func RunSuite(cfg tage.Config, opts core.Options, traces []trace.Trace, limit uint64) (SuiteResult, error) {
-	return Serial.RunSuite(cfg, opts, traces, limit)
 }
 
 // AssembleSuite builds a SuiteResult from per-trace results, accumulating

@@ -93,7 +93,7 @@ func TestCoverageAccessors(t *testing.T) {
 
 func TestRunSuiteAggregates(t *testing.T) {
 	traces := []trace.Trace{workload.CBP1()[0], workload.CBP1()[5]}
-	sr, err := RunSuite(tage.Small16K(), core.Options{}, traces, 20000)
+	sr, err := RunSuiteSpec(predictor.TAGESpec(tage.Small16K(), core.Options{}), traces, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}

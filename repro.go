@@ -34,10 +34,10 @@
 // See the examples/ directory for runnable programs and cmd/reprotables
 // for regenerating every table and figure of the paper.
 //
-// # Migration from the Config+Options constructors
+// # Config+Options as spec builders
 //
-// The original constructors remain as thin wrappers and stay
-// bit-identical; the spec grammar is the primary path:
+// A spec is the one construction path. The typed Config+Options
+// constructors remain as builders over it and stay bit-identical:
 //
 //	NewEstimator(Medium64K(), Options{})                      → New("tage-64K")
 //	NewEstimator(Small16K(), Options{Mode: ModeProbabilistic}) → New("tage-16K?mode=probabilistic")
@@ -63,13 +63,14 @@
 //	go srv.ListenAndServe()
 //	...
 //	c, _ := repro.DialServer("localhost:7421")
-//	sess, _ := c.OpenSpec("tage-64K?mode=probabilistic")
+//	sess, _ := c.OpenSession(repro.ServeOpenRequest{Spec: "tage-64K?mode=probabilistic"})
 //	grades, _ := sess.Predict(batch) // []Grade: Pred, Class, Level
 //	res, _ := sess.Close()           // per-class tallies == offline Run
 //
-// Sessions are heterogeneous: each OpenSpec may name any registered
-// backend ("gshare-64K" next to TAGE next to "perceptron" on one
-// server), and /metrics reports per-backend counters.
+// Sessions are heterogeneous: each open request names its backend by
+// spec ("gshare-64K" next to TAGE next to "perceptron" on one server),
+// the spec is the only predictor field on the wire, and /metrics
+// reports per-backend counters.
 //
 // cmd/tageload is the matching load generator (throughput, tail latency,
 // per-level breakdown over the workload suites); the server exposes
@@ -78,6 +79,7 @@ package repro
 
 import (
 	"repro/internal/core"
+	"repro/internal/predictor"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/tage"
@@ -173,8 +175,8 @@ func StandardConfigs() []Config { return tage.StandardConfigs() }
 func ConfigByName(name string) (Config, error) { return tage.ConfigByName(name) }
 
 // NewEstimator builds a predictor plus storage-free confidence
-// estimator. It is the legacy TAGE construction path; New("tage-...")
-// builds the identical estimator from a spec string.
+// estimator from typed fields; New with the equivalent "tage-..." spec
+// builds the identical estimator.
 func NewEstimator(cfg Config, opts Options) *Estimator {
 	return core.NewEstimator(cfg, opts)
 }
@@ -202,9 +204,10 @@ func Run(b Backend, tr Trace, limit uint64) (Result, error) {
 	return sim.Run(b, tr, limit)
 }
 
-// RunSuite simulates a fresh estimator per trace and aggregates.
+// RunSuite simulates a fresh estimator per trace and aggregates: a
+// typed builder for RunSuiteSpec over predictor.TAGESpec(cfg, opts).
 func RunSuite(cfg Config, opts Options, traces []Trace, limit uint64) (SuiteResult, error) {
-	return sim.RunSuite(cfg, opts, traces, limit)
+	return sim.RunSuiteSpec(predictor.TAGESpec(cfg, opts), traces, limit)
 }
 
 // Classes lists the seven classes in display order.
