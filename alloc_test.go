@@ -35,8 +35,11 @@ func TestPredictUpdateZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []AutomatonMode{ModeStandard, ModeProbabilistic, ModeAdaptive} {
-		est := NewEstimator(Small16K(), Options{Mode: mode})
+	for _, spec := range []string{"tage-16K", "tage-16K?mode=probabilistic", "tage-16K?mode=adaptive"} {
+		est, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
 		// Warm the predictor so allocation-time growth (none is expected,
 		// but e.g. map-backed designs would hide behind a cold start) is
 		// behind us before measuring.
@@ -52,7 +55,7 @@ func TestPredictUpdateZeroAllocs(t *testing.T) {
 			est.Update(br.PC, br.Taken)
 		})
 		if allocs != 0 {
-			t.Fatalf("mode %v: %v allocs per predicted branch, want 0", mode, allocs)
+			t.Fatalf("%s: %v allocs per predicted branch, want 0", spec, allocs)
 		}
 	}
 }
@@ -200,9 +203,8 @@ func TestServeHotPathZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess, err := eng.Open(serve.OpenRequest{
-		Config:  "16K",
-		Options: Options{Mode: ModeProbabilistic},
-		Key:     "alloc/hot-path",
+		Spec: "tage-16K?mode=probabilistic",
+		Key:  "alloc/hot-path",
 	}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +296,7 @@ func TestClientPredictZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	sess, err := c.Open("16K", Options{Mode: ModeProbabilistic})
+	sess, err := c.OpenSession(serve.OpenRequest{Spec: "tage-16K?mode=probabilistic"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,9 +331,8 @@ func TestSessionSnapshotZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess, err := serve.NewEngine(serve.EngineConfig{}).Open(serve.OpenRequest{
-		Config:  "64K",
-		Options: Options{Mode: ModeProbabilistic},
-		Key:     "alloc/snapshot",
+		Spec: "tage-64K?mode=probabilistic",
+		Key:  "alloc/snapshot",
 	}, 0)
 	if err != nil {
 		t.Fatal(err)

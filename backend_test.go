@@ -9,52 +9,6 @@ import (
 	"repro/internal/workload"
 )
 
-// TestNewMatchesLegacyConstructor pins the facade redesign's core
-// guarantee: New(spec, opts...) builds estimators bit-identical to the
-// legacy NewEstimator(Config, Options) path.
-func TestNewMatchesLegacyConstructor(t *testing.T) {
-	tr, err := TraceByName("INT-3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const limit = 15_000
-	cases := []struct {
-		name   string
-		spec   string
-		opts   []Option
-		cfg    Config
-		legacy Options
-	}{
-		{"plain-64K", "tage-64K", nil, Medium64K(), Options{}},
-		{"prob-16K", "tage-16K?mode=probabilistic", nil, Small16K(), Options{Mode: ModeProbabilistic}},
-		{"opt-mode", "tage-16K", []Option{WithMode(ModeProbabilistic)}, Small16K(), Options{Mode: ModeProbabilistic}},
-		{"opt-adaptive", "tage-256K", []Option{WithMode(ModeAdaptive), WithTargetMKP(4), WithAdaptiveWindow(8192)},
-			Large256K(), Options{Mode: ModeAdaptive, TargetMKP: 4, AdaptiveWindow: 8192}},
-		{"opt-window", "tage-64K", []Option{WithBimWindow(-1)}, Medium64K(), Options{BimWindow: -1}},
-		{"opt-seed", "tage-16K", []Option{WithSeed(77)},
-			func() Config { c := Small16K(); c.Seed = 77; return c }(), Options{}},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			b, err := New(c.spec, c.opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			viaSpec, err := Run(b, tr, limit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			legacy, err := Run(NewEstimator(c.cfg, c.legacy), tr, limit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if viaSpec != legacy {
-				t.Fatalf("spec path diverged from legacy constructor:\nspec   %+v\nlegacy %+v", viaSpec, legacy)
-			}
-		})
-	}
-}
-
 // TestFacadeBackends exercises the registry surface through the facade:
 // listing, parsing, running non-TAGE backends, and error quality.
 func TestFacadeBackends(t *testing.T) {
@@ -75,7 +29,11 @@ func TestFacadeBackends(t *testing.T) {
 			t.Fatalf("%s: ran %d branches", spec, res.Branches)
 		}
 	}
-	sr, err := RunSuiteSpec("gshare-16K", CBP1()[:3], 4_000)
+	cbp1, err := Suite("cbp1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := RunSuiteSpec("gshare-16K", cbp1[:3], 4_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +46,7 @@ func TestFacadeBackends(t *testing.T) {
 	if _, err := ParseSpec("tage?x=="); err == nil {
 		t.Fatal("malformed spec parsed")
 	}
-	// Options canonicalize into the spec (the built backend's label
-	// reflects them).
+	// Parameters canonicalize into sorted key order.
 	sp, err := ParseSpec("tage-16K?mode=adaptive&mkp=4")
 	if err != nil {
 		t.Fatal(err)

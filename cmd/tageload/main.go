@@ -1,12 +1,12 @@
 // Command tageload is the load generator for tageserved: it replays the
 // synthetic workload suites over N concurrent connections and reports
 // throughput, tail latency and the per-level confidence breakdown.
-// Sessions open any registered backend through the shared -backend flag.
+// Sessions open the registered backend the -backend spec names.
 //
 // Usage:
 //
 //	tageload -addr localhost:7421 -suite cbp1 -conns 8
-//	tageload -addr localhost:7421 -trace 300.twolf -config 16K -mode adaptive
+//	tageload -addr localhost:7421 -trace 300.twolf -backend "tage-16K?mode=adaptive"
 //	tageload -addr localhost:7421 -backend gshare-64K -suite cbp2
 //	tageload -addr localhost:7421 -duration 2s -conns 4
 //
@@ -52,7 +52,7 @@ import (
 
 func main() {
 	var (
-		bf        = predictor.AddBackendFlags(flag.CommandLine, "64K", "probabilistic")
+		spec      = flag.String("backend", "tage-64K?mode=probabilistic", "backend spec each session opens, e.g. tage-16K?mode=adaptive, gshare-64K, perceptron")
 		addr      = flag.String("addr", "localhost:7421", "tageserved wire-protocol address")
 		suiteName = flag.String("suite", "cbp1", "suite to replay: cbp1, cbp2 or all")
 		traceName = flag.String("trace", "", "replay a single trace instead of a suite")
@@ -91,15 +91,11 @@ func main() {
 		clientCfg.BusyRetries = *retries
 	}
 
-	spec, err := bf.Spec()
-	if err != nil {
-		fatal("tageload: bad backend flags", "err", err)
-	}
-	sp, err := predictor.Parse(spec)
+	sp, err := predictor.Parse(*spec)
 	if err != nil {
 		fatal("tageload: bad backend spec", "err", err)
 	}
-	req := serve.OpenRequest{Spec: spec}
+	req := serve.OpenRequest{Spec: *spec}
 	var traces []trace.Trace
 	if *traceName != "" {
 		tr, err := workload.ByName(*traceName)

@@ -7,13 +7,12 @@
 // Usage:
 //
 //	tageserved -addr :7421 -metrics :7422
-//	tageserved -config 16K -mode adaptive -shards 32 -max-sessions 10000
+//	tageserved -backend "tage-16K?mode=adaptive" -shards 32 -max-sessions 10000
 //	tageserved -backend gshare-64K
 //
-// The -backend flag (or -config/-mode/-window, which build a TAGE
-// spec) sets the default spec: the predictor a session gets when its
-// open request names no backend. Clients may request any registered
-// backend per session.
+// The -backend flag sets the default spec: the predictor a session gets
+// when its open request names no backend. Clients may request any
+// registered backend per session.
 //
 // With -state-dir, keyed sessions are durable: their state is
 // checkpointed to the directory every -checkpoint-interval (and on
@@ -50,7 +49,7 @@ import (
 
 func main() {
 	var (
-		bf          = predictor.AddBackendFlags(flag.CommandLine, "64K", "probabilistic")
+		defaultSpec = flag.String("backend", "tage-64K?mode=probabilistic", "default backend spec for sessions whose open request names none, e.g. tage-16K?mode=adaptive, gshare-64K")
 		addr        = flag.String("addr", ":7421", "wire-protocol TCP listen address")
 		metricsAddr = flag.String("metrics", "", "HTTP listen address for /metrics, /livez, /readyz and /debug/events (empty = disabled)")
 		debugAddr   = flag.String("debug-addr", "", "HTTP listen address for pprof profiling endpoints (empty = disabled)")
@@ -92,11 +91,7 @@ func main() {
 
 	// Validate the default spec up front so a typo fails at startup, not
 	// on the first open request.
-	defaultSpec, err := bf.Spec()
-	if err != nil {
-		fatal(err)
-	}
-	if _, _, err := predictor.New(defaultSpec); err != nil {
+	if _, _, err := predictor.New(*defaultSpec); err != nil {
 		fatal(err)
 	}
 
@@ -113,7 +108,7 @@ func main() {
 			Shards:      *shards,
 			MaxSessions: *maxSessions,
 			MaxInflight: *maxInflight,
-			DefaultSpec: defaultSpec,
+			DefaultSpec: *defaultSpec,
 		},
 	})
 	if *stateDir != "" {

@@ -1,12 +1,12 @@
 // Command tagesim runs a branch predictor over a synthetic trace or a
 // whole suite and reports accuracy with the confidence-class breakdown.
-// Any registered backend runs through the shared -backend flag; the
-// -config/-mode/-window flags build a TAGE spec.
+// The -backend flag names the predictor by spec; any registered backend
+// runs.
 //
 // Usage:
 //
-//	tagesim -config 64K -trace 300.twolf
-//	tagesim -config 16K -suite cbp1 -mode probabilistic -branches 200000
+//	tagesim -trace 300.twolf
+//	tagesim -backend "tage-16K?mode=probabilistic" -suite cbp1 -branches 200000
 //	tagesim -backend gshare-64K -suite cbp2
 //	tagesim -backend "tage-16K?mode=adaptive&mkp=4" -trace 181.mcf
 //	tagesim -list
@@ -29,13 +29,13 @@ import (
 
 func main() {
 	var (
-		bf        = predictor.AddBackendFlags(flag.CommandLine, "64K", "standard")
+		spec      = flag.String("backend", "tage-64K", "backend spec, e.g. tage-16K?mode=adaptive, gshare-64K, perceptron (see -list)")
 		traceName = flag.String("trace", "", "single trace to simulate (see -list)")
 		suiteName = flag.String("suite", "", "suite to simulate: cbp1, cbp2 or all")
 		branches  = flag.Uint64("branches", 0, "branch records per trace (0 = full trace)")
 		parallel  = flag.Int("parallel", 0, "simulation workers for suite runs (0 = GOMAXPROCS, 1 = serial)")
 		timings   = flag.Bool("timings", false, "report per-trace wall-time quantiles for suite runs")
-		list      = flag.Bool("list", false, "list available backends, configurations and traces, then exit")
+		list      = flag.Bool("list", false, "list available backends and traces, then exit")
 	)
 	flag.Parse()
 
@@ -48,17 +48,12 @@ func main() {
 			}
 			fmt.Printf("  %-11s %s\n              %s; params: %s\n", f.Name, f.Summary, variants, f.ParamsHelp)
 		}
-		fmt.Println("configurations (-config): 16K, 64K, 256K")
 		fmt.Println("suites: cbp1, cbp2, all")
 		fmt.Printf("traces: %s\n", strings.Join(workload.TraceNames(), ", "))
 		return
 	}
 
-	spec, err := bf.Spec()
-	if err != nil {
-		fatal(err)
-	}
-	probe, sp, err := predictor.New(spec)
+	probe, sp, err := predictor.New(*spec)
 	if err != nil {
 		fatal(err)
 	}

@@ -4,11 +4,10 @@
 // the runtime pins only catch after the fact. See PERF.md "Static
 // invariants" for the directive conventions.
 //
-// Standalone (the CI entry point):
+// Usage:
 //
 //	go run ./cmd/tagevet ./...
 //	go run ./cmd/tagevet -test=false ./internal/serve
-//	go run ./cmd/tagevet -json ./...   // machine-readable findings
 //	go run ./cmd/tagevet -gha ./...    // GitHub Actions ::error lines
 //	go run ./cmd/tagevet -facts ./...  // compiler-facts golden gate
 //
@@ -19,21 +18,12 @@
 // (internal/analysis/compilerfacts/testdata/compilerfacts.golden).
 // UPDATE_FACTS_GOLDEN=1 refreshes the golden in place.
 //
-// As a vet tool (integrates with go vet's per-package driver and build
-// cache):
-//
-//	go build -o /tmp/tagevet ./cmd/tagevet
-//	go vet -vettool=/tmp/tagevet ./...
-//
 // Exit status: 0 when clean, 1 on findings, 2 on internal errors.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -46,60 +36,25 @@ import (
 )
 
 func main() {
-	// go vet -vettool probes the tool before use: -V=full for the build
-	// cache key, -flags for the flag set it may forward.
-	for _, arg := range os.Args[1:] {
-		switch arg {
-		case "-V=full", "--V=full":
-			printVersion()
-			return
-		case "-flags", "--flags":
-			fmt.Println("[]")
-			return
-		}
-	}
-	if len(os.Args) == 2 && strings.HasSuffix(os.Args[1], ".cfg") {
-		os.Exit(runVetTool(os.Args[1]))
-	}
-	os.Exit(runStandalone())
+	os.Exit(run())
 }
 
-// printVersion emits the "<name> version <id>" line go vet's build
-// cache keys vet results by; the id hashes the tool binary so edits to
-// the analyzers invalidate cached verdicts.
-func printVersion() {
-	name := filepath.Base(os.Args[0])
-	id := "unknown"
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			h := sha256.New()
-			if _, err := io.Copy(h, f); err == nil {
-				id = fmt.Sprintf("%x", h.Sum(nil)[:12])
-			}
-			f.Close()
-		}
-	}
-	fmt.Printf("%s version tagevet-%s\n", name, id)
-}
-
-// finding is one diagnostic in machine-readable form (the -json
-// schema; stable field names are part of the CI contract).
+// finding is one diagnostic.
 type finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
+	File     string
+	Line     int
+	Col      int
+	Analyzer string
+	Message  string
 }
 
-func runStandalone() int {
+func run() int {
 	fs := flag.NewFlagSet("tagevet", flag.ExitOnError)
 	tests := fs.Bool("test", true, "also analyze packages' test files")
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
 	ghaOut := fs.Bool("gha", false, "emit findings as GitHub Actions ::error annotations")
 	factsMode := fs.Bool("facts", false, "run the compiler-facts golden gate instead of the source analyzers")
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: tagevet [-test=false] [-json] [-gha] [-facts] packages...\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: tagevet [-test=false] [-gha] [-facts] packages...\n\nAnalyzers:\n")
 		for _, a := range suite.All() {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
@@ -165,24 +120,12 @@ func runStandalone() int {
 		}
 		return a.Message < b.Message
 	})
-	return emit(findings, *jsonOut, *ghaOut)
+	return emit(findings, *ghaOut)
 }
 
-// emit writes findings in the selected format and returns the exit
-// status. JSON goes to stdout (it is the payload); text and ::error
-// annotations go to stderr like go vet's own output.
-func emit(findings []finding, jsonOut, ghaOut bool) int {
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if findings == nil {
-			findings = []finding{}
-		}
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintf(os.Stderr, "tagevet: %v\n", err)
-			return 2
-		}
-	}
+// emit writes findings to stderr, like go vet's own output, as plain
+// lines or ::error annotations, and returns the exit status.
+func emit(findings []finding, ghaOut bool) int {
 	for _, f := range findings {
 		if ghaOut {
 			// GitHub annotation paths must be repo-relative for the finding
@@ -195,14 +138,12 @@ func emit(findings []finding, jsonOut, ghaOut bool) int {
 			}
 			fmt.Fprintf(os.Stderr, "::error file=%s,line=%d,col=%d,title=tagevet/%s::%s\n",
 				filepath.ToSlash(file), f.Line, f.Col, f.Analyzer, ghaEscape(f.Message))
-		} else if !jsonOut {
+		} else {
 			fmt.Fprintf(os.Stderr, "%s:%d:%d: %s [%s]\n", f.File, f.Line, f.Col, f.Message, f.Analyzer)
 		}
 	}
 	if len(findings) > 0 {
-		if !jsonOut {
-			fmt.Fprintf(os.Stderr, "tagevet: %d finding(s)\n", len(findings))
-		}
+		fmt.Fprintf(os.Stderr, "tagevet: %d finding(s)\n", len(findings))
 		return 1
 	}
 	return 0
@@ -288,4 +229,22 @@ func runFacts(patterns []string, ghaOut bool) int {
 	}
 	fmt.Fprintf(os.Stderr, "tagevet -facts: %d hotpath function(s) match %s (%s)\n", len(report.Funcs), goldenRelPath, report.GoVersion)
 	return 0
+}
+
+// moduleRoot walks up from dir to the enclosing go.mod.
+func moduleRoot(dir string) string {
+	dir, err := filepath.Abs(dir)
+	if err != nil {
+		return ""
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return dir
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			return ""
+		}
+		dir = parent
+	}
 }

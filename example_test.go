@@ -10,9 +10,15 @@ import (
 	"repro/internal/metrics"
 )
 
-// The three paper configurations have exact storage budgets.
-func ExampleConfig() {
-	for _, cfg := range repro.StandardConfigs() {
+// The three paper configurations, the TAGE spec variants, have exact
+// storage budgets.
+func ExampleNew_configurations() {
+	for _, spec := range []string{"tage-16K", "tage-64K", "tage-256K"} {
+		b, err := repro.New(spec)
+		if err != nil {
+			log.Fatal(err)
+		}
+		cfg := b.(*repro.Estimator).Predictor().Config()
 		fmt.Printf("%s: 1+%d tables, history %d..%d, %d bits\n",
 			cfg.Name, cfg.NumTables(),
 			cfg.HistLengths[0], cfg.HistLengths[len(cfg.HistLengths)-1],
@@ -40,20 +46,13 @@ func ExampleClass_Level() {
 }
 
 // Predicting a branch returns the direction plus its confidence grade.
-// New builds any registered backend from a spec string; functional
-// options are parameter overrides, so both forms below are the same
-// predictor — and both are bit-identical to the typed
-// NewEstimator(Config, Options) constructor.
+// New builds any registered backend from a spec string.
 func ExampleNew() {
 	est, err := repro.New("tage-16K?mode=probabilistic")
 	if err != nil {
 		log.Fatal(err)
 	}
-	same, err := repro.New("tage-16K", repro.WithMode(repro.ModeProbabilistic))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%s == %s\n", est.Label(), same.Label())
+	fmt.Println(est.Label())
 	gs, err := repro.New("gshare-64K")
 	if err != nil {
 		log.Fatal(err)
@@ -61,14 +60,15 @@ func ExampleNew() {
 	pred, _, level := gs.Predict(0x400100)
 	fmt.Printf("%s cold: pred=%v level=%v\n", gs.Label(), pred, level)
 	// Output:
-	// 16Kbits == 16Kbits
+	// 16Kbits
 	// gshare-64K cold: pred=false level=low
 }
 
 func ExampleEstimator() {
-	est := repro.NewEstimator(repro.Small16K(), repro.Options{
-		Mode: repro.ModeProbabilistic,
-	})
+	est, err := repro.New("tage-16K?mode=probabilistic")
+	if err != nil {
+		log.Fatal(err)
+	}
 	pc := uint64(0x400100)
 	// A cold predictor grades its bimodal guess as low confidence (weak
 	// counter).
@@ -105,7 +105,7 @@ func ExampleServer() {
 		log.Fatal(err)
 	}
 	defer c.Close()
-	sess, err := c.Open("16K", repro.Options{Mode: repro.ModeProbabilistic})
+	sess, err := c.OpenSession(repro.ServeOpenRequest{Spec: "tage-16K?mode=probabilistic"})
 	if err != nil {
 		log.Fatal(err)
 	}

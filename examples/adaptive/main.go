@@ -30,11 +30,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		est := repro.NewEstimator(repro.Small16K(), repro.Options{
-			Mode:           repro.ModeAdaptive,
-			AdaptiveWindow: 8192, // smaller window: visible adaptation on short runs
-		})
-		res, err := repro.Run(est, tr, 300000)
+		// awindow=8192, a smaller evaluation window than the default:
+		// visible adaptation on short runs.
+		b, err := repro.New("tage-16K?mode=adaptive&awindow=8192")
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := repro.Run(b, tr, 300000)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -44,7 +46,7 @@ func main() {
 			1/res.FinalProbability,
 			metrics.Pcov(hi, res.Total),
 			hi.MKP(),
-			est.Controller().Adjustments())
+			b.(*repro.Estimator).Controller().Adjustments())
 	}
 
 	fmt.Println()

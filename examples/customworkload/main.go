@@ -7,8 +7,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
-	"repro/internal/tage"
+	"repro"
 	"repro/internal/workload"
 )
 
@@ -46,12 +45,15 @@ func main() {
 		).
 		MustBuild()
 
-	est := core.NewEstimator(tage.Small16K(), core.Options{Mode: core.ModeProbabilistic})
+	est, err := repro.New("tage-16K?mode=probabilistic")
+	if err != nil {
+		log.Fatal(err)
+	}
 	reader := prog.Open()
 
 	type tally struct {
 		preds, misps uint64
-		byClass      [core.NumClasses]uint64
+		byClass      [repro.NumClasses]uint64
 	}
 	perSite := map[uint64]*tally{}
 	for {
@@ -80,14 +82,14 @@ func main() {
 		if t == nil {
 			continue
 		}
-		best := core.Class(0)
-		for c := core.Class(1); c < core.NumClasses; c++ {
+		best := repro.Class(0)
+		for c := repro.Class(1); c < repro.NumClasses; c++ {
 			if t.byClass[c] > t.byClass[best] {
 				best = c
 			}
 		}
 		dist := ""
-		for _, c := range core.Classes() {
+		for _, c := range repro.Classes() {
 			if frac := float64(t.byClass[c]) / float64(t.preds); frac >= 0.05 {
 				dist += fmt.Sprintf("%s=%.0f%% ", c, 100*frac)
 			}

@@ -15,8 +15,6 @@ func main() {
 	// is the paper's 64 Kbit TAGE with the §6 modified automaton
 	// (saturation probability 1/128), which makes the three levels
 	// meaningful: high < 1%, medium ~5-10%, low > 30% misprediction.
-	// (Functional options are equivalent:
-	// repro.New("tage-64K", repro.WithMode(repro.ModeProbabilistic)).)
 	est, err := repro.New("tage-64K?mode=probabilistic")
 	if err != nil {
 		log.Fatal(err)

@@ -39,7 +39,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer c.Close()
-	sess, err := c.Open("16K", repro.Options{Mode: repro.ModeProbabilistic})
+	sess, err := c.OpenSession(repro.ServeOpenRequest{Spec: "tage-16K?mode=probabilistic"})
 	if err != nil {
 		log.Fatal(err)
 	}

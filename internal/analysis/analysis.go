@@ -13,8 +13,8 @@
 // //repro: directive comments (see Directives); the conventions are
 // documented in PERF.md ("Static invariants") and on each analyzer.
 //
-// Drivers: cmd/tagevet runs the whole suite over package patterns
-// (go run ./cmd/tagevet ./...) or as a go vet -vettool.
+// Driver: cmd/tagevet runs the whole suite over package patterns
+// (go run ./cmd/tagevet ./...).
 package analysis
 
 import (

@@ -42,7 +42,7 @@ func (m AutomatonMode) String() string {
 }
 
 // ParseMode resolves a mode name — the single definition of the
-// name-to-mode table every CLI flag parser shares. "prob" and
+// name-to-mode table the spec "mode" parameter uses. "prob" and
 // "modified" are accepted aliases for the §6 probabilistic automaton.
 func ParseMode(name string) (AutomatonMode, error) {
 	switch name {

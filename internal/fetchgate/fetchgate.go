@@ -102,14 +102,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// ThrottleConfig is the fetch-throttling operating point: while the boost
-// is high, fetch narrows to 1 instruction/cycle instead of stalling.
-func ThrottleConfig() Config {
-	c := DefaultConfig()
-	c.ThrottleWidth = 1
-	return c
-}
-
 // Stats reports one front-end run.
 type Stats struct {
 	// Cycles is the total cycle count to consume the trace.

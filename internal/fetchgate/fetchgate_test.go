@@ -217,13 +217,6 @@ func TestUngatedNeverCountsGatedCycles(t *testing.T) {
 	}
 }
 
-func TestThrottleConfigShape(t *testing.T) {
-	c := ThrottleConfig()
-	if c.ThrottleWidth != 1 || c.GateThreshold != DefaultConfig().GateThreshold {
-		t.Fatalf("ThrottleConfig = %+v", c)
-	}
-}
-
 func TestThrottleCountsGatedCycles(t *testing.T) {
 	// Throttled cycles still count as gated (they ran at reduced width).
 	tr, _ := workload.ByName("300.twolf")

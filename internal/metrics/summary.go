@@ -71,18 +71,6 @@ func Percentile(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
-// CountBelow reports how many values are strictly below the threshold —
-// the paper's "24 out of 40 traces exhibit less than 1 MKP" phrasing.
-func CountBelow(values []float64, threshold float64) int {
-	n := 0
-	for _, v := range values {
-		if v < threshold {
-			n++
-		}
-	}
-	return n
-}
-
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.2f median=%.2f p90=%.2f min=%.2f max=%.2f sd=%.2f",
 		s.N, s.Mean, s.Median, s.P90, s.Min, s.Max, s.StdDev)

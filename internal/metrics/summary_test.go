@@ -68,19 +68,6 @@ func TestPercentilePanicsOnEmpty(t *testing.T) {
 	Percentile(nil, 0.5)
 }
 
-func TestCountBelow(t *testing.T) {
-	vals := []float64{0.5, 1, 1.5, 2}
-	if got := CountBelow(vals, 1); got != 1 {
-		t.Fatalf("CountBelow(1) = %d", got)
-	}
-	if got := CountBelow(vals, 10); got != 4 {
-		t.Fatalf("CountBelow(10) = %d", got)
-	}
-	if got := CountBelow(nil, 1); got != 0 {
-		t.Fatalf("CountBelow(nil) = %d", got)
-	}
-}
-
 func TestQuickSummaryInvariants(t *testing.T) {
 	f := func(raw []float64) bool {
 		vals := make([]float64, 0, len(raw))

@@ -14,7 +14,6 @@ func TestRegistryExposition(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_requests_total", "Requests served.")
 	g := r.Gauge("test_inflight", "Batches in flight.")
-	r.GaugeFunc("test_temperature", "A computed gauge.", func() float64 { return 3.5 })
 	h := r.Histogram("test_latency_seconds", "Serve latency.")
 	r.Collect(func(tw *TextWriter) {
 		tw.Family("test_by_label_total", "counter", "Labeled counter.")
@@ -40,7 +39,6 @@ func TestRegistryExposition(t *testing.T) {
 		"# TYPE test_requests_total counter\n",
 		"test_requests_total 3400000\n",
 		"test_inflight -2\n",
-		"test_temperature 3.5\n",
 		"# TYPE test_latency_seconds histogram\n",
 		"test_latency_seconds_count 3\n",
 		`le="+Inf"} 3`,

@@ -14,7 +14,6 @@ type metricKind uint8
 const (
 	kindCounter metricKind = iota
 	kindGauge
-	kindGaugeFunc
 	kindHistogram
 )
 
@@ -25,7 +24,6 @@ type metric struct {
 
 	counter *Counter
 	gauge   *Gauge
-	fn      func() float64
 	hist    *Histogram
 }
 
@@ -93,12 +91,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return g
 }
 
-// GaugeFunc registers a gauge whose value is computed at scrape time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.claim(name)
-	r.metrics = append(r.metrics, metric{name: name, help: help, kind: kindGaugeFunc, fn: fn})
-}
-
 // Histogram registers and returns a new histogram. The exposition emits
 // cumulative le buckets in seconds plus _sum and _count, per the
 // Prometheus histogram convention.
@@ -130,9 +122,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 		case kindGauge:
 			tw.Family(m.name, "gauge", m.help)
 			tw.Value(m.name, float64(m.gauge.Value()))
-		case kindGaugeFunc:
-			tw.Family(m.name, "gauge", m.help)
-			tw.Value(m.name, m.fn())
 		case kindHistogram:
 			tw.Family(m.name, "histogram", m.help)
 			writeHistogram(tw, m.name, m.hist)

@@ -138,7 +138,7 @@ func buildTAGE(sp Spec) (Backend, error) {
 
 // tageConfig resolves a tage-family spec into the (Config, Options) pair
 // core.NewEstimator takes — the single translation back from the spec
-// every construction path (builder, CLI flags, served opens, the
+// every construction path (builder, CLI -backend, served opens, the
 // experiments cache key) goes through. It is also the one place a
 // served open's parameters are range-checked.
 func tageConfig(sp Spec) (tage.Config, core.Options, error) {

@@ -62,12 +62,6 @@ func FamilyNames() []string {
 	return names
 }
 
-// LookupFamily returns the named family's registration.
-func LookupFamily(name string) (Family, bool) {
-	f, ok := registry[name]
-	return f, ok
-}
-
 // Build constructs a backend from a parsed spec. Unknown families error
 // with the list of registered names; unknown variants and parameters are
 // reported by the family builder with its valid choices.

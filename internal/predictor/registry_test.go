@@ -1,7 +1,6 @@
 package predictor_test
 
 import (
-	"flag"
 	"strings"
 	"testing"
 
@@ -212,35 +211,5 @@ func TestTAGESpecInjective(t *testing.T) {
 			t.Fatalf("mutations %q and %q collide on spec %q", prev, m.name, sp.String())
 		}
 		seen[sp] = m.name
-	}
-}
-
-// TestBackendFlagsSpec pins that the CLI flag triple builds exactly the
-// spec TAGESpec encodes for the same configuration and options, and
-// that -backend wins verbatim.
-func TestBackendFlagsSpec(t *testing.T) {
-	for _, c := range []struct {
-		args []string
-		want string
-	}{
-		{nil, predictor.TAGESpec(tage.Medium64K(), core.Options{Mode: core.ModeProbabilistic}).String()},
-		{[]string{"-config", "16K", "-mode", "adaptive", "-window", "-1"},
-			predictor.TAGESpec(tage.Small16K(), core.Options{Mode: core.ModeAdaptive, BimWindow: -1}).String()},
-		{[]string{"-config", "256K", "-mode", "standard"}, predictor.TAGESpec(tage.Large256K(), core.Options{}).String()},
-		{[]string{"-config", "16K", "-backend", "gshare-64K"}, "gshare-64K"},
-	} {
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		bf := predictor.AddBackendFlags(fs, "64K", "probabilistic")
-		if err := fs.Parse(c.args); err != nil {
-			t.Fatal(err)
-		}
-		if got, err := bf.Spec(); err != nil || got != c.want {
-			t.Errorf("%v: Spec() = %q, %v; want %q", c.args, got, err, c.want)
-		}
-	}
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	bf := predictor.AddBackendFlags(fs, "64K", "bogus")
-	if _, err := bf.Spec(); err == nil {
-		t.Error("Spec() accepted an unknown -mode")
 	}
 }

@@ -293,25 +293,6 @@ func (s Spec) Param(key string) (string, bool) {
 	return "", false
 }
 
-// WithParam returns a copy of s with the parameter set (replacing any
-// existing value); an empty value deletes the parameter. The result
-// stays canonical.
-func (s Spec) WithParam(key, value string) Spec {
-	params := s.Params()
-	out := params[:0]
-	for _, p := range params {
-		if p.Key != key {
-			out = append(out, p)
-		}
-	}
-	if value != "" {
-		out = append(out, Param{Key: key, Value: value})
-		sort.SliceStable(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	}
-	s.params = encodeParams(out)
-	return s
-}
-
 // MakeSpec builds a canonical Spec from parts, validating syntax exactly
 // as Parse does.
 func MakeSpec(family, variant string, params []Param) (Spec, error) {

@@ -630,44 +630,3 @@ func (r *limitReader) Next() (Branch, error) {
 	r.left--
 	return b, nil
 }
-
-// Concat returns a trace that replays the given traces back to back under
-// one name. It is used to build multi-phase workloads in tests.
-func Concat(name string, traces ...Trace) Trace {
-	return &concat{name: name, traces: traces}
-}
-
-type concat struct {
-	name   string
-	traces []Trace
-}
-
-func (c *concat) Name() string { return c.name }
-
-func (c *concat) Open() Reader {
-	return &concatReader{traces: c.traces}
-}
-
-type concatReader struct {
-	traces []Trace
-	idx    int
-	cur    Reader
-}
-
-func (r *concatReader) Next() (Branch, error) {
-	for {
-		if r.cur == nil {
-			if r.idx >= len(r.traces) {
-				return Branch{}, io.EOF
-			}
-			r.cur = r.traces[r.idx].Open()
-			r.idx++
-		}
-		b, err := r.cur.Next()
-		if errors.Is(err, io.EOF) {
-			r.cur = nil
-			continue
-		}
-		return b, err
-	}
-}

@@ -216,44 +216,6 @@ func TestLimit(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a := &Mem{TraceName: "a", Records: sampleRecords(5, 7)}
-	b := &Mem{TraceName: "b", Records: sampleRecords(7, 8)}
-	c := Concat("ab", a, b)
-	if c.Name() != "ab" {
-		t.Fatalf("concat name = %q", c.Name())
-	}
-	got, err := Collect(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 12 {
-		t.Fatalf("concat length = %d, want 12", len(got))
-	}
-	for i := 0; i < 5; i++ {
-		if got[i] != a.Records[i] {
-			t.Fatalf("prefix mismatch at %d", i)
-		}
-	}
-	for i := 0; i < 7; i++ {
-		if got[5+i] != b.Records[i] {
-			t.Fatalf("suffix mismatch at %d", i)
-		}
-	}
-}
-
-func TestConcatEmptyParts(t *testing.T) {
-	empty := &Mem{TraceName: "e"}
-	b := &Mem{TraceName: "b", Records: sampleRecords(3, 9)}
-	got, err := Collect(Concat("c", empty, b, empty))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("got %d records, want 3", len(got))
-	}
-}
-
 func TestQuickBinaryRoundTrip(t *testing.T) {
 	f := func(seed uint64, nRaw uint16) bool {
 		n := int(nRaw % 500)

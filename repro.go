@@ -12,10 +12,9 @@
 // # Quickstart
 //
 // A predictor is named by a backend spec — family, optional variant,
-// optional parameters — and built with New:
+// optional parameters — and built with New, the one constructor:
 //
-//	est, err := repro.New("tage-64K", repro.WithMode(repro.ModeProbabilistic))
-//	// equivalently: repro.New("tage-64K?mode=probabilistic")
+//	est, err := repro.New("tage-64K?mode=probabilistic")
 //	for each branch {
 //	    pred, class, level := est.Predict(pc)
 //	    ...
@@ -29,27 +28,21 @@
 // Backends for the registry) — and runs through the same drivers:
 //
 //	res, err := repro.RunSpec("gshare-64K", tr, 0)
-//	sr, err := repro.RunSuiteSpec("perceptron", repro.CBP1(), 0)
+//	cbp1, err := repro.Suite("cbp1")
+//	sr, err := repro.RunSuiteSpec("perceptron", cbp1, 0)
+//
+// TAGE specs take the paper's configurations as variants (16K, 64K,
+// 256K) and the estimator's settings as parameters: mode, denomlog,
+// window, mkp and awindow, plus the structural fields name, bl, tl,
+// tag, hist, ctr, u, path, urp, seed and noalt (variant "custom" spells
+// out a full configuration). A TAGE backend is an *Estimator; assert to
+// it for the paper-specific accessors such as the §6.2 controller:
+//
+//	b, err := repro.New("tage-16K?mode=adaptive")
+//	ctl := b.(*repro.Estimator).Controller()
 //
 // See the examples/ directory for runnable programs and cmd/reprotables
 // for regenerating every table and figure of the paper.
-//
-// # Config+Options as spec builders
-//
-// A spec is the one construction path. The typed Config+Options
-// constructors remain as builders over it and stay bit-identical:
-//
-//	NewEstimator(Medium64K(), Options{})                      → New("tage-64K")
-//	NewEstimator(Small16K(), Options{Mode: ModeProbabilistic}) → New("tage-16K?mode=probabilistic")
-//	NewEstimator(Large256K(), Options{Mode: ModeAdaptive,
-//	    TargetMKP: 4})                                         → New("tage-256K?mkp=4&mode=adaptive")
-//	NewEstimator(cfg, Options{BimWindow: -1})                  → New("tage-64K?window=-1")
-//	NewPredictor(cfg) (raw TAGE, no confidence)                → unchanged
-//
-// Options map to spec parameters: Mode→mode, DenomLog→denomlog,
-// BimWindow→window, TargetMKP→mkp, AdaptiveWindow→awindow; Config
-// structural fields to name, bl, tl, tag, hist, ctr, u, path, urp, seed
-// and noalt (variant "custom" spells out a full configuration).
 //
 // # Serving mode
 //
@@ -79,39 +72,22 @@ package repro
 
 import (
 	"repro/internal/core"
-	"repro/internal/predictor"
 	"repro/internal/serve"
 	"repro/internal/sim"
-	"repro/internal/tage"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// Config describes a TAGE predictor instance (see tage.Config).
-type Config = tage.Config
-
-// Observation is the per-prediction component observation the storage-free
-// estimator grades (see tage.Observation).
-type Observation = tage.Observation
-
-// Predictor is the TAGE predictor (see tage.Predictor).
-type Predictor = tage.Predictor
-
 // Estimator bundles a TAGE predictor with the paper's confidence
-// classifier (see core.Estimator).
+// classifier (see core.Estimator): the Backend New builds for every
+// "tage-..." spec.
 type Estimator = core.Estimator
-
-// Options configures an Estimator (see core.Options).
-type Options = core.Options
 
 // Class is one of the paper's seven prediction classes.
 type Class = core.Class
 
 // Level is one of the three aggregate confidence levels.
 type Level = core.Level
-
-// AutomatonMode selects the tagged-counter update automaton.
-type AutomatonMode = core.AutomatonMode
 
 // Branch is one dynamic conditional branch of a trace.
 type Branch = trace.Branch
@@ -145,53 +121,8 @@ const (
 	NumLevels = core.NumLevels
 )
 
-// Automaton modes.
-const (
-	// ModeStandard runs the unmodified TAGE automaton (§5).
-	ModeStandard = core.ModeStandard
-	// ModeProbabilistic installs the §6 modified automaton (probability
-	// 1/128 by default), making saturated counters high confidence.
-	ModeProbabilistic = core.ModeProbabilistic
-	// ModeAdaptive adds the §6.2 run-time probability controller.
-	ModeAdaptive = core.ModeAdaptive
-)
-
-// Small16K returns the paper's 16 Kbit configuration (1+4 tables,
-// histories 3..80).
-func Small16K() Config { return tage.Small16K() }
-
-// Medium64K returns the paper's 64 Kbit configuration (1+7 tables,
-// histories 5..130).
-func Medium64K() Config { return tage.Medium64K() }
-
-// Large256K returns the paper's 256 Kbit configuration (1+8 tables,
-// histories 5..300).
-func Large256K() Config { return tage.Large256K() }
-
-// StandardConfigs returns the three paper configurations in size order.
-func StandardConfigs() []Config { return tage.StandardConfigs() }
-
-// ConfigByName resolves "16K", "64K" or "256K".
-func ConfigByName(name string) (Config, error) { return tage.ConfigByName(name) }
-
-// NewEstimator builds a predictor plus storage-free confidence
-// estimator from typed fields; New with the equivalent "tage-..." spec
-// builds the identical estimator.
-func NewEstimator(cfg Config, opts Options) *Estimator {
-	return core.NewEstimator(cfg, opts)
-}
-
-// NewPredictor builds a bare TAGE predictor with the standard automaton
-// (use NewEstimator for confidence estimation).
-func NewPredictor(cfg Config) *Predictor { return tage.New(cfg) }
-
-// CBP1 returns the 20-trace synthetic stand-in for the CBP-1 trace set.
-func CBP1() []Trace { return workload.CBP1() }
-
-// CBP2 returns the 20-trace synthetic stand-in for the CBP-2 trace set.
-func CBP2() []Trace { return workload.CBP2() }
-
-// Suite returns a suite by name ("cbp1" or "cbp2").
+// Suite returns a synthetic suite by name: "cbp1" or "cbp2" (20 traces
+// each, the stand-ins for the CBP-1 and CBP-2 trace sets) or "all".
 func Suite(name string) ([]Trace, error) { return workload.Suite(name) }
 
 // TraceByName returns one of the 40 named traces.
@@ -202,12 +133,6 @@ func TraceByName(name string) (Trace, error) { return workload.ByName(name) }
 // one).
 func Run(b Backend, tr Trace, limit uint64) (Result, error) {
 	return sim.Run(b, tr, limit)
-}
-
-// RunSuite simulates a fresh estimator per trace and aggregates: a
-// typed builder for RunSuiteSpec over predictor.TAGESpec(cfg, opts).
-func RunSuite(cfg Config, opts Options, traces []Trace, limit uint64) (SuiteResult, error) {
-	return sim.RunSuiteSpec(predictor.TAGESpec(cfg, opts), traces, limit)
 }
 
 // Classes lists the seven classes in display order.

@@ -7,7 +7,10 @@ import (
 )
 
 func TestFacadeQuickstartPath(t *testing.T) {
-	est := NewEstimator(Small16K(), Options{Mode: ModeProbabilistic})
+	est, err := New("tage-16K?mode=probabilistic")
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr, err := TraceByName("FP-1")
 	if err != nil {
 		t.Fatal(err)
@@ -24,26 +27,32 @@ func TestFacadeQuickstartPath(t *testing.T) {
 	}
 }
 
+// TestFacadeConfigs pins the storage budgets of the three paper
+// configurations as the TAGE spec variants build them.
 func TestFacadeConfigs(t *testing.T) {
-	if Small16K().StorageBits() != 16384 ||
-		Medium64K().StorageBits() != 65536 ||
-		Large256K().StorageBits() != 262144 {
-		t.Fatal("storage budgets wrong through facade")
+	for spec, bits := range map[string]int{"tage-16K": 16384, "tage-64K": 65536, "tage-256K": 262144} {
+		b, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := b.(*Estimator).Predictor().Config().StorageBits(); got != bits {
+			t.Errorf("%s: %d storage bits, want %d", spec, got, bits)
+		}
 	}
-	if len(StandardConfigs()) != 3 {
-		t.Fatal("StandardConfigs")
-	}
-	if _, err := ConfigByName("64K"); err != nil {
-		t.Fatal(err)
+	if _, err := New("tage-32K"); err == nil {
+		t.Fatal("unknown TAGE variant must error")
 	}
 }
 
 func TestFacadeSuites(t *testing.T) {
-	if len(CBP1()) != 20 || len(CBP2()) != 20 {
-		t.Fatal("suites incomplete")
-	}
-	if _, err := Suite("cbp2"); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"cbp1", "cbp2"} {
+		traces, err := Suite(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(traces) != 20 {
+			t.Fatalf("%s: %d traces, want 20", name, len(traces))
+		}
 	}
 	if _, err := TraceByName("no-such-trace"); err == nil {
 		t.Fatal("unknown trace must error")
@@ -60,8 +69,11 @@ func TestFacadeEnumerations(t *testing.T) {
 }
 
 func TestFacadeRunSuite(t *testing.T) {
-	traces := []Trace{CBP1()[0], CBP1()[1]}
-	sr, err := RunSuite(Small16K(), Options{}, traces, 5000)
+	cbp1, err := Suite("cbp1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := RunSuiteSpec("tage-16K", cbp1[:2], 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +82,14 @@ func TestFacadeRunSuite(t *testing.T) {
 	}
 }
 
+// TestFacadePredictorDirect reaches the raw TAGE predictor under a
+// spec-built estimator.
 func TestFacadePredictorDirect(t *testing.T) {
-	p := NewPredictor(Small16K())
+	b, err := New("tage-16K")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := b.(*Estimator).Predictor()
 	obs := p.Predict(0x400100)
 	if obs.PC != 0x400100 {
 		t.Fatal("observation PC mismatch")
@@ -82,7 +100,7 @@ func TestFacadePredictorDirect(t *testing.T) {
 // TestFacadeServing drives the serving facade end to end — the tageload
 // replay path through a live server — and pins the online/offline
 // equivalence at the facade level: the served per-level counts equal
-// Run's for the same (config, options, trace, limit), bit for bit.
+// Run's for the same (spec, trace, limit), bit for bit.
 func TestFacadeServing(t *testing.T) {
 	srv := NewServer(ServeConfig{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -105,8 +123,8 @@ func TestFacadeServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	opts := Options{Mode: ModeProbabilistic}
-	sess, err := c.Open("64K", opts)
+	const spec = "tage-64K?mode=probabilistic"
+	sess, err := c.OpenSession(ServeOpenRequest{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +137,7 @@ func TestFacadeServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offline, err := Run(NewEstimator(Medium64K(), opts), tr, limit)
+	offline, err := RunSpec(spec, tr, limit)
 	if err != nil {
 		t.Fatal(err)
 	}
