@@ -24,6 +24,24 @@ import (
 	"repro/internal/workload"
 )
 
+// sliceLen is the number of steps each AllocsPerRun iteration of a
+// per-branch pin drives. AllocsPerRun divides the allocation count by
+// the number of runs in integer arithmetic, so a pin that ran one branch
+// per run would read 0 for an allocation made on only some branches (one
+// made on the mispredictions that reach TAGE's allocate, say). Over a
+// 1024-step slice, anything that allocates at least once per 1024 steps
+// on average reads non-zero.
+const sliceLen = 1024
+
+// allocsPerSlice returns the heap allocations per sliceLen calls of step.
+func allocsPerSlice(step func()) float64 {
+	return testing.AllocsPerRun(20, func() {
+		for range sliceLen {
+			step()
+		}
+	})
+}
+
 // TestPredictUpdateZeroAllocs asserts that a warmed estimator performs no
 // heap allocations per predicted branch in any automaton mode.
 func TestPredictUpdateZeroAllocs(t *testing.T) {
@@ -48,14 +66,14 @@ func TestPredictUpdateZeroAllocs(t *testing.T) {
 			est.Update(br.PC, br.Taken)
 		}
 		i := 10_000
-		allocs := testing.AllocsPerRun(20_000, func() {
+		allocs := allocsPerSlice(func() {
 			br := branches[i%len(branches)]
 			i++
 			est.Predict(br.PC)
 			est.Update(br.PC, br.Taken)
 		})
 		if allocs != 0 {
-			t.Fatalf("%s: %v allocs per predicted branch, want 0", spec, allocs)
+			t.Fatalf("%s: %v allocs per %d predicted branches, want 0", spec, allocs, sliceLen)
 		}
 	}
 }
@@ -152,12 +170,12 @@ func TestAllPredictorHotPathsZeroAllocs(t *testing.T) {
 				c.step(i % len(branches))
 			}
 			i := 10_000
-			allocs := testing.AllocsPerRun(20_000, func() {
+			allocs := allocsPerSlice(func() {
 				c.step(i % len(branches))
 				i++
 			})
 			if allocs != 0 {
-				t.Fatalf("%s: %v allocs per predicted branch, want 0", c.name, allocs)
+				t.Fatalf("%s: %v allocs per %d predicted branches, want 0", c.name, allocs, sliceLen)
 			}
 		})
 	}
@@ -244,12 +262,12 @@ func TestServeHotPathZeroAllocs(t *testing.T) {
 	}
 	i := 10_000
 	measure := func() {
-		allocs := testing.AllocsPerRun(20_000, func() {
+		allocs := allocsPerSlice(func() {
 			step(i)
 			i++
 		})
 		if allocs != 0 {
-			t.Fatalf("%v allocs per served branch, want 0", allocs)
+			t.Fatalf("%v allocs per %d served branches, want 0", allocs, sliceLen)
 		}
 	}
 	measure()
@@ -383,12 +401,12 @@ func TestObsHotPathZeroAllocs(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			i := 0
-			allocs := testing.AllocsPerRun(20_000, func() {
+			allocs := allocsPerSlice(func() {
 				tc.op(i)
 				i++
 			})
 			if allocs != 0 {
-				t.Fatalf("%s: %v allocs per op, want 0", tc.name, allocs)
+				t.Fatalf("%s: %v allocs per %d ops, want 0", tc.name, allocs, sliceLen)
 			}
 		})
 	}

@@ -93,12 +93,12 @@ func TestServeSpecSessionZeroAllocs(t *testing.T) {
 		step(i)
 	}
 	i := 10_000
-	allocs := testing.AllocsPerRun(20_000, func() {
+	allocs := allocsPerSlice(func() {
 		step(i)
 		i++
 	})
 	if allocs != 0 {
-		t.Fatalf("%v allocs per served branch on a spec session, want 0", allocs)
+		t.Fatalf("%v allocs per %d served branches on a spec session, want 0", allocs, sliceLen)
 	}
 }
 
@@ -114,7 +114,7 @@ func TestBackendHotPathZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, spec := range []string{"gshare-64K", "perceptron", "ogehl", "ltage-16K"} {
+	for _, spec := range []string{"gshare-64K", "perceptron", "ogehl", "ltage-16K", "jrs-16K?enhanced=true"} {
 		b, err := New(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -124,14 +124,14 @@ func TestBackendHotPathZeroAllocs(t *testing.T) {
 			b.Update(br.PC, br.Taken)
 		}
 		i := 10_000
-		allocs := testing.AllocsPerRun(20_000, func() {
+		allocs := allocsPerSlice(func() {
 			br := branches[i%len(branches)]
 			i++
 			b.Predict(br.PC)
 			b.Update(br.PC, br.Taken)
 		})
 		if allocs != 0 {
-			t.Errorf("%s: %v allocs per predicted branch through the Backend interface, want 0", spec, allocs)
+			t.Errorf("%s: %v allocs per %d predicted branches through the Backend interface, want 0", spec, allocs, sliceLen)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Command tagevet is the repository's static-analysis suite: a
-// multichecker of repo-specific analyzers (hotpath, atomics,
-// determinism, statecodec, lockcheck, frames) enforcing the invariants
-// the runtime pins only catch after the fact. See PERF.md "Static
-// invariants" for the directive conventions.
+// multichecker of repo-specific analyzers (atomics, determinism,
+// lockcheck) for the invariants no test observes reliably, plus the
+// compiler-facts gate. See PERF.md "Static invariants" for the
+// directive conventions and the guard audit that chose this set.
 //
 // Usage:
 //
@@ -13,8 +13,8 @@
 //
 // The -facts mode runs the compilerfacts gate instead of the source
 // analyzers: it rebuilds the tree with diagnostic gcflags, distills
-// bounds-check/escape/inline facts for every //repro:hotpath function,
-// and compares them against the committed golden
+// bounds-check/shift/heap-escape/inline facts for every //repro:hotpath
+// function, and compares them against the committed golden
 // (internal/analysis/compilerfacts/testdata/compilerfacts.golden).
 // UPDATE_FACTS_GOLDEN=1 refreshes the golden in place.
 //
@@ -58,7 +58,7 @@ func run() int {
 		for _, a := range suite.All() {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
-		fmt.Fprintf(os.Stderr, "  %-12s %s\n", "facts", "compiler-fact golden gate (bounds checks, heap escapes, inlining) for //repro:hotpath functions")
+		fmt.Fprintf(os.Stderr, "  %-12s %s\n", "facts", "compiler-fact golden gate (bounds checks, shifts, heap escapes, inlining) for //repro:hotpath functions")
 	}
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		return 2

@@ -1,12 +1,14 @@
 // Package analysis is the repository's static-analysis framework: a
 // stdlib-only analogue of golang.org/x/tools/go/analysis sized to this
-// module's needs. It exists because the repo's core guarantees — zero
-// allocations per branch on every predictor and serve hot path,
-// bit-identical snapshot/restore for every backend family, exactly-once
-// tally folding under the session lock, exhaustive wire-frame dispatch —
-// were previously enforced only dynamically, by runtime pins that fire
-// after a regression ships. The analyzers under internal/analysis/...
-// prove those invariants at vet time instead.
+// module's needs. Its analyzers guard what no test observes reliably:
+// lock discipline on //repro:guardedby fields (lockcheck), atomic access
+// discipline (atomics) and transitive purity of //repro:deterministic
+// functions (determinism). Allocation-freedom of the hot paths is
+// checked by the compiler itself (compilerfacts, tagevet -facts) and the
+// runtime alloc pins; snapshot completeness and wire-frame dispatch by
+// the snapshot-byte pins, the snapshot/restore bit-identity tests and
+// the serve end-to-end tests. PERF.md ("Static invariants") records the
+// mutation audit that assigns each invariant to its guard.
 //
 // An Analyzer inspects one type-checked package (a Pass) and reports
 // Diagnostics. Analyzers communicate with the code under analysis via
@@ -49,8 +51,9 @@ type Pass struct {
 	TypesInfo *types.Info
 	// Dirs indexes every //repro: directive in Files.
 	Dirs *Directives
-	// Facts carries module-wide directive knowledge (hot-path function
-	// sets across packages). May be empty, never nil in driver runs.
+	// Facts carries module-wide directive knowledge (deterministic
+	// functions and atomic fields across packages). May be empty, never
+	// nil in driver runs.
 	Facts *ModuleFacts
 	// Report delivers one finding.
 	Report func(Diagnostic)
@@ -75,9 +78,6 @@ type ModuleFacts struct {
 	// ModulePath is the module under analysis ("repro"); packages whose
 	// import path is outside it are treated as stdlib/external.
 	ModulePath string
-	// Hotpath holds the keys (FuncKey) of every function in the module
-	// annotated //repro:hotpath.
-	Hotpath map[string]bool
 	// Deterministic holds the keys (FuncKey) of every function in the
 	// module annotated //repro:deterministic.
 	Deterministic map[string]bool
@@ -91,7 +91,6 @@ type ModuleFacts struct {
 // NewModuleFacts returns empty facts.
 func NewModuleFacts() *ModuleFacts {
 	return &ModuleFacts{
-		Hotpath:       make(map[string]bool),
 		Deterministic: make(map[string]bool),
 		AtomicFields:  make(map[string]bool),
 	}

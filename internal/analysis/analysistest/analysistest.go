@@ -40,9 +40,9 @@ import (
 )
 
 // FixtureModulePath is the synthetic module path fixture packages are
-// type-checked under. The hotpath analyzer treats the fixture package as
-// module-local (its own functions must carry annotations to be callable
-// from hot code), exactly like real repo packages.
+// type-checked under. The determinism analyzer treats the fixture
+// package as module-local (its own functions must carry annotations to
+// be callable from deterministic code), exactly like real repo packages.
 const FixtureModulePath = "fixture"
 
 // Run analyzes the fixture package in dir with a and reports every
@@ -51,7 +51,7 @@ const FixtureModulePath = "fixture"
 // Subdirectories of dir holding .go files are dependency packages,
 // importable from the fixture as "fixture/<subdir>". They are
 // type-checked first and contribute module facts (so cross-package
-// fact-driven diagnostics — atomics fields, hotpath callees — can be
+// fact-driven diagnostics — atomics fields, deterministic callees — can be
 // exercised), but only the root package is analyzed and only its files
 // carry // want expectations.
 func Run(t *testing.T, dir string, a *analysis.Analyzer) {

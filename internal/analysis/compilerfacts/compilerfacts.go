@@ -16,17 +16,27 @@
 // (cheap: Go's build cache replays compiler diagnostics on cached
 // builds), parses the diagnostics, attributes them to //repro:hotpath
 // functions, and compares the result against a committed golden
-// (testdata/compilerfacts.golden). Shifts are matched the other way
-// round: the syntax inventory lists every shift with a non-constant
-// count, and each one the compiler does not report as "Proved …
-// bounded" counts as unproven — it carries a CMP/SBB/AND guard. A named
-// must-be-zero set — the TAGE probe/update loops and the history and
-// counter helpers they run, the serve batch loop, the obs Observe/Record
-// paths — additionally fails the gate on any unwaived bounds check,
-// unproven shift or heap escape regardless of what the golden says, so a
-// refresh cannot legitimize a regression there. Individual bounds-check
-// sites are waived with //repro:allow-bce <why> (justification
-// mandatory, stale waivers reported); unproven shifts have no waiver.
+// (testdata/compilerfacts.golden). The golden records per function its
+// bounds-check count, its unproven-shift count and its heap-escape
+// count: every "escapes to heap" site (make, new, &T{}, a value boxed
+// into an interface, a closure, a string build) and every "moved to
+// heap" variable. The compiler is thus the ground truth for allocation
+// sites; a constant boxed into an interface allocates nothing and is not
+// counted. Sites are attributed by source position, so an allocation in
+// a callee the compiler does not inline belongs to the callee, not to the
+// hot function calling it; only the runtime alloc pins see that one.
+// Shifts are matched the other way round: the syntax inventory
+// lists every shift with a non-constant count, and each one the
+// compiler does not report as "Proved … bounded" counts as unproven —
+// it carries a CMP/SBB/AND guard. A named must-be-zero set — the TAGE
+// probe/update loops and the history and counter helpers they run, the
+// sim/serve branch step and batch loop, the obs Observe/Record paths —
+// additionally fails the gate on any unwaived bounds check, unproven
+// shift or heap escape regardless of what the golden says, so a refresh
+// cannot legitimize a regression there. Individual bounds-check sites
+// are waived with //repro:allow-bce <why> (justification mandatory,
+// stale waivers reported); unproven shifts and heap escapes have no
+// waiver.
 // The golden is keyed to the Go toolchain version: on a mismatched
 // toolchain the gate skips with a warning instead of producing noise
 // diffs.
@@ -104,6 +114,10 @@ type FuncFacts struct {
 	Shifts, Unproven int
 	// Heap lists locals/args moved to the heap, sorted.
 	Heap []string
+	// Escapes lists the expressions the compiler allocates on the heap
+	// ("make([]byte, n)", "&T{...}", boxed values, closures), one per
+	// source position, sorted.
+	Escapes []string
 }
 
 // Report is the full fact set for one Collect run.
@@ -148,7 +162,12 @@ func Collect(dir string, patterns []string) (*Report, error) {
 	if len(diags) == 0 {
 		return nil, fmt.Errorf("go build -gcflags='%s' produced zero recognizable diagnostics; the diagnostic format has drifted (Go %s) — update compilerfacts.ParseDiagnostics", GCFlags, goVersion)
 	}
+	return inv.report(goVersion, diags), nil
+}
 
+// report attributes parsed compiler diagnostics to the inventory's
+// hotpath functions.
+func (inv *Inventory) report(goVersion string, diags []Diag) *Report {
 	byKey := make(map[string]*FuncFacts)
 	keys := make([]string, 0, len(inv.Funcs))
 	for _, fs := range inv.Funcs {
@@ -159,6 +178,7 @@ func Collect(dir string, patterns []string) (*Report, error) {
 	}
 	canInline := make(map[string]bool) // "pkg\x00name"
 	bounded := make(map[string]bool)   // "file:line:col" of proven shifts
+	escaped := make(map[string]bool)   // "file:line:col name" of counted escapes
 	for _, d := range diags {
 		switch d.Kind {
 		case ShiftBounded:
@@ -181,6 +201,16 @@ func Collect(dir string, patterns []string) (*Report, error) {
 				continue
 			}
 			byKey[fs.Key].Heap = append(byKey[fs.Key].Heap, d.Name)
+		case EscapesToHeap:
+			fs, ok := inv.spanOf(d.File, d.Line)
+			// A generic body is reported once per instantiating package;
+			// each site counts once.
+			at := fmt.Sprintf("%s:%d:%d %s", d.File, d.Line, d.Col, d.Name)
+			if !ok || escaped[at] {
+				continue
+			}
+			escaped[at] = true
+			byKey[fs.Key].Escapes = append(byKey[fs.Key].Escapes, d.Name)
 		case CanInline:
 			canInline[d.Pkg+"\x00"+d.Name] = true
 		}
@@ -201,6 +231,7 @@ func Collect(dir string, patterns []string) (*Report, error) {
 	for _, k := range keys {
 		ff := byKey[k]
 		sort.Strings(ff.Heap)
+		sort.Strings(ff.Escapes)
 		r.Funcs = append(r.Funcs, *ff)
 	}
 	for _, e := range inlineAllowList {
@@ -209,7 +240,7 @@ func Collect(dir string, patterns []string) (*Report, error) {
 	r.Stale, r.Unjustified = inv.staleWaivers()
 	sort.Strings(r.Stale)
 	sort.Strings(r.Unjustified)
-	return r, nil
+	return r
 }
 
 // toolchainVersion returns the active `go env GOVERSION`.
@@ -242,6 +273,9 @@ func (r *Report) Render() string {
 		if ff.Shifts > 0 {
 			fmt.Fprintf(&b, "shift %s %d\n", ff.Key, ff.Unproven)
 		}
+	}
+	for _, ff := range r.Funcs {
+		fmt.Fprintf(&b, "escape %s %d\n", ff.Key, len(ff.Escapes))
 	}
 	for _, ff := range r.Funcs {
 		if len(ff.Heap) > 0 {
@@ -280,6 +314,9 @@ func (r *Report) Violations() []string {
 		}
 		if len(ff.Heap) > 0 {
 			out = append(out, fmt.Sprintf("%s: moved to heap: %s", k, strings.Join(ff.Heap, ",")))
+		}
+		if len(ff.Escapes) > 0 {
+			out = append(out, fmt.Sprintf("%s: %d heap escape(s): %s; preallocate at construction or move the allocation off the per-branch path", k, len(ff.Escapes), strings.Join(ff.Escapes, "; ")))
 		}
 	}
 	for i, ok := range r.InlineOK {

@@ -98,6 +98,51 @@ func TestParseSample(t *testing.T) {
 	if strings.Join(heapNames, ",") != "f,cfg" {
 		t.Errorf("heap names: %v", heapNames)
 	}
+
+	// escapes-to-heap expressions; the boxed string constant is skipped.
+	var escapes []string
+	for _, d := range diags {
+		if d.Kind == EscapesToHeap {
+			escapes = append(escapes, d.Name)
+		}
+	}
+	if got, want := strings.Join(escapes, ","), "&Predictor{...},pc"; got != want {
+		t.Errorf("escapes: got %s, want %s", got, want)
+	}
+}
+
+// TestEscapeViolation: an "escapes to heap" site inside a must-be-zero
+// function fails the gate whatever the golden says, and a site outside
+// every hotpath span is ignored.
+func TestEscapeViolation(t *testing.T) {
+	inv := &Inventory{waivers: make(map[string]map[int]*waiver)}
+	for _, k := range mustBeZero {
+		span := FuncSpan{Key: k, File: k, Start: 1, End: 1}
+		if k == "repro/internal/sim.Result.Step" {
+			span = FuncSpan{Key: k, File: "internal/sim/sim.go", Start: 120, End: 131}
+		}
+		inv.Funcs = append(inv.Funcs, span)
+	}
+	const out = `# repro/internal/sim
+internal/sim/sim.go:127:10: make([]byte, int(br.PC & uint64(7)) + 1) escapes to heap
+internal/sim/sim.go:127:10: make([]byte, int(br.PC & uint64(7)) + 1) escapes to heap
+internal/sim/sim.go:140:9: &Result{...} escapes to heap
+`
+	diags, err := ParseDiagnostics(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := inv.report("go1.24.0", diags)
+	for i := range r.InlineOK {
+		r.InlineOK[i] = true
+	}
+	v := r.Violations()
+	if len(v) != 1 || !strings.HasPrefix(v[0], "repro/internal/sim.Result.Step: 1 heap escape(s): make([]byte") {
+		t.Errorf("violations: got %q, want one heap escape in sim.Result.Step", v)
+	}
+	if !strings.Contains(r.Render(), "escape repro/internal/sim.Result.Step 1\n") {
+		t.Errorf("golden rendering lacks the escape count:\n%s", r.Render())
+	}
 }
 
 // TestParseEmpty: no recognizable diagnostics parse to an empty slice —

@@ -3,6 +3,8 @@ package compilerfacts
 import (
 	"bufio"
 	"fmt"
+	"go/ast"
+	"go/parser"
 	"io"
 	"strconv"
 	"strings"
@@ -22,6 +24,10 @@ const (
 	CanInline
 	// MovedToHeap is a "moved to heap: x" escape; Name holds the variable.
 	MovedToHeap
+	// EscapesToHeap is an "x escapes to heap" escape: a make, new, &T{},
+	// boxing conversion, closure or string build the compiler allocates
+	// on the heap. Name holds the expression as the compiler printed it.
+	EscapesToHeap
 	// ShiftBounded is an ssa/prove "Proved Lsh32x64 bounded" fact: the
 	// compiler proved the shift count below the operand width and emits
 	// the shift without its oversized-count guard. Name holds the op.
@@ -38,6 +44,8 @@ func (k DiagKind) String() string {
 		return "can-inline"
 	case MovedToHeap:
 		return "moved-to-heap"
+	case EscapesToHeap:
+		return "escapes-to-heap"
 	case ShiftBounded:
 		return "shift-bounded"
 	}
@@ -54,18 +62,19 @@ type Diag struct {
 	Line int
 	Col  int
 	Kind DiagKind
-	// Name is the function (CanInline), variable (MovedToHeap) or SSA
-	// shift op (ShiftBounded) name.
+	// Name is the function (CanInline), variable (MovedToHeap),
+	// expression (EscapesToHeap) or SSA shift op (ShiftBounded) name.
 	Name string
 }
 
 // ParseDiagnostics reads `go build -gcflags='-m=1
 // -d=ssa/check_bce/debug=1,ssa/prove/debug=1'` output and extracts the
 // diagnostics the facts gate consumes: bounds-check sites, inlinability
-// facts, moved-to-heap escapes, and proven-bounded shifts. Unrecognized
-// diagnostic lines are skipped (escape analysis and the prove pass emit
-// many shapes the gate does not use), but lines that are not "# pkg"
-// headers and do not carry a file:line:col prefix are counted as noise —
+// facts, moved-to-heap and escapes-to-heap allocations, and
+// proven-bounded shifts. Unrecognized diagnostic lines are skipped
+// (escape analysis and the prove pass emit many shapes the gate does
+// not use), but lines that are not "# pkg" headers and do not carry a
+// file:line:col prefix are counted as noise —
 // a build error or a wholesale format change in a future Go release
 // surfaces as an error from the caller's zero-diagnostics check, not as
 // a silently-empty report.
@@ -100,6 +109,14 @@ func ParseDiagnostics(r io.Reader) ([]Diag, error) {
 		case strings.HasPrefix(msg, "moved to heap: "):
 			d.Kind = MovedToHeap
 			d.Name = strings.TrimPrefix(msg, "moved to heap: ")
+		case strings.HasSuffix(msg, " escapes to heap"):
+			d.Kind = EscapesToHeap
+			d.Name = strings.TrimSuffix(msg, " escapes to heap")
+			if isBasicLit(d.Name) {
+				// A constant boxed into an interface (panic("...")) points
+				// at static data: nothing is allocated.
+				continue
+			}
 		case isBoundedShift(msg):
 			d.Kind = ShiftBounded
 			d.Name = strings.Fields(msg)[1]
@@ -128,6 +145,16 @@ func splitPosLine(line string) (file string, ln, col int, msg string, ok bool) {
 		return "", 0, 0, "", false
 	}
 	return parts[0], ln, col, strings.TrimSpace(parts[3]), true
+}
+
+// isBasicLit reports whether expr is a single literal ("msg", 65536).
+func isBasicLit(expr string) bool {
+	e, err := parser.ParseExpr(expr)
+	if err != nil {
+		return false
+	}
+	_, ok := e.(*ast.BasicLit)
+	return ok
 }
 
 // isBoundedShift matches "Proved Rsh32Ux64 bounded" and its siblings.

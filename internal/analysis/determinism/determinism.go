@@ -20,9 +20,8 @@
 //     crypto/rand) — xrand is the repo's seeded, reproducible source;
 //   - select over multiple channels (scheduler-ordered choice);
 //   - calls to module-local functions that are not themselves
-//     //repro:deterministic — the obligation is transitive, like
-//     hotpath's. Interface and func-value calls are the dynamic
-//     boundary and are accepted.
+//     //repro:deterministic — the obligation is transitive. Interface
+//     and func-value calls are the dynamic boundary and are accepted.
 //
 // A finding is suppressed by //repro:order-insensitive <why> on the
 // offending line (or the block above): the justification — why this

@@ -12,12 +12,12 @@ import (
 // verb and optional arguments:
 //
 //	//repro:hotpath
-//	//repro:allow-alloc cold error path, never taken per well-formed input
-//	//repro:derived rebuilt by RestoreState from cfg
+//	//repro:allow-bce class < NumClasses by construction
+//	//repro:deterministic
+//	//repro:order-insensitive gauge only, never in a reproduced table
 //	//repro:guardedby mu
 //	//repro:locked caller holds s.mu (see Serve)
-//	//repro:frame request
-//	//repro:frames response
+//	//repro:plainread single writer, read after Wait
 //
 // A directive applies to the source line it trails, or — when it stands
 // in a comment block of its own — to the declaration or statement
@@ -26,7 +26,7 @@ const DirectivePrefix = "//repro:"
 
 // Directive is one parsed //repro: comment.
 type Directive struct {
-	// Name is the verb after the colon ("hotpath", "derived", ...).
+	// Name is the verb after the colon ("hotpath", "guardedby", ...).
 	Name string
 	// Args is the remainder of the line, space-trimmed.
 	Args string
@@ -53,7 +53,8 @@ type Directives struct {
 	// byFileLine maps filename → line → directives applying to that line.
 	byFileLine map[string]map[int][]*lineDirective
 	// used records directives consumed by some analyzer decision, letting
-	// the hotpath analyzer flag stale //repro:allow-alloc escapes.
+	// analyzers flag stale escapes (//repro:plainread,
+	// //repro:order-insensitive).
 	used map[*lineDirective]bool
 }
 
@@ -126,13 +127,6 @@ func (d *Directives) Get(pos token.Pos, name string) (Directive, bool) {
 	return Directive{}, false
 }
 
-// Has reports whether a directive named name applies to pos's line, and
-// marks it used.
-func (d *Directives) Has(pos token.Pos, name string) bool {
-	_, ok := d.Get(pos, name)
-	return ok
-}
-
 // FuncDirective scans a function declaration's doc comment for a
 // directive (doc blocks can be long, so the line-adjacency rule of Get
 // is not enough).
@@ -162,8 +156,8 @@ func commentGroupDirective(g *ast.CommentGroup, name string) (Directive, bool) {
 }
 
 // Unused returns every indexed directive with the given name that no
-// analyzer consumed via Get/Has, in file order. The hotpath analyzer
-// uses it to reject stale //repro:allow-alloc escapes.
+// analyzer consumed via Get, in file order. The atomics and determinism
+// analyzers use it to reject stale escapes.
 func (d *Directives) Unused(name string) []Directive {
 	seen := make(map[*lineDirective]bool)
 	var out []Directive

@@ -15,10 +15,10 @@ func TestParseDirective(t *testing.T) {
 	}{
 		{"// repro:hotpath", false, "", ""}, // space after slashes: ordinary comment
 		{"//repro:hotpath", true, "hotpath", ""},
-		{"//repro:allow-alloc cold error path", true, "allow-alloc", "cold error path"},
+		{"//repro:plainread single writer", true, "plainread", "single writer"},
 		{"//repro:guardedby mu", true, "guardedby", "mu"},
-		{"//repro:frames ignore why not // want \"x\"", true, "frames", "ignore why not"},
-		{"//repro:allow-alloc // want \"y\"", true, "allow-alloc", ""},
+		{"//repro:order-insensitive why not // want \"x\"", true, "order-insensitive", "why not"},
+		{"//repro:plainread // want \"y\"", true, "plainread", ""},
 		{"//not-a-directive", false, "", ""},
 	}
 	for _, c := range cases {
@@ -40,7 +40,7 @@ const directivesSrc = `package p
 
 //repro:hotpath
 func hot() {
-	x := 1 //repro:allow-alloc trailing escape
+	x := 1 //repro:plainread trailing escape
 	_ = x
 }
 `
@@ -55,23 +55,23 @@ func TestDirectivesLineApplication(t *testing.T) {
 
 	// Line 4 is the func declaration: the leading block on line 3 applies.
 	fn := f.Decls[0].(*ast.FuncDecl)
-	if !d.Has(fn.Pos(), "hotpath") {
+	if _, ok := d.Get(fn.Pos(), "hotpath"); !ok {
 		t.Errorf("hotpath directive does not apply to the declaration below it")
 	}
 
-	// The trailing allow-alloc applies to its own line and is consumed by Get.
+	// The trailing plainread applies to its own line and is consumed by Get.
 	body := fn.Body.List[0].(*ast.AssignStmt)
-	dir, ok := d.Get(body.Pos(), "allow-alloc")
+	dir, ok := d.Get(body.Pos(), "plainread")
 	if !ok {
-		t.Fatalf("trailing allow-alloc does not apply to its own line")
+		t.Fatalf("trailing plainread does not apply to its own line")
 	}
 	if dir.Args != "trailing escape" {
-		t.Errorf("allow-alloc args = %q, want %q", dir.Args, "trailing escape")
+		t.Errorf("plainread args = %q, want %q", dir.Args, "trailing escape")
 	}
-	if unused := d.Unused("allow-alloc"); len(unused) != 0 {
+	if unused := d.Unused("plainread"); len(unused) != 0 {
 		t.Errorf("consumed directive still reported unused: %v", unused)
 	}
 	if unused := d.Unused("hotpath"); len(unused) != 0 {
-		t.Errorf("Has did not mark the hotpath directive used: %v", unused)
+		t.Errorf("Get did not mark the hotpath directive used: %v", unused)
 	}
 }

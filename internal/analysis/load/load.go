@@ -3,7 +3,8 @@
 // file lists and compiled export data (offline, straight from the build
 // cache), go/parser the syntax, and go/importer's gc importer the
 // dependency types. It also builds the module-wide directive facts the
-// hotpath analyzer needs to reason about cross-package calls.
+// determinism and atomics analyzers need to reason about cross-package
+// calls and fields.
 package load
 
 import (
@@ -134,8 +135,8 @@ func Load(cfg Config, patterns ...string) ([]*Package, *analysis.ModuleFacts, er
 	}
 
 	// Module facts: scan every module-local package in the graph for
-	// //repro:hotpath and //repro:deterministic functions and
-	// atomically-disciplined fields, syntax only.
+	// //repro:deterministic functions and atomically-disciplined fields,
+	// syntax only.
 	facts := analysis.NewModuleFacts()
 	for _, p := range pkgs {
 		if p.Standard || p.Module == nil || !p.Module.Main || p.Name == "" {
@@ -186,7 +187,7 @@ func Load(cfg Config, patterns ...string) ([]*Package, *analysis.ModuleFacts, er
 }
 
 // canonicalPath strips the " [pkg.test]" variant suffix so analysis
-// paths (and hotpath fact keys) match the plain import path.
+// paths (and fact keys) match the plain import path.
 func canonicalPath(p *listPackage) string {
 	if i := strings.Index(p.ImportPath, " ["); i >= 0 {
 		return p.ImportPath[:i]
@@ -195,7 +196,7 @@ func canonicalPath(p *listPackage) string {
 }
 
 // CollectFacts records the directive facts of the given files under
-// pkgPath: //repro:hotpath and //repro:deterministic functions, plus
+// pkgPath: //repro:deterministic functions, plus
 // atomically-disciplined struct fields (typed sync/atomic fields, and
 // plain fields whose address feeds an atomic.* call in a method or
 // function of this package). Syntax only — resolution is by name, which
@@ -206,9 +207,6 @@ func CollectFacts(facts *analysis.ModuleFacts, pkgPath string, files []*ast.File
 		for _, decl := range f.Decls {
 			switch decl := decl.(type) {
 			case *ast.FuncDecl:
-				if _, ok := analysis.FuncDirective(decl, "hotpath"); ok {
-					facts.Hotpath[analysis.DeclFuncKey(pkgPath, decl)] = true
-				}
 				if _, ok := analysis.FuncDirective(decl, "deterministic"); ok {
 					facts.Deterministic[analysis.DeclFuncKey(pkgPath, decl)] = true
 				}

@@ -6,20 +6,14 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/atomics"
 	"repro/internal/analysis/determinism"
-	"repro/internal/analysis/frames"
-	"repro/internal/analysis/hotpath"
 	"repro/internal/analysis/lockcheck"
-	"repro/internal/analysis/statecheck"
 )
 
 // All returns every analyzer in the tagevet suite, in reporting order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		hotpath.Analyzer,
 		atomics.Analyzer,
 		determinism.Analyzer,
-		statecheck.Analyzer,
 		lockcheck.Analyzer,
-		frames.Analyzer,
 	}
 }

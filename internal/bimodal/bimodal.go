@@ -18,8 +18,8 @@ import (
 // Predictor is a PC-indexed table of 2-bit counters.
 type Predictor struct {
 	table   []counter.Bimodal
-	mask    uint64 //repro:derived from logSize at construction
-	logSize uint   //repro:derived construction parameter, fixed for the predictor's lifetime
+	mask    uint64 // from logSize at construction
+	logSize uint   // construction parameter, fixed for the predictor's lifetime
 }
 
 // New returns a bimodal predictor with 2^logSize entries, initialized to

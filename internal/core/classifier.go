@@ -19,7 +19,7 @@ const DefaultBimWindow = 8
 // predictor's Predict, then call Resolve with the same observation and the
 // branch outcome (before predicting the next branch).
 type Classifier struct {
-	ctrBits   uint //repro:derived construction parameter, fixed for the classifier's lifetime
+	ctrBits   uint // construction parameter, fixed for the classifier's lifetime
 	window    int
 	remaining int
 }

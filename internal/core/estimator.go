@@ -84,15 +84,15 @@ type Estimator struct {
 	cls  *Classifier
 	auto *counter.Probabilistic // nil in ModeStandard
 	ctl  *Adaptive              // nil unless ModeAdaptive
-	mode AutomatonMode //repro:derived fixed by opts at construction
+	mode AutomatonMode          // fixed by opts at construction
 
 	// cfg/opts are the construction inputs, kept so Reset can rebuild
 	// the identical cold estimator.
-	cfg  tage.Config //repro:derived construction input, immutable
-	opts Options     //repro:derived construction input, immutable
+	cfg  tage.Config // construction input, immutable
+	opts Options     // construction input, immutable
 
-	lastObs   tage.Observation //repro:derived per-prediction scratch; havePred is cleared on restore
-	lastClass Class            //repro:derived per-prediction scratch; havePred is cleared on restore
+	lastObs   tage.Observation // per-prediction scratch; havePred is cleared on restore
+	lastClass Class            // per-prediction scratch; havePred is cleared on restore
 	havePred  bool
 }
 
@@ -152,7 +152,7 @@ func (e *Estimator) Observation() tage.Observation { return e.lastObs }
 //repro:hotpath
 func (e *Estimator) Update(pc uint64, taken bool) {
 	if !e.havePred || e.lastObs.PC != pc {
-		panic(fmt.Sprintf("core: Update(%#x) without matching Predict", pc)) //repro:allow-alloc guard path: protocol violation aborts the run, allocation cost is irrelevant
+		panic(fmt.Sprintf("core: Update(%#x) without matching Predict", pc))
 	}
 	e.havePred = false
 	e.cls.Resolve(e.lastObs, taken)

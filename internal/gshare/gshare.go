@@ -17,8 +17,8 @@ import (
 // Predictor is a gshare branch predictor.
 type Predictor struct {
 	table    []counter.Bimodal
-	mask     uint64 //repro:derived from logSize at construction
-	histBits uint   //repro:derived construction parameter, fixed for the predictor's lifetime
+	mask     uint64 // from logSize at construction
+	histBits uint   // construction parameter, fixed for the predictor's lifetime
 	ghist    uint64
 }
 

@@ -21,7 +21,7 @@ import (
 type Buffer struct {
 	bits []uint8
 	head int // index of the most recent bit
-	mask int //repro:derived from capacity at construction
+	mask int // from capacity at construction
 }
 
 // NewBuffer returns a buffer able to serve Bit(i) for i in [0, capacity].
@@ -141,20 +141,6 @@ func (f *Folded) OrigLen() int { return f.origLen }
 
 // CompLen returns the compressed width in bits.
 func (f *Folded) CompLen() int { return f.compLen }
-
-// Recompute rebuilds the folded value from scratch by walking the buffer:
-// the bit pushed i branches ago contributes at position i mod compLen. This
-// O(origLen) direct definition is what the incremental Update maintains; it
-// exists so tests can cross-check the automaton against the specification.
-func (f *Folded) Recompute(b *Buffer) uint32 {
-	var v uint32
-	for i := 0; i < f.origLen; i++ {
-		if b.Bit(i) != 0 {
-			v ^= uint32(1) << (uint(i) % uint(f.compLen))
-		}
-	}
-	return v & f.mask
-}
 
 // Path is a short path-history register: the low bit of each branch PC is
 // shifted in, keeping the last width bits. TAGE hashes it into the table

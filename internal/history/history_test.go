@@ -70,6 +70,20 @@ func TestBufferCapacityRounding(t *testing.T) {
 	}
 }
 
+// recompute rebuilds the folded value from scratch by walking the
+// buffer: the bit pushed i branches ago contributes at position i mod
+// compLen. This O(origLen) direct definition is what the incremental
+// Update maintains, so it is the oracle the tests cross-check against.
+func recompute(f *Folded, b *Buffer) uint32 {
+	var v uint32
+	for i := 0; i < f.origLen; i++ {
+		if b.Bit(i) != 0 {
+			v ^= uint32(1) << (uint(i) % uint(f.compLen))
+		}
+	}
+	return v & f.mask
+}
+
 func TestFoldedMatchesRecompute(t *testing.T) {
 	// The incremental CSR automaton must equal the direct chunked-XOR
 	// definition at every step, for a spread of window/compression shapes
@@ -91,7 +105,7 @@ func TestFoldedMatchesRecompute(t *testing.T) {
 		for step := 0; step < 2000; step++ {
 			buf.Push(r.Bool())
 			f.Update(buf)
-			if got, want := f.Value(), f.Recompute(buf); got != want {
+			if got, want := f.Value(), recompute(f, buf); got != want {
 				t.Fatalf("shape %+v step %d: incremental %x != direct %x", s, step, got, want)
 			}
 		}
@@ -289,7 +303,7 @@ func TestQuickFoldedIncrementalEqualsDirect(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			buf.Push(r.Bool())
 			fd.Update(buf)
-			if fd.Value() != fd.Recompute(buf) {
+			if fd.Value() != recompute(fd, buf) {
 				return false
 			}
 		}

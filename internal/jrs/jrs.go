@@ -28,12 +28,12 @@ import (
 // sim.BinaryEstimator interface.
 type Estimator struct {
 	table     []uint8
-	mask      uint64 //repro:derived from logSize at construction
+	mask      uint64 // from logSize at construction
 	bits      uint
-	threshold uint8 //repro:derived construction parameter, fixed for the estimator's lifetime
-	histBits  uint  //repro:derived construction parameter, fixed for the estimator's lifetime
+	threshold uint8 // construction parameter, fixed for the estimator's lifetime
+	histBits  uint  // construction parameter, fixed for the estimator's lifetime
 	ghist     uint64
-	usePred   bool //repro:derived construction parameter, fixed for the estimator's lifetime
+	usePred   bool // construction parameter, fixed for the estimator's lifetime
 }
 
 // DefaultCounterBits is the counter width shown as a good trade-off in the

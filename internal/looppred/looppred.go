@@ -83,7 +83,7 @@ type entry struct {
 type Predictor struct {
 	cfg     Config
 	entries []entry
-	mask    uint64 //repro:derived from cfg.LogSize at construction
+	mask    uint64 // from cfg.LogSize at construction
 }
 
 // New builds a loop predictor.
@@ -230,12 +230,12 @@ type LTAGE struct {
 	// the loop prediction is trusted when valid.
 	withLoop int8
 
-	lastLoop  Prediction        //repro:derived per-prediction scratch; havePred is cleared on restore
-	lastTage  tage.Observation  //repro:derived per-prediction scratch; havePred is cleared on restore
-	lastPred  bool              //repro:derived per-prediction scratch; havePred is cleared on restore
-	usedLoop  bool              //repro:derived per-prediction scratch; havePred is cleared on restore
+	lastLoop  Prediction       // per-prediction scratch; havePred is cleared on restore
+	lastTage  tage.Observation // per-prediction scratch; havePred is cleared on restore
+	lastPred  bool             // per-prediction scratch; havePred is cleared on restore
+	usedLoop  bool             // per-prediction scratch; havePred is cleared on restore
 	havePred  bool
-	predictPC uint64 //repro:derived per-prediction scratch; havePred is cleared on restore
+	predictPC uint64 // per-prediction scratch; havePred is cleared on restore
 }
 
 // NewLTAGE builds the combined predictor.
@@ -276,7 +276,7 @@ func (l *LTAGE) UsedLoop() bool { return l.usedLoop }
 //repro:hotpath
 func (l *LTAGE) Update(pc uint64, taken bool) {
 	if !l.havePred || l.predictPC != pc {
-		panic(fmt.Sprintf("looppred: Update(%#x) without matching Predict", pc)) //repro:allow-alloc guard path: protocol violation aborts the run, allocation cost is irrelevant
+		panic(fmt.Sprintf("looppred: Update(%#x) without matching Predict", pc))
 	}
 	l.havePred = false
 	// WITHLOOP monitors the loop predictor only when it disagrees with

@@ -90,22 +90,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the total of all observed durations.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 
-// Merge adds every bucket of other into h. Safe against concurrent
-// Observe on either side; the merged view is a snapshot-free sum, so
-// observations racing with the merge land in exactly one of the two.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil {
-		return
-	}
-	for i := range other.counts {
-		if n := other.counts[i].Load(); n != 0 {
-			h.counts[i].Add(n)
-		}
-	}
-	h.count.Add(other.count.Load())
-	h.sum.Add(other.sum.Load())
-}
-
 // snapshot copies the bucket counts and returns their total. Summing
 // the copied buckets (rather than loading h.count) keeps the quantile
 // walk internally consistent under concurrent writers.

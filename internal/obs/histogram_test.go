@@ -100,54 +100,16 @@ func TestHistogramQuantileError(t *testing.T) {
 	}
 }
 
-// TestHistogramMerge pins that Merge is bucket-exact: merging two
-// histograms gives identical counts and quantiles to observing the
-// union stream into one.
-func TestHistogramMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var a, b, union Histogram
-	for i := 0; i < 5000; i++ {
-		d := time.Duration(rng.Int63n(int64(time.Second)))
-		if i%2 == 0 {
-			a.Observe(d)
-		} else {
-			b.Observe(d)
-		}
-		union.Observe(d)
-	}
-	a.Merge(&b)
-	if a.Count() != union.Count() {
-		t.Fatalf("merged count %d, want %d", a.Count(), union.Count())
-	}
-	if a.Sum() != union.Sum() {
-		t.Fatalf("merged sum %v, want %v", a.Sum(), union.Sum())
-	}
-	for _, p := range []float64{0, 0.25, 0.5, 0.75, 0.99, 1} {
-		if got, want := a.Quantile(p), union.Quantile(p); got != want {
-			t.Fatalf("merged p%g = %v, want %v", p*100, got, want)
-		}
-	}
-	// Merging nil is a no-op.
-	before := a.Count()
-	a.Merge(nil)
-	if a.Count() != before {
-		t.Fatal("Merge(nil) changed the histogram")
-	}
-}
-
 // TestHistogramConcurrent hammers one histogram from concurrent
-// observers and a merger while a reader walks quantiles — the -race CI
+// observers while a reader walks quantiles — the -race CI
 // job is the real assertion; the count check here pins that no sample
 // was lost.
 func TestHistogramConcurrent(t *testing.T) {
-	var h, src Histogram
+	var h Histogram
 	const (
 		workers = 8
 		perW    = 10_000
 	)
-	for i := 0; i < 1000; i++ {
-		src.Observe(time.Duration(i) * time.Microsecond)
-	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -161,18 +123,13 @@ func TestHistogramConcurrent(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		h.Merge(&src)
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
 		for i := 0; i < 100; i++ {
 			h.Quantile(0.99)
 			h.Count()
 		}
 	}()
 	wg.Wait()
-	if got, want := h.Count(), uint64(workers*perW+1000); got != want {
+	if got, want := h.Count(), uint64(workers*perW); got != want {
 		t.Fatalf("count %d, want %d", got, want)
 	}
 }

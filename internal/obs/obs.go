@@ -6,10 +6,10 @@
 //
 // Everything on the observation side is hot-path safe: Counter.Inc,
 // Gauge.Set, Histogram.Observe and FlightRecorder.Record are 0 allocs/op
-// (pinned in the root alloc_test.go) and pass the tagevet
-// //repro:hotpath analyzer — the paper's storage-free-confidence idea
-// applied to the serving layer's own telemetry: measurement must not
-// perturb the measured path.
+// (pinned in the root alloc_test.go) and carry no heap escape in the
+// compiler-facts gate (tagevet -facts) — the paper's
+// storage-free-confidence idea applied to the serving layer's own
+// telemetry: measurement must not perturb the measured path.
 //
 // The zero value of Counter, Gauge and Histogram is ready to use.
 package obs

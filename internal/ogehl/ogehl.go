@@ -70,21 +70,21 @@ func (c Config) StorageBits() int {
 // Predictor is an O-GEHL predictor instance. Call Predict then Update for
 // each branch in order.
 type Predictor struct {
-	cfg     Config //repro:derived construction input, immutable
+	cfg     Config // construction input, immutable
 	tables  [][]int8
-	lengths []int //repro:derived geometric history lengths fixed by cfg
+	lengths []int // geometric history lengths fixed by cfg
 	ghist   *history.Buffer
 	folded  []*history.Folded // nil for table 0
 
 	ctrMax int8
 	ctrMin int8
 
-	theta    int32 // update threshold (adapted)
-	tc       int32 // threshold adaptation counter
-	lastSum  int32    //repro:derived per-prediction scratch; havePred is cleared on restore
-	lastIdx  []uint32 //repro:derived per-prediction scratch; havePred is cleared on restore
+	theta    int32    // update threshold (adapted)
+	tc       int32    // threshold adaptation counter
+	lastSum  int32    // per-prediction scratch; havePred is cleared on restore
+	lastIdx  []uint32 // per-prediction scratch; havePred is cleared on restore
 	havePred bool
-	lastPC   uint64 //repro:derived per-prediction scratch; havePred is cleared on restore
+	lastPC   uint64 // per-prediction scratch; havePred is cleared on restore
 }
 
 // tcSaturation is the threshold-counter saturation driving θ adaptation.
@@ -169,7 +169,7 @@ func (p *Predictor) HighConfidence() bool {
 //repro:hotpath
 func (p *Predictor) Update(pc uint64, taken bool) {
 	if !p.havePred || p.lastPC != pc {
-		panic(fmt.Sprintf("ogehl: Update(%#x) without matching Predict", pc)) //repro:allow-alloc guard path: protocol violation aborts the run, allocation cost is irrelevant
+		panic(fmt.Sprintf("ogehl: Update(%#x) without matching Predict", pc))
 	}
 	p.havePred = false
 	pred := p.lastSum >= 0

@@ -17,11 +17,11 @@ import (
 // history.
 type Predictor struct {
 	weights [][]int16 // [entry][histLen+1], index 0 is the bias weight
-	mask    uint64 //repro:derived from logSize at construction
+	mask    uint64    // from logSize at construction
 	histLen int
-	theta   int32 //repro:derived fixed by histLen (θ = ⌊1.93·h + 14⌋)
+	theta   int32  // fixed by histLen (θ = ⌊1.93·h + 14⌋)
 	ghist   []int8 // +1 taken, -1 not-taken; ghist[0] = most recent
-	lastSum int32 //repro:derived per-prediction scratch
+	lastSum int32  // per-prediction scratch
 }
 
 // New returns a perceptron predictor with 2^logSize perceptrons over

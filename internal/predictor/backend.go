@@ -64,11 +64,11 @@ func SaturationProbabilityOf(b Backend) float64 {
 // closures over the underlying predictor, and Reset rebuilds the
 // predictor from its spec through the registry.
 type graded struct {
-	label   string                                         //repro:derived rebuild recipe, fixed at registration
-	spec    Spec                                           //repro:derived rebuild recipe, fixed at registration
-	predict func(pc uint64) (bool, core.Class, core.Level) //repro:derived closure over the predictor; state lives behind save/load
-	update  func(pc uint64, taken bool)                    //repro:derived closure over the predictor; state lives behind save/load
-	rebuild func()                                         //repro:derived closure over the predictor; state lives behind save/load
+	label   string                                         // rebuild recipe, fixed at registration
+	spec    Spec                                           // rebuild recipe, fixed at registration
+	predict func(pc uint64) (bool, core.Class, core.Level) // closure over the predictor; state lives behind save/load
+	update  func(pc uint64, taken bool)                    // closure over the predictor; state lives behind save/load
+	rebuild func()                                         // closure over the predictor; state lives behind save/load
 	save    func(dst []byte) []byte
 	load    func(r *statecodec.Reader) error
 }

@@ -153,11 +153,17 @@ func TestSnapshotRestoreBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// One mid-run cut at a case-dependent arbitrary index; the
-			// first case also exercises the cold cut and back-to-back cuts.
-			cuts := []int{1000 + (i*2711)%(len(branches)-2000)}
+			// A cut every 211 branches from a case-dependent offset, so
+			// state that matters only mid-episode (a miss streak, a
+			// controller window) is cut too; the first case also
+			// exercises the cold cut and back-to-back cuts.
+			var cuts []int
+			for cut := 1 + (i*37)%211; cut < len(branches); cut += 211 {
+				cuts = append(cuts, cut)
+			}
 			if i == 0 {
-				cuts = []int{0, cuts[0], cuts[0], len(branches) - 1}
+				cuts = append([]int{0, cuts[0]}, cuts...)
+				cuts = append(cuts, len(branches)-1)
 			}
 			got := runWithCuts(t, c.spec, trName, branches, cuts)
 			if got != offline {

@@ -163,7 +163,6 @@ func (c *Client) roundTrip(want byte) ([]byte, error) {
 	// Not a frame dispatch: the client matches the one response type the
 	// request contracts for; FrameError and FrameBusy are the two
 	// out-of-band rejection legs every round trip may take instead.
-	//repro:frames ignore single-expected-response match, not a dispatch over the response direction
 	switch typ {
 	case want:
 		return payload, nil

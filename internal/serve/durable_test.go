@@ -588,7 +588,7 @@ func TestOpenRequestResolverLossless(t *testing.T) {
 		}
 		return blob
 	}
-	for _, name := range append(tage.ConfigNames(), "") {
+	for _, name := range []string{"16K", "64K", "256K", ""} {
 		cfg := tage.Medium64K()
 		if name != "" {
 			cfg, _ = tage.ConfigByName(name)

@@ -98,7 +98,6 @@ func FuzzFrame(f *testing.F) {
 			}
 			return
 		}
-		//repro:frames all
 		switch typ {
 		case FrameOpen:
 			req, err := DecodeOpen(payload)

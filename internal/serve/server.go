@@ -755,7 +755,6 @@ func (s *Server) handleConn(conn net.Conn) {
 // answered in-band and keep the connection alive).
 func (s *Server) handleFrame(st *connState, typ byte, payload []byte) (fatal bool) {
 	now := time.Now().UnixNano()
-	//repro:frames request
 	switch typ {
 	case FrameOpen:
 		req, err := DecodeOpen(payload)

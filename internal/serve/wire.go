@@ -91,7 +91,6 @@ const (
 	// spec) followed by a session key (uvarint length + bytes; empty
 	// means anonymous). The spec may name any registered backend family;
 	// a non-empty key makes the session durable (see OpenRequest.Key).
-	//repro:frame request
 	FrameOpen byte = 0x01
 	// FrameOpened acknowledges FrameOpen with the session id (uvarint),
 	// the branches the session has already served (uvarint; non-zero when
@@ -100,53 +99,43 @@ const (
 	// for backends without one), and the resolved backend label (uvarint
 	// length + bytes) — canonical even when the request named an alias or
 	// relied on the server default.
-	//repro:frame response
 	FrameOpened byte = 0x02
 	// FrameBatch streams branches into a session: session id uvarint,
 	// record count uvarint, then count records in the TBT1 per-record
 	// codec (trace.AppendRecord), PC deltas restarting from 0 each batch.
-	//repro:frame request
 	FrameBatch byte = 0x03
 	// FramePredictions answers FrameBatch: session id uvarint, count
 	// uvarint, then one grade byte per branch (see EncodeGrade).
-	//repro:frame response
 	FramePredictions byte = 0x04
 	// FrameClose retires a session: session id uvarint.
-	//repro:frame request
 	FrameClose byte = 0x05
 	// FrameStats answers FrameClose with the session's final tallies:
 	// session id uvarint, branches uvarint, instructions uvarint, then
 	// per class (NumClasses of them, in class order) preds and misps
 	// uvarints, then the final saturation probability (float64 LE bits).
-	//repro:frame response
 	FrameStats byte = 0x06
 	// FrameError reports a request failure: code uvarint, message
 	// (uvarint length + bytes). The connection stays usable unless the
 	// failure was a framing error. Breaks the odd/even convention (odd
-	// but server→client), hence the explicit direction taxonomy.
-	//repro:frame response
+	// but server→client).
 	FrameError byte = 0x07
 	// FrameSnapGet requests a durable snapshot of a live session: session
 	// id uvarint. Answered with FrameSnap.
-	//repro:frame request
 	FrameSnapGet byte = 0x09
 	// FrameSnap answers FrameSnapGet: session id uvarint, snapshot blob
 	// (uvarint length + bytes). The blob is a self-contained session
 	// snapshot (AppendSessionSnapshot) any node can resume from.
-	//repro:frame response
 	FrameSnap byte = 0x0A
 	// FrameOpenSnap opens (or resumes) a session from a snapshot blob
 	// (uvarint length + bytes): the migration/failover path. Answered with
 	// FrameOpened; if a live session already holds the snapshot's key it
 	// wins and the blob is ignored.
-	//repro:frame request
 	FrameOpenSnap byte = 0x0B
 	// FrameBusy rejects a FrameBatch under overload: session id uvarint,
 	// retry-after hint in milliseconds uvarint (0 = client's choice). The
 	// batch was NOT applied — the session cursor did not move — so the
 	// client must retry the same batch after backing off; the connection
 	// stays usable.
-	//repro:frame response
 	FrameBusy byte = 0x0C
 )
 
@@ -306,7 +295,7 @@ func readFrame(br *bufio.Reader, buf []byte, started func()) (typ byte, payload,
 func uvarint(src []byte) (uint64, int, error) {
 	v, n := binary.Uvarint(src)
 	if n <= 0 {
-		return 0, 0, fmt.Errorf("%w: truncated uvarint", ErrProtocol) //repro:allow-alloc cold path: malformed input tears the exchange down, allocation is fine
+		return 0, 0, fmt.Errorf("%w: truncated uvarint", ErrProtocol)
 	}
 	return v, n, nil
 }
@@ -538,16 +527,16 @@ func AppendBatch(dst []byte, sessionID uint64, records []trace.Branch) []byte {
 func DecodeBatch(payload []byte, records []trace.Branch) (sessionID uint64, out []trace.Branch, err error) {
 	sessionID, n, err := uvarint(payload)
 	if err != nil {
-		return 0, records, fmt.Errorf("session id: %w", err) //repro:allow-alloc cold path: malformed input tears the exchange down, allocation is fine
+		return 0, records, fmt.Errorf("session id: %w", err)
 	}
 	payload = payload[n:]
 	count, n, err := uvarint(payload)
 	if err != nil {
-		return 0, records, fmt.Errorf("record count: %w", err) //repro:allow-alloc cold path: malformed input tears the exchange down, allocation is fine
+		return 0, records, fmt.Errorf("record count: %w", err)
 	}
 	payload = payload[n:]
 	if count > MaxBatch {
-		return 0, records, fmt.Errorf("%w: batch of %d records exceeds limit %d", ErrProtocol, count, MaxBatch) //repro:allow-alloc cold path: malformed input tears the exchange down, allocation is fine
+		return 0, records, fmt.Errorf("%w: batch of %d records exceeds limit %d", ErrProtocol, count, MaxBatch)
 	}
 	out = records[:0]
 	prevPC := uint64(0)
@@ -555,13 +544,13 @@ func DecodeBatch(payload []byte, records []trace.Branch) (sessionID uint64, out 
 		var b trace.Branch
 		b, n, prevPC, err = trace.DecodeRecord(payload, prevPC)
 		if err != nil {
-			return 0, out, fmt.Errorf("%w: record %d: %v", ErrProtocol, i, err) //repro:allow-alloc cold path: malformed input tears the exchange down, allocation is fine
+			return 0, out, fmt.Errorf("%w: record %d: %v", ErrProtocol, i, err)
 		}
 		payload = payload[n:]
 		out = append(out, b)
 	}
 	if len(payload) != 0 {
-		return 0, out, fmt.Errorf("%w: %d trailing bytes after batch", ErrProtocol, len(payload)) //repro:allow-alloc cold path: malformed input tears the exchange down, allocation is fine
+		return 0, out, fmt.Errorf("%w: %d trailing bytes after batch", ErrProtocol, len(payload))
 	}
 	return sessionID, out, nil
 }
@@ -593,7 +582,7 @@ func DecodeGrade(g byte) (Grade, error) {
 	class := core.Class(g >> 1 & 0x7)
 	level := core.Level(g >> 4 & 0x3)
 	if g&0xC0 != 0 || class >= core.NumClasses || level >= core.NumLevels || class.Level() != level {
-		return Grade{}, fmt.Errorf("%w: invalid grade byte %#02x", ErrProtocol, g) //repro:allow-alloc cold path: malformed input tears the exchange down, allocation is fine
+		return Grade{}, fmt.Errorf("%w: invalid grade byte %#02x", ErrProtocol, g)
 	}
 	return Grade{Pred: g&1 == 1, Class: class, Level: level}, nil
 }
@@ -615,16 +604,16 @@ func AppendPredictions(dst []byte, sessionID uint64, grades []byte) []byte {
 func DecodePredictions(payload []byte, grades []Grade) (sessionID uint64, out []Grade, err error) {
 	sessionID, n, err := uvarint(payload)
 	if err != nil {
-		return 0, grades, fmt.Errorf("session id: %w", err) //repro:allow-alloc cold path: malformed input tears the exchange down, allocation is fine
+		return 0, grades, fmt.Errorf("session id: %w", err)
 	}
 	payload = payload[n:]
 	count, n, err := uvarint(payload)
 	if err != nil {
-		return 0, grades, fmt.Errorf("grade count: %w", err) //repro:allow-alloc cold path: malformed input tears the exchange down, allocation is fine
+		return 0, grades, fmt.Errorf("grade count: %w", err)
 	}
 	payload = payload[n:]
 	if count > MaxBatch || count != uint64(len(payload)) {
-		return 0, grades, fmt.Errorf("%w: grade count %d does not match payload %d", ErrProtocol, count, len(payload)) //repro:allow-alloc cold path: malformed input tears the exchange down, allocation is fine
+		return 0, grades, fmt.Errorf("%w: grade count %d does not match payload %d", ErrProtocol, count, len(payload))
 	}
 	out = grades[:0]
 	for _, g := range payload {

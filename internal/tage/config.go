@@ -170,10 +170,6 @@ func StandardConfigs() []Config {
 	return []Config{Small16K(), Medium64K(), Large256K()}
 }
 
-// ConfigNames lists the canonical configuration names ConfigByName
-// resolves (each also accepts its "...Kbits" and size-word aliases).
-func ConfigNames() []string { return []string{"16K", "64K", "256K"} }
-
 // ConfigByName resolves "16K"/"64K"/"256K" (and the full "...Kbits" forms).
 func ConfigByName(name string) (Config, error) {
 	switch name {

@@ -16,8 +16,6 @@
 package tage
 
 import (
-	"fmt"
-
 	"repro/internal/bimodal"
 	"repro/internal/counter"
 	"repro/internal/history"
@@ -84,8 +82,8 @@ func (o Observation) Strength() int {
 // per-prediction scratch is preallocated, so the Predict+Update hot path
 // performs no heap allocations.
 type Predictor struct {
-	cfg  Config          //repro:derived construction input, immutable
-	base *bimodal.Packed //repro:derived view aliasing the head of arena, rebuilt on restore
+	cfg  Config          // construction input, immutable
+	base *bimodal.Packed // view aliasing the head of arena, rebuilt on restore
 
 	// arena is the single backing allocation: bimodal words first, then
 	// the tagged-entry words aliased by entries.
@@ -93,14 +91,14 @@ type Predictor struct {
 
 	// entries is the flattened packed tagged-table storage. Entry row r
 	// of table t (0-based) lives at index t<<taggedLog | r.
-	entries []uint32 //repro:derived view aliasing the tail of arena, rebuilt on restore
+	entries []uint32 // view aliasing the tail of arena, rebuilt on restore
 
-	numTables int    //repro:derived geometry fixed by cfg
-	taggedLog uint   //repro:derived geometry fixed by cfg
-	rowMask   uint32 //repro:derived geometry fixed by cfg
-	tagMask   uint32 //repro:derived geometry fixed by cfg
+	numTables int    // geometry fixed by cfg
+	taggedLog uint   // geometry fixed by cfg
+	rowMask   uint32 // geometry fixed by cfg
+	tagMask   uint32 // geometry fixed by cfg
 
-	histLens []int //repro:derived geometric history lengths fixed by cfg
+	histLens []int // geometric history lengths fixed by cfg
 
 	// folds holds each table's folded-history registers, history length
 	// and path-hash parameters in one struct: the per-branch history
@@ -113,21 +111,21 @@ type Predictor struct {
 
 	useAltOnNA int8 // 4-bit signed: >= 0 favors altpred on weak new entries
 
-	auto counter.Automaton //repro:derived fixed at construction; the rng it draws from is encoded
+	auto counter.Automaton // fixed at construction; the rng it draws from is encoded
 	rng  *xrand.Rand
 
 	tick uint64
 
 	// Per-prediction scratch captured by Predict for the paired Update;
 	// havePred is cleared on restore, invalidating all of it.
-	lastObs      Observation //repro:derived per-prediction scratch
+	lastObs      Observation // per-prediction scratch
 	havePred     bool
-	pos          []uint32 //repro:derived per-prediction scratch
-	tagc         []uint16 //repro:derived per-prediction scratch
-	hitBank      int      //repro:derived per-prediction scratch
-	altBank      int      //repro:derived per-prediction scratch
-	longestPred  bool     //repro:derived per-prediction scratch
-	allocScratch []int    //repro:derived per-prediction scratch
+	pos          []uint32 // per-prediction scratch
+	tagc         []uint16 // per-prediction scratch
+	hitBank      int      // per-prediction scratch
+	altBank      int      // per-prediction scratch
+	longestPred  bool     // per-prediction scratch
+	allocScratch []int    // per-prediction scratch
 }
 
 // tableFolds is one tagged table's folded-history state: the index
@@ -331,7 +329,7 @@ func (p *Predictor) Predict(pc uint64) Observation {
 //repro:hotpath
 func (p *Predictor) Update(pc uint64, taken bool) {
 	if !p.havePred || p.lastObs.PC != pc {
-		panic(fmt.Sprintf("tage: Update(%#x) without matching Predict (last %#x)", pc, p.lastObs.PC)) //repro:allow-alloc guard path: protocol violation aborts the run, allocation cost is irrelevant
+		panic("tage: Update without a matching Predict of the same pc")
 	}
 	p.havePred = false
 	obs := p.lastObs

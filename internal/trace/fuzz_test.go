@@ -11,8 +11,9 @@ import (
 // or returns an error.
 func FuzzRead(f *testing.F) {
 	// Seed with a valid file, a truncation, and junk.
+	seed := &Mem{TraceName: "seed", Records: sampleRecords(50, 1)}
 	var buf bytes.Buffer
-	if err := WriteMem(&buf, &Mem{TraceName: "seed", Records: sampleRecords(50, 1)}); err != nil {
+	if _, err := Write(&buf, seed.Name(), seed.Open()); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -47,7 +48,7 @@ func FuzzRead(f *testing.F) {
 		// Round-trip property: re-serializing must succeed and re-parse to
 		// the same records.
 		var out bytes.Buffer
-		if err := WriteMem(&out, m); err != nil {
+		if _, err := Write(&out, m.Name(), m.Open()); err != nil {
 			t.Fatalf("re-serialize failed: %v", err)
 		}
 		m2, err := Read(&out)

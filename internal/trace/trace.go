@@ -207,14 +207,14 @@ func AppendRecord(dst []byte, prevPC uint64, b Branch) ([]byte, uint64) {
 func DecodeRecord(src []byte, prevPC uint64) (Branch, int, uint64, error) {
 	delta, n := binary.Varint(src)
 	if n <= 0 {
-		return Branch{}, 0, prevPC, fmt.Errorf("%w: pc: truncated varint", ErrBadFormat) //repro:allow-alloc cold path: malformed record aborts the decode, allocation is fine
+		return Branch{}, 0, prevPC, fmt.Errorf("%w: pc: truncated varint", ErrBadFormat)
 	}
 	packed, n2 := binary.Uvarint(src[n:])
 	if n2 <= 0 {
-		return Branch{}, 0, prevPC, fmt.Errorf("%w: packed: truncated varint", ErrBadFormat) //repro:allow-alloc cold path: malformed record aborts the decode, allocation is fine
+		return Branch{}, 0, prevPC, fmt.Errorf("%w: packed: truncated varint", ErrBadFormat)
 	}
 	if packed>>1 >= math.MaxUint32 {
-		return Branch{}, 0, prevPC, fmt.Errorf("%w: instruction count %d out of range", ErrBadFormat, packed>>1+1) //repro:allow-alloc cold path: malformed record aborts the decode, allocation is fine
+		return Branch{}, 0, prevPC, fmt.Errorf("%w: instruction count %d out of range", ErrBadFormat, packed>>1+1)
 	}
 	pc := uint64(int64(prevPC) + delta)
 	b := Branch{PC: pc, Taken: packed&1 == 1, Instr: uint32(packed>>1) + 1}
@@ -236,11 +236,6 @@ func Write(w io.Writer, name string, r Reader) (n uint64, err error) {
 		records = append(records, b)
 	}
 	return uint64(len(records)), writeRecords(w, name, records)
-}
-
-// WriteMem serializes an in-memory trace to w.
-func WriteMem(w io.Writer, m *Mem) error {
-	return writeRecords(w, m.TraceName, m.Records)
 }
 
 func writeRecords(w io.Writer, name string, records []Branch) error {

@@ -78,7 +78,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	recs := sampleRecords(5000, 3)
 	m := &Mem{TraceName: "roundtrip-трейс", Records: recs}
 	var buf bytes.Buffer
-	if err := WriteMem(&buf, m); err != nil {
+	if _, err := Write(&buf, m.Name(), m.Open()); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Read(&buf)
@@ -101,7 +101,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 func TestBinaryRejectsZeroInstr(t *testing.T) {
 	m := &Mem{TraceName: "bad", Records: []Branch{{PC: 4, Taken: true, Instr: 0}}}
 	var buf bytes.Buffer
-	if err := WriteMem(&buf, m); err == nil {
+	if _, err := Write(&buf, m.Name(), m.Open()); err == nil {
 		t.Fatal("zero-instr record must be rejected")
 	}
 }
@@ -115,8 +115,9 @@ func TestReadRejectsBadMagic(t *testing.T) {
 
 func TestReadRejectsTruncated(t *testing.T) {
 	recs := sampleRecords(100, 4)
+	m := &Mem{TraceName: "t", Records: recs}
 	var buf bytes.Buffer
-	if err := WriteMem(&buf, &Mem{TraceName: "t", Records: recs}); err != nil {
+	if _, err := Write(&buf, m.Name(), m.Open()); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -222,7 +223,7 @@ func TestQuickBinaryRoundTrip(t *testing.T) {
 		recs := sampleRecords(n, seed)
 		m := &Mem{TraceName: "q", Records: recs}
 		var buf bytes.Buffer
-		if err := WriteMem(&buf, m); err != nil {
+		if _, err := Write(&buf, m.Name(), m.Open()); err != nil {
 			return false
 		}
 		got, err := Read(&buf)
@@ -268,7 +269,7 @@ func BenchmarkBinaryWrite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := WriteMem(&buf, m); err != nil {
+		if _, err := Write(&buf, m.Name(), m.Open()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -277,7 +278,7 @@ func BenchmarkBinaryWrite(b *testing.B) {
 func BenchmarkBinaryRead(b *testing.B) {
 	m := &Mem{TraceName: "bench", Records: sampleRecords(10000, 12)}
 	var buf bytes.Buffer
-	if err := WriteMem(&buf, m); err != nil {
+	if _, err := Write(&buf, m.Name(), m.Open()); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
