@@ -20,12 +20,13 @@
 // quantiles can read up to 12.5% high.
 // In duration mode (-duration > 0) the connections loop over their
 // traces until the deadline — the throughput-soak configuration the CI
-// smoke job uses.
+// smoke job uses. Every round trip has a 30 s read/write deadline.
 //
 // With -nodes, tageload drives a cluster through the failover-aware
-// router: sessions are keyed (durable), placed by consistent hashing,
-// and survive node restarts and crashes — transient failures are
-// retried and reported in the final cluster roll-up instead of aborting
+// router: sessions are keyed (tageload/<conn>/<trace>, so durable),
+// placed by consistent hashing, and survive node restarts and crashes —
+// transient failures are retried with the router's default budget and
+// breaker and reported in the final cluster roll-up instead of aborting
 // the run:
 //
 //	tageload -nodes localhost:7421,localhost:7431 -suite cbp1 -verify
@@ -61,13 +62,7 @@ func main() {
 		branches  = flag.Uint64("branches", 0, "branch records per trace (0 = full trace)")
 		duration  = flag.Duration("duration", 0, "soak: loop replays until this deadline (0 = one exact pass)")
 		nodes     = flag.String("nodes", "", "comma-separated cluster addresses; enables the failover-aware router with durable keyed sessions (overrides -addr)")
-		keyPrefix = flag.String("key-prefix", "tageload", "session-key prefix in router mode")
 		verify    = flag.Bool("verify", false, "pass mode: recompute every trace offline and require bit-identical tallies")
-		timeout   = flag.Duration("timeout", 30*time.Second, "per-round-trip read/write deadline (0 disables — a dead server then hangs the run forever)")
-		retries   = flag.Int("retries", 0, "router mode: recovery attempts per fault; otherwise the internal busy-retry budget (0 = defaults, negative disables busy retries)")
-		seed      = flag.Uint64("seed", 0, "retry/backoff jitter seed (0 = derive from clock; fix it to replay a chaos run's timing)")
-		brkThresh = flag.Int("breaker-threshold", 0, "router mode: consecutive failures that open a node's circuit breaker (0 = default, negative disables)")
-		brkCool   = flag.Duration("breaker-cooldown", 0, "router mode: breaker open duration before a half-open probe (0 = default)")
 	)
 	flag.Parse()
 
@@ -78,17 +73,10 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *timeout == 0 {
-		logger.Warn("tageload: -timeout 0: deadlines disabled, a stalled server will hang this run indefinitely")
-	}
 	clientCfg := serve.ClientConfig{
 		DialTimeout:  5 * time.Second,
-		ReadTimeout:  *timeout,
-		WriteTimeout: *timeout,
-		Seed:         *seed,
-	}
-	if *nodes == "" && *retries != 0 {
-		clientCfg.BusyRetries = *retries
+		ReadTimeout:  30 * time.Second,
+		WriteTimeout: 30 * time.Second,
 	}
 
 	sp, err := predictor.Parse(*spec)
@@ -113,12 +101,8 @@ func main() {
 	var router *serve.Router
 	if *nodes != "" {
 		router, err = serve.NewRouter(serve.RouterConfig{
-			Nodes:            strings.Split(*nodes, ","),
-			Client:           clientCfg,
-			MaxRetries:       *retries,
-			BreakerThreshold: *brkThresh,
-			BreakerCooldown:  *brkCool,
-			Logger:           logger,
+			Nodes:  strings.Split(*nodes, ","),
+			Client: clientCfg,
 		})
 		if err != nil {
 			fatal("tageload: router setup failed", "err", err)
@@ -170,7 +154,7 @@ func main() {
 				// failures retried inside Replay (reported in the cluster
 				// roll-up) instead of aborting the worker.
 				replay = func(i int) bool {
-					key := fmt.Sprintf("%s/%d/%s", *keyPrefix, w, traces[i].Name())
+					key := fmt.Sprintf("tageload/%d/%s", w, traces[i].Name())
 					rs, err := router.Open(key, req)
 					if err != nil {
 						out.err = err
@@ -293,8 +277,8 @@ func main() {
 }
 
 // verifyOffline recomputes every served replay with the offline simulator
-// and requires bit-identical tallies — the end-to-end durability check a
-// soak script runs after killing and restarting nodes mid-replay.
+// and requires bit-identical tallies: online == offline, checked in a
+// real process.
 func verifyOffline(all []sim.Result, sp predictor.Spec, limit uint64) error {
 	for _, res := range all {
 		tr, err := workload.ByName(res.Trace)

@@ -4,7 +4,8 @@
 // queryable signal rather than a post-hoc table. The second half is the
 // durability story: predictor state snapshot/restore, and a keyed
 // session surviving the death of its node through the failover-aware
-// session router.
+// session router. The example exits non-zero unless that session fails
+// over exactly once and still matches the offline run.
 package main
 
 import (
@@ -12,12 +13,43 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"sync"
 	"time"
 
 	"repro"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
+
+// gatedTrace wraps a trace so that its first reader blocks before
+// returning branch `at` until release is closed, closing reached when
+// it gets there. Readers opened later (the router reopens the trace to
+// rewind after a failover) pass straight through.
+type gatedTrace struct {
+	repro.Trace
+	at      uint64
+	reached chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (g *gatedTrace) Open() trace.Reader { return &gatedReader{g: g, rd: g.Trace.Open()} }
+
+type gatedReader struct {
+	g  *gatedTrace
+	rd trace.Reader
+	n  uint64
+}
+
+func (r *gatedReader) Next() (repro.Branch, error) {
+	if r.n == r.g.at {
+		r.g.once.Do(func() { close(r.g.reached) })
+		<-r.g.release
+	}
+	r.n++
+	return r.rd.Next()
+}
 
 func main() {
 	// An in-process server: ephemeral loopback port, default predictor
@@ -167,18 +199,26 @@ func main() {
 		res repro.Result
 		err error
 	}
+	// Kill node A at a fixed point of the stream: the replay's reader
+	// blocks before branch 16*1024 until node A is down. By then the
+	// session has served 16 batches and refreshed its failover snapshot
+	// (every 8 batches), and most of the 200k-branch replay is still
+	// ahead.
+	gate := &gatedTrace{Trace: tr, at: 16 * 1024, reached: make(chan struct{}), release: make(chan struct{})}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := rs.Replay(tr, 200_000, 1024, nil)
+		res, err := rs.Replay(gate, 200_000, 1024, nil)
 		done <- outcome{res, err}
 	}()
-	// Kill node A once the session has made real progress.
-	for srvA.Engine().Snapshot().Branches < 20_000 {
-		time.Sleep(time.Millisecond)
+	select {
+	case <-gate.reached:
+	case o := <-done:
+		log.Fatalf("replay finished before node A was killed (err=%v)", o.err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	srvA.Shutdown(ctx)
 	cancel()
+	close(gate.release)
 	o := <-done
 	if o.err != nil {
 		log.Fatal(o.err)
@@ -190,8 +230,14 @@ func main() {
 	fmt.Printf("\nrouted session %q survived its node dying mid-stream on %s\n", key, rs.Node())
 	fmt.Printf("failover replay bit-identical to offline run: %v (%.2f misp/KI over %d branches)\n",
 		o.res == offline, o.res.MPKI(), o.res.Branches)
+	failovers := uint64(0)
 	for _, ns := range router.Stats() {
 		fmt.Printf("  node %-21s sessions=%d retries=%d failovers=%d\n",
 			ns.Addr, ns.Sessions, ns.Retries, ns.Failovers)
+		failovers += ns.Failovers
+	}
+	if failovers != 1 || o.res != offline {
+		log.Fatalf("want exactly one failover and a result equal to the offline run; got %d failovers, equal=%v",
+			failovers, o.res == offline)
 	}
 }

@@ -1,21 +1,20 @@
 // Package faultnet is a deterministic fault-injection layer for
 // net.Conn: it wraps a transport with seed-scheduled network misbehavior
-// — injected latency, short reads, chunked writes, byte corruption,
-// mid-stream connection drops, resets and stalls — so the serve stack
-// can be soaked against the messy failure tail real networks produce,
-// reproducibly.
+// — short reads, chunked writes, byte corruption, mid-stream connection
+// drops, resets and stalls — so the serve stack can be tested against
+// the messy failure tail real networks produce, reproducibly.
 //
 // Determinism is the point. Every wrapped connection draws its fault
 // decisions from its own xrand stream, derived from (Config.Seed,
 // connection ordinal): the i-th connection accepted through a wrapped
-// listener (or opened through a Proxy) sees the same fault sequence for
-// the same seed, operation by operation, on every run. A chaos soak that
-// fails therefore prints its seed and is replayable exactly.
+// listener sees the same fault sequence for the same seed, operation by
+// operation, on every run. A chaos test names its seed in the subtest,
+// so a failure reruns with `go test -run 'TestChaosEndToEnd/seed=N'`.
 //
 // The fault taxonomy mirrors what a TCP peer can actually observe:
 //
-//   - Latency / Stall: an operation completes late (Stall is the
-//     pathological version, long enough to trip peer deadlines).
+//   - Stall: an operation delivers part of its data, then goes quiet
+//     long enough to trip peer deadlines.
 //   - Short read / chunked write: data arrives, but fragmented — the
 //     reassembly torture test for any length-prefixed codec.
 //   - Corruption: a delivered byte is flipped. The bytes keep flowing;
@@ -25,9 +24,8 @@
 //   - Reset: the operation fails immediately with a reset-flavored
 //     error, without delivering anything.
 //
-// Wrap a single conn with Wrap, a listener with WrapListener, or put a
-// whole unmodified server behind a fault-injecting TCP Proxy (the
-// cmd/faultproxy binary drives that from the command line).
+// Wrap a single conn with Wrap, or every accepted conn of a listener
+// with WrapListener.
 package faultnet
 
 import (
@@ -64,10 +62,6 @@ type Config struct {
 	StallRate float64
 	// StallFor is the stall duration (default 1s when StallRate > 0).
 	StallFor time.Duration
-	// LatencyJitter, when non-zero, sleeps a uniform duration in
-	// [0, LatencyJitter) before every operation — background network
-	// weather, below deadline thresholds.
-	LatencyJitter time.Duration
 	// ShortReads delivers every read in small fragments: a Read returns
 	// between 1 and 16 bytes regardless of buffer size.
 	ShortReads bool
@@ -84,16 +78,15 @@ type Stats struct {
 	Drops      atomic.Uint64
 	Resets     atomic.Uint64
 	Stalls     atomic.Uint64
-	Delays     atomic.Uint64
 	ShortReads atomic.Uint64
 	ChunkedWrites atomic.Uint64
 }
 
 // String renders the tally in a fixed order.
 func (s *Stats) String() string {
-	return fmt.Sprintf("conns=%d corrupted=%d drops=%d resets=%d stalls=%d delays=%d short_reads=%d chunked_writes=%d",
+	return fmt.Sprintf("conns=%d corrupted=%d drops=%d resets=%d stalls=%d short_reads=%d chunked_writes=%d",
 		s.Conns.Load(), s.Corrupted.Load(), s.Drops.Load(), s.Resets.Load(),
-		s.Stalls.Load(), s.Delays.Load(), s.ShortReads.Load(), s.ChunkedWrites.Load())
+		s.Stalls.Load(), s.ShortReads.Load(), s.ChunkedWrites.Load())
 }
 
 // Total returns the number of destructive faults injected (corruption,
@@ -135,15 +128,6 @@ func Wrap(conn net.Conn, cfg Config, id uint64, stats *Stats) *Conn {
 	return c
 }
 
-// delay applies the latency schedule for one operation.
-func (c *Conn) delay() {
-	if c.cfg.LatencyJitter > 0 {
-		d := time.Duration(c.rng.Uint64() % uint64(c.cfg.LatencyJitter))
-		c.stats.Delays.Add(1)
-		time.Sleep(d)
-	}
-}
-
 // stalled decides whether this operation stalls. The stall is applied
 // mid-operation (a prefix of the data moves, then nothing for StallFor)
 // so the peer observes a partial frame going quiet — the shape
@@ -173,7 +157,6 @@ func (c *Conn) Read(p []byte) (int, error) {
 	if len(p) == 0 {
 		return c.Conn.Read(p)
 	}
-	c.delay()
 	if c.stallPending {
 		// The previous read delivered a truncated prefix; go quiet now, so
 		// the downstream peer sees a partial frame stop making progress.
@@ -219,7 +202,6 @@ func (c *Conn) Write(p []byte) (int, error) {
 	if len(p) == 0 {
 		return c.Conn.Write(p)
 	}
-	c.delay()
 	if c.abort() {
 		return 0, ErrInjected
 	}

@@ -19,10 +19,10 @@ func payload(n int) []byte {
 }
 
 // tally copies the counters out of a Stats for comparison.
-func tally(s *Stats) [8]uint64 {
-	return [8]uint64{
+func tally(s *Stats) [7]uint64 {
+	return [7]uint64{
 		s.Conns.Load(), s.Corrupted.Load(), s.Drops.Load(), s.Resets.Load(),
-		s.Stalls.Load(), s.Delays.Load(), s.ShortReads.Load(), s.ChunkedWrites.Load(),
+		s.Stalls.Load(), s.ShortReads.Load(), s.ChunkedWrites.Load(),
 	}
 }
 
@@ -30,7 +30,7 @@ func tally(s *Stats) [8]uint64 {
 // one end wrapped under (cfg, id) — the reading end, or the writing end
 // when wrapWriter — and returns what the reader saw, one entry per Read
 // (the data, or the error that ended the stream), plus the fault tally.
-func exchange(t *testing.T, cfg Config, id uint64, wrapWriter bool) ([]string, [8]uint64) {
+func exchange(t *testing.T, cfg Config, id uint64, wrapWriter bool) ([]string, [7]uint64) {
 	t.Helper()
 	var stats Stats
 	var r, w net.Conn
@@ -100,7 +100,7 @@ func TestZeroConfigTransparent(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("zero Config altered the stream: %d bytes delivered, want %d", len(got), len(want))
 	}
-	if got, want := tally(&stats), [8]uint64{2}; got != want {
+	if got, want := tally(&stats), [7]uint64{2}; got != want {
 		t.Fatalf("zero Config tally %v (%s), want %v", got, &stats, want)
 	}
 }

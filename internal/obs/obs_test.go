@@ -108,8 +108,8 @@ func TestFlightRecorderRing(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderText pins the dump format the chaos soak greps:
-// kind=, conn=, sess=, key=, cause= fields with zero fields omitted.
+// TestFlightRecorderText pins the /debug/events dump format: kind=,
+// conn=, sess=, key=, cause= fields with zero fields omitted.
 func TestFlightRecorderText(t *testing.T) {
 	r := NewFlightRecorder(8)
 	r.Record(Event{

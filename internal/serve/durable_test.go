@@ -160,6 +160,41 @@ func TestReplayResumedKeyedSession(t *testing.T) {
 	}
 }
 
+// TestKeyedReopenFencesOldID pins the exactly-once fence of a keyed
+// reopen: reopening a live key moves the session to a new id, so a batch
+// that arrives late on the connection the client abandoned, addressed to
+// the old id, is rejected as an unknown session instead of being served
+// a second time behind the reopening client's resync. The moved session
+// keeps the cursor, and the live-session count does not change.
+func TestKeyedReopenFencesOldID(t *testing.T) {
+	srv := startServer(t, Config{})
+	req := OpenRequest{Spec: "tage-16K", Key: "fence/stale"}
+	stale, err := dial(t, srv).OpenSession(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	branches := sampleBranches(1000, 9)
+	streamSlice(t, stale, branches[:500], 250)
+	fresh, err := dial(t, srv).OpenSession(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.ID() == stale.ID() || fresh.Resumed() != 500 {
+		t.Fatalf("reopen: id %d (old %d), resumed at %d; want a new id resumed at 500",
+			fresh.ID(), stale.ID(), fresh.Resumed())
+	}
+	_, err = stale.Predict(branches[500:750])
+	var re *RemoteError
+	if !errors.As(err, &re) || re.Code != ErrCodeUnknownSession {
+		t.Fatalf("late batch on the old id: err = %v, want ErrCodeUnknownSession", err)
+	}
+	streamSlice(t, fresh, branches[500:], 250)
+	if snap := srv.Engine().Snapshot(); snap.Branches != 1000 || snap.LiveSessions != 1 || snap.OpenedSessions != 1 {
+		t.Fatalf("engine: %d branches, %d live, %d opened; want 1000, 1, 1",
+			snap.Branches, snap.LiveSessions, snap.OpenedSessions)
+	}
+}
+
 // TestCheckpointWarmStart pins the WAL-free restart path end to end: a
 // keyed session's state survives a graceful shutdown via the drain
 // checkpoint, a second server booting on the same state directory

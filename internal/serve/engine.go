@@ -172,11 +172,12 @@ func (e *Engine) ReleaseBatch() {
 // or from the engine's default spec when the request names none.
 //
 // Keyed requests resolve in durability order: a live session holding the
-// key is resumed as-is (the request's predictor fields are ignored —
-// the key is the identity); else a stored checkpoint for the key is
-// restored; else a fresh keyed session is created. An unreadable or
-// corrupt checkpoint is counted as a restore failure and falls back to a
-// fresh session rather than failing the open.
+// key is resumed as-is under a new session id (see reopenLocked; the
+// request's predictor fields are ignored — the key is the identity);
+// else a stored checkpoint for the key is restored; else a fresh keyed
+// session is created. An unreadable or corrupt checkpoint is counted as
+// a restore failure and falls back to a fresh session rather than
+// failing the open.
 func (e *Engine) Open(req OpenRequest, now int64) (*Session, error) {
 	spec := req.spec()
 	if req.Key == "" {
@@ -190,8 +191,7 @@ func (e *Engine) Open(req OpenRequest, now int64) (*Session, error) {
 	defer e.keyMu.Unlock()
 	if id, ok := e.keys[req.Key]; ok {
 		if s, ok := e.reg.get(id); ok {
-			s.lastUsed.Store(now)
-			return s, nil
+			return e.reopenLocked(s, now), nil
 		}
 		// Unreachable today: every path that retires a keyed session
 		// holds keyMu and deletes the index entry first. Self-heal
@@ -282,17 +282,42 @@ func (e *Engine) resumeLocked(snap SessionSnapshot, now int64) (*Session, error)
 	return s, nil
 }
 
+// reopenLocked moves a live keyed session to a new id, under its lock,
+// and retires the old id without folding its tallies. A batch still in
+// flight on a connection the client abandoned names the old id, so it
+// cannot be served again after the reopening client resynced its
+// cursor. Caller holds keyMu, as every keyed retire path does.
+func (e *Engine) reopenLocked(old *Session, now int64) *Session {
+	old.mu.Lock()
+	s := &Session{
+		id:           e.reg.nextID.Add(1),
+		key:          old.key,
+		bk:           old.bk,
+		res:          old.res,
+		ckptBranches: old.ckptBranches,
+		spec:         old.spec,
+	}
+	old.retired = true
+	old.mu.Unlock()
+	s.lastUsed.Store(now)
+	// The live-session slot passes from the old id to the new one.
+	e.reg.remove(old.id)
+	e.reg.insert(s)
+	e.keys[s.key] = s.id
+	return s
+}
+
 // OpenSnapshot opens (or resumes) a session from a decoded snapshot blob
 // — the FrameOpenSnap migration/failover path. A live session already
-// holding the snapshot's key wins: the blob a failing-over client
-// carries is at most as fresh as the live state.
+// holding the snapshot's key wins, moved to a new id as for a keyed
+// Open: the blob a failing-over client carries is at most as fresh as
+// the live state.
 func (e *Engine) OpenSnapshot(snap SessionSnapshot, now int64) (*Session, error) {
 	e.keyMu.Lock()
 	defer e.keyMu.Unlock()
 	if id, ok := e.keys[snap.Key]; ok {
 		if s, ok := e.reg.get(id); ok {
-			s.lastUsed.Store(now)
-			return s, nil
+			return e.reopenLocked(s, now), nil
 		}
 		delete(e.keys, snap.Key)
 	}
@@ -540,13 +565,6 @@ func (e *Engine) AttachStore(cs *CheckpointStore, now int64) (int, error) {
 		restored++
 	}
 	return restored, nil
-}
-
-// HasStore reports whether a checkpoint store is attached.
-func (e *Engine) HasStore() bool {
-	e.keyMu.Lock()
-	defer e.keyMu.Unlock()
-	return e.store != nil
 }
 
 func (e *Engine) fold(res sim.Result) {

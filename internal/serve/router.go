@@ -27,23 +27,19 @@ import (
 
 // Router defaults.
 const (
-	DefaultReplicas         = 64
 	DefaultMaxRetries       = 6
 	DefaultRetryBackoff     = 50 * time.Millisecond
-	DefaultSnapshotEvery    = 8
 	DefaultBreakerThreshold = 5
 	DefaultBreakerCooldown  = time.Second
 	maxRetryBackoff         = 2 * time.Second
+	ringReplicas            = 64 // virtual nodes per node on the hash ring
+	snapshotEvery           = 8  // batches between failover-token refreshes
 )
 
 // RouterConfig configures a Router.
 type RouterConfig struct {
 	// Nodes are the wire-protocol addresses of the cluster.
 	Nodes []string
-	// Replicas is the virtual-node count per node on the hash ring
-	// (0 selects DefaultReplicas). More replicas smooth the key
-	// distribution at the cost of a larger ring.
-	Replicas int
 	// Client configures the per-node connections (deadlines, busy
 	// retries). Its Seed also keys each session's recovery-backoff
 	// jitter, decorrelated per session key.
@@ -55,28 +51,16 @@ type RouterConfig struct {
 	// RetryBackoff is the initial backoff between recovery attempts; it
 	// doubles per attempt, capped at 2s. 0 selects DefaultRetryBackoff.
 	RetryBackoff time.Duration
-	// SnapshotEvery is the batch cadence at which a replaying session
-	// refreshes its client-held snapshot blob — the failover token; 0
-	// selects DefaultSnapshotEvery, negative disables refreshing (the
-	// session can then only fail over to a node that shares state).
-	SnapshotEvery int
 	// BreakerThreshold opens a node's circuit breaker after this many
 	// consecutive failed attempts, so the ring routes around a flapping
-	// node instead of burning its retry budget hammering it. 0 selects
-	// DefaultBreakerThreshold; negative disables the breaker.
+	// node instead of burning its retry budget hammering it. 0 or less
+	// selects DefaultBreakerThreshold.
 	BreakerThreshold int
 	// BreakerCooldown is how long an open breaker rejects a node before
 	// one half-open probe is allowed through (success closes it, failure
 	// re-opens it for another cooldown). 0 selects
 	// DefaultBreakerCooldown.
 	BreakerCooldown time.Duration
-	// Events receives the router's flight-recorder stream (retries,
-	// breaker transitions, failovers, recoveries). Nil selects a private
-	// DefaultEventBuffer-sized recorder, reachable via Router.Events.
-	Events *obs.FlightRecorder
-	// Logger receives breaker-transition warnings (with a recorder tail
-	// attached on breaker-open). Nil selects slog.Default.
-	Logger *slog.Logger
 }
 
 // NodeStats is one node's roll-up of router activity.
@@ -100,10 +84,9 @@ type vnode struct {
 // ring. It is safe for concurrent use; each RouterSession owns its own
 // connection.
 type Router struct {
-	cfg    RouterConfig
-	ring   []vnode
-	rec    *obs.FlightRecorder
-	logger *slog.Logger
+	cfg  RouterConfig
+	ring []vnode
+	rec  *obs.FlightRecorder
 
 	mu       sync.Mutex
 	stats    map[string]*NodeStats
@@ -124,19 +107,13 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("serve: router requires at least one node")
 	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = DefaultReplicas
-	}
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = DefaultMaxRetries
 	}
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = DefaultRetryBackoff
 	}
-	if cfg.SnapshotEvery == 0 {
-		cfg.SnapshotEvery = DefaultSnapshotEvery
-	}
-	if cfg.BreakerThreshold == 0 {
+	if cfg.BreakerThreshold <= 0 {
 		cfg.BreakerThreshold = DefaultBreakerThreshold
 	}
 	if cfg.BreakerCooldown <= 0 {
@@ -144,22 +121,15 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	r := &Router{
 		cfg:      cfg,
-		rec:      cfg.Events,
-		logger:   cfg.Logger,
+		rec:      obs.NewFlightRecorder(0),
 		stats:    make(map[string]*NodeStats),
 		breakers: make(map[string]*breakerState),
-	}
-	if r.rec == nil {
-		r.rec = obs.NewFlightRecorder(0)
-	}
-	if r.logger == nil {
-		r.logger = slog.Default()
 	}
 	r.mu.Lock()
 	for i, node := range cfg.Nodes {
 		r.stats[node] = &NodeStats{Addr: node}
 		r.breakers[node] = &breakerState{}
-		for rep := 0; rep < cfg.Replicas; rep++ {
+		for rep := 0; rep < ringReplicas; rep++ {
 			r.ring = append(r.ring, vnode{hash: ringHash(fmt.Sprintf("%s#%d", node, rep)), node: i})
 		}
 	}
@@ -194,7 +164,8 @@ func (r *Router) nodesFor(key string) []string {
 	return order
 }
 
-// Events returns the router's flight recorder (never nil).
+// Events returns the router's flight recorder: its retries, breaker
+// transitions, failovers and recoveries.
 func (r *Router) Events() *obs.FlightRecorder { return r.rec }
 
 // Stats returns the per-node roll-up sorted by address.
@@ -221,9 +192,6 @@ func (r *Router) bump(node string, f func(*NodeStats)) {
 // closed, or open with the cooldown expired (the half-open probe — the
 // next failure re-opens it, a success closes it).
 func (r *Router) nodeAvailable(node string) bool {
-	if r.cfg.BreakerThreshold < 0 {
-		return true
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	b, ok := r.breakers[node]
@@ -237,9 +205,6 @@ func (r *Router) nodeAvailable(node string) bool {
 // re-opening, after a failed half-open probe) its breaker at the
 // threshold.
 func (r *Router) nodeFailed(node string) {
-	if r.cfg.BreakerThreshold < 0 {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	b, ok := r.breakers[node]
@@ -263,7 +228,7 @@ func (r *Router) nodeFailed(node string) {
 		// to a breaker trip are exactly what the ring exists to explain.
 		var tail strings.Builder
 		r.rec.WriteTail(&tail, evictDumpTail)
-		r.logger.Warn("serve: router breaker opened",
+		slog.Warn("serve: router breaker opened",
 			"node", node, "consecutive_failures", b.fails,
 			"cooldown", r.cfg.BreakerCooldown, "recent_events", tail.String())
 	}
@@ -272,9 +237,6 @@ func (r *Router) nodeFailed(node string) {
 
 // nodeOK records a successful attempt, closing the node's breaker.
 func (r *Router) nodeOK(node string) {
-	if r.cfg.BreakerThreshold < 0 {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	b, ok := r.breakers[node]
@@ -290,7 +252,7 @@ func (r *Router) nodeOK(node string) {
 			UnixNano: time.Now().UnixNano(), Kind: obs.EvBreakerClose, Backend: node,
 			Cause: "half-open probe succeeded",
 		})
-		r.logger.Info("serve: router breaker closed", "node", node)
+		slog.Info("serve: router breaker closed", "node", node)
 	}
 	b.fails = 0
 }
@@ -563,7 +525,7 @@ func (rs *RouterSession) Replay(tr trace.Trace, limit uint64, batchSize int, lat
 	batches := 0
 	refresh := func() {
 		batches++
-		if every := rs.r.cfg.SnapshotEvery; every > 0 && batches%every == 0 {
+		if batches%snapshotEvery == 0 {
 			// Refresh the failover token. Best-effort: a failure here
 			// means the connection is likely broken and the next Predict
 			// runs the real recovery.

@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/predictor"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -123,7 +125,7 @@ func (r *gatedReader) Close() {
 // survives its primary node dying mid-stream — the session fails over to
 // the next ring node carrying the client-held snapshot, the cursor
 // resyncs, and the final tallies still match an uninterrupted offline
-// run bit for bit. Node roll-ups record the failover.
+// run bit for bit. Node roll-ups record the failover as one recovery.
 func TestRouterFailover(t *testing.T) {
 	srv1 := startServer(t, Config{})
 	srv2 := startServer(t, Config{})
@@ -158,7 +160,7 @@ func TestRouterFailover(t *testing.T) {
 		err error
 	}
 	// Kill the primary once the replay is far enough in to have refreshed
-	// its failover snapshot at least once (SnapshotEvery defaults to 8
+	// its failover snapshot at least once (every snapshotEvery = 8
 	// batches), but nowhere near done: the replay's reader blocks before
 	// branch 16*batchSize until the primary is down, so the kill lands at
 	// the same point of the stream on every run.
@@ -215,8 +217,9 @@ func TestRouterFailover(t *testing.T) {
 	for _, ns := range stats {
 		byAddr[ns.Addr] = ns
 	}
-	if byAddr[addr2].Failovers != 1 {
-		t.Errorf("node %s records %d failovers, want 1", addr2, byAddr[addr2].Failovers)
+	if byAddr[addr2].Failovers != 1 || byAddr[addr2].Recoveries != 1 {
+		t.Errorf("node %s records %d failovers and %d recoveries, want 1 and 1",
+			addr2, byAddr[addr2].Failovers, byAddr[addr2].Recoveries)
 	}
 	if byAddr[addr1].Retries == 0 {
 		t.Errorf("node %s records no retries despite dying mid-replay", addr1)
@@ -262,26 +265,27 @@ func TestRouterResumeAfterRestart(t *testing.T) {
 		res sim.Result
 		err error
 	}
+	// The replay's reader blocks before branch 16*batchSize until the
+	// node is down, so the restart lands at the same point of the stream
+	// on every run, never after the replay finished.
+	gate := &gatedTrace{Trace: tr, at: 16 * batchSize, reached: make(chan struct{}), release: make(chan struct{})}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := rs.Replay(tr, limit, batchSize, nil)
+		res, err := rs.Replay(gate, limit, batchSize, nil)
 		done <- outcome{res, err}
 	}()
+	select {
+	case <-gate.reached:
+	case o := <-done:
+		t.Fatalf("replay finished before the induced restart (err=%v)", o.err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("replay never reached the restart point")
+	}
 
-	// Let it run past a few checkpoints, then take the node down and bring
-	// a replacement up on the same address and state directory — the
-	// in-process twin of a node restart.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		snap := srvA.Engine().Snapshot()
-		if snap.CheckpointsWritten >= 2 && snap.Branches >= 16*batchSize {
-			break
-		}
-		select {
-		case o := <-done:
-			t.Fatalf("replay finished before the induced restart (err=%v)", o.err)
-		default:
-		}
+	// Let the checkpoint loop write the session, then take the node down
+	// and bring a replacement up on the same address and state directory
+	// — the in-process twin of a node restart.
+	for deadline := time.Now().Add(30 * time.Second); srvA.Engine().Snapshot().CheckpointsWritten == 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("no checkpoint written in time")
 		}
@@ -292,6 +296,7 @@ func TestRouterResumeAfterRestart(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 	cancel()
+	close(gate.release)
 	srvB := NewServer(Config{StateDir: dir, CheckpointInterval: 5 * time.Millisecond})
 	lnB, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -363,5 +368,193 @@ func TestRouterReplayCursorPastTrace(t *testing.T) {
 	defer rs.Close()
 	if _, err := rs.Replay(tr, 2000, 500, nil); err == nil || recoverable(err) {
 		t.Fatalf("replay to 2000 of a session at 3000: err = %v, want a fatal error", err)
+	}
+}
+
+// TestRouterBusyRollup pins the busy-retry roll-up: every batch the node
+// sheds, and the client retries internally, is folded into that node's
+// NodeStats.BusyRetries, one for one with the server's shed count, and
+// the replay still matches offline.
+func TestRouterBusyRollup(t *testing.T) {
+	srv := startServer(t, Config{Engine: EngineConfig{MaxInflight: 1}})
+	eng := srv.Engine()
+	// Hold the node's only admission slot, so every batch is shed until
+	// the test lets go of it.
+	if !eng.AcquireBatch() {
+		t.Fatal("admission refused the first slot")
+	}
+	r, err := NewRouter(RouterConfig{
+		Nodes: []string{srv.Addr().String()},
+		// A budget the test never exhausts: every shed stays an internal
+		// busy retry instead of surfacing as a recovery.
+		Client: ClientConfig{BusyRetries: 1000, BusyBackoff: time.Millisecond, Seed: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		limit     = 20_000
+		batchSize = 256
+		spec      = "tage-16K"
+	)
+	tr, err := workload.ByName("SERV-3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := r.Open("busy/SERV-3", OpenRequest{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		res sim.Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := rs.Replay(tr, limit, batchSize, nil)
+		done <- outcome{res, err}
+	}()
+	for deadline := time.Now().Add(30 * time.Second); eng.Snapshot().ShedBatches < 3; {
+		if time.Now().After(deadline) {
+			t.Fatal("the node never shed three batches")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	eng.ReleaseBatch()
+	o := <-done
+	if o.err != nil {
+		t.Fatalf("replay: %v", o.err)
+	}
+	sp, err := predictor.Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offline, err := sim.RunSpec(sp, tr, limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offline.Mode = o.res.Mode
+	if o.res != offline {
+		t.Errorf("replay %+v != offline %+v", o.res, offline)
+	}
+	sheds := eng.Snapshot().ShedBatches
+	if stats := r.Stats(); len(stats) != 1 || stats[0].BusyRetries != sheds {
+		t.Errorf("router roll-up %+v, want BusyRetries = %d (the node's sheds)", stats, sheds)
+	}
+}
+
+// TestRouterBreakerOpensAndCloses pins the circuit breaker's life cycle
+// on a one-node cluster with a threshold of one: the node dying
+// mid-replay opens its breaker, the restarted node's first successful
+// probe closes it, both transitions are counted once and recorded in
+// order, and the replay still matches offline.
+func TestRouterBreakerOpensAndCloses(t *testing.T) {
+	dir := t.TempDir()
+	srvA := startServer(t, Config{StateDir: dir, CheckpointInterval: -1})
+	addr := srvA.Addr().String()
+	r, err := NewRouter(RouterConfig{
+		Nodes:            []string{addr},
+		MaxRetries:       12,
+		RetryBackoff:     5 * time.Millisecond,
+		BreakerThreshold: 1,
+		BreakerCooldown:  time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		limit     = 40_000
+		batchSize = 512
+		spec      = "tage-16K?mode=probabilistic"
+	)
+	tr, err := workload.ByName("INT-3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := r.Open("breaker/INT-3", OpenRequest{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		res sim.Result
+		err error
+	}
+	gate := &gatedTrace{Trace: tr, at: 8 * batchSize, reached: make(chan struct{}), release: make(chan struct{})}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := rs.Replay(gate, limit, batchSize, nil)
+		done <- outcome{res, err}
+	}()
+	select {
+	case <-gate.reached:
+	case o := <-done:
+		t.Fatalf("replay finished before the induced failure (err=%v)", o.err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("replay never reached the failure point")
+	}
+	// The graceful shutdown checkpoints the session for the restart.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	if err := srvA.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	cancel()
+	close(gate.release)
+	// Restart only once a reconnect has failed: the breaker is open then.
+	for deadline := time.Now().Add(30 * time.Second); r.Stats()[0].Retries == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the router never retried the dead node")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	srvB := NewServer(Config{StateDir: dir, CheckpointInterval: -1})
+	lnB, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("rebinding %s: %v", addr, err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srvB.Serve(lnB) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := srvB.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown replacement: %v", err)
+		}
+		if err := <-serveDone; err != nil {
+			t.Errorf("replacement serve returned: %v", err)
+		}
+	})
+
+	var o outcome
+	select {
+	case o = <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("replay did not finish after restart")
+	}
+	if o.err != nil {
+		t.Fatalf("replay: %v", o.err)
+	}
+	sp, err := predictor.Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offline, err := sim.RunSpec(sp, tr, limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offline.Mode = o.res.Mode
+	if o.res != offline {
+		t.Errorf("replay %+v != offline %+v", o.res, offline)
+	}
+	if ns := r.Stats()[0]; ns.BreakerOpens != 1 || ns.BreakerCloses != 1 {
+		t.Errorf("breaker opened %d and closed %d times, want 1 and 1", ns.BreakerOpens, ns.BreakerCloses)
+	}
+	var kinds []obs.EventKind
+	for _, ev := range r.Events().Snapshot() {
+		if ev.Kind == obs.EvBreakerOpen || ev.Kind == obs.EvBreakerClose {
+			kinds = append(kinds, ev.Kind)
+		}
+	}
+	if want := []obs.EventKind{obs.EvBreakerOpen, obs.EvBreakerClose}; !slices.Equal(kinds, want) {
+		t.Errorf("router breaker events %v, want %v", kinds, want)
 	}
 }

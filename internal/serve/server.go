@@ -35,10 +35,6 @@ type Config struct {
 	// profiling endpoints are never reachable from the scrape network by
 	// accident.
 	DebugAddr string
-	// EventBuffer sizes the flight-recorder ring (events retained for
-	// /debug/events and eviction dumps). 0 selects
-	// obs.DefaultEventBuffer; negative disables the recorder.
-	EventBuffer int
 	// Engine sizes the session engine (shards, max sessions, default
 	// predictor configuration).
 	Engine EngineConfig
@@ -47,9 +43,8 @@ type Config struct {
 	IdleTimeout time.Duration
 	// StateDir, when non-empty, makes keyed sessions durable: Serve
 	// opens (creating if needed) a checkpoint store there, restores
-	// every stored checkpoint on boot, and checkpoints dirty sessions
-	// periodically and on shutdown. Ignored when a store was already
-	// attached to the engine directly.
+	// every stored checkpoint on boot (logging how many), and
+	// checkpoints dirty sessions periodically and on shutdown.
 	StateDir string
 	// CheckpointInterval paces the background checkpoint loop; 0 selects
 	// DefaultCheckpointInterval, negative disables the loop (checkpoints
@@ -61,13 +56,6 @@ type Config struct {
 	// a stalled or trickling peer is evicted as a slow reader. 0 selects
 	// DefaultFrameTimeout, negative disables.
 	FrameTimeout time.Duration
-	// WriteTimeout bounds each response write/flush against a peer that
-	// stopped draining its socket — the per-connection half of overload
-	// control (a pipelining connection cannot park a handler forever).
-	// 0 selects DefaultWriteTimeout, negative disables. Eviction closes
-	// the connection only; keyed sessions survive and fold their tallies
-	// exactly once through the usual retire/checkpoint path.
-	WriteTimeout time.Duration
 }
 
 // DefaultIdleTimeout is the idle-session eviction horizon when none is
@@ -82,9 +70,9 @@ const DefaultCheckpointInterval = 10 * time.Second
 // configured.
 const DefaultFrameTimeout = 30 * time.Second
 
-// DefaultWriteTimeout is the per-flush slow-writer deadline when none is
-// configured.
-const DefaultWriteTimeout = 30 * time.Second
+// writeTimeout evicts a peer that stopped draining its socket, so a
+// pipelining connection cannot park a handler forever.
+const writeTimeout = 30 * time.Second
 
 // Server runs the wire protocol over TCP: one goroutine per connection,
 // many sessions per server (a connection may open several, and a session
@@ -143,20 +131,15 @@ func NewServer(cfg Config) *Server {
 	if cfg.FrameTimeout == 0 {
 		cfg.FrameTimeout = DefaultFrameTimeout
 	}
-	if cfg.WriteTimeout == 0 {
-		cfg.WriteTimeout = DefaultWriteTimeout
-	}
 	s := &Server{
 		cfg:      cfg,
 		eng:      NewEngine(cfg.Engine),
 		conns:    make(map[net.Conn]struct{}),
 		sweepEnd: make(chan struct{}),
 		logger:   slog.Default(),
+		rec:      obs.NewFlightRecorder(0),
 	}
-	if cfg.EventBuffer >= 0 {
-		s.rec = obs.NewFlightRecorder(cfg.EventBuffer)
-		s.eng.SetEvents(s.rec)
-	}
+	s.eng.SetEvents(s.rec)
 	s.reg = obs.NewRegistry()
 	s.serveHist = s.reg.Histogram("tage_serve_batch_serve_seconds",
 		"Predictor time per served batch (lookup through grade encoding).")
@@ -174,18 +157,12 @@ func (s *Server) Engine() *Engine { return s.eng }
 // their own families to the same /metrics exposition.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// Events exposes the flight recorder (nil when disabled).
+// Events exposes the flight recorder.
 func (s *Server) Events() *obs.FlightRecorder { return s.rec }
 
 // Ready reports whether the server is accepting and routable traffic
 // should flow — the /readyz answer.
 func (s *Server) Ready() bool { return s.ready.Load() }
-
-// BeginDrain fails readiness without closing anything: /readyz starts
-// answering 503 while the wire listener keeps serving, giving load
-// balancers a window to stop routing before Shutdown closes the
-// listener.
-func (s *Server) BeginDrain() { s.ready.Store(false) }
 
 // Addr returns the bound wire-protocol address (after Serve/ListenAndServe).
 func (s *Server) Addr() net.Addr {
@@ -245,16 +222,20 @@ func (s *Server) Serve(ln net.Listener) error {
 		ln.Close()
 		return err
 	}
-	if s.cfg.StateDir != "" && !s.eng.HasStore() {
+	if s.cfg.StateDir != "" {
 		cs, err := OpenCheckpointStore(s.cfg.StateDir)
 		if err != nil {
 			ln.Close()
 			return err
 		}
-		if _, err := s.eng.AttachStore(cs, time.Now().UnixNano()); err != nil {
+		restored, err := s.eng.AttachStore(cs, time.Now().UnixNano())
+		if err != nil {
 			ln.Close()
 			return err
 		}
+		s.logger.Info("serve: restored checkpointed sessions",
+			"state_dir", s.cfg.StateDir, "restored", restored,
+			"checkpoint_interval", s.cfg.CheckpointInterval)
 	}
 	// Publish the listener (Addr turns non-nil) only once checkpoints are
 	// restored, so whoever waits on Addr sees the restored sessions. A
@@ -267,7 +248,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 	s.ln = ln
 	s.mu.Unlock()
-	if s.eng.HasStore() && s.cfg.CheckpointInterval > 0 {
+	if s.cfg.StateDir != "" && s.cfg.CheckpointInterval > 0 {
 		s.mu.Lock()
 		if !s.closed {
 			s.wg.Add(1)
@@ -289,7 +270,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 
 	// State restored and loops running: the server is ready for routed
-	// traffic. Shutdown/BeginDrain flip this back before the listener
+	// traffic. Shutdown flips this back before the listener
 	// goes away.
 	s.ready.Store(true)
 	defer s.ready.Store(false)
@@ -491,7 +472,7 @@ func (s *Server) startHTTP(addr string, mux *http.ServeMux) (net.Listener, *http
 // collectEngine renders the engine snapshot into the exposition:
 // session gauges plus per-level, per-class and per-backend counters
 // aggregated over live and retired sessions. Metric names predate the
-// registry (the soak scripts and dashboards key on them), so this
+// registry (the CI serve-smoke job and dashboards key on them), so this
 // collector preserves them exactly.
 //repro:deterministic
 func (s *Server) collectEngine(tw *obs.TextWriter) {
@@ -603,15 +584,13 @@ func (s *Server) release(st *connState) {
 // flush; writeFailed classifies the resulting error (deadline → slow-peer
 // eviction).
 func (s *Server) armWrite(conn net.Conn) {
-	if s.cfg.WriteTimeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	}
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 }
 
 func (s *Server) writeFailed(st *connState, err error) {
 	if errors.Is(err, os.ErrDeadlineExceeded) {
 		s.slowEvicted.Add(1)
-		s.evictSlowPeer(st, "write stall past WriteTimeout")
+		s.evictSlowPeer(st, "write stall past the write timeout")
 	}
 }
 
@@ -622,9 +601,6 @@ const evictDumpTail = 32
 // the recorder's tail to the structured log, so the eviction arrives
 // with its last-N-events context instead of a bare counter bump.
 func (s *Server) evictSlowPeer(st *connState, cause string) {
-	if s.rec == nil {
-		return
-	}
 	s.rec.Record(obs.Event{
 		UnixNano: time.Now().UnixNano(),
 		Kind:     obs.EvSlowPeerEvict,
@@ -806,22 +782,20 @@ func (s *Server) handleFrame(st *connState, typ byte, payload []byte) (fatal boo
 			if ok {
 				served := time.Since(serveStart)
 				s.serveHist.Observe(served)
-				if s.rec != nil {
-					st.sess, st.key, st.backend = id, sess.Key(), sess.ConfigName()
-					st.ev = obs.Event{
-						UnixNano: now,
-						Kind:     obs.EvBatch,
-						Conn:     st.conn,
-						Session:  id,
-						Key:      st.key,
-						Backend:  st.backend,
-						Frame:    typ,
-						Batch:    len(records),
-						QueueNS:  serveStart.Sub(st.arrived).Nanoseconds(),
-						ServeNS:  served.Nanoseconds(),
-					}
-					st.evPend = true
+				st.sess, st.key, st.backend = id, sess.Key(), sess.ConfigName()
+				st.ev = obs.Event{
+					UnixNano: now,
+					Kind:     obs.EvBatch,
+					Conn:     st.conn,
+					Session:  id,
+					Key:      st.key,
+					Backend:  st.backend,
+					Frame:    typ,
+					Batch:    len(records),
+					QueueNS:  serveStart.Sub(st.arrived).Nanoseconds(),
+					ServeNS:  served.Nanoseconds(),
 				}
+				st.evPend = true
 			}
 		}
 		if !ok {

@@ -36,19 +36,22 @@
 // per-connection cap on buffered responses bounds what one pipelining
 // connection can queue. Slow or stalled peers are evicted by deadline:
 // Config.FrameTimeout bounds how long a peer may dawdle mid-frame once
-// its first header byte arrives, Config.WriteTimeout bounds a flush
-// against a reader that stopped draining. Eviction closes the
+// its first header byte arrives, and a fixed 30 s write deadline bounds
+// a flush against a reader that stopped draining. Eviction closes the
 // connection only — keyed sessions survive and fold their tallies
 // exactly once through the usual retire/checkpoint path.
 //
 // # Durability
 //
-// Sessions opened with a key are durable. Attach a CheckpointStore
-// (Config.StateDir, or Engine.AttachStore directly) and the engine
-// checkpoints dirty keyed sessions periodically, on eviction and on
+// Sessions opened with a key are durable. Give the server a
+// Config.StateDir (a bare Engine takes a CheckpointStore through
+// AttachStore) and the engine checkpoints dirty keyed sessions periodically, on eviction and on
 // graceful shutdown; a restarted server restores every checkpoint before
 // accepting traffic, and a keyed re-open resumes exactly at the
-// checkpointed branch cursor (FrameOpened carries it). The checkpoint
+// checkpointed branch cursor (FrameOpened carries it). Re-opening a
+// live key moves the session to a new id, so a batch still in flight on
+// a connection the client abandoned cannot be served after the client
+// resynced its cursor. The checkpoint
 // blob is the versioned session snapshot — spec line, predictor state
 // image, per-class tallies, CRC — also fetchable live over the wire
 // (FrameSnapGet → FrameSnap) and installable on another server
