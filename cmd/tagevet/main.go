@@ -1,7 +1,9 @@
 // Command tagevet is the repository's static-analysis suite: a
-// multichecker of repo-specific analyzers (atomics, determinism,
-// lockcheck) for the invariants no test observes reliably, plus the
-// compiler-facts gate. See PERF.md "Static invariants" for the
+// multichecker of two repo-specific analyzers for the invariants no
+// test observes reliably, plus the compiler-facts gate. lockcheck
+// checks //repro:guardedby lock discipline and reports every
+// package-level sync/atomic function call (shared values are typed
+// atomics); determinism checks //repro:deterministic purity. See PERF.md "Static invariants" for the
 // directive conventions and the guard audit that chose this set.
 //
 // Usage:

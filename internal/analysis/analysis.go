@@ -1,11 +1,13 @@
 // Package analysis is the repository's static-analysis framework: a
 // stdlib-only analogue of golang.org/x/tools/go/analysis sized to this
-// module's needs. Its analyzers guard what no test observes reliably:
-// lock discipline on //repro:guardedby fields (lockcheck), atomic access
-// discipline (atomics) and transitive purity of //repro:deterministic
-// functions (determinism). Allocation-freedom of the hot paths is
-// checked by the compiler itself (compilerfacts, tagevet -facts) and the
-// runtime alloc pins; snapshot completeness and wire-frame dispatch by
+// module's needs. Its two analyzers guard what no test observes
+// reliably: lock discipline on //repro:guardedby fields, plus a ban on
+// the package-level sync/atomic functions so every shared value is a
+// typed atomic (lockcheck), and transitive purity of
+// //repro:deterministic functions (determinism). Copies of typed
+// atomics and mutexes are go vet's copylocks check. Allocation-freedom
+// of the hot paths is checked by the compiler itself (compilerfacts,
+// tagevet -facts) and the runtime alloc pins; snapshot completeness and wire-frame dispatch by
 // the snapshot-byte pins, the snapshot/restore bit-identity tests and
 // the serve end-to-end tests. PERF.md ("Static invariants") records the
 // mutation audit that assigns each invariant to its guard.
@@ -52,8 +54,8 @@ type Pass struct {
 	// Dirs indexes every //repro: directive in Files.
 	Dirs *Directives
 	// Facts carries module-wide directive knowledge (deterministic
-	// functions and atomic fields across packages). May be empty, never
-	// nil in driver runs.
+	// functions across packages). May be empty, never nil in driver
+	// runs.
 	Facts *ModuleFacts
 	// Report delivers one finding.
 	Report func(Diagnostic)
@@ -81,25 +83,11 @@ type ModuleFacts struct {
 	// Deterministic holds the keys (FuncKey) of every function in the
 	// module annotated //repro:deterministic.
 	Deterministic map[string]bool
-	// AtomicFields holds FieldKey entries for struct fields that demand
-	// atomic access discipline everywhere in the module: fields of a
-	// sync/atomic type, and plain fields whose address is handed to an
-	// atomic.* call inside their home package.
-	AtomicFields map[string]bool
 }
 
 // NewModuleFacts returns empty facts.
 func NewModuleFacts() *ModuleFacts {
-	return &ModuleFacts{
-		Deterministic: make(map[string]bool),
-		AtomicFields:  make(map[string]bool),
-	}
-}
-
-// FieldKey names a struct field uniquely across the module:
-// "pkgpath.Type.Field".
-func FieldKey(pkgPath, typeName, fieldName string) string {
-	return pkgPath + "." + typeName + "." + fieldName
+	return &ModuleFacts{Deterministic: make(map[string]bool)}
 }
 
 // FuncKey names a function or method uniquely across the module:

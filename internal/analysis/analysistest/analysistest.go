@@ -24,7 +24,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"io"
 	"os"
 	"os/exec"
@@ -47,13 +46,6 @@ const FixtureModulePath = "fixture"
 
 // Run analyzes the fixture package in dir with a and reports every
 // mismatch between diagnostics and // want expectations as test errors.
-//
-// Subdirectories of dir holding .go files are dependency packages,
-// importable from the fixture as "fixture/<subdir>". They are
-// type-checked first and contribute module facts (so cross-package
-// fact-driven diagnostics — atomics fields, deterministic callees — can be
-// exercised), but only the root package is analyzed and only its files
-// carry // want expectations.
 func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	t.Helper()
 
@@ -62,46 +54,23 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 		t.Fatalf("analysistest: %v", err)
 	}
 	fset := token.NewFileSet()
-	parseDir := func(d string) []*ast.File {
-		sub, err := os.ReadDir(d)
+	var files []*ast.File
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			t.Fatalf("analysistest: %v", err)
 		}
-		var files []*ast.File
-		for _, e := range sub {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-				continue
-			}
-			f, err := parser.ParseFile(fset, filepath.Join(d, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatalf("analysistest: %v", err)
-			}
-			files = append(files, f)
-		}
-		return files
+		files = append(files, f)
 	}
-
-	files := parseDir(dir)
 	if len(files) == 0 {
 		t.Fatalf("analysistest: no .go files in %s", dir)
 	}
-	deps := make(map[string][]*ast.File) // import path → syntax
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		if depFiles := parseDir(filepath.Join(dir, e.Name())); len(depFiles) > 0 {
-			deps[FixtureModulePath+"/"+e.Name()] = depFiles
-		}
-	}
 
 	pkgPath := FixtureModulePath + "/" + files[0].Name.Name
-	var allFiles []*ast.File
-	allFiles = append(allFiles, files...)
-	for _, depFiles := range deps {
-		allFiles = append(allFiles, depFiles...)
-	}
-	exports, importMap, err := stdlibExports(allFiles)
+	exports, importMap, err := stdlibExports(files)
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}
@@ -109,35 +78,8 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	facts := analysis.NewModuleFacts()
 	facts.ModulePath = FixtureModulePath
 	load.CollectFacts(facts, pkgPath, files)
-	for depPath, depFiles := range deps {
-		load.CollectFacts(facts, depPath, depFiles)
-	}
 
-	// Type-check dependency packages first (iterating until the ones
-	// whose fixture-local imports are all resolved run out), then the
-	// root package against them.
-	imp := &fixtureImporter{
-		local:    make(map[string]*types.Package),
-		fallback: load.Importer(fset, exports, importMap),
-	}
-	for len(imp.local) < len(deps) {
-		progress := false
-		for depPath, depFiles := range deps {
-			if imp.local[depPath] != nil || !imp.ready(depFiles) {
-				continue
-			}
-			depPkg, _, err := load.Check(fset, depPath, depFiles, imp)
-			if err != nil {
-				t.Fatalf("analysistest: typecheck %s: %v", depPath, err)
-			}
-			imp.local[depPath] = depPkg
-			progress = true
-		}
-		if !progress {
-			t.Fatalf("analysistest: import cycle among fixture dependency packages in %s", dir)
-		}
-	}
-	tpkg, info, err := load.Check(fset, pkgPath, files, imp)
+	tpkg, info, err := load.Check(fset, pkgPath, files, load.Importer(fset, exports, importMap))
 	if err != nil {
 		t.Fatalf("analysistest: typecheck %s: %v", dir, err)
 	}
@@ -188,37 +130,6 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	}
 }
 
-// fixtureImporter resolves fixture-local packages from memory and
-// everything else through compiled export data.
-type fixtureImporter struct {
-	local    map[string]*types.Package
-	fallback types.Importer
-}
-
-func (fi *fixtureImporter) Import(path string) (*types.Package, error) {
-	if p, ok := fi.local[path]; ok {
-		return p, nil
-	}
-	return fi.fallback.Import(path)
-}
-
-// ready reports whether every fixture-local import of files is already
-// type-checked.
-func (fi *fixtureImporter) ready(files []*ast.File) bool {
-	for _, f := range files {
-		for _, imp := range f.Imports {
-			p, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				continue
-			}
-			if strings.HasPrefix(p, FixtureModulePath+"/") && fi.local[p] == nil {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // wantRe matches a // want comment: one or more quoted regexes.
 var wantRe = regexp.MustCompile(`//\s*want\s+(.*)$`)
 
@@ -265,7 +176,7 @@ func stdlibExports(files []*ast.File) (exports, importMap map[string]string, err
 	for _, f := range files {
 		for _, imp := range f.Imports {
 			p, err := strconv.Unquote(imp.Path.Value)
-			if err != nil || seen[p] || strings.HasPrefix(p, FixtureModulePath+"/") {
+			if err != nil || seen[p] {
 				continue
 			}
 			seen[p] = true

@@ -17,7 +17,6 @@ import (
 //	//repro:order-insensitive gauge only, never in a reproduced table
 //	//repro:guardedby mu
 //	//repro:locked caller holds s.mu (see Serve)
-//	//repro:plainread single writer, read after Wait
 //
 // A directive applies to the source line it trails, or — when it stands
 // in a comment block of its own — to the declaration or statement
@@ -53,8 +52,7 @@ type Directives struct {
 	// byFileLine maps filename → line → directives applying to that line.
 	byFileLine map[string]map[int][]*lineDirective
 	// used records directives consumed by some analyzer decision, letting
-	// analyzers flag stale escapes (//repro:plainread,
-	// //repro:order-insensitive).
+	// analyzers flag stale escapes (//repro:order-insensitive).
 	used map[*lineDirective]bool
 }
 
@@ -156,8 +154,8 @@ func commentGroupDirective(g *ast.CommentGroup, name string) (Directive, bool) {
 }
 
 // Unused returns every indexed directive with the given name that no
-// analyzer consumed via Get, in file order. The atomics and determinism
-// analyzers use it to reject stale escapes.
+// analyzer consumed via Get, in file order. The determinism analyzer
+// uses it to reject stale escapes.
 func (d *Directives) Unused(name string) []Directive {
 	seen := make(map[*lineDirective]bool)
 	var out []Directive

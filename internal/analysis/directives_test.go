@@ -15,10 +15,10 @@ func TestParseDirective(t *testing.T) {
 	}{
 		{"// repro:hotpath", false, "", ""}, // space after slashes: ordinary comment
 		{"//repro:hotpath", true, "hotpath", ""},
-		{"//repro:plainread single writer", true, "plainread", "single writer"},
+		{"//repro:locked caller holds mu", true, "locked", "caller holds mu"},
 		{"//repro:guardedby mu", true, "guardedby", "mu"},
 		{"//repro:order-insensitive why not // want \"x\"", true, "order-insensitive", "why not"},
-		{"//repro:plainread // want \"y\"", true, "plainread", ""},
+		{"//repro:order-insensitive // want \"y\"", true, "order-insensitive", ""},
 		{"//not-a-directive", false, "", ""},
 	}
 	for _, c := range cases {
@@ -40,7 +40,7 @@ const directivesSrc = `package p
 
 //repro:hotpath
 func hot() {
-	x := 1 //repro:plainread trailing escape
+	x := 1 //repro:order-insensitive trailing escape
 	_ = x
 }
 `
@@ -59,16 +59,16 @@ func TestDirectivesLineApplication(t *testing.T) {
 		t.Errorf("hotpath directive does not apply to the declaration below it")
 	}
 
-	// The trailing plainread applies to its own line and is consumed by Get.
+	// The trailing escape applies to its own line and is consumed by Get.
 	body := fn.Body.List[0].(*ast.AssignStmt)
-	dir, ok := d.Get(body.Pos(), "plainread")
+	dir, ok := d.Get(body.Pos(), "order-insensitive")
 	if !ok {
-		t.Fatalf("trailing plainread does not apply to its own line")
+		t.Fatalf("trailing order-insensitive does not apply to its own line")
 	}
 	if dir.Args != "trailing escape" {
-		t.Errorf("plainread args = %q, want %q", dir.Args, "trailing escape")
+		t.Errorf("order-insensitive args = %q, want %q", dir.Args, "trailing escape")
 	}
-	if unused := d.Unused("plainread"); len(unused) != 0 {
+	if unused := d.Unused("order-insensitive"); len(unused) != 0 {
 		t.Errorf("consumed directive still reported unused: %v", unused)
 	}
 	if unused := d.Unused("hotpath"); len(unused) != 0 {

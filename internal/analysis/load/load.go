@@ -3,8 +3,7 @@
 // file lists and compiled export data (offline, straight from the build
 // cache), go/parser the syntax, and go/importer's gc importer the
 // dependency types. It also builds the module-wide directive facts the
-// determinism and atomics analyzers need to reason about cross-package
-// calls and fields.
+// determinism analyzer needs to reason about cross-package calls.
 package load
 
 import (
@@ -135,8 +134,7 @@ func Load(cfg Config, patterns ...string) ([]*Package, *analysis.ModuleFacts, er
 	}
 
 	// Module facts: scan every module-local package in the graph for
-	// //repro:deterministic functions and atomically-disciplined fields,
-	// syntax only.
+	// //repro:deterministic functions, syntax only.
 	facts := analysis.NewModuleFacts()
 	for _, p := range pkgs {
 		if p.Standard || p.Module == nil || !p.Module.Main || p.Name == "" {
@@ -195,146 +193,19 @@ func canonicalPath(p *listPackage) string {
 	return p.ImportPath
 }
 
-// CollectFacts records the directive facts of the given files under
-// pkgPath: //repro:deterministic functions, plus
-// atomically-disciplined struct fields (typed sync/atomic fields, and
-// plain fields whose address feeds an atomic.* call in a method or
-// function of this package). Syntax only — resolution is by name, which
+// CollectFacts records the //repro:deterministic functions of the
+// given files under pkgPath. Syntax only — resolution is by name, which
 // is exactly as much as the cross-package consumers need.
 func CollectFacts(facts *analysis.ModuleFacts, pkgPath string, files []*ast.File) {
 	for _, f := range files {
-		atomicName := importLocalName(f, "sync/atomic", "atomic")
 		for _, decl := range f.Decls {
-			switch decl := decl.(type) {
-			case *ast.FuncDecl:
-				if _, ok := analysis.FuncDirective(decl, "deterministic"); ok {
-					facts.Deterministic[analysis.DeclFuncKey(pkgPath, decl)] = true
-				}
-				if atomicName != "" {
-					collectAtomicCallFacts(facts, pkgPath, decl, atomicName)
-				}
-			case *ast.GenDecl:
-				if decl.Tok != token.TYPE || atomicName == "" {
-					continue
-				}
-				for _, spec := range decl.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					st, ok := ts.Type.(*ast.StructType)
-					if !ok {
-						continue
-					}
-					for _, field := range st.Fields.List {
-						if !isAtomicTypeExpr(field.Type, atomicName) {
-							continue
-						}
-						for _, name := range field.Names {
-							facts.AtomicFields[analysis.FieldKey(pkgPath, ts.Name.Name, name.Name)] = true
-						}
-					}
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				if _, ok := analysis.FuncDirective(fn, "deterministic"); ok {
+					facts.Deterministic[analysis.DeclFuncKey(pkgPath, fn)] = true
 				}
 			}
 		}
 	}
-}
-
-// importLocalName returns the local name the file imports path under
-// ("" when the file does not import it; defName when imported without a
-// rename).
-func importLocalName(f *ast.File, path, defName string) string {
-	for _, imp := range f.Imports {
-		if imp.Path.Value != `"`+path+`"` {
-			continue
-		}
-		if imp.Name != nil {
-			if imp.Name.Name == "_" || imp.Name.Name == "." {
-				return ""
-			}
-			return imp.Name.Name
-		}
-		return defName
-	}
-	return ""
-}
-
-// isAtomicTypeExpr matches atomic.X and atomic.Pointer[T] type syntax.
-func isAtomicTypeExpr(t ast.Expr, atomicName string) bool {
-	if ix, ok := t.(*ast.IndexExpr); ok {
-		t = ix.X
-	}
-	sel, ok := t.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	return ok && id.Name == atomicName
-}
-
-// collectAtomicCallFacts records fields of this package's own struct
-// types whose address is passed to an atomic.* call inside fn — the
-// legacy pre-typed-atomic idiom (atomic.AddUint64(&s.n, 1)). The base
-// variable must be the receiver or a parameter whose type names a local
-// struct, so the field's owning type resolves without type checking.
-func collectAtomicCallFacts(facts *analysis.ModuleFacts, pkgPath string, fn *ast.FuncDecl, atomicName string) {
-	if fn.Body == nil {
-		return
-	}
-	// varType maps receiver/parameter names to their local base type name.
-	varType := make(map[string]string)
-	addFields := func(fields *ast.FieldList) {
-		if fields == nil {
-			return
-		}
-		for _, f := range fields.List {
-			t := f.Type
-			if st, ok := t.(*ast.StarExpr); ok {
-				t = st.X
-			}
-			id, ok := t.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			for _, name := range f.Names {
-				varType[name.Name] = id.Name
-			}
-		}
-	}
-	addFields(fn.Recv)
-	addFields(fn.Type.Params)
-	if len(varType) == 0 {
-		return
-	}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) == 0 {
-			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if id, ok := sel.X.(*ast.Ident); !ok || id.Name != atomicName {
-			return true
-		}
-		addr, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr)
-		if !ok || addr.Op != token.AND {
-			return true
-		}
-		fieldSel, ok := ast.Unparen(addr.X).(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		base, ok := ast.Unparen(fieldSel.X).(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if tn, ok := varType[base.Name]; ok {
-			facts.AtomicFields[analysis.FieldKey(pkgPath, tn, fieldSel.Sel.Name)] = true
-		}
-		return true
-	})
 }
 
 // Importer returns a types.Importer resolving imports through compiled

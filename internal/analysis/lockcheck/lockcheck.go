@@ -19,6 +19,14 @@
 // code path reading tallies or backend state without entering the
 // session lock at all. Func literals are checked as part of their
 // enclosing function.
+//
+// Shared state that is not behind a mutex is a typed atomic
+// (atomic.Int64, atomic.Uint64, atomic.Bool, ...): every access then
+// goes through a method, so it is atomic by construction, and go vet's
+// copylocks check reports copies of it. lockcheck reports every use of
+// a package-level sync/atomic function (atomic.AddInt64(&s.n, 1) and
+// friends), the idiom that lets one site update a plain field
+// atomically while another reads it plainly.
 package lockcheck
 
 import (
@@ -33,7 +41,7 @@ import (
 // Analyzer is the lockcheck analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockcheck",
-	Doc:  "//repro:guardedby fields are only accessed with their mutex held",
+	Doc:  "//repro:guardedby fields are only accessed with their mutex held; shared values are typed atomics, not sync/atomic function calls",
 	Run:  run,
 }
 
@@ -44,10 +52,11 @@ type guard struct {
 
 func run(pass *analysis.Pass) error {
 	guards := collectGuards(pass)
-	if len(guards) == 0 {
-		return nil
-	}
 	for _, file := range pass.Files {
+		checkAtomicFuncs(pass, file)
+		if len(guards) == 0 {
+			continue
+		}
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
@@ -59,24 +68,24 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
+// checkAtomicFuncs reports every use of a package-level sync/atomic
+// function in file, called or taken as a value.
+func checkAtomicFuncs(pass *analysis.Pass, file *ast.File) {
+	ast.Inspect(file, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
+		if ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && fn.Signature().Recv() == nil {
+			pass.Reportf(id.Pos(), "sync/atomic.%s: keep shared values in typed atomics (atomic.Int64, atomic.Uint64, ...) so every access is atomic", fn.Name())
+		}
+		return true
+	})
+}
+
 // collectGuards finds //repro:guardedby annotations and validates them.
 func collectGuards(pass *analysis.Pass) map[*types.Var]guard {
-	return collectGuardsImpl(pass, true)
-}
-
-// collectGuardsQuiet is collectGuards without the malformed-annotation
-// diagnostics, for reuse by sibling analyzers that must not duplicate
-// lockcheck's own reports.
-func collectGuardsQuiet(pass *analysis.Pass) map[*types.Var]guard {
-	return collectGuardsImpl(pass, false)
-}
-
-func collectGuardsImpl(pass *analysis.Pass, report bool) map[*types.Var]guard {
-	reportf := func(pos token.Pos, format string, args ...any) {
-		if report {
-			pass.Reportf(pos, format, args...)
-		}
-	}
 	guards := make(map[*types.Var]guard)
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -90,16 +99,16 @@ func collectGuardsImpl(pass *analysis.Pass, report bool) map[*types.Var]guard {
 					continue
 				}
 				if dir.Args == "" {
-					reportf(dir.Pos, "//repro:guardedby needs the guarding mutex field name")
+					pass.Reportf(dir.Pos, "//repro:guardedby needs the guarding mutex field name")
 					continue
 				}
 				lockName := dir.Args
 				if !lockFieldExists(pass, st, lockName) {
-					reportf(dir.Pos, "//repro:guardedby %s: no sync.Mutex/sync.RWMutex field %q in this struct", lockName, lockName)
+					pass.Reportf(dir.Pos, "//repro:guardedby %s: no sync.Mutex/sync.RWMutex field %q in this struct", lockName, lockName)
 					continue
 				}
 				if len(f.Names) == 0 {
-					reportf(dir.Pos, "//repro:guardedby on an embedded field is not supported; name the field")
+					pass.Reportf(dir.Pos, "//repro:guardedby on an embedded field is not supported; name the field")
 					continue
 				}
 				for _, name := range f.Names {
@@ -147,22 +156,20 @@ func isMutex(t types.Type) bool {
 	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
 }
 
-// Acquisition is one x.mu.Lock()/RLock() call site. Exported so sibling
-// analyzers (atomics) can reuse the same "is the guarding mutex
-// demonstrably held here" reasoning.
-type Acquisition struct {
-	// Root is the object the lock hangs off (x in x.mu.Lock()).
-	Root types.Object
-	// LockName is the mutex field's name.
-	LockName string
-	// Pos is the acquisition's position, for textual ordering.
-	Pos token.Pos
+// acquisition is one x.mu.Lock()/RLock() call site.
+type acquisition struct {
+	// root is the object the lock hangs off (x in x.mu.Lock()).
+	root types.Object
+	// lockName is the mutex field's name.
+	lockName string
+	// pos is the acquisition's position, for textual ordering.
+	pos token.Pos
 }
 
-// IsExempt reports whether fn opted out of per-function lock checking as
+// isExempt reports whether fn opted out of per-function lock checking as
 // an audited lock-held accessor: a ...Locked name suffix or a
 // //repro:locked caller-contract annotation.
-func IsExempt(fn *ast.FuncDecl) bool {
+func isExempt(fn *ast.FuncDecl) bool {
 	if strings.HasSuffix(fn.Name.Name, "Locked") {
 		return true
 	}
@@ -170,9 +177,9 @@ func IsExempt(fn *ast.FuncDecl) bool {
 	return ok
 }
 
-// LockAcquisitions collects every mutex acquisition in fn's body.
-func LockAcquisitions(pass *analysis.Pass, fn *ast.FuncDecl) []Acquisition {
-	var acquired []Acquisition
+// lockAcquisitions collects every mutex acquisition in fn's body.
+func lockAcquisitions(pass *analysis.Pass, fn *ast.FuncDecl) []acquisition {
+	var acquired []acquisition
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -186,52 +193,41 @@ func LockAcquisitions(pass *analysis.Pass, fn *ast.FuncDecl) []Acquisition {
 		if !ok {
 			return true
 		}
-		root := RootObject(pass, lockExpr.X)
+		root := rootObject(pass, lockExpr.X)
 		if root == nil {
 			return true
 		}
-		acquired = append(acquired, Acquisition{
-			Root:     root,
-			LockName: lockExpr.Sel.Name,
-			Pos:      call.Pos(),
+		acquired = append(acquired, acquisition{
+			root:     root,
+			lockName: lockExpr.Sel.Name,
+			pos:      call.Pos(),
 		})
 		return true
 	})
 	return acquired
 }
 
-// Held reports whether some acquisition of lockName on root textually
+// held reports whether some acquisition of lockName on root textually
 // precedes pos.
-func Held(acquired []Acquisition, lockName string, root types.Object, pos token.Pos) bool {
+func held(acquired []acquisition, lockName string, root types.Object, pos token.Pos) bool {
 	if root == nil {
 		return false
 	}
 	for _, a := range acquired {
-		if a.LockName == lockName && a.Root == root && a.Pos < pos {
+		if a.lockName == lockName && a.root == root && a.pos < pos {
 			return true
 		}
 	}
 	return false
 }
 
-// GuardedBy returns the //repro:guardedby annotations of the package's
-// struct fields without reporting malformed ones (the lockcheck run
-// itself does that): field object → guarding mutex field name.
-func GuardedBy(pass *analysis.Pass) map[*types.Var]string {
-	out := make(map[*types.Var]string)
-	for v, g := range collectGuardsQuiet(pass) {
-		out[v] = g.lockName
-	}
-	return out
-}
-
 func checkFunc(pass *analysis.Pass, guards map[*types.Var]guard, fn *ast.FuncDecl) {
-	if IsExempt(fn) {
+	if isExempt(fn) {
 		return
 	}
 
 	// Pass 1: collect lock acquisitions.
-	acquired := LockAcquisitions(pass, fn)
+	acquired := lockAcquisitions(pass, fn)
 
 	// Pass 2: check guarded-field accesses.
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -251,17 +247,17 @@ func checkFunc(pass *analysis.Pass, guards map[*types.Var]guard, fn *ast.FuncDec
 		if !guarded {
 			return true
 		}
-		root := RootObject(pass, sel.X)
-		if !Held(acquired, g.lockName, root, sel.Pos()) {
+		root := rootObject(pass, sel.X)
+		if !held(acquired, g.lockName, root, sel.Pos()) {
 			pass.Reportf(sel.Sel.Pos(), "field %s (guarded by %s) accessed without %s held: lock it in this function, or audit the caller contract with //repro:locked / a ...Locked name", field.Name(), g.lockName, g.lockName)
 		}
 		return true
 	})
 }
 
-// RootObject resolves the innermost identifier of a selector/index
+// rootObject resolves the innermost identifier of a selector/index
 // chain to its object (s in s.res.Class[i], sh in sh.m).
-func RootObject(pass *analysis.Pass, e ast.Expr) types.Object {
+func rootObject(pass *analysis.Pass, e ast.Expr) types.Object {
 	for {
 		switch x := ast.Unparen(e).(type) {
 		case *ast.Ident:

@@ -10,3 +10,7 @@ import (
 func TestLockcheck(t *testing.T) {
 	analysistest.Run(t, "testdata/locks", lockcheck.Analyzer)
 }
+
+func TestLockcheckAtomicCalls(t *testing.T) {
+	analysistest.Run(t, "testdata/atomiccalls", lockcheck.Analyzer)
+}

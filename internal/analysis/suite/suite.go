@@ -4,7 +4,6 @@ package suite
 
 import (
 	"repro/internal/analysis"
-	"repro/internal/analysis/atomics"
 	"repro/internal/analysis/determinism"
 	"repro/internal/analysis/lockcheck"
 )
@@ -12,7 +11,6 @@ import (
 // All returns every analyzer in the tagevet suite, in reporting order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		atomics.Analyzer,
 		determinism.Analyzer,
 		lockcheck.Analyzer,
 	}

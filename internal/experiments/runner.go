@@ -66,12 +66,9 @@ type Runner struct {
 }
 
 // traceEntry is one memoized (config, options, trace) simulation; once
-// gates the single execution, after which res/err are immutable. done
-// lets lookups distinguish a completed entry (a cache hit that need not
-// be submitted to the pool) from one still in flight.
+// gates the single execution, after which res/err are immutable.
 type traceEntry struct {
 	once sync.Once
-	done atomic.Bool
 	res  sim.Result
 	err  error
 }
@@ -104,16 +101,14 @@ func (r *Runner) keyPrefix(cfg tage.Config, opts core.Options) string {
 }
 
 // results returns the per-trace results for (cfg, opts) over traces, in
-// trace order, simulating only the traces the memo has not seen. The
-// cache misses are submitted to the pool as a sparse index set
-// (sim.SuiteRunner.ForEachAt); completed entries are served without
-// touching the pool at all. An entry another arm is concurrently
-// simulating is joined via its sync.Once — the worker blocks until the
-// owner finishes, exactly one execution ever happens, and both arms see
-// the identical result.
+// trace order, simulating only the traces the memo has not seen. Every
+// trace goes through the pool and its entry's sync.Once: the first
+// request simulates, and every other request — an entry completed
+// earlier, or one a concurrent arm is simulating, which once.Do waits
+// for — counts as a hit and sees the identical result. The pool returns
+// the error a serial loop over the traces would hit first.
 func (r *Runner) results(cfg tage.Config, opts core.Options, traces []trace.Trace) ([]sim.Result, error) {
 	entries := make([]*traceEntry, len(traces))
-	miss := make([]int, 0, len(traces))
 	prefix := r.keyPrefix(cfg, opts)
 	r.mu.Lock()
 	if r.cache == nil {
@@ -127,42 +122,21 @@ func (r *Runner) results(cfg tage.Config, opts core.Options, traces []trace.Trac
 			r.cache[k] = e
 		}
 		entries[i] = e
-		if e.done.Load() {
-			r.hits.Add(1)
-		} else {
-			miss = append(miss, i)
-		}
 	}
 	r.mu.Unlock()
-	err := r.Pool.ForEachAt(miss, func(i int) error {
+	err := r.Pool.ForEach(len(entries), func(i int) error {
 		e := entries[i]
 		ran := false
 		e.once.Do(func() {
 			ran = true
 			r.sims.Add(1)
 			e.res, e.err = sim.RunConfig(cfg, opts, traces[i], r.Limit)
-			e.done.Store(true)
 		})
 		if !ran {
-			// The entry was simulated (or is being simulated) by a
-			// concurrent arm; once.Do returning means it is complete.
 			r.hits.Add(1)
 		}
 		return e.err
 	})
-	// Return the error a serial loop over the traces would hit first —
-	// which may live in an entry that was already cached (and therefore
-	// never submitted), so scan in trace order rather than trusting the
-	// pool's lowest-miss-index error. After an early stop some entries
-	// may still be mid-simulation in a concurrent arm, so e.err is only
-	// read behind the done acquire (on the success path below every
-	// entry is complete: hits were done at lookup, and misses completed
-	// under our own once.Do).
-	for _, e := range entries {
-		if e.done.Load() && e.err != nil {
-			return nil, e.err
-		}
-	}
 	if err != nil {
 		return nil, err
 	}

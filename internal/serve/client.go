@@ -17,8 +17,8 @@ import (
 
 // ClientConfig hardens a client against slow or failing peers with
 // per-operation deadlines. Zero values disable the corresponding
-// deadline (the pre-hardening behavior — prefer explicit timeouts; the
-// CLIs default them and log when they are disabled).
+// deadline (the pre-hardening behavior — prefer explicit timeouts;
+// tageload sets all three to fixed constants).
 type ClientConfig struct {
 	// DialTimeout bounds connection establishment.
 	DialTimeout time.Duration

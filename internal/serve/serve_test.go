@@ -751,6 +751,59 @@ func TestPerBackendMetrics(t *testing.T) {
 	}
 }
 
+// TestMetricsScrapeWellFormed scrapes a live server that has served
+// sessions of two backend families and requires a well-formed
+// exposition: WriteText reports no writer error, every family header
+// appears exactly once, and each backend has its own series.
+func TestMetricsScrapeWellFormed(t *testing.T) {
+	srv := startServer(t, Config{})
+	c := dial(t, srv)
+	tr, err := workload.ByName("INT-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	branches := collectBranches(t, tr, 3000)
+	for _, spec := range []string{"tage-64K", "bimodal-16K"} {
+		sess, err := c.OpenSession(OpenRequest{Spec: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < len(branches); off += 1000 {
+			if _, err := sess.Predict(branches[off : off+1000]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	var sb strings.Builder
+	if err := srv.Registry().WriteText(&sb); err != nil {
+		t.Fatalf("scrape: %v", err)
+	}
+	text := sb.String()
+	headers := map[string]int{}
+	for _, line := range strings.Split(text, "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			headers[strings.Fields(rest)[0]]++
+		}
+	}
+	if len(headers) == 0 {
+		t.Fatalf("no families in:\n%s", text)
+	}
+	for name, n := range headers {
+		if n != 1 || strings.Count(text, "# HELP "+name+" ") != 1 {
+			t.Errorf("family %s: %d TYPE headers, %d HELP headers", name, n, strings.Count(text, "# HELP "+name+" "))
+		}
+	}
+	for _, label := range []string{"64Kbits", "bimodal-16K"} {
+		for _, family := range []string{"sessions_opened", "branches", "predictions", "mispredictions"} {
+			series := "tage_serve_backend_" + family + `_total{backend="` + label + `"} `
+			if !strings.Contains(text, series) {
+				t.Errorf("missing series %q in:\n%s", series, text)
+			}
+		}
+	}
+}
+
 // collectBranches reads n branches of tr into a slice.
 func collectBranches(t *testing.T, tr trace.Trace, n uint64) []trace.Branch {
 	t.Helper()

@@ -398,7 +398,9 @@ func (s *Server) baseMux() *http.ServeMux {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", obs.ContentType)
-		s.reg.WriteText(w)
+		if err := s.reg.WriteText(w); err != nil {
+			s.logger.Warn("serve: metrics scrape", "err", err)
+		}
 	})
 	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -479,11 +481,11 @@ func (s *Server) collectEngine(tw *obs.TextWriter) {
 	snap := s.eng.Snapshot()
 	counter := func(name, help string, v uint64) {
 		tw.Family(name, "counter", help)
-		tw.Value(name, float64(v))
+		tw.Value(float64(v))
 	}
 	gauge := func(name, help string, v float64) {
 		tw.Family(name, "gauge", help)
-		tw.Value(name, v)
+		tw.Value(v)
 	}
 	gauge("tage_serve_sessions_live", "Live sessions.", float64(snap.LiveSessions))
 	counter("tage_serve_sessions_opened_total", "Sessions ever opened.", snap.OpenedSessions)
@@ -495,36 +497,36 @@ func (s *Server) collectEngine(tw *obs.TextWriter) {
 
 	tw.Family("tage_serve_level_predictions_total", "counter", "Predictions by provider level.")
 	for _, l := range core.Levels() {
-		tw.ValueL("tage_serve_level_predictions_total", float64(snap.Level(l).Preds), "level", l.String())
+		tw.ValueL(float64(snap.Level(l).Preds), "level", l.String())
 	}
 	tw.Family("tage_serve_level_mispredictions_total", "counter", "Mispredictions by provider level.")
 	for _, l := range core.Levels() {
-		tw.ValueL("tage_serve_level_mispredictions_total", float64(snap.Level(l).Misps), "level", l.String())
+		tw.ValueL(float64(snap.Level(l).Misps), "level", l.String())
 	}
 	tw.Family("tage_serve_class_predictions_total", "counter", "Predictions by confidence class.")
 	for _, cl := range core.Classes() {
-		tw.ValueL("tage_serve_class_predictions_total", float64(snap.Class[cl].Preds), "class", cl.String())
+		tw.ValueL(float64(snap.Class[cl].Preds), "class", cl.String())
 	}
 	tw.Family("tage_serve_class_mispredictions_total", "counter", "Mispredictions by confidence class.")
 	for _, cl := range core.Classes() {
-		tw.ValueL("tage_serve_class_mispredictions_total", float64(snap.Class[cl].Misps), "class", cl.String())
+		tw.ValueL(float64(snap.Class[cl].Misps), "class", cl.String())
 	}
 	if len(snap.Backends) > 0 {
 		tw.Family("tage_serve_backend_sessions_opened_total", "counter", "Sessions opened by backend spec.")
 		for _, bc := range snap.Backends {
-			tw.ValueL("tage_serve_backend_sessions_opened_total", float64(bc.Opened), "backend", bc.Label)
+			tw.ValueL(float64(bc.Opened), "backend", bc.Label)
 		}
 		tw.Family("tage_serve_backend_branches_total", "counter", "Branches served by backend spec.")
 		for _, bc := range snap.Backends {
-			tw.ValueL("tage_serve_backend_branches_total", float64(bc.Branches), "backend", bc.Label)
+			tw.ValueL(float64(bc.Branches), "backend", bc.Label)
 		}
 		tw.Family("tage_serve_backend_predictions_total", "counter", "Predictions served by backend spec.")
 		for _, bc := range snap.Backends {
-			tw.ValueL("tage_serve_backend_predictions_total", float64(bc.Total.Preds), "backend", bc.Label)
+			tw.ValueL(float64(bc.Total.Preds), "backend", bc.Label)
 		}
 		tw.Family("tage_serve_backend_mispredictions_total", "counter", "Mispredictions served by backend spec.")
 		for _, bc := range snap.Backends {
-			tw.ValueL("tage_serve_backend_mispredictions_total", float64(bc.Total.Misps), "backend", bc.Label)
+			tw.ValueL(float64(bc.Total.Misps), "backend", bc.Label)
 		}
 	}
 	counter("tage_serve_shed_total", "Batches shed by admission control.", snap.ShedBatches)

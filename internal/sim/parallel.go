@@ -118,15 +118,6 @@ func (s SuiteRunner) ForEach(n int, fn func(i int) error) error {
 	return nil
 }
 
-// ForEachAt runs fn(idx[k]) for every k in [0, len(idx)) across the
-// pool: the sparse-index counterpart of ForEach, for callers that submit
-// only a subset of a larger job list (e.g. the cache misses of a
-// memoized suite). Error semantics follow ForEach over positions in idx:
-// the error returned is the one a serial loop over idx would hit first.
-func (s SuiteRunner) ForEachAt(idx []int, fn func(i int) error) error {
-	return s.ForEach(len(idx), func(k int) error { return fn(idx[k]) })
-}
-
 // RunJobs executes every job and returns the results in job order.
 func (s SuiteRunner) RunJobs(jobs []Job) ([]Result, error) {
 	out := make([]Result, len(jobs))

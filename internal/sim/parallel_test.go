@@ -128,57 +128,6 @@ func TestForEachJobTime(t *testing.T) {
 	}
 }
 
-// TestForEachAtSparseIndices exercises the miss-only submission path:
-// only the given indices run (each exactly once), and the error
-// semantics follow the position in the index slice, matching what a
-// serial loop over the sparse set would report first.
-func TestForEachAtSparseIndices(t *testing.T) {
-	const n = 50
-	idx := []int{2, 3, 11, 17, 42, 49}
-	for _, workers := range []int{1, 4} {
-		var counts [n]atomic.Int32
-		if err := (SuiteRunner{Workers: workers}).ForEachAt(idx, func(i int) error {
-			counts[i].Add(1)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		want := make(map[int]bool, len(idx))
-		for _, i := range idx {
-			want[i] = true
-		}
-		for i := range counts {
-			c := counts[i].Load()
-			if want[i] && c != 1 {
-				t.Fatalf("workers=%d: submitted index %d ran %d times", workers, i, c)
-			}
-			if !want[i] && c != 0 {
-				t.Fatalf("workers=%d: unsubmitted index %d ran %d times", workers, i, c)
-			}
-		}
-
-		errA := errors.New("a")
-		errB := errors.New("b")
-		err := (SuiteRunner{Workers: workers}).ForEachAt(idx, func(i int) error {
-			switch i {
-			case 11: // earlier position in idx than 42
-				return errA
-			case 42:
-				return errB
-			}
-			return nil
-		})
-		if !errors.Is(err, errA) {
-			t.Fatalf("workers=%d: want first-position error %v, got %v", workers, errA, err)
-		}
-	}
-
-	// Empty index set: nothing runs, no error.
-	if err := (SuiteRunner{Workers: 4}).ForEachAt(nil, func(int) error { return errors.New("x") }); err != nil {
-		t.Fatalf("empty index set returned %v", err)
-	}
-}
-
 // TestForEachZeroAndNegativeWorkers exercises the GOMAXPROCS default.
 func TestForEachZeroAndNegativeWorkers(t *testing.T) {
 	for _, w := range []int{0, -3} {
