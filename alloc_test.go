@@ -13,13 +13,14 @@ import (
 	"time"
 
 	"repro/internal/bimodal"
-	"repro/internal/gshare"
+	"repro/internal/core"
 	"repro/internal/jrs"
 	"repro/internal/looppred"
 	"repro/internal/obs"
 	"repro/internal/ogehl"
 	"repro/internal/perceptron"
 	"repro/internal/serve"
+	"repro/internal/tage"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -80,7 +81,7 @@ func TestPredictUpdateZeroAllocs(t *testing.T) {
 
 // TestAllPredictorHotPathsZeroAllocs pins the predict+update hot path of
 // every predictor package at zero heap allocations per branch — not just
-// TAGE: the baseline predictors (bimodal, gshare, ogehl, perceptron),
+// TAGE: the baseline predictors (bimodal, ogehl, perceptron),
 // the loop predictor and the JRS confidence estimator all run inside the
 // estimator-comparison and extension experiments, where a stray per-
 // branch allocation would quietly dominate a suite pass.
@@ -108,14 +109,6 @@ func TestAllPredictorHotPathsZeroAllocs(t *testing.T) {
 		}()},
 		{name: "bimodal-packed", step: func() func(int) {
 			p := bimodal.NewPacked(12)
-			return func(i int) {
-				br := branches[i]
-				p.Predict(br.PC)
-				p.Update(br.PC, br.Taken)
-			}
-		}()},
-		{name: "gshare", step: func() func(int) {
-			p := gshare.New(14, 12)
 			return func(i int) {
 				br := branches[i]
 				p.Predict(br.PC)
@@ -150,12 +143,12 @@ func TestAllPredictorHotPathsZeroAllocs(t *testing.T) {
 				p.Update(br.PC, br.Taken, tageMiss)
 			}
 		}()},
-		{name: "jrs-over-gshare", step: func() func(int) {
-			p := gshare.New(14, 12)
+		{name: "jrs-over-tage", step: func() func(int) {
+			p := core.NewEstimator(tage.Small16K(), core.Options{})
 			e := jrs.NewDefault(10, 10).Enhanced()
 			return func(i int) {
 				br := branches[i]
-				pred := p.Predict(br.PC)
+				pred, _, _ := p.Predict(br.PC)
 				e.HighConfidence(br.PC, pred)
 				e.Update(br.PC, pred, br.Taken)
 				p.Update(br.PC, br.Taken)

@@ -22,7 +22,7 @@ type Spec = predictor.Spec
 type BackendFamily = predictor.Family
 
 // ParseSpec parses a backend spec string ("tage-64K?mode=adaptive",
-// "gshare-64K", "perceptron", ...) into its canonical Spec without
+// "bimodal-64K", "perceptron", ...) into its canonical Spec without
 // building the backend.
 func ParseSpec(spec string) (Spec, error) { return predictor.Parse(spec) }
 
@@ -34,7 +34,7 @@ func Backends() []BackendFamily { return predictor.Families() }
 // optional parameters:
 //
 //	est, err := repro.New("tage-64K?mode=adaptive")
-//	gs, err := repro.New("gshare-64K?hist=13")
+//	bm, err := repro.New("bimodal-64K?log=13")
 //
 // For TAGE specs the returned Backend is an *Estimator. Unknown
 // families, variants and parameter keys error with the valid choices

@@ -13,14 +13,14 @@ import (
 // listing, parsing, running non-TAGE backends, and error quality.
 func TestFacadeBackends(t *testing.T) {
 	fams := Backends()
-	if len(fams) < 7 {
+	if len(fams) < 6 {
 		t.Fatalf("only %d registered families", len(fams))
 	}
 	tr, err := TraceByName("FP-3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, spec := range []string{"gshare-64K", "perceptron", "ogehl", "bimodal-16K", "jrs-64K", "ltage-16K"} {
+	for _, spec := range []string{"bimodal-64K", "perceptron", "ogehl", "jrs-64K", "ltage-16K"} {
 		res, err := RunSpec(spec, tr, 5_000)
 		if err != nil {
 			t.Fatalf("RunSpec(%q): %v", spec, err)
@@ -33,14 +33,14 @@ func TestFacadeBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := RunSuiteSpec("gshare-16K", cbp1[:3], 4_000)
+	sr, err := RunSuiteSpec("bimodal-16K", cbp1[:3], 4_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sr.PerTrace) != 3 || sr.Aggregate.Config != "gshare-16K" {
+	if len(sr.PerTrace) != 3 || sr.Aggregate.Config != "bimodal-16K" {
 		t.Fatalf("suite spec run: %+v", sr.Aggregate)
 	}
-	if _, err := New("gshare-64K?nope=1"); err == nil || !strings.Contains(err.Error(), "log") {
+	if _, err := New("bimodal-64K?nope=1"); err == nil || !strings.Contains(err.Error(), "log") {
 		t.Fatalf("unknown param error should list accepted keys, got %v", err)
 	}
 	if _, err := ParseSpec("tage?x=="); err == nil {
@@ -69,7 +69,7 @@ func TestServeSpecSessionZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := serve.NewEngine(serve.EngineConfig{})
-	sess, err := eng.Open(serve.OpenRequest{Spec: "gshare-64K"}, 0)
+	sess, err := eng.Open(serve.OpenRequest{Spec: "bimodal-64K"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestBackendHotPathZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, spec := range []string{"gshare-64K", "perceptron", "ogehl", "ltage-16K", "jrs-16K?enhanced=true"} {
+	for _, spec := range []string{"bimodal-64K", "perceptron", "ogehl", "ltage-16K", "jrs-16K?enhanced=true"} {
 		b, err := New(spec)
 		if err != nil {
 			t.Fatal(err)

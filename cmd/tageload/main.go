@@ -7,7 +7,7 @@
 //
 //	tageload -addr localhost:7421 -suite cbp1 -conns 8
 //	tageload -addr localhost:7421 -trace 300.twolf -backend "tage-16K?mode=adaptive"
-//	tageload -addr localhost:7421 -backend gshare-64K -suite cbp2
+//	tageload -addr localhost:7421 -backend bimodal-64K -suite cbp2
 //	tageload -addr localhost:7421 -duration 2s -conns 4
 //
 // In pass mode (the default) every connection replays its share of the
@@ -53,7 +53,7 @@ import (
 
 func main() {
 	var (
-		spec      = flag.String("backend", "tage-64K?mode=probabilistic", "backend spec each session opens, e.g. tage-16K?mode=adaptive, gshare-64K, perceptron")
+		spec      = flag.String("backend", "tage-64K?mode=probabilistic", "backend spec each session opens, e.g. tage-16K?mode=adaptive, bimodal-64K, perceptron")
 		addr      = flag.String("addr", "localhost:7421", "tageserved wire-protocol address")
 		suiteName = flag.String("suite", "cbp1", "suite to replay: cbp1, cbp2 or all")
 		traceName = flag.String("trace", "", "replay a single trace instead of a suite")

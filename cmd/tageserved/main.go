@@ -8,7 +8,7 @@
 //
 //	tageserved -addr :7421 -metrics :7422
 //	tageserved -backend "tage-16K?mode=adaptive" -max-sessions 10000 -max-inflight 64
-//	tageserved -backend gshare-64K
+//	tageserved -backend bimodal-64K
 //
 // The -backend flag sets the default spec: the predictor a session gets
 // when its open request names no backend. Clients may request any
@@ -52,7 +52,7 @@ import (
 
 func main() {
 	var (
-		defaultSpec = flag.String("backend", "tage-64K?mode=probabilistic", "default backend spec for sessions whose open request names none, e.g. tage-16K?mode=adaptive, gshare-64K")
+		defaultSpec = flag.String("backend", "tage-64K?mode=probabilistic", "default backend spec for sessions whose open request names none, e.g. tage-16K?mode=adaptive, bimodal-64K")
 		addr        = flag.String("addr", ":7421", "wire-protocol TCP listen address")
 		metricsAddr = flag.String("metrics", "", "HTTP listen address for /metrics, /livez, /readyz and /debug/events (empty = disabled)")
 		debugAddr   = flag.String("debug-addr", "", "HTTP listen address for pprof profiling endpoints (empty = disabled)")

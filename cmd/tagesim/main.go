@@ -7,7 +7,7 @@
 //
 //	tagesim -trace 300.twolf
 //	tagesim -backend "tage-16K?mode=probabilistic" -suite cbp1 -branches 200000
-//	tagesim -backend gshare-64K -suite cbp2
+//	tagesim -backend bimodal-64K -suite cbp2
 //	tagesim -backend "tage-16K?mode=adaptive&mkp=4" -trace 181.mcf
 //	tagesim -list
 package main
@@ -29,7 +29,7 @@ import (
 
 func main() {
 	var (
-		spec      = flag.String("backend", "tage-64K", "backend spec, e.g. tage-16K?mode=adaptive, gshare-64K, perceptron (see -list)")
+		spec      = flag.String("backend", "tage-64K", "backend spec, e.g. tage-16K?mode=adaptive, bimodal-64K, perceptron (see -list)")
 		traceName = flag.String("trace", "", "single trace to simulate (see -list)")
 		suiteName = flag.String("suite", "", "suite to simulate: cbp1, cbp2 or all")
 		branches  = flag.Uint64("branches", 0, "branch records per trace (0 = full trace)")

@@ -53,15 +53,15 @@ func ExampleNew() {
 		log.Fatal(err)
 	}
 	fmt.Println(est.Label())
-	gs, err := repro.New("gshare-64K")
+	bm, err := repro.New("bimodal-64K")
 	if err != nil {
 		log.Fatal(err)
 	}
-	pred, _, level := gs.Predict(0x400100)
-	fmt.Printf("%s cold: pred=%v level=%v\n", gs.Label(), pred, level)
+	pred, _, level := bm.Predict(0x400100)
+	fmt.Printf("%s cold: pred=%v level=%v\n", bm.Label(), pred, level)
 	// Output:
 	// 16Kbits
-	// gshare-64K cold: pred=false level=low
+	// bimodal-64K cold: pred=false level=low
 }
 
 func ExampleEstimator() {

@@ -2,7 +2,7 @@
 // through the one backend-agnostic API and compare accuracy and
 // confidence behavior — the "Branch Prediction Is Not a Solved Problem"
 // exercise in five lines per predictor. Specs parameterize each family
-// ("gshare-64K?hist=13", "tage-16K?mode=adaptive&mkp=4", ...); see
+// ("bimodal-64K?log=13", "tage-16K?mode=adaptive&mkp=4", ...); see
 // repro.Backends() for the registry.
 package main
 
@@ -26,7 +26,6 @@ func main() {
 
 	specs := []string{
 		"bimodal-64K",
-		"gshare-64K",
 		"perceptron",
 		"ogehl",
 		"jrs-64K?enhanced=true",

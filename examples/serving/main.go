@@ -99,18 +99,18 @@ func main() {
 	}
 
 	// Sessions are heterogeneous: the same server hosts any registered
-	// backend by spec. Open a gshare session next to the TAGE one and
+	// backend by spec. Open a bimodal session next to the TAGE one and
 	// compare — /metrics reports the two under separate backend labels.
-	gs, err := c.OpenSession(repro.ServeOpenRequest{Spec: "gshare-64K"})
+	bs, err := c.OpenSession(repro.ServeOpenRequest{Spec: "bimodal-64K"})
 	if err != nil {
 		log.Fatal(err)
 	}
-	gres, err := gs.Replay(tr, 50_000, 1000, nil)
+	bres, err := bs.Replay(tr, 50_000, 1000, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nsame stream on %s: %.2f misp/KI (TAGE: %.2f)\n",
-		gres.Config, gres.MPKI(), res.MPKI())
+		bres.Config, bres.MPKI(), res.MPKI())
 
 	// Durability, layer one: any registered backend's complete state
 	// serializes into a self-describing versioned blob and restores

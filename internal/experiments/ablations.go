@@ -7,10 +7,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/jrs"
 	"repro/internal/metrics"
+	"repro/internal/predictor"
 	"repro/internal/sim"
 	"repro/internal/tage"
 	"repro/internal/textplot"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -230,11 +230,13 @@ type EstimatorRow struct {
 }
 
 // RunEstimatorComparison runs all estimators over CBP-1 on the 16 Kbit
-// predictor with the modified automaton (storage-free) and the standard
-// predictor for the JRS pairs (JRS does not need the automaton change).
-// The full flat (estimator × trace) matrix fans out across the pool in
-// one pass; confusions merge in estimator-major, trace-minor order so the
-// totals match the serial reference exactly.
+// TAGE: the storage-free estimator with the modified automaton, and the
+// JRS tables grading the standard predictor (JRS does not need the
+// automaton change). Every row is a backend spec whose High grade is its
+// confidence estimate, so each (estimator, trace) cell is one
+// sim.RunSpec. The flat matrix fans out across the pool in one pass;
+// confusions merge in estimator-major, trace-minor order so the totals
+// match the serial reference exactly.
 func (r *Runner) RunEstimatorComparison() (EstimatorComparison, error) {
 	var out EstimatorComparison
 	traces, err := workload.Suite("cbp1")
@@ -246,30 +248,18 @@ func (r *Runner) RunEstimatorComparison() (EstimatorComparison, error) {
 	estimators := []struct {
 		name string
 		bits int
-		run  func(tr trace.Trace) (metrics.Binary, error)
+		spec predictor.Spec
 	}{
-		{"storage-free (high level)", 0, func(tr trace.Trace) (metrics.Binary, error) {
-			res, err := sim.RunConfig(tage.Small16K(), modifiedOpts(), tr, r.Limit)
-			return res.Binary(), err
-		}},
-		{"JRS 4-bit", jrsBits, func(tr trace.Trace) (metrics.Binary, error) {
-			res, err := sim.RunBinary(core.NewEstimator(tage.Small16K(), standardOpts()), jrs.NewDefault(10, 10), tr, r.Limit)
-			return res.Confusion, err
-		}},
-		{"JRS 4-bit enhanced", jrsBits, func(tr trace.Trace) (metrics.Binary, error) {
-			res, err := sim.RunBinary(core.NewEstimator(tage.Small16K(), standardOpts()), jrs.NewDefault(10, 10).Enhanced(), tr, r.Limit)
-			return res.Confusion, err
-		}},
+		{"storage-free (high level)", 0, predictor.MustParse("tage-16K?mode=probabilistic")},
+		{"JRS 4-bit", jrsBits, predictor.MustParse("jrs-16K")},
+		{"JRS 4-bit enhanced", jrsBits, predictor.MustParse("jrs-16K?enhanced=true")},
 	}
 
 	cells := make([]metrics.Binary, len(estimators)*len(traces))
 	if err := r.Pool.ForEach(len(cells), func(i int) error {
-		conf, err := estimators[i/len(traces)].run(traces[i%len(traces)])
-		if err != nil {
-			return err
-		}
-		cells[i] = conf
-		return nil
+		res, err := sim.RunSpec(estimators[i/len(traces)].spec, traces[i%len(traces)], r.Limit)
+		cells[i] = res.Binary()
+		return err
 	}); err != nil {
 		return out, err
 	}

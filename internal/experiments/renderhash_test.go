@@ -8,10 +8,11 @@ import (
 )
 
 // TestBinaryRowRendersPinned pins the SHA-256 of the two renders built
-// from binary confusion rows — the storage-free row derived from the
-// seven-class tally (sim.Result.Binary) beside the JRS rows (sim.RunBinary)
-// and the registry self-confidence schemes — at a small limit. Any drift
-// in how a row is driven or derived changes a digit and the hash.
+// from binary confusion rows — the storage-free TAGE row, the JRS rows
+// (the jrs family over the same TAGE) and the registry self-confidence
+// schemes, each a spec run whose confusion is sim.Result.Binary of its
+// seven-class tally — at a small limit. Any drift in how a row is driven
+// or derived changes a digit and the hash.
 func TestBinaryRowRendersPinned(t *testing.T) {
 	r := NewWorkers(6000, 2)
 	for _, tc := range []struct{ name, want string }{

@@ -63,6 +63,7 @@ func (r *Runner) RunSelfConfidence() (SelfConfidence, error) {
 	// plus the TAGE tail rows — fans out across the pool in one pass, then
 	// merges in scheme-major, trace-minor order so the totals match the
 	// serial reference exactly.
+	tageTail := predictor.MustParse("tage-64K?mode=probabilistic")
 	nt := len(traces)
 	cells := make([]sim.Result, (len(schemes)+1)*nt)
 	if err := r.Pool.ForEach(len(cells), func(i int) error {
@@ -70,7 +71,7 @@ func (r *Runner) RunSelfConfidence() (SelfConfidence, error) {
 		if si := i / nt; si < len(schemes) {
 			cells[i], err = sim.RunSpec(schemes[si].spec, traces[i%nt], r.Limit)
 		} else {
-			cells[i], err = sim.RunConfig(tage.Medium64K(), modifiedOpts(), traces[i%nt], r.Limit)
+			cells[i], err = sim.RunSpec(tageTail, traces[i%nt], r.Limit)
 		}
 		return err
 	}); err != nil {

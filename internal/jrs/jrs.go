@@ -24,8 +24,8 @@ import (
 	"repro/internal/counter"
 )
 
-// Estimator is a JRS confidence estimator. It implements the
-// sim.BinaryEstimator interface.
+// Estimator is a JRS confidence estimator. The predictor registry's jrs
+// family pairs it with a TAGE predictor whose predictions it grades.
 type Estimator struct {
 	table     []uint8
 	mask      uint64 // from logSize at construction
@@ -88,15 +88,16 @@ func (e *Estimator) index(pc uint64, pred bool) uint64 {
 	return idx & e.mask
 }
 
-// HighConfidence implements sim.BinaryEstimator.
+// HighConfidence grades the upcoming prediction pred for pc: high when
+// the indexed miss-distance counter has reached the threshold.
 //repro:hotpath
 func (e *Estimator) HighConfidence(pc uint64, pred bool) bool {
 	return e.table[e.index(pc, pred)] >= e.threshold
 }
 
-// Update implements sim.BinaryEstimator: increment on a correct
-// prediction, reset on a misprediction, then advance the local history
-// copy.
+// Update trains the estimator with the resolved outcome of the graded
+// prediction pred: increment on a correct prediction, reset on a
+// misprediction, then advance the local history copy.
 //repro:hotpath
 func (e *Estimator) Update(pc uint64, pred, taken bool) {
 	i := e.index(pc, pred)

@@ -3,7 +3,7 @@ package jrs
 import (
 	"testing"
 
-	"repro/internal/gshare"
+	"repro/internal/bimodal"
 	"repro/internal/workload"
 )
 
@@ -117,7 +117,7 @@ func TestPanicsOnBadArgs(t *testing.T) {
 }
 
 func TestSeparatesConfidenceOnRealWorkload(t *testing.T) {
-	// Paired with a gshare predictor on a mixed workload, JRS
+	// Paired with a bimodal predictor on a mixed workload, JRS
 	// high-confidence predictions must mispredict far less often than
 	// low-confidence ones.
 	prog := workload.NewBuilder("mix", 31).SetLength(80000).
@@ -129,7 +129,7 @@ func TestSeparatesConfidenceOnRealWorkload(t *testing.T) {
 			workload.S(workload.Biased{P: 0.6}),
 		).
 		MustBuild()
-	p := gshare.New(12, 10)
+	p := bimodal.New(12)
 	e := NewDefault(12, 10)
 	var hiMiss, hiTot, loMiss, loTot int
 	r := prog.Open()

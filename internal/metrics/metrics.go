@@ -5,7 +5,7 @@
 //   - misp/KI, mispredictions per kilo-instruction, the whole-trace
 //     accuracy unit (Table 1);
 //   - Pcov / MPcov / MPrate, the coverage and rate triple reported for
-//     every prediction class (§4);
+//     every prediction class (§4); a class's MPrate is its Counts.MKP;
 //   - SENS / PVP / SPEC / PVN, Grunwald et al.'s quality metrics for
 //     binary (high/low) confidence estimators (§2.2), used to compare the
 //     storage-free estimator against the JRS baseline.
@@ -101,11 +101,6 @@ func MPcov(class, total Counts) float64 {
 	return float64(class.Misps) / float64(total.Misps)
 }
 
-// MPrate is the misprediction rate of the class in MKP (an alias of
-// Counts.MKP named as in the paper).
-//repro:deterministic
-func MPrate(class Counts) float64 { return class.MKP() }
-
 // Binary is the confusion tally of a two-way (high/low confidence)
 // estimator, in the axes of Grunwald et al.
 type Binary struct {
@@ -113,21 +108,6 @@ type Binary struct {
 	HighWrong   uint64 // high confidence, mispredicted
 	LowCorrect  uint64 // low confidence, correctly predicted
 	LowWrong    uint64 // low confidence, mispredicted
-}
-
-// Record tallies one resolved prediction.
-//repro:hotpath
-func (b *Binary) Record(highConfidence, mispredicted bool) {
-	switch {
-	case highConfidence && !mispredicted:
-		b.HighCorrect++
-	case highConfidence && mispredicted:
-		b.HighWrong++
-	case !highConfidence && !mispredicted:
-		b.LowCorrect++
-	default:
-		b.LowWrong++
-	}
 }
 
 // Add accumulates other into b.

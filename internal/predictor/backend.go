@@ -20,7 +20,7 @@ import (
 // plus its aggregate core.Level, and class.Level() always equals the
 // returned level. The TAGE estimator grades with the paper's full
 // seven-class taxonomy. Families with a binary self-confidence estimate
-// (gshare, bimodal, perceptron, ogehl, jrs) grade through the
+// (bimodal, perceptron, ogehl, jrs) grade through the
 // bimodal-provider classes, which map one-to-one onto the levels:
 // LowConfBim for low, MediumConfBim for medium, HighConfBim for high.
 type Backend interface {

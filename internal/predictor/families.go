@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/bimodal"
 	"repro/internal/core"
-	"repro/internal/gshare"
 	"repro/internal/jrs"
 	"repro/internal/looppred"
 	"repro/internal/ogehl"
@@ -27,14 +26,6 @@ func init() {
 		Variants:   []string{"16K", "64K", "256K", "custom"},
 		ParamsHelp: tageParamsHelp,
 		Build:      buildTAGE,
-	})
-	RegisterFamily(Family{
-		Name:       "gshare",
-		Summary:    "McFarling gshare; counter-strength confidence (weak=low, saturated=high)",
-		Paper:      "McFarling, DEC WRL TN-36 1993",
-		Variants:   []string{"16K", "64K", "256K"},
-		ParamsHelp: "log, hist",
-		Build:      buildGshare,
 	})
 	RegisterFamily(Family{
 		Name:       "bimodal",
@@ -60,7 +51,7 @@ func init() {
 	})
 	RegisterFamily(Family{
 		Name:       "jrs",
-		Summary:    "gshare graded by JRS miss-distance counters (the storage-based baseline)",
+		Summary:    "TAGE graded by JRS miss-distance counters (the storage-based baseline)",
 		Paper:      "Jacobsen, Rotenberg & Smith, MICRO 1996; Grunwald et al., ISCA 1998",
 		Variants:   []string{"16K", "64K", "256K"},
 		ParamsHelp: "log, bits, threshold, hist, enhanced",
@@ -94,8 +85,8 @@ func badVariant(family, variant string, valid []string) error {
 }
 
 // sizeLog maps the shared 16K/64K/256K storage-class variants onto a
-// log2 table size for the 2-bit-counter families (2 bits per entry:
-// 2^13 × 2 b = 16 Kbit and so on).
+// log2 table size for the bimodal family's 2-bit counters (2 bits per
+// entry: 2^13 × 2 b = 16 Kbit and so on).
 func sizeLog(variant string) (uint, error) {
 	switch variant {
 	case "16K":
@@ -177,36 +168,6 @@ func tageConfig(sp Spec) (tage.Config, core.Options, error) {
 		return tage.Config{}, core.Options{}, fmt.Errorf("predictor: spec %q: %w", sp.String(), err)
 	}
 	return cfg, opts, nil
-}
-
-func buildGshare(sp Spec) (Backend, error) {
-	defLog, err := sizeLog(sp.Variant)
-	if err != nil {
-		return nil, badVariant("gshare", sp.Variant, []string{"16K", "64K", "256K"})
-	}
-	p := newParams(sp)
-	logSize := uint(p.uintP("log", uint64(defLog), 24))
-	hist := uint(p.uintP("hist", uint64(logSize), 64))
-	if err := p.finish("gshare", "log, hist"); err != nil {
-		return nil, err
-	}
-	if logSize == 0 {
-		return nil, fmt.Errorf("predictor: spec %q: log must be >= 1", sp.String())
-	}
-	label := sp.String()
-	g := &graded{label: label, spec: sp}
-	var pr *gshare.Predictor
-	g.rebuild = func() { pr = gshare.New(logSize, hist) }
-	g.rebuild()
-	g.predict = func(pc uint64) (bool, core.Class, core.Level) {
-		c := pr.Counter(pc)
-		class, level := gradeSaturating(c.Weak())
-		return c.Taken(), class, level
-	}
-	g.update = func(pc uint64, taken bool) { pr.Update(pc, taken) }
-	g.save = func(dst []byte) []byte { return pr.AppendState(dst) }
-	g.load = func(r *statecodec.Reader) error { return pr.RestoreState(r) }
-	return g, nil
 }
 
 func buildBimodal(sp Spec) (Backend, error) {
@@ -315,9 +276,12 @@ func buildOGEHL(sp Spec) (Backend, error) {
 	return g, nil
 }
 
+// buildJRS builds the paper's JRS configuration: a standard-automaton
+// TAGE of the variant's size whose raw predictions are graded by JRS
+// miss-distance counters instead of the storage-free classes.
 func buildJRS(sp Spec) (Backend, error) {
-	defLog, err := sizeLog(sp.Variant)
-	if err != nil {
+	cfg, err := tageBase(sp.Variant)
+	if err != nil || sp.Variant == "custom" {
 		return nil, badVariant("jrs", sp.Variant, []string{"16K", "64K", "256K"})
 	}
 	p := newParams(sp)
@@ -334,12 +298,12 @@ func buildJRS(sp Spec) (Backend, error) {
 	}
 	g := &graded{label: sp.String(), spec: sp}
 	var (
-		pr       *gshare.Predictor
+		pr       *core.Estimator
 		est      *jrs.Estimator
 		lastPred bool
 	)
 	g.rebuild = func() {
-		pr = gshare.New(defLog, defLog)
+		pr = core.NewEstimator(cfg, core.Options{})
 		est = jrs.New(estLog, bits, threshold, hist)
 		if enhanced {
 			est = est.Enhanced()
@@ -347,7 +311,7 @@ func buildJRS(sp Spec) (Backend, error) {
 	}
 	g.rebuild()
 	g.predict = func(pc uint64) (bool, core.Class, core.Level) {
-		lastPred = pr.Predict(pc)
+		lastPred, _, _ = pr.Predict(pc)
 		class, level := gradeBinary(est.HighConfidence(pc, lastPred))
 		return lastPred, class, level
 	}

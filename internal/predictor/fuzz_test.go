@@ -15,7 +15,7 @@ func FuzzParseSpec(f *testing.F) {
 		"tage-64K?mode=adaptive&mkp=4",
 		"tage-16K?mkp=10.125&mode=adaptive&awindow=16384",
 		"tage-custom?hist=3,8,21,80&name=probe&seed=0xDEAD",
-		"gshare-64K?hist=13",
+		"bimodal-64K?log=13",
 		"perceptron?log=10&hist=31",
 		"ogehl?tables=8",
 		"jrs-16K?enhanced=true&threshold=15",

@@ -8,7 +8,7 @@ import (
 
 // Family describes one registered backend family.
 type Family struct {
-	// Name is the family's spec name ("tage", "gshare", ...).
+	// Name is the family's spec name ("tage", "bimodal", ...).
 	Name string
 	// Summary is a one-line description for listings and docs.
 	Summary string

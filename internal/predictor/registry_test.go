@@ -12,7 +12,7 @@ import (
 )
 
 func TestRegistryListsFamilies(t *testing.T) {
-	want := []string{"bimodal", "gshare", "jrs", "ltage", "ogehl", "perceptron", "tage"}
+	want := []string{"bimodal", "jrs", "ltage", "ogehl", "perceptron", "tage"}
 	got := predictor.FamilyNames()
 	if len(got) != len(want) {
 		t.Fatalf("FamilyNames() = %v, want %v", got, want)
@@ -31,13 +31,13 @@ func TestRegistryListsFamilies(t *testing.T) {
 
 func TestBuildErrorsListValidChoices(t *testing.T) {
 	if _, _, err := predictor.New("nosuch"); err == nil ||
-		!strings.Contains(err.Error(), "tage") || !strings.Contains(err.Error(), "gshare") {
+		!strings.Contains(err.Error(), "tage") || !strings.Contains(err.Error(), "bimodal") {
 		t.Errorf("unknown family error should list registered families, got %v", err)
 	}
 	if _, _, err := predictor.New("tage-99K"); err == nil || !strings.Contains(err.Error(), "64K") {
 		t.Errorf("unknown variant error should list variants, got %v", err)
 	}
-	if _, _, err := predictor.New("gshare-64K?bogus=1"); err == nil ||
+	if _, _, err := predictor.New("bimodal-64K?bogus=1"); err == nil ||
 		!strings.Contains(err.Error(), "log") {
 		t.Errorf("unknown parameter error should list accepted keys, got %v", err)
 	}

@@ -32,13 +32,14 @@ func buildEnvelope(t *testing.T, spec string, state []byte) []byte {
 	return appendCRC(body)
 }
 
-// snapshotFamilySpecs is one representative spec per registry family
-// (the non-TAGE half of the bit-identity matrix, and the fuzz corpus).
+// snapshotFamilySpecs is one representative spec per registry family,
+// plus both JRS index variants the estimator comparison runs (the
+// non-TAGE half of the bit-identity matrix, and the fuzz corpus).
 var snapshotFamilySpecs = []string{
-	"gshare-16K?hist=10",
 	"bimodal-16K",
 	"perceptron?log=8&hist=24",
 	"ogehl?tables=4&log=8&maxhist=60",
+	"jrs-16K",
 	"jrs-16K?enhanced=true",
 	"ltage-16K",
 }
@@ -190,12 +191,11 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		{"tage-16K?mode=probabilistic", 4475, "2b3b225db402b960981e5249d56321a0c368420f3b84e98ca6a09400b3ed8c6b"},
 		{"tage-64K?mode=probabilistic", 15519, "1ebd947d7daba362bcbd950169c4a6a22eadc336c1a1cfc658028c3d78f21a9c"},
 		{"tage-256K?mode=adaptive", 67782, "bc74f4135eaeec561bdc80909a536e035f326761b1195f22beac26839382e961"},
-		{"gshare-16K?hist=10", 8228, "387ced6bd0c1d7a8e38ae81b1c40b444a9c0ff4cd77c3d426acabb399c752ba2"},
 		{"bimodal-16K", 8213, "c6eca3b2f4ba029982d85e2c36d4a758bf7f795a5176eced6c9189ca373ad057"},
 		{"perceptron", 65562, "69ab57c3dff11a537700ac7d7ce3c18a38431696c00c53e925d6b94956350624"},
 		{"perceptron?log=8&hist=24", 12838, "b09bd2b2ca9b05ece69b968a79ef6070804dfc0f4d18dc280fb2fb7f30a36593"},
 		{"ogehl?tables=4&log=8&maxhist=60", 1081, "d13c7a84186daa03d8e684a4b4d9e1a104dd675599e69f446c7cd47815127da3"},
-		{"jrs-16K?enhanced=true", 9265, "295c2bce2ed6df69367cab28ad5e5417a1e05f63df405069d0e4134fd2cc3833"},
+		{"jrs-16K?enhanced=true", 5465, "ad21051802c8eea4348751f4f111545b8f0ef730a51e3099d01a3cb26cd2daa4"},
 		{"ltage-16K", 4807, "76f4482202cdf37df32d761930629e3412a15ef91fa79b81e30865792e4bb50e"},
 	} {
 		b, _, err := predictor.New(c.spec)
@@ -226,7 +226,7 @@ func TestSnapshotBytesPinned(t *testing.T) {
 
 // TestSnapshotErrors checks that broken blobs fail cleanly and loudly.
 func TestSnapshotErrors(t *testing.T) {
-	b, _, err := predictor.New("gshare-16K")
+	b, _, err := predictor.New("bimodal-16K")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestSnapshotErrors(t *testing.T) {
 
 	// A structurally valid envelope whose state belongs to a different
 	// configuration must be rejected by the family codec.
-	other, _, err := predictor.New("gshare-64K")
+	other, _, err := predictor.New("bimodal-64K")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@
 // Backend contract every predictor family in this repository satisfies
 // (predict, train, reset, self-description), a string spec grammar that
 // names a backend instance ("tage-64K?mode=adaptive&mkp=4",
-// "gshare-64K", "perceptron"), and a registry that builds a Backend from
+// "bimodal-64K", "perceptron"), and a registry that builds a Backend from
 // a parsed Spec.
 //
 // The spec grammar is
@@ -45,7 +45,7 @@ type Param struct {
 // Specs compare equal exactly when they denote the same canonical spec
 // string.
 type Spec struct {
-	// Family is the backend family name ("tage", "gshare", ...).
+	// Family is the backend family name ("tage", "bimodal", ...).
 	Family string
 	// Variant is the optional family-defined variant ("64K", ...).
 	Variant string

@@ -15,8 +15,8 @@ func TestParseCanonicalRoundTrip(t *testing.T) {
 		{"tage-64K?mode=adaptive", "tage-64K?mode=adaptive"},
 		{"tage-16K?mode=adaptive&mkp=4", "tage-16K?mkp=4&mode=adaptive"},
 		{"tage-64K?window=-1", "tage-64K?window=-1"},
-		{"gshare-64K", "gshare-64K"},
-		{"gshare-64K?hist=13&log=15", "gshare-64K?hist=13&log=15"},
+		{"bimodal-64K", "bimodal-64K"},
+		{"bimodal-64K?log=15", "bimodal-64K?log=15"},
 		{"perceptron?log=10&hist=31", "perceptron?hist=31&log=10"},
 		{"ogehl", "ogehl"},
 		{"jrs-16K?enhanced=true", "jrs-16K?enhanced=true"},

@@ -201,7 +201,7 @@ func (c *Client) Open(config string, opts core.Options) (*ClientSession, error) 
 }
 
 // OpenSession creates a session for the request: any registered backend
-// spec ("tage-64K?mode=adaptive", "gshare-64K", "perceptron", ...; see
+// spec ("tage-64K?mode=adaptive", "bimodal-64K", "perceptron", ...; see
 // OpenRequest for the server default). A request with a Key resumes the
 // live or checkpointed session holding it, and Resumed reports how many
 // branches the session had already served. Results are labeled with the
@@ -272,7 +272,7 @@ func (s *ClientSession) Snapshot() ([]byte, error) {
 
 // Config returns the server-resolved backend label of the session: the
 // canonical configuration name for TAGE sessions ("64Kbits"), the
-// canonical spec string for spec-opened backends ("gshare-64K").
+// canonical spec string for spec-opened backends ("bimodal-64K").
 func (s *ClientSession) Config() string { return s.config }
 
 // Predict streams one branch batch through the session and returns the

@@ -61,7 +61,7 @@ func TestSnapshotCutEquivalence(t *testing.T) {
 	}{
 		{"tage-16K?mode=probabilistic", 7_333},
 		{"tage-64K?mkp=8&mode=adaptive", 13_001},
-		{"gshare-64K?hist=13", 1},
+		{"bimodal-64K?log=13", 1},
 		{"jrs-16K?enhanced=true", 19_999},
 		{"perceptron", 9_876},
 	} {
@@ -261,7 +261,7 @@ func TestCheckpointWarmStart(t *testing.T) {
 	c2 := dial(t, srv2)
 	// The key is the identity: the resume ignores the request's predictor
 	// fields entirely (a deliberately different spec proves it).
-	sess2, err := c2.OpenSession(OpenRequest{Spec: "gshare-64K", Key: key})
+	sess2, err := c2.OpenSession(OpenRequest{Spec: "bimodal-64K", Key: key})
 	if err != nil {
 		t.Fatal(err)
 	}

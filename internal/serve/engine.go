@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/predictor"
@@ -569,12 +568,7 @@ func (e *Engine) AttachStore(cs *CheckpointStore, now int64) (int, error) {
 
 func (e *Engine) fold(res sim.Result) {
 	e.retiredMu.Lock()
-	e.retired.Branches += res.Branches
-	e.retired.Instructions += res.Instructions
-	e.retired.Total.Add(res.Total)
-	for i := range res.Class {
-		e.retired.Class[i].Add(res.Class[i])
-	}
+	e.retired.Add(res)
 	key := e.labelKeyLocked(res.Config)
 	bc := e.retiredBy[key]
 	bc.Branches += res.Branches
@@ -628,10 +622,10 @@ type Snapshot struct {
 	LiveSessions    int64
 	OpenedSessions  uint64
 	EvictedSessions uint64
-	Branches        uint64
-	Instructions    uint64
-	Total           metrics.Counts
-	Class           [core.NumClasses]metrics.Counts
+	// Result holds the branch tallies (Branches, Instructions, Total,
+	// Class; Level aggregates them). Its Trace, Config, Mode and
+	// FinalProbability name no single session and are left zero.
+	sim.Result
 	// Backends carries the per-backend counters sorted by label.
 	Backends []BackendCounts
 	// ShedBatches counts batches rejected by admission control
@@ -649,19 +643,6 @@ type Snapshot struct {
 	// LastCheckpointUnixNano is the engine-clock time of the most recent
 	// successful checkpoint write (0 = never).
 	LastCheckpointUnixNano int64
-}
-
-// Level aggregates the snapshot's class counts into a confidence level,
-// exactly as sim.Result.Level does.
-//repro:deterministic
-func (s Snapshot) Level(l core.Level) metrics.Counts {
-	var c metrics.Counts
-	for _, cl := range core.Classes() {
-		if cl.Level() == l {
-			c.Add(s.Class[cl])
-		}
-	}
-	return c
 }
 
 // Snapshot aggregates the engine's counters. Live sessions are snapshot
@@ -692,12 +673,7 @@ func (e *Engine) Snapshot() Snapshot {
 			// fully visible at the next scrape.
 			return
 		}
-		agg.Branches += res.Branches
-		agg.Instructions += res.Instructions
-		agg.Total.Add(res.Total)
-		for i := range res.Class {
-			agg.Class[i].Add(res.Class[i])
-		}
+		agg.Add(res)
 		// Bucket live sessions exactly as their open did: a label the
 		// table admitted counts under itself, overflow labels under the
 		// shared bucket.
@@ -716,14 +692,12 @@ func (e *Engine) Snapshot() Snapshot {
 		backends = append(backends, bc)
 	}
 	sort.Slice(backends, func(i, j int) bool { return backends[i].Label < backends[j].Label })
+	agg.Trace, agg.Config, agg.FinalProbability = "", "", 0
 	return Snapshot{
 		LiveSessions:              e.reg.count(),
 		OpenedSessions:            e.opened.Load(),
 		EvictedSessions:           e.evicted.Load(),
-		Branches:                  agg.Branches,
-		Instructions:              agg.Instructions,
-		Total:                     agg.Total,
-		Class:                     agg.Class,
+		Result:                    agg,
 		Backends:                  backends,
 		ShedBatches:               e.shed.Load(),
 		InflightBatches:           e.inflight.Load(),

@@ -52,7 +52,7 @@ func FuzzFrame(f *testing.F) {
 	}
 	seeds := [][]byte{
 		AppendOpen(nil, OpenRequest{Spec: "tage-64K?mkp=10&mode=adaptive"}),
-		AppendOpen(nil, OpenRequest{Spec: "gshare-64K?hist=13"}),
+		AppendOpen(nil, OpenRequest{Spec: "bimodal-64K?log=13"}),
 		AppendOpen(nil, OpenRequest{Spec: "tage-16K?mkp=4&mode=adaptive"}),
 		AppendOpen(nil, OpenRequest{Spec: "tage-16K", Key: "trace/INT-1#0"}),
 		AppendOpened(nil, Opened{ID: 7, Config: "64Kbits"}),

@@ -250,7 +250,7 @@ func TestRouterResumeAfterRestart(t *testing.T) {
 	const (
 		limit     = 300_000
 		batchSize = 512
-		spec      = "gshare-64K"
+		spec      = "bimodal-64K"
 		key       = "restart/FP-2"
 	)
 	tr, err := workload.ByName("FP-2")

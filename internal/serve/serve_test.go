@@ -558,7 +558,7 @@ func TestShutdownClosesConnections(t *testing.T) {
 }
 
 // TestOnlineOfflineEquivalenceBackends is the non-TAGE acceptance pin:
-// sessions opened by backend spec — gshare, perceptron, jrs, ogehl and a
+// sessions opened by backend spec — bimodal, perceptron, jrs, ogehl and a
 // parameterized TAGE spec — replay to results bit-identical to the
 // offline driver over the identical spec-built backend, on one shared
 // server hosting all of them (the heterogeneous path).
@@ -566,8 +566,8 @@ func TestOnlineOfflineEquivalenceBackends(t *testing.T) {
 	srv := startServer(t, Config{})
 	const limit = 20_000
 	specs := []string{
-		"gshare-64K",
-		"gshare-16K?hist=10",
+		"bimodal-64K",
+		"bimodal-16K?log=12",
 		"perceptron",
 		"jrs-16K?enhanced=true",
 		"ogehl",
@@ -603,7 +603,7 @@ func TestOnlineOfflineEquivalenceBackends(t *testing.T) {
 	// A bad spec answers ErrCodeBadConfig and names the valid families.
 	var re *RemoteError
 	if _, err := c.OpenSession(OpenRequest{Spec: "nosuch-64K"}); !errors.As(err, &re) || re.Code != ErrCodeBadConfig ||
-		!strings.Contains(re.Message, "gshare") {
+		!strings.Contains(re.Message, "bimodal") {
 		t.Fatalf("bad spec error = %v", err)
 	}
 }
@@ -612,14 +612,14 @@ func TestOnlineOfflineEquivalenceBackends(t *testing.T) {
 // naming neither spec nor config gets the default-spec backend; explicit
 // requests still win.
 func TestEngineDefaultSpec(t *testing.T) {
-	srv := startServer(t, Config{Engine: EngineConfig{DefaultSpec: "gshare-16K"}})
+	srv := startServer(t, Config{Engine: EngineConfig{DefaultSpec: "bimodal-16K"}})
 	c := dial(t, srv)
 	sess, err := c.Open("", core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sess.Config(); got != "gshare-16K" {
-		t.Fatalf("default-spec session labeled %q, want gshare-16K", got)
+	if got := sess.Config(); got != "bimodal-16K" {
+		t.Fatalf("default-spec session labeled %q, want bimodal-16K", got)
 	}
 	if _, err := sess.Close(); err != nil {
 		t.Fatal(err)
@@ -688,7 +688,7 @@ func TestBackendLabelCardinalityCap(t *testing.T) {
 	}
 }
 
-// TestPerBackendMetrics drives one TAGE and one gshare session through a
+// TestPerBackendMetrics drives one TAGE and one bimodal session through a
 // shared server and asserts the /metrics per-backend counters split the
 // traffic by backend label.
 func TestPerBackendMetrics(t *testing.T) {
@@ -705,13 +705,13 @@ func TestPerBackendMetrics(t *testing.T) {
 	if _, err := tage1.Replay(tr, 4000, 512, nil); err != nil {
 		t.Fatal(err)
 	}
-	gs, err := c.OpenSession(OpenRequest{Spec: "gshare-64K"})
+	bs, err := c.OpenSession(OpenRequest{Spec: "bimodal-64K"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Leave the gshare session live: per-backend counters must span live
+	// Leave the bimodal session live: per-backend counters must span live
 	// and retired sessions exactly like the service totals.
-	if _, err := gs.Predict(collectBranches(t, tr, 3000)); err != nil {
+	if _, err := bs.Predict(collectBranches(t, tr, 3000)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -728,8 +728,8 @@ func TestPerBackendMetrics(t *testing.T) {
 	if bc := byLabel["64Kbits"]; bc.Opened != 1 || bc.Branches != 4000 {
 		t.Fatalf("TAGE backend counters = %+v", bc)
 	}
-	if bc := byLabel["gshare-64K"]; bc.Opened != 1 || bc.Branches != 3000 {
-		t.Fatalf("gshare backend counters = %+v", bc)
+	if bc := byLabel["bimodal-64K"]; bc.Opened != 1 || bc.Branches != 3000 {
+		t.Fatalf("bimodal backend counters = %+v", bc)
 	}
 
 	resp, err := http.Get("http://" + srv.MetricsAddr().String() + "/metrics")
@@ -742,8 +742,8 @@ func TestPerBackendMetrics(t *testing.T) {
 	for _, want := range []string{
 		`tage_serve_backend_sessions_opened_total{backend="64Kbits"} 1`,
 		`tage_serve_backend_branches_total{backend="64Kbits"} 4000`,
-		`tage_serve_backend_sessions_opened_total{backend="gshare-64K"} 1`,
-		`tage_serve_backend_branches_total{backend="gshare-64K"} 3000`,
+		`tage_serve_backend_sessions_opened_total{backend="bimodal-64K"} 1`,
+		`tage_serve_backend_branches_total{backend="bimodal-64K"} 3000`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, text)

@@ -613,7 +613,7 @@ func chaosRun(t *testing.T, seed uint64) {
 		spec  string
 	}{
 		{"INT-1", "tage-16K?mode=probabilistic"},
-		{"MM-1", "gshare-64K"},
+		{"MM-1", "bimodal-64K"},
 		{"SERV-1", "tage-16K"},
 		{"FP-1", "bimodal-16K"},
 	}

@@ -315,7 +315,7 @@ type OpenRequest struct {
 	// core.NewEstimator. Ignored when Spec is set.
 	Options core.Options
 	// Spec selects any registered backend family (predictor.New), so
-	// heterogeneous sessions (gshare next to TAGE next to perceptron)
+	// heterogeneous sessions (bimodal next to TAGE next to perceptron)
 	// share one server. A request with no Spec, Config or Options gets
 	// the server's default spec.
 	Spec string

@@ -47,7 +47,7 @@ func readOne(t *testing.T, raw []byte) (byte, []byte) {
 func TestOpenRoundTrip(t *testing.T) {
 	for _, req := range []OpenRequest{
 		{},
-		{Spec: "gshare-64K?hist=13"},
+		{Spec: "bimodal-64K?log=13"},
 		{Spec: "tage-16K", Key: "trace/INT-1#0"},
 		{Key: "default-spec"},
 	} {

@@ -1,8 +1,8 @@
 // Package sim provides the trace-driven simulation drivers that produce
 // every number in the paper: per-class statistics for a TAGE predictor
 // with the storage-free confidence estimator (Result.Step is the one
-// per-branch step), whole-suite aggregation, the binary confusion derived
-// from the class tally, and the storage-based JRS comparison runs.
+// per-branch step), whole-suite aggregation, and the binary confusion
+// derived from the class tally.
 //
 // Simulation is functional (no timing): the predictor sees each branch's
 // address, predicts, and is updated with the resolved direction, exactly
@@ -193,47 +193,4 @@ func AssembleSuite(configName string, mode core.AutomatonMode, per []Result) Sui
 	out.Aggregate.Trace = "aggregate"
 	out.Aggregate.Mode = mode
 	return out
-}
-
-// BinaryEstimator is a storage-based two-way confidence estimator that
-// grades another predictor's predictions (JRS, enhanced JRS).
-type BinaryEstimator interface {
-	// HighConfidence grades the upcoming prediction for pc, given the
-	// predictor's prediction.
-	HighConfidence(pc uint64, pred bool) bool
-	// Update trains the estimator with the resolved outcome.
-	Update(pc uint64, pred, taken bool)
-}
-
-// BinaryResult holds a binary-estimator comparison run.
-type BinaryResult struct {
-	Trace     string
-	Total     metrics.Counts
-	Confusion metrics.Binary
-}
-
-// RunBinary drives a substrate backend plus a storage-based binary
-// estimator over a trace: the estimator grades the substrate's raw
-// prediction stream, and the substrate's own grade is ignored. A
-// standard-mode core.Estimator is the raw TAGE stream. Storage-free
-// estimates need no second driver: see Result.Binary.
-func RunBinary(substrate predictor.Backend, est BinaryEstimator, tr trace.Trace, limit uint64) (BinaryResult, error) {
-	res := BinaryResult{Trace: tr.Name()}
-	r := trace.Limit(tr, limit).Open()
-	for {
-		b, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return res, nil
-		}
-		if err != nil {
-			return res, err
-		}
-		pred, _, _ := substrate.Predict(b.PC)
-		high := est.HighConfidence(b.PC, pred)
-		miss := pred != b.Taken
-		res.Total.Record(miss)
-		res.Confusion.Record(high, miss)
-		est.Update(b.PC, pred, b.Taken)
-		substrate.Update(b.PC, b.Taken)
-	}
 }

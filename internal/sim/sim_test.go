@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/jrs"
 	"repro/internal/metrics"
 	"repro/internal/predictor"
 	"repro/internal/tage"
@@ -133,27 +132,26 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-func TestRunBinaryJRS(t *testing.T) {
+// TestRunSpecJRS: the jrs family (16 Kbit TAGE graded by JRS
+// miss-distance counters) runs through the one per-branch driver, and its
+// High grade is the JRS high-confidence estimate.
+func TestRunSpecJRS(t *testing.T) {
 	tr, _ := workload.ByName("INT-1")
-	p, _, err := predictor.New("gshare-16K?log=12&hist=10")
+	res, err := RunSpec(predictor.MustParse("jrs-16K"), tr, 60000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := jrs.NewDefault(12, 10)
-	res, err := RunBinary(p, e, tr, 60000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Confusion.Total() != res.Total.Preds {
+	conf := res.Binary()
+	if conf.Total() != res.Total.Preds {
 		t.Fatal("confusion total mismatch")
 	}
 	// JRS PVP must be high; PVN should be meaningfully above the base rate.
-	if res.Confusion.PVP() < 0.9 {
-		t.Errorf("JRS PVP = %.3f, want > 0.9", res.Confusion.PVP())
+	if conf.PVP() < 0.9 {
+		t.Errorf("JRS PVP = %.3f, want > 0.9", conf.PVP())
 	}
 	base := res.Total.Rate()
-	if res.Confusion.PVN() < 2*base {
-		t.Errorf("JRS PVN = %.3f, want well above base rate %.3f", res.Confusion.PVN(), base)
+	if conf.PVN() < 2*base {
+		t.Errorf("JRS PVN = %.3f, want well above base rate %.3f", conf.PVN(), base)
 	}
 }
 
@@ -167,7 +165,6 @@ func TestResultBinaryMatchesReference(t *testing.T) {
 		"tage-16K?mode=standard",
 		"tage-16K?mode=probabilistic",
 		"ltage-16K",
-		"gshare-16K",
 		"bimodal-16K",
 		"perceptron",
 		"ogehl",
@@ -191,7 +188,16 @@ func TestResultBinaryMatchesReference(t *testing.T) {
 					break
 				}
 				pred, _, level := b.Predict(br.PC)
-				want.Record(level == core.High, pred != br.Taken)
+				switch miss := pred != br.Taken; {
+				case level == core.High && miss:
+					want.HighWrong++
+				case level == core.High:
+					want.HighCorrect++
+				case miss:
+					want.LowWrong++
+				default:
+					want.LowCorrect++
+				}
 				b.Update(br.PC, br.Taken)
 			}
 			if got := res.Binary(); got != want {

@@ -23,11 +23,11 @@
 //
 // Level is High, Medium or Low with the paper's headline behavior: the
 // high-confidence class mispredicts below ~1%, medium ~5-10%, low ~30%.
-// Every registered predictor family builds the same way — "gshare-64K",
+// Every registered predictor family builds the same way — "bimodal-64K",
 // "perceptron", "ogehl", "jrs-16K?enhanced=true", "ltage-64K", ... (see
 // Backends for the registry) — and runs through the same drivers:
 //
-//	res, err := repro.RunSpec("gshare-64K", tr, 0)
+//	res, err := repro.RunSpec("bimodal-64K", tr, 0)
 //	cbp1, err := repro.Suite("cbp1")
 //	sr, err := repro.RunSuiteSpec("perceptron", cbp1, 0)
 //
@@ -61,7 +61,7 @@
 //	res, _ := sess.Close()           // per-class tallies == offline Run
 //
 // Sessions are heterogeneous: each open request names its backend by
-// spec ("gshare-64K" next to TAGE next to "perceptron" on one server),
+// spec ("bimodal-64K" next to TAGE next to "perceptron" on one server),
 // the spec is the only predictor field on the wire, and /metrics
 // reports per-backend counters.
 //
