@@ -20,6 +20,7 @@ import (
 	"repro/internal/ogehl"
 	"repro/internal/perceptron"
 	"repro/internal/serve"
+	"repro/internal/sim"
 	"repro/internal/tage"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -76,6 +77,36 @@ func TestPredictUpdateZeroAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("%s: %v allocs per %d predicted branches, want 0", spec, allocs, sliceLen)
 		}
+	}
+}
+
+// TestRunZeroAllocsPerBatch asserts that sim.Run's read-then-step batch
+// loop allocates nothing per batch: a run over ten 1024-branch batches
+// allocates no more than a run over one, so only opening the trace (and
+// nothing its length scales) allocates.
+func TestRunZeroAllocsPerBatch(t *testing.T) {
+	tr, err := workload.ByName("INT-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	branches, err := trace.Collect(trace.Limit(tr, 10*1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := &trace.Mem{TraceName: tr.Name(), Records: branches}
+	est, err := New("tage-16K")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(limit uint64) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := sim.Run(est, mem, limit); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, ten := run(1024), run(10*1024); ten > one {
+		t.Fatalf("sim.Run allocates %.0f times over ten batches, %.0f over one: something allocates per batch", ten, one)
 	}
 }
 

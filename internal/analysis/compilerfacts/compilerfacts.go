@@ -57,7 +57,8 @@ const GCFlags = "-m=1 -d=ssa/check_bce/debug=1,ssa/prove/debug=1"
 // mustBeZero lists hotpath functions that may carry no unwaived bounds
 // check, no unproven shift and no heap escape, golden or not: the
 // per-branch TAGE loops and the history and counter helpers they run,
-// the shared sim/serve branch step, the serve batch loop, and the
+// the reference fold update the TAGE fold word is tested against, the
+// shared sim/serve branch step, the serve batch loop, and the
 // observability record paths.
 var mustBeZero = []string{
 	"repro/internal/tage.Predictor.Predict",

@@ -38,10 +38,12 @@ func New(logSize uint) *Predictor {
 
 // index maps a branch PC to a table slot. The low two bits of typical RISC
 // branch addresses are constant, so they are shifted out before masking.
+//
 //repro:hotpath
 func (p *Predictor) index(pc uint64) uint64 { return (pc >> 2) & p.mask }
 
 // Predict returns the predicted direction for pc.
+//
 //repro:hotpath
 func (p *Predictor) Predict(pc uint64) bool {
 	return p.table[p.index(pc)].Taken()
@@ -49,18 +51,21 @@ func (p *Predictor) Predict(pc uint64) bool {
 
 // Counter returns the raw 2-bit counter state for pc, which the confidence
 // classifier inspects (a weak counter makes the prediction low confidence).
+//
 //repro:hotpath
 func (p *Predictor) Counter(pc uint64) counter.Bimodal {
 	return p.table[p.index(pc)]
 }
 
 // Weak reports whether pc's counter is in a weak state.
+//
 //repro:hotpath
 func (p *Predictor) Weak(pc uint64) bool {
 	return p.table[p.index(pc)].Weak()
 }
 
 // Update trains the counter for pc toward the resolved direction.
+//
 //repro:hotpath
 func (p *Predictor) Update(pc uint64, taken bool) {
 	i := p.index(pc)
@@ -121,10 +126,12 @@ func NewPacked(logSize uint) *Packed {
 }
 
 // index maps a branch PC to a table slot (same mapping as Predictor).
+//
 //repro:hotpath
 func (p *Packed) index(pc uint64) uint64 { return (pc >> 2) & p.mask }
 
 // Counter returns the raw 2-bit counter state for pc.
+//
 //repro:hotpath
 func (p *Packed) Counter(pc uint64) counter.Bimodal {
 	i := p.index(pc)
@@ -132,14 +139,17 @@ func (p *Packed) Counter(pc uint64) counter.Bimodal {
 }
 
 // Predict returns the predicted direction for pc.
+//
 //repro:hotpath
 func (p *Packed) Predict(pc uint64) bool { return p.Counter(pc).Taken() }
 
 // Weak reports whether pc's counter is in a weak state.
+//
 //repro:hotpath
 func (p *Packed) Weak(pc uint64) bool { return p.Counter(pc).Weak() }
 
 // Update trains the counter for pc toward the resolved direction.
+//
 //repro:hotpath
 func (p *Packed) Update(pc uint64, taken bool) {
 	i := p.index(pc)

@@ -62,6 +62,7 @@ func NewAdaptive(auto *counter.Probabilistic, targetMKP float64, window uint64) 
 }
 
 // Observe feeds one resolved prediction to the controller.
+//
 //repro:hotpath
 func (a *Adaptive) Observe(level Level, mispredicted bool) {
 	if level != High {

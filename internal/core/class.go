@@ -61,6 +61,7 @@ var classNames = [NumClasses]string{
 }
 
 // String returns the paper's name for the class.
+//
 //repro:deterministic
 func (c Class) String() string {
 	if c >= NumClasses {
@@ -70,6 +71,7 @@ func (c Class) String() string {
 }
 
 // Tagged reports whether the class is provided by a tagged component.
+//
 //repro:hotpath
 func (c Class) Tagged() bool { return c >= Wtag }
 
@@ -91,6 +93,7 @@ const (
 var levelNames = [NumLevels]string{"low", "medium", "high"}
 
 // String returns the level name.
+//
 //repro:deterministic
 func (l Level) String() string {
 	if l >= NumLevels {
@@ -108,6 +111,7 @@ func (l Level) String() string {
 // The mapping is meaningful as a confidence estimate when the predictor
 // runs the modified (probabilistic-saturation) automaton; with the standard
 // automaton Stag retains a near-average misprediction rate (§5.3).
+//
 //repro:hotpath
 //repro:deterministic
 func (c Class) Level() Level {
@@ -123,11 +127,13 @@ func (c Class) Level() Level {
 
 // Classes lists all seven classes in display order (bimodal classes by
 // rising confidence, then tagged classes by rising counter strength).
+//
 //repro:deterministic
 func Classes() []Class {
 	return []Class{LowConfBim, MediumConfBim, HighConfBim, Wtag, NWtag, NStag, Stag}
 }
 
 // Levels lists the three levels in rising-confidence order.
+//
 //repro:deterministic
 func Levels() []Level { return []Level{Low, Medium, High} }

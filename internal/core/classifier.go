@@ -51,6 +51,7 @@ func (c *Classifier) Window() int { return c.window }
 
 // Classify grades one prediction. It reads only the observation and the
 // window counter; it does not modify any state.
+//
 //repro:hotpath
 func (c *Classifier) Classify(obs tage.Observation) Class {
 	if obs.Tagged() {
@@ -69,6 +70,7 @@ func (c *Classifier) Classify(obs tage.Observation) Class {
 // weak (1) → Wtag, nearly weak (3) → NWtag, saturated → Stag, anything in
 // between → NStag. For the paper's 3-bit counters the in-between value is
 // exactly 5; the rule extends to the §6 4-bit widening experiment.
+//
 //repro:hotpath
 func taggedClass(ctr int8, bits uint) Class {
 	switch s := counter.Strength(ctr); {
@@ -86,6 +88,7 @@ func taggedClass(ctr int8, bits uint) Class {
 // Resolve advances the medium-conf-bim window state with the branch
 // outcome. It must be called once per prediction, after Classify, with the
 // same observation.
+//
 //repro:hotpath
 func (c *Classifier) Resolve(obs tage.Observation, taken bool) {
 	if obs.Tagged() {

@@ -27,6 +27,7 @@ const (
 )
 
 // String names the mode.
+//
 //repro:deterministic
 func (m AutomatonMode) String() string {
 	switch m {
@@ -134,6 +135,7 @@ func NewEstimator(cfg tage.Config, opts Options) *Estimator {
 
 // Predict returns the prediction for pc together with its confidence class
 // and level. Each Predict must be followed by one Update for the same pc.
+//
 //repro:hotpath
 func (e *Estimator) Predict(pc uint64) (pred bool, class Class, level Level) {
 	e.lastObs = e.pred.Predict(pc)
@@ -144,11 +146,13 @@ func (e *Estimator) Predict(pc uint64) (pred bool, class Class, level Level) {
 
 // Observation returns the raw component observation of the most recent
 // Predict.
+//
 //repro:hotpath
 func (e *Estimator) Observation() tage.Observation { return e.lastObs }
 
 // Update resolves the most recent prediction, training the predictor,
 // advancing the classifier window and feeding the adaptive controller.
+//
 //repro:hotpath
 func (e *Estimator) Update(pc uint64, taken bool) {
 	if !e.havePred || e.lastObs.PC != pc {

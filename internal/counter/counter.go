@@ -24,6 +24,7 @@ import "repro/internal/xrand"
 // The signed helpers mask their shift counts to the int8 width (& 7, a
 // no-op on every legal width) so the compiler emits no oversized-shift
 // guard on the per-branch path.
+//
 //repro:hotpath
 func SignedMin(bits uint) int8 {
 	return int8(-1) << ((bits - 1) & 7)
@@ -31,6 +32,7 @@ func SignedMin(bits uint) int8 {
 
 // SignedMax returns the maximum value of a signed saturating counter of the
 // given width in bits, 1..8.
+//
 //repro:hotpath
 func SignedMax(bits uint) int8 {
 	return int8(1<<((bits-1)&7)) - 1
@@ -39,6 +41,7 @@ func SignedMax(bits uint) int8 {
 // UpdateSigned moves a signed saturating counter of the given width one step
 // toward taken (increment) or not-taken (decrement), saturating at the
 // bounds. It is the "Standard" automaton as a pure function.
+//
 //repro:hotpath
 func UpdateSigned(v int8, bits uint, taken bool) int8 {
 	if taken {
@@ -55,11 +58,13 @@ func UpdateSigned(v int8, bits uint, taken bool) int8 {
 
 // TakenSigned reports the prediction encoded by a signed counter:
 // taken if and only if the counter is non-negative.
+//
 //repro:hotpath
 func TakenSigned(v int8) bool { return v >= 0 }
 
 // WeakSigned reports whether a signed counter is in one of its two weak
 // states (0 or -1), i.e. whether the prediction has minimal strength.
+//
 //repro:hotpath
 func WeakSigned(v int8) bool { return v == 0 || v == -1 }
 
@@ -67,6 +72,7 @@ func WeakSigned(v int8) bool { return v == 0 || v == -1 }
 // counter used by the paper to grade tagged-table predictions:
 // 1 = weak (Wtag), 3 = nearly weak (NWtag), 5 = nearly saturated (NStag),
 // 7 = saturated (Stag) for a 3-bit counter.
+//
 //repro:hotpath
 func Strength(v int8) int {
 	s := int(2*int16(v) + 1)
@@ -77,6 +83,7 @@ func Strength(v int8) int {
 }
 
 // SaturatedSigned reports whether the counter sits at either bound.
+//
 //repro:hotpath
 func SaturatedSigned(v int8, bits uint) bool {
 	return v == SignedMin(bits) || v == SignedMax(bits)
@@ -85,6 +92,7 @@ func SaturatedSigned(v int8, bits uint) bool {
 // NearlySaturatedSigned reports whether the counter is one step away from a
 // bound (2 or -3 for a 3-bit counter) — the states whose outgoing
 // "saturating" transition the paper's modified automaton throttles.
+//
 //repro:hotpath
 func NearlySaturatedSigned(v int8, bits uint) bool {
 	return v == SignedMin(bits)+1 || v == SignedMax(bits)-1
@@ -93,6 +101,7 @@ func NearlySaturatedSigned(v int8, bits uint) bool {
 // IncUnsigned increments an unsigned saturating counter of the given width
 // in bits, 0..8. The bound is computed in 32 bits so that width 8 fits
 // under the guard-free & 31 shift mask.
+//
 //repro:hotpath
 func IncUnsigned(v uint8, bits uint) uint8 {
 	if uint32(v) < uint32(1)<<(bits&31)-1 {
@@ -102,6 +111,7 @@ func IncUnsigned(v uint8, bits uint) uint8 {
 }
 
 // DecUnsigned decrements an unsigned saturating counter toward zero.
+//
 //repro:hotpath
 func DecUnsigned(v uint8) uint8 {
 	if v > 0 {
@@ -124,16 +134,19 @@ const (
 )
 
 // Taken reports the prediction encoded by the counter.
+//
 //repro:hotpath
 func (b Bimodal) Taken() bool { return b >= 2 }
 
 // Weak reports whether the counter is in a weak state (1 or 2). The paper's
 // low-conf-bim class is exactly the BIM-provided predictions with Weak()
 // true.
+//
 //repro:hotpath
 func (b Bimodal) Weak() bool { return b == BimodalWeakNotTaken || b == BimodalWeakTaken }
 
 // Update moves the counter one step toward the observed outcome.
+//
 //repro:hotpath
 func (b Bimodal) Update(taken bool) Bimodal {
 	if taken {
@@ -163,6 +176,7 @@ type Automaton interface {
 type Standard struct{}
 
 // Update implements Automaton.
+//
 //repro:hotpath
 func (Standard) Update(v int8, bits uint, taken bool) int8 {
 	return UpdateSigned(v, bits, taken)
@@ -199,11 +213,13 @@ func NewProbabilistic(seed uint64, denomLog uint) *Probabilistic {
 
 // DenomLog returns the current log2 of the saturation-probability
 // denominator (0 => always saturate, 7 => 1/128, 10 => 1/1024).
+//
 //repro:hotpath
 func (p *Probabilistic) DenomLog() uint { return p.denomLog }
 
 // SetDenomLog sets the saturation probability to 2^-l, clamped to
 // [0, MaxDenomLog].
+//
 //repro:hotpath
 func (p *Probabilistic) SetDenomLog(l uint) {
 	if l > MaxDenomLog {
@@ -226,6 +242,7 @@ func (p *Probabilistic) Probability() float64 {
 // Update implements Automaton. denomLog never exceeds MaxDenomLog, so the
 // & 63 on the draw's shift count is a no-op that only removes the
 // compiler's oversized-shift guard.
+//
 //repro:hotpath
 func (p *Probabilistic) Update(v int8, bits uint, taken bool) int8 {
 	max := SignedMax(bits)

@@ -64,6 +64,7 @@ func (r *Runner) RunBimWindowAblation() (BimWindowAblation, error) {
 }
 
 // Render writes the window ablation table.
+//
 //repro:deterministic
 func (a BimWindowAblation) Render(w io.Writer) {
 	header := []string{"window", "medium-conf-bim Pcov", "MPcov", "MPrate", "high-conf-bim MPrate"}
@@ -131,6 +132,7 @@ func (r *Runner) RunUseAltAblation() (UseAltAblation, error) {
 }
 
 // Render writes the USE_ALT_ON_NA ablation table.
+//
 //repro:deterministic
 func (a UseAltAblation) Render(w io.Writer) {
 	header := []string{"config", "misp/KI with", "misp/KI without", "Wtag MKP with", "Wtag MKP without"}
@@ -198,6 +200,7 @@ func (r *Runner) RunCtrWidthAblation() (CtrWidthAblation, error) {
 }
 
 // Render writes the counter-width ablation table.
+//
 //repro:deterministic
 func (a CtrWidthAblation) Render(w io.Writer) {
 	header := []string{"config", "ctr bits", "misp/KI", "Stag Pcov", "Stag MPrate"}
@@ -244,15 +247,15 @@ func (r *Runner) RunEstimatorComparison() (EstimatorComparison, error) {
 		return out, err
 	}
 
-	jrsBits := jrs.NewDefault(10, 10).StorageBits() // 1K 4-bit counters = 4 Kbits extra
+	// The jrs rows run the family's default table, so they cost its bits.
 	estimators := []struct {
 		name string
 		bits int
 		spec predictor.Spec
 	}{
 		{"storage-free (high level)", 0, predictor.MustParse("tage-16K?mode=probabilistic")},
-		{"JRS 4-bit", jrsBits, predictor.MustParse("jrs-16K")},
-		{"JRS 4-bit enhanced", jrsBits, predictor.MustParse("jrs-16K?enhanced=true")},
+		{"JRS 4-bit", jrs.DefaultStorageBits, predictor.MustParse("jrs-16K")},
+		{"JRS 4-bit enhanced", jrs.DefaultStorageBits, predictor.MustParse("jrs-16K?enhanced=true")},
 	}
 
 	cells := make([]metrics.Binary, len(estimators)*len(traces))
@@ -274,6 +277,7 @@ func (r *Runner) RunEstimatorComparison() (EstimatorComparison, error) {
 }
 
 // Render writes the estimator comparison table.
+//
 //repro:deterministic
 func (c EstimatorComparison) Render(w io.Writer) {
 	header := []string{"estimator", "extra storage", "SENS", "PVP", "SPEC", "PVN"}

@@ -156,6 +156,7 @@ func (r *Runner) RunApplications() (Applications, error) {
 }
 
 // Render writes the three application tables.
+//
 //repro:deterministic
 func (a Applications) Render(w io.Writer) {
 	var rows [][]string

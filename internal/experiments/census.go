@@ -83,6 +83,7 @@ func (r *Runner) RunFamilyCensus() (FamilyCensus, error) {
 }
 
 // Render writes the census.
+//
 //repro:deterministic
 func (c FamilyCensus) Render(w io.Writer) {
 	header := []string{"family", "misp/KI", "BIM Pcov", "high Pcov", "low MKP"}

@@ -30,6 +30,21 @@ func TestLTAGEComparison(t *testing.T) {
 		if row.ExtraBits <= 0 || row.ExtraBits > 8192 {
 			t.Errorf("extra bits %d implausible", row.ExtraBits)
 		}
+		// The TAGE column is read off the L-TAGE's own TAGE, so on CBP-1
+		// it must be exactly a plain standard-automaton TAGE's suite MPKI.
+		if row.Workload == "cbp1" {
+			cfg, err := tage.ConfigByName(row.Config)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := r.Suite(cfg, core.Options{}, "cbp1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := plain.Aggregate.MPKI(); row.TageMPKI != want {
+				t.Errorf("%s cbp1: TAGE column %.6f, plain TAGE suite %.6f", row.Config, row.TageMPKI, want)
+			}
+		}
 		// ...and must dominate on the long-loop microbenchmark, where the
 		// trips exceed every TAGE history window.
 		if row.Workload == "long-loops" {

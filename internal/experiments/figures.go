@@ -105,6 +105,7 @@ func (r *Runner) distribution(title string, opts core.Options, specs []panelSpec
 // Render draws each panel as a pair of stacked-bar charts mirroring the
 // paper's left (prediction coverage) and right (misp/KI contribution)
 // columns.
+//
 //repro:deterministic
 func (f DistributionFigure) Render(w io.Writer) {
 	fmt.Fprintf(w, "%s\n\n", f.Title)
@@ -170,6 +171,7 @@ func (r *Runner) RunFigure6() (RatesFigure, error) {
 }
 
 // Render draws one group of class-rate bars per trace.
+//
 //repro:deterministic
 func (f RatesFigure) Render(w io.Writer) {
 	var groups []textplot.Group

@@ -57,6 +57,7 @@ func (r *Runner) RunInversion() (Inversion, error) {
 }
 
 // Render writes the analysis.
+//
 //repro:deterministic
 func (i Inversion) Render(w io.Writer) {
 	header := []string{"class", "MPrate (MKP)", "misses if inverted", "misp/KI delta"}

@@ -84,14 +84,15 @@ func (c *ltageCell) add(o ltageCell) {
 	c.branches += o.branches
 }
 
-// compareLTAGE runs the side-by-side TAGE / L-TAGE simulation. Each trace
-// is an independent job (both predictors are freshly built per trace), so
-// the traces fan out across the pool; partials merge in trace order.
+// compareLTAGE runs the TAGE / L-TAGE comparison. The L-TAGE's own TAGE
+// sees every branch a plain TAGE would and trains the same way, so its
+// observation is the plain-TAGE prediction and one predictor measures
+// both. Each trace is an independent job (a fresh predictor per trace),
+// so the traces fan out across the pool; partials merge in trace order.
 func (r *Runner) compareLTAGE(cfg tage.Config, loopCfg looppred.Config, label string, traces []trace.Trace) (LTAGERow, error) {
 	row := LTAGERow{Config: cfg.Name, Workload: label}
 	cells := make([]ltageCell, len(traces))
 	err := r.Pool.ForEach(len(traces), func(i int) error {
-		tg := tage.New(cfg)
 		lt := looppred.NewLTAGE(cfg, loopCfg)
 		reader := trace.Limit(traces[i], r.Limit).Open()
 		var c ltageCell
@@ -103,12 +104,11 @@ func (r *Runner) compareLTAGE(cfg tage.Config, loopCfg looppred.Config, label st
 			if err != nil {
 				return err
 			}
-			if tg.Predict(b.PC).Pred != b.Taken {
-				c.tageMiss++
-			}
-			tg.Update(b.PC, b.Taken)
 			if lt.Predict(b.PC) != b.Taken {
 				c.ltageMiss++
+			}
+			if lt.Observation().Pred != b.Taken {
+				c.tageMiss++
 			}
 			if lt.UsedLoop() {
 				c.loopProvided++
@@ -137,6 +137,7 @@ func (r *Runner) compareLTAGE(cfg tage.Config, loopCfg looppred.Config, label st
 }
 
 // Render writes the comparison table.
+//
 //repro:deterministic
 func (c LTAGEComparison) Render(w io.Writer) {
 	header := []string{"config", "workload", "TAGE misp/KI", "L-TAGE misp/KI", "loop-provided", "extra bits"}

@@ -13,6 +13,7 @@ type Renderer interface {
 }
 
 // Names lists the invocable experiment identifiers in presentation order.
+//
 //repro:deterministic
 func Names() []string {
 	return []string{

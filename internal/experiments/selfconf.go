@@ -104,6 +104,7 @@ func (r *Runner) RunSelfConfidence() (SelfConfidence, error) {
 }
 
 // Render writes the comparison table.
+//
 //repro:deterministic
 func (s SelfConfidence) Render(w io.Writer) {
 	header := []string{"scheme", "predictor bits", "misp/KI", "SENS", "PVP", "SPEC", "PVN"}

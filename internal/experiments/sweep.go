@@ -84,6 +84,7 @@ func (r *Runner) RunSweep() (Sweep, error) {
 }
 
 // Render writes the sweep as a table.
+//
 //repro:deterministic
 func (s Sweep) Render(w io.Writer) {
 	header := []string{"probability", "high Pcov", "high MPcov", "high MPrate", "medium Pcov", "medium MPrate", "low Pcov", "low MPrate", "misp/KI"}

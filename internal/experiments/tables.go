@@ -71,6 +71,7 @@ func (r *Runner) RunTable1() (Table1, error) {
 
 // Render writes the table in the paper's layout, with the paper's numbers
 // alongside for comparison.
+//
 //repro:deterministic
 func (t Table1) Render(w io.Writer) {
 	header := []string{"", "Small", "Medium", "Large"}
@@ -196,6 +197,7 @@ func (r *Runner) RunThreeClass(adaptive bool) (ThreeClassTable, error) {
 }
 
 // Render writes the table in the paper's layout with the paper's values.
+//
 //repro:deterministic
 func (t ThreeClassTable) Render(w io.Writer) {
 	title := "Table 2: high/medium/low confidence coverage (Pcov-MPcov (MPrate MKP)), probability 1/128"

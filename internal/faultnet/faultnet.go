@@ -73,12 +73,12 @@ type Config struct {
 // Stats tallies injected faults across every connection sharing it
 // (atomic: connections are concurrent).
 type Stats struct {
-	Conns      atomic.Uint64
-	Corrupted  atomic.Uint64
-	Drops      atomic.Uint64
-	Resets     atomic.Uint64
-	Stalls     atomic.Uint64
-	ShortReads atomic.Uint64
+	Conns         atomic.Uint64
+	Corrupted     atomic.Uint64
+	Drops         atomic.Uint64
+	Resets        atomic.Uint64
+	Stalls        atomic.Uint64
+	ShortReads    atomic.Uint64
 	ChunkedWrites atomic.Uint64
 }
 

@@ -1,9 +1,12 @@
 // Package history implements the branch-history machinery of geometric
 // history length predictors: a circular global-history bit buffer, the
 // incrementally-folded (cyclic shift register) compressions of that history
-// used to index and tag the TAGE tables, a short path-history register, and
-// the geometric history-length series L(i) = round(α^(i-1)·L(1)) introduced
-// with the O-GEHL predictor and reused by TAGE.
+// used to index and tag the predictor tables, a short path-history
+// register, and the geometric history-length series
+// L(i) = round(α^(i-1)·L(1)) introduced with the O-GEHL predictor and
+// reused by TAGE. Folded is the reference definition of a fold: O-GEHL
+// runs it directly, and TAGE packs three folds per table into one word
+// that its tests check against it.
 package history
 
 import (
@@ -15,13 +18,13 @@ import (
 // of the most recently pushed branch. The capacity is rounded up to a power
 // of two so that indexing is a mask.
 //
-// One byte per bit is deliberately spent: the buffer is tiny (≤ 1 KiB for a
-// 300-bit history with slack) and byte access keeps the folded-history
-// update branch-free and fast.
+// The bits are packed 64 to a uint64 word, bit p of the buffer at bit p%64
+// of word p/64, so a read is one load and a shift and the whole 300-bit
+// history of the largest TAGE fits in eight words.
 type Buffer struct {
-	bits []uint8
-	head int // index of the most recent bit
-	mask int // from capacity at construction
+	words []uint64
+	head  int // physical index of the most recent bit
+	mask  int // size-1: size is a power of two, fixed at construction
 }
 
 // NewBuffer returns a buffer able to serve Bit(i) for i in [0, capacity].
@@ -33,37 +36,43 @@ func NewBuffer(capacity int) *Buffer {
 	for size < capacity+2 {
 		size <<= 1
 	}
-	return &Buffer{bits: make([]uint8, size), mask: size - 1}
+	return &Buffer{words: make([]uint64, (size+63)/64), mask: size - 1}
 }
 
 // Push records the outcome of a new branch as the most recent history bit.
+//
 //repro:hotpath
 func (b *Buffer) Push(taken bool) {
 	b.head = (b.head - 1) & b.mask
+	var bit uint64
 	if taken {
-		b.bits[b.head] = 1
-	} else {
-		b.bits[b.head] = 0
+		bit = 1
 	}
+	w := &b.words[b.head>>6]
+	sh := uint(b.head) & 63
+	*w = *w&^(1<<sh) | bit<<sh
 }
 
 // Bit returns the i-th most recent outcome bit (0 = newest). i must be less
 // than the buffer capacity.
+//
 //repro:hotpath
 func (b *Buffer) Bit(i int) uint8 {
-	return b.bits[(b.head+i)&b.mask]
+	p := (b.head + i) & b.mask
+	return uint8(b.words[p>>6]>>(uint(p)&63)) & 1
 }
 
 // Reset clears the buffer to its freshly-constructed state (all bits zero)
 // without reallocating, so pooled readers can recycle their history.
 func (b *Buffer) Reset() {
-	clear(b.bits)
+	clear(b.words)
 	b.head = 0
 }
 
 // Len returns the number of bits the buffer can address.
+//
 //repro:hotpath
-func (b *Buffer) Len() int { return len(b.bits) }
+func (b *Buffer) Len() int { return b.mask + 1 }
 
 // Folded is an incrementally maintained compression ("cyclic shift
 // register") of the most recent origLen history bits into compLen bits, as
@@ -109,18 +118,19 @@ func MakeFolded(origLen, compLen int) Folded {
 
 // Update folds the newest history bit in and the bit leaving the origLen
 // window out. It must be called once per Buffer.Push, after the push.
+//
 //repro:hotpath
 func (f *Folded) Update(b *Buffer) {
 	f.UpdateBits(b.Bit(0), b.Bit(f.origLen))
 }
 
-// UpdateBits is Update with the two boundary bits supplied by the caller:
-// predictors that maintain several folds over the same history window
-// (TAGE keeps three per table) load the newest and leaving bit once and
-// feed every fold of the window from registers.
+// UpdateBits is Update with the two boundary bits supplied by the caller,
+// for a predictor that keeps several folds over one history window and
+// loads the newest and leaving bit once for all of them.
 //
 // Both shift counts are below compLen <= 31 by construction; the & 31
 // masks are no-ops that let the compiler drop its oversized-shift guards.
+//
 //repro:hotpath
 func (f *Folded) UpdateBits(newest, leaving uint8) {
 	f.comp = (f.comp << 1) | uint32(newest)
@@ -130,6 +140,7 @@ func (f *Folded) UpdateBits(newest, leaving uint8) {
 }
 
 // Value returns the current compLen-bit folded history.
+//
 //repro:hotpath
 func (f *Folded) Value() uint32 { return f.comp }
 
@@ -162,12 +173,14 @@ func NewPath(width uint) *Path {
 }
 
 // Push shifts in the low bit of pc.
+//
 //repro:hotpath
 func (p *Path) Push(pc uint64) {
 	p.value = ((p.value << 1) | uint32(pc&1)) & p.mask
 }
 
 // Value returns the current path history bits.
+//
 //repro:hotpath
 func (p *Path) Value() uint32 { return p.value }
 

@@ -7,27 +7,26 @@ package history
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"repro/internal/statecodec"
 )
 
 // AppendState appends the buffer's contents: physical size, head index,
 // then the physical bit array packed 8 bits per byte (bit i of byte j is
-// bits[j*8+i]). Serializing the physical layout rather than the logical
+// physical bit j*8+i), which is the little-endian byte image of the words
+// cut to the size. Serializing the physical layout rather than the logical
 // window keeps restore a straight copy and preserves bit identity.
 func (b *Buffer) AppendState(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b.bits)))
+	size := b.Len()
+	dst = binary.AppendUvarint(dst, uint64(size))
 	dst = binary.AppendUvarint(dst, uint64(b.head))
-	off, n := len(dst), (len(b.bits)+7)/8
-	// Grown and cleared in place: append(dst, make(...)...) allocates under -race.
-	dst = slices.Grow(dst, n)[:off+n]
-	packed := dst[off:]
-	clear(packed)
-	for i, bit := range b.bits {
-		if bit != 0 {
-			packed[i/8] |= 1 << (uint(i) % 8)
-		}
+	n := (size + 7) / 8
+	for _, w := range b.words[:n/8] {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
+	}
+	// A buffer under 64 bits is one word cut to its byte count.
+	for k := 0; k < n%8; k++ {
+		dst = append(dst, byte(b.words[0]>>(8*k)))
 	}
 	return dst
 }
@@ -42,19 +41,25 @@ func (b *Buffer) RestoreState(r *statecodec.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if size != uint64(len(b.bits)) {
-		return fmt.Errorf("%w: history buffer size %d, want %d", statecodec.ErrCorrupt, size, len(b.bits))
+	if size != uint64(b.Len()) {
+		return fmt.Errorf("%w: history buffer size %d, want %d", statecodec.ErrCorrupt, size, b.Len())
 	}
 	if head >= size {
 		return fmt.Errorf("%w: history buffer head %d out of range", statecodec.ErrCorrupt, head)
 	}
-	packed := r.Bytes((len(b.bits) + 7) / 8)
+	packed := r.Bytes((int(size) + 7) / 8)
 	if err := r.Err(); err != nil {
 		return err
 	}
 	b.head = int(head)
-	for i := range b.bits {
-		b.bits[i] = (packed[i/8] >> (uint(i) % 8)) & 1
+	clear(b.words)
+	for j, c := range packed {
+		b.words[j/8] |= uint64(c) << (j % 8 * 8)
+	}
+	// Bits past the size (a buffer under 64 bits, or under 8) are never
+	// read; clear them so a corrupt image re-encodes as its valid bits.
+	if size < 64 {
+		b.words[0] &= 1<<size - 1
 	}
 	return nil
 }

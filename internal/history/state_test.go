@@ -1,0 +1,56 @@
+package history
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+
+	"repro/internal/statecodec"
+	"repro/internal/xrand"
+)
+
+// TestBufferStatePinned pins the snapshot bytes of a buffer after a fixed
+// push sequence. The encoding is part of every TAGE and O-GEHL snapshot,
+// so a change to how the buffer stores its bits must encode the same
+// bytes. The sizes are the smallest packed image (8 bits, one byte) and
+// the 256 Kbit TAGE's 512-bit buffer; 1001 pushes leave head off zero.
+func TestBufferStatePinned(t *testing.T) {
+	for _, tc := range []struct {
+		capacity, size int
+		want           string
+	}{
+		{6, 8, "89225bff4421affe9d072fec13e0f539eadd9cdc406720933e66a4a6e0578b96"},
+		{300, 512, "2f4bc71a55b4adf037b04591ca597c513f57d526dcd391ebf8fbfd604f7260f8"},
+	} {
+		b := NewBuffer(tc.capacity)
+		if b.Len() != tc.size {
+			t.Fatalf("NewBuffer(%d).Len() = %d, want %d", tc.capacity, b.Len(), tc.size)
+		}
+		r := xrand.New(7)
+		for i := 0; i < 1001; i++ {
+			b.Push(r.Bool())
+		}
+		img := b.AppendState([]byte{0xA5})
+		sum := sha256.Sum256(img)
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("size %d: state SHA-256 %s, want %s", tc.size, got, tc.want)
+		}
+
+		restored := NewBuffer(tc.capacity)
+		rd := statecodec.NewReader(img[1:])
+		if err := restored.RestoreState(rd); err != nil {
+			t.Fatalf("size %d: restore: %v", tc.size, err)
+		}
+		if err := rd.Finish(); err != nil {
+			t.Fatalf("size %d: restore left bytes: %v", tc.size, err)
+		}
+		for i := 0; i < tc.size; i++ {
+			if restored.Bit(i) != b.Bit(i) {
+				t.Fatalf("size %d: restored Bit(%d) = %d, want %d", tc.size, i, restored.Bit(i), b.Bit(i))
+			}
+		}
+		if again := restored.AppendState([]byte{0xA5}); string(again) != string(img) {
+			t.Errorf("size %d: re-encoded state differs from the original", tc.size)
+		}
+	}
+}

@@ -36,6 +36,10 @@ type Estimator struct {
 	usePred   bool // construction parameter, fixed for the estimator's lifetime
 }
 
+// DefaultLogSize is log2 of the default table size, 1K counters: the
+// table the jrs predictor family builds unless its spec says otherwise.
+const DefaultLogSize = 10
+
 // DefaultCounterBits is the counter width shown as a good trade-off in the
 // original JRS study.
 const DefaultCounterBits = 4
@@ -43,6 +47,10 @@ const DefaultCounterBits = 4
 // DefaultThreshold is the matching high-confidence threshold (saturated
 // 4-bit counter).
 const DefaultThreshold = 15
+
+// DefaultStorageBits is the default table's cost: 2^DefaultLogSize
+// counters of DefaultCounterBits bits (4 Kbits).
+const DefaultStorageBits = 1 << DefaultLogSize * DefaultCounterBits
 
 // New returns a JRS estimator with 2^logSize counters of the given width,
 // classifying predictions with counter >= threshold as high confidence.
@@ -90,6 +98,7 @@ func (e *Estimator) index(pc uint64, pred bool) uint64 {
 
 // HighConfidence grades the upcoming prediction pred for pc: high when
 // the indexed miss-distance counter has reached the threshold.
+//
 //repro:hotpath
 func (e *Estimator) HighConfidence(pc uint64, pred bool) bool {
 	return e.table[e.index(pc, pred)] >= e.threshold
@@ -98,6 +107,7 @@ func (e *Estimator) HighConfidence(pc uint64, pred bool) bool {
 // Update trains the estimator with the resolved outcome of the graded
 // prediction pred: increment on a correct prediction, reset on a
 // misprediction, then advance the local history copy.
+//
 //repro:hotpath
 func (e *Estimator) Update(pc uint64, pred, taken bool) {
 	i := e.index(pc, pred)

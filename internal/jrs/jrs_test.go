@@ -96,6 +96,9 @@ func TestStorageBits(t *testing.T) {
 	if NewDefault(12, 10).Threshold() != 15 {
 		t.Fatal("default threshold wrong")
 	}
+	if got := NewDefault(DefaultLogSize, 10).StorageBits(); got != DefaultStorageBits {
+		t.Fatalf("default table storage = %d, DefaultStorageBits = %d", got, DefaultStorageBits)
+	}
 }
 
 func TestPanicsOnBadArgs(t *testing.T) {

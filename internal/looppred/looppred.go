@@ -116,6 +116,7 @@ type Prediction struct {
 }
 
 // Predict looks up pc.
+//
 //repro:hotpath
 func (p *Predictor) Predict(pc uint64) Prediction {
 	e := &p.entries[p.index(pc)]
@@ -131,6 +132,7 @@ func (p *Predictor) Predict(pc uint64) Prediction {
 // Update trains the entry for pc with the resolved direction;
 // tageMispredicted gates allocation (entries are allocated only when the
 // main predictor failed, as in L-TAGE).
+//
 //repro:hotpath
 func (p *Predictor) Update(pc uint64, taken bool, tageMispredicted bool) {
 	e := &p.entries[p.index(pc)]
@@ -212,6 +214,7 @@ func (p *Predictor) StorageBits() int { return p.cfg.StorageBits() }
 
 // Invalidate frees the entry for pc (used by the combiner when a
 // confident loop prediction turns out wrong, as in the original L-TAGE).
+//
 //repro:hotpath
 func (p *Predictor) Invalidate(pc uint64) {
 	e := &p.entries[p.index(pc)]
@@ -248,6 +251,7 @@ func NewLTAGE(tageCfg tage.Config, loopCfg Config) *LTAGE {
 
 // Predict returns the combined prediction. The underlying TAGE observation
 // remains available through Observation.
+//
 //repro:hotpath
 func (l *LTAGE) Predict(pc uint64) bool {
 	l.lastTage = l.tage.Predict(pc)
@@ -264,15 +268,18 @@ func (l *LTAGE) Predict(pc uint64) bool {
 }
 
 // Observation returns the TAGE component observation of the last Predict.
+//
 //repro:hotpath
 func (l *LTAGE) Observation() tage.Observation { return l.lastTage }
 
 // UsedLoop reports whether the last prediction came from the loop
 // predictor.
+//
 //repro:hotpath
 func (l *LTAGE) UsedLoop() bool { return l.usedLoop }
 
 // Update resolves the branch and trains both components.
+//
 //repro:hotpath
 func (l *LTAGE) Update(pc uint64, taken bool) {
 	if !l.havePred || l.predictPC != pc {

@@ -20,6 +20,7 @@ type Counts struct {
 }
 
 // Add accumulates other into c.
+//
 //repro:deterministic
 func (c *Counts) Add(other Counts) {
 	c.Preds += other.Preds
@@ -29,6 +30,7 @@ func (c *Counts) Add(other Counts) {
 // Sub removes other from c, clamping at zero. The serve engine uses it
 // to un-fold the tallies of an evicted session that is re-adopted from
 // its checkpoint, so its branches are counted exactly once.
+//
 //repro:deterministic
 func (c *Counts) Sub(other Counts) {
 	if other.Preds > c.Preds {
@@ -44,6 +46,7 @@ func (c *Counts) Sub(other Counts) {
 }
 
 // Record tallies one resolved prediction.
+//
 //repro:hotpath
 func (c *Counts) Record(mispredicted bool) {
 	c.Preds++
@@ -54,6 +57,7 @@ func (c *Counts) Record(mispredicted bool) {
 
 // MKP returns the misprediction rate in mispredictions per
 // kilo-prediction; 0 when there are no predictions.
+//
 //repro:deterministic
 func (c Counts) MKP() float64 {
 	if c.Preds == 0 {
@@ -63,6 +67,7 @@ func (c Counts) MKP() float64 {
 }
 
 // Rate returns the misprediction rate as a fraction in [0, 1].
+//
 //repro:deterministic
 func (c Counts) Rate() float64 { return c.MKP() / 1000 }
 
@@ -73,6 +78,7 @@ func (c Counts) String() string {
 
 // MPKI converts a misprediction count and instruction count to
 // mispredictions per kilo-instruction.
+//
 //repro:deterministic
 func MPKI(misps, instructions uint64) float64 {
 	if instructions == 0 {
@@ -83,6 +89,7 @@ func MPKI(misps, instructions uint64) float64 {
 
 // Pcov is the prediction coverage of a class: the fraction of all
 // predictions that belong to it.
+//
 //repro:deterministic
 func Pcov(class, total Counts) float64 {
 	if total.Preds == 0 {
@@ -93,6 +100,7 @@ func Pcov(class, total Counts) float64 {
 
 // MPcov is the misprediction coverage of a class: the fraction of all
 // mispredictions that belong to it.
+//
 //repro:deterministic
 func MPcov(class, total Counts) float64 {
 	if total.Misps == 0 {
@@ -111,6 +119,7 @@ type Binary struct {
 }
 
 // Add accumulates other into b.
+//
 //repro:deterministic
 func (b *Binary) Add(other Binary) {
 	b.HighCorrect += other.HighCorrect
@@ -120,6 +129,7 @@ func (b *Binary) Add(other Binary) {
 }
 
 // Total returns the number of recorded predictions.
+//
 //repro:deterministic
 func (b Binary) Total() uint64 {
 	return b.HighCorrect + b.HighWrong + b.LowCorrect + b.LowWrong
@@ -135,21 +145,25 @@ func ratio(num, den uint64) float64 {
 
 // Sens (sensitivity) is the fraction of correct predictions classified
 // high confidence.
+//
 //repro:deterministic
 func (b Binary) Sens() float64 { return ratio(b.HighCorrect, b.HighCorrect+b.LowCorrect) }
 
 // PVP (predictive value of a positive test) is the probability that a
 // high-confidence prediction is correct.
+//
 //repro:deterministic
 func (b Binary) PVP() float64 { return ratio(b.HighCorrect, b.HighCorrect+b.HighWrong) }
 
 // Spec (specificity) is the fraction of mispredictions correctly
 // identified as low confidence.
+//
 //repro:deterministic
 func (b Binary) Spec() float64 { return ratio(b.LowWrong, b.LowWrong+b.HighWrong) }
 
 // PVN (predictive value of a negative test) is the fraction of
 // low-confidence predictions that are effectively mispredicted.
+//
 //repro:deterministic
 func (b Binary) PVN() float64 { return ratio(b.LowWrong, b.LowWrong+b.LowCorrect) }
 

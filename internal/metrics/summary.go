@@ -20,6 +20,7 @@ type Summary struct {
 
 // Summarize computes distribution statistics over the given values. An
 // empty input yields a zero Summary.
+//
 //repro:deterministic
 func Summarize(values []float64) Summary {
 	if len(values) == 0 {
@@ -51,6 +52,7 @@ func Summarize(values []float64) Summary {
 // Percentile returns the p-quantile (p in [0,1]) of an ascending-sorted
 // slice using linear interpolation between closest ranks. It panics if
 // the slice is empty.
+//
 //repro:deterministic
 func Percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {

@@ -51,6 +51,7 @@ func bucketIndex(v uint64) int {
 // inclusive upper bound, which is also what Quantile reports so the
 // estimate always errs high (a latency SLO read from the histogram is
 // conservative).
+//
 //repro:deterministic
 func BucketBound(i int) uint64 {
 	if i < histSubs {
@@ -93,6 +94,7 @@ func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 // snapshot copies the bucket counts and returns their total. Summing
 // the copied buckets (rather than loading h.count) keeps the quantile
 // walk internally consistent under concurrent writers.
+//
 //repro:deterministic
 func (h *Histogram) snapshot(buckets *[NumBuckets]uint64) (total uint64) {
 	for i := range h.counts {

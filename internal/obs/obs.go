@@ -33,6 +33,7 @@ func (c *Counter) Inc() { c.v.Add(1) }
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
+//
 //repro:deterministic
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
@@ -53,5 +54,6 @@ func (g *Gauge) Set(n int64) { g.v.Store(n) }
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Value returns the current gauge value.
+//
 //repro:deterministic
 func (g *Gauge) Value() int64 { return g.v.Load() }

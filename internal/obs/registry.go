@@ -48,6 +48,7 @@ func NewRegistry() *Registry {
 }
 
 // validName is the Prometheus metric-name grammar.
+//
 //repro:deterministic
 func validName(name string) bool {
 	if name == "" {
@@ -114,6 +115,7 @@ func (r *Registry) Collect(fn func(*TextWriter)) {
 // WriteText renders the full exposition to w. It returns the first
 // write error or exposition misuse (see TextWriter); output stops
 // there.
+//
 //repro:deterministic
 func (r *Registry) WriteText(w io.Writer) error {
 	tw := &TextWriter{w: w, buf: make([]byte, 0, 256), names: map[string]bool{}, series: map[string]bool{}}
@@ -142,6 +144,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 // series in seconds, then _sum and _count. Only occupied buckets get a
 // line (the cumulative encoding makes skipped empties implicit); +Inf
 // always closes the series.
+//
 //repro:deterministic
 func writeHistogram(tw *TextWriter, h *Histogram) {
 	var buckets [NumBuckets]uint64
@@ -202,6 +205,7 @@ func (t *TextWriter) flush() {
 // Family opens a metric family and emits its # HELP and # TYPE header.
 // typ is counter, gauge or untyped; histograms are registered with
 // Registry.Histogram, which writes their series itself.
+//
 //repro:deterministic
 func (t *TextWriter) Family(name, typ, help string) {
 	switch typ {
@@ -214,6 +218,7 @@ func (t *TextWriter) Family(name, typ, help string) {
 
 // open is Family for any type. A histogram family also claims its
 // _bucket, _sum and _count series names.
+//
 //repro:deterministic
 func (t *TextWriter) open(name, typ, help string) {
 	if t.err != nil {
@@ -249,16 +254,19 @@ func (t *TextWriter) open(name, typ, help string) {
 }
 
 // Value emits an unlabeled sample of the open family.
+//
 //repro:deterministic
 func (t *TextWriter) Value(v float64) { t.sample("", v) }
 
 // ValueL emits a sample of the open family with labels given as
 // alternating key, value pairs.
+//
 //repro:deterministic
 func (t *TextWriter) ValueL(v float64, kv ...string) { t.sample("", v, kv...) }
 
 // sample emits one sample of the open family, its name extended by
 // suffix (a histogram's _bucket, _sum or _count).
+//
 //repro:deterministic
 func (t *TextWriter) sample(suffix string, v float64, kv ...string) {
 	if len(kv)%2 != 0 {
@@ -303,6 +311,7 @@ func (t *TextWriter) sample(suffix string, v float64, kv ...string) {
 }
 
 // fail records a misuse unless an earlier error already stuck.
+//
 //repro:deterministic
 func (t *TextWriter) fail(format string, args ...any) {
 	if t.err == nil {
@@ -314,6 +323,7 @@ func (t *TextWriter) fail(format string, args ...any) {
 // plus the label pairs sorted by key, so one label set written in two
 // orders is one series. It returns a problem description instead for an
 // invalid or repeated label key.
+//
 //repro:deterministic
 func seriesKey(suffix string, kv []string) (key, problem string) {
 	pairs := make([][2]string, 0, len(kv)/2)
@@ -343,6 +353,7 @@ func seriesKey(suffix string, kv []string) (key, problem string) {
 }
 
 // validLabelName is the Prometheus label-name grammar (no colons).
+//
 //repro:deterministic
 func validLabelName(name string) bool {
 	return validName(name) && !strings.Contains(name, ":")
@@ -351,6 +362,7 @@ func validLabelName(name string) bool {
 // formatValue renders a sample value. Integral values print without an
 // exponent or decimal point so shell-side awk comparisons in the smoke
 // scripts ('test "$v" -gt 0') keep working on large counters.
+//
 //repro:deterministic
 func formatValue(v float64) string {
 	switch {
@@ -365,6 +377,7 @@ func formatValue(v float64) string {
 }
 
 // appendEscapedHelp escapes a HELP docstring (backslash and newline).
+//
 //repro:deterministic
 func appendEscapedHelp(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
@@ -381,6 +394,7 @@ func appendEscapedHelp(dst []byte, s string) []byte {
 }
 
 // appendEscapedLabel escapes a label value (backslash, quote, newline).
+//
 //repro:deterministic
 func appendEscapedLabel(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {

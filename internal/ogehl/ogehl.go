@@ -135,6 +135,7 @@ func (p *Predictor) index(pc uint64, t int) uint32 {
 
 // Predict computes the prediction for pc (sum of the indexed counters,
 // taken if non-negative).
+//
 //repro:hotpath
 func (p *Predictor) Predict(pc uint64) bool {
 	sum := int32(len(p.tables)) / 2 // centering term of the reference design
@@ -150,11 +151,13 @@ func (p *Predictor) Predict(pc uint64) bool {
 }
 
 // LastSum returns the sum computed by the most recent Predict.
+//
 //repro:hotpath
 func (p *Predictor) LastSum() int32 { return p.lastSum }
 
 // HighConfidence is the storage-free self-confidence estimate of the most
 // recent prediction: |sum| at or above the update threshold θ.
+//
 //repro:hotpath
 func (p *Predictor) HighConfidence() bool {
 	s := p.lastSum
@@ -166,6 +169,7 @@ func (p *Predictor) HighConfidence() bool {
 
 // Update trains the predictor with the resolved direction. It must follow
 // the Predict call for the same pc.
+//
 //repro:hotpath
 func (p *Predictor) Update(pc uint64, taken bool) {
 	if !p.havePred || p.lastPC != pc {

@@ -52,6 +52,7 @@ func New(logSize uint, histLen int) *Predictor {
 func (p *Predictor) index(pc uint64) uint64 { return (pc >> 2) & p.mask }
 
 // sum computes the perceptron output for pc under the current history.
+//
 //repro:hotpath
 func (p *Predictor) sum(pc uint64) int32 {
 	w := p.weights[p.index(pc)]
@@ -68,6 +69,7 @@ func (p *Predictor) sum(pc uint64) int32 {
 
 // Predict returns the predicted direction for pc and records the output sum
 // for the subsequent Update/Confidence calls.
+//
 //repro:hotpath
 func (p *Predictor) Predict(pc uint64) bool {
 	p.lastSum = p.sum(pc)
@@ -75,6 +77,7 @@ func (p *Predictor) Predict(pc uint64) bool {
 }
 
 // LastSum returns the output sum computed by the most recent Predict.
+//
 //repro:hotpath
 func (p *Predictor) LastSum() int32 { return p.lastSum }
 
@@ -85,6 +88,7 @@ func (p *Predictor) Theta() int32 { return p.theta }
 // prediction: |sum| at or above the training threshold. About one third of
 // low-confidence predictions are mispredicted on the O-GEHL-style
 // predictors evaluated in the literature.
+//
 //repro:hotpath
 func (p *Predictor) HighConfidence() bool {
 	s := p.lastSum
@@ -100,6 +104,7 @@ const weightMin = -128
 // Update trains the perceptron (on misprediction or weak sum) and shifts
 // the outcome into the history. Must be called after Predict for the same
 // branch.
+//
 //repro:hotpath
 func (p *Predictor) Update(pc uint64, taken bool) {
 	predTaken := p.lastSum >= 0

@@ -51,6 +51,7 @@ func ModeOf(b Backend) core.AutomatonMode {
 // SaturationProbabilityOf returns the backend's current saturation
 // probability, or 1 for backends without a probabilistic automaton —
 // the same value a ModeStandard TAGE estimator reports.
+//
 //repro:deterministic
 func SaturationProbabilityOf(b Backend) float64 {
 	if p, ok := b.(interface{ SaturationProbability() float64 }); ok {

@@ -285,7 +285,7 @@ func buildJRS(sp Spec) (Backend, error) {
 		return nil, badVariant("jrs", sp.Variant, []string{"16K", "64K", "256K"})
 	}
 	p := newParams(sp)
-	estLog := uint(p.uintP("log", 10, 24))
+	estLog := uint(p.uintP("log", jrs.DefaultLogSize, 24))
 	bits := uint(p.uintP("bits", jrs.DefaultCounterBits, 8))
 	threshold := uint8(p.uintP("threshold", jrs.DefaultThreshold, 255))
 	hist := uint(p.uintP("hist", uint64(estLog), 64))

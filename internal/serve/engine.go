@@ -136,6 +136,7 @@ func (e *Engine) SetEvents(rec *obs.FlightRecorder) { e.events = rec }
 // (the server holds the slot from serve through response flush, so
 // MaxInflight bounds batches in flight end to end). It is on the
 // per-batch hot path and performs no allocation.
+//
 //repro:hotpath
 func (e *Engine) AcquireBatch() bool {
 	limit := e.maxInflight
@@ -155,6 +156,7 @@ func (e *Engine) AcquireBatch() bool {
 }
 
 // ReleaseBatch returns the slot claimed by a successful AcquireBatch.
+//
 //repro:hotpath
 func (e *Engine) ReleaseBatch() {
 	if e.maxInflight > 0 {
@@ -648,6 +650,7 @@ type Snapshot struct {
 // Snapshot aggregates the engine's counters. Live sessions are snapshot
 // one at a time under their own lock, so a scrape never blocks the whole
 // service; the view is per-session consistent, not globally atomic.
+//
 //repro:deterministic
 func (e *Engine) Snapshot() Snapshot {
 	e.retiredMu.Lock()

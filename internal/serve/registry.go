@@ -26,6 +26,7 @@ type regShard struct {
 
 // newRegistry builds a registry with the given shard count (rounded up
 // to a power of two, minimum 1) and live-session cap (0 = unlimited).
+//
 //repro:locked construction: the registry is not yet shared, no locking needed
 func newRegistry(shards, maxSessions int) *registry {
 	n := 1
@@ -89,6 +90,7 @@ func (r *registry) remove(id uint64) (*Session, bool) {
 }
 
 // count returns the number of live sessions.
+//
 //repro:deterministic
 func (r *registry) count() int64 { return r.live.Load() }
 
@@ -97,6 +99,7 @@ func (r *registry) count() int64 { return r.live.Load() }
 // observe sessions being concurrently retired — callers handle that via
 // the session lock. The id ordering makes scrape aggregation and
 // checkpoint-write order deterministic for a given session population.
+//
 //repro:deterministic
 func (r *registry) forEach(fn func(*Session)) {
 	var snap []*Session

@@ -476,6 +476,7 @@ func (s *Server) startHTTP(addr string, mux *http.ServeMux) (net.Listener, *http
 // aggregated over live and retired sessions. Metric names predate the
 // registry (the CI serve-smoke job and dashboards key on them), so this
 // collector preserves them exactly.
+//
 //repro:deterministic
 func (s *Server) collectEngine(tw *obs.TextWriter) {
 	snap := s.eng.Snapshot()

@@ -77,12 +77,14 @@ func (s *Session) Branches() uint64 {
 // ConfigName returns the session's backend label (the resolved predictor
 // configuration name, or the canonical backend spec). It is immutable
 // after construction, so reading it takes no lock.
+//
 //repro:locked res.Config is immutable after construction; audited lock-free read
 func (s *Session) ConfigName() string { return s.res.Config }
 
 // opened is the FrameOpened acknowledgement for the session. Only the
 // branch count takes the lock: the label and mode are immutable after
 // construction.
+//
 //repro:locked res.Config and res.Mode are immutable after construction; audited lock-free read
 func (s *Session) opened() Opened {
 	return Opened{ID: s.id, Branches: s.Branches(), Mode: s.res.Mode, Config: s.res.Config}
@@ -91,6 +93,7 @@ func (s *Session) opened() Opened {
 // step serves one branch through sim.Result.Step — the same per-branch
 // step sim.Run loops over — and returns the encoded grade byte. Caller
 // holds s.mu.
+//
 //repro:hotpath
 //repro:locked caller holds s.mu (Serve/batch loop)
 func (s *Session) step(b trace.Branch) byte {
@@ -102,6 +105,7 @@ func (s *Session) step(b trace.Branch) byte {
 // path allocates nothing). It reports ok=false when the session has
 // already been retired by Close or the idle evictor — the tallies of a
 // retired session are frozen, so no branch is ever half-counted.
+//
 //repro:hotpath
 func (s *Session) Serve(records []trace.Branch, grades []byte, now int64) (out []byte, ok bool) {
 	s.lastUsed.Store(now)
@@ -135,6 +139,7 @@ func (s *Session) statsLocked() sim.Result {
 // liveStats snapshots the tallies unless the session has been retired.
 // Scrapes use it so a session racing with Close/eviction is counted
 // either in the live pass or in the retired aggregate, never in both.
+//
 //repro:deterministic
 func (s *Session) liveStats() (sim.Result, bool) {
 	s.mu.Lock()

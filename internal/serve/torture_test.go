@@ -50,12 +50,12 @@ func (m *memConn) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func (m *memConn) Close() error                       { m.closed = true; return nil }
-func (m *memConn) LocalAddr() net.Addr                { return &net.TCPAddr{} }
-func (m *memConn) RemoteAddr() net.Addr               { return &net.TCPAddr{} }
-func (m *memConn) SetDeadline(time.Time) error        { return nil }
-func (m *memConn) SetReadDeadline(time.Time) error    { return nil }
-func (m *memConn) SetWriteDeadline(time.Time) error   { return nil }
+func (m *memConn) Close() error                     { m.closed = true; return nil }
+func (m *memConn) LocalAddr() net.Addr              { return &net.TCPAddr{} }
+func (m *memConn) RemoteAddr() net.Addr             { return &net.TCPAddr{} }
+func (m *memConn) SetDeadline(time.Time) error      { return nil }
+func (m *memConn) SetReadDeadline(time.Time) error  { return nil }
+func (m *memConn) SetWriteDeadline(time.Time) error { return nil }
 
 // faultTrace runs a fixed read/write schedule through a wrapped conn
 // and records every outcome — the replayable fingerprint of the fault

@@ -216,6 +216,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // an in-construction frame and returns the extended buffer. The caller
 // appends the payload and finishes with EndFrame(dst, start) where start
 // was len(dst) before BeginFrame.
+//
 //repro:hotpath
 func BeginFrame(dst []byte, typ byte) []byte {
 	return append(dst, 0, 0, 0, 0, typ)
@@ -224,6 +225,7 @@ func BeginFrame(dst []byte, typ byte) []byte {
 // EndFrame seals the frame whose header was appended at start: it
 // appends the CRC-32C trailer over type byte + payload and patches the
 // length prefix (which counts type + payload + trailer).
+//
 //repro:hotpath
 func EndFrame(dst []byte, start int) []byte {
 	sum := crc32.Checksum(dst[start+4:], crcTable)
@@ -294,6 +296,7 @@ func readFrame(br *bufio.Reader, buf []byte, started func()) (typ byte, payload,
 }
 
 // uvarint decodes one uvarint with bounds checking.
+//
 //repro:hotpath
 func uvarint(src []byte) (uint64, int, error) {
 	v, n := binary.Uvarint(src)
@@ -511,6 +514,7 @@ func DecodeOpenSnap(payload []byte) ([]byte, error) {
 
 // AppendBatch appends a complete FrameBatch to dst. PC deltas restart
 // from 0 at the head of every batch, so batches are self-contained.
+//
 //repro:hotpath
 func AppendBatch(dst []byte, sessionID uint64, records []trace.Branch) []byte {
 	start := len(dst)
@@ -526,6 +530,7 @@ func AppendBatch(dst []byte, sessionID uint64, records []trace.Branch) []byte {
 
 // DecodeBatch decodes a FrameBatch payload, appending the records into
 // records[:0] (pass a reused slice to avoid allocation).
+//
 //repro:hotpath
 func DecodeBatch(payload []byte, records []trace.Branch) (sessionID uint64, out []trace.Branch, err error) {
 	sessionID, n, err := uvarint(payload)
@@ -568,6 +573,7 @@ type Grade struct {
 
 // EncodeGrade packs a served prediction into one response byte: bit 0 is
 // the predicted direction, bits 1-3 the class, bits 4-5 the level.
+//
 //repro:hotpath
 func EncodeGrade(pred bool, class core.Class, level core.Level) byte {
 	g := byte(class)<<1 | byte(level)<<4
@@ -580,6 +586,7 @@ func EncodeGrade(pred bool, class core.Class, level core.Level) byte {
 // DecodeGrade unpacks a response byte, validating every field (including
 // the class→level aggregation, which the wire cannot legally disagree
 // with).
+//
 //repro:hotpath
 func DecodeGrade(g byte) (Grade, error) {
 	class := core.Class(g >> 1 & 0x7)
@@ -591,6 +598,7 @@ func DecodeGrade(g byte) (Grade, error) {
 }
 
 // AppendPredictions appends a complete FramePredictions to dst.
+//
 //repro:hotpath
 func AppendPredictions(dst []byte, sessionID uint64, grades []byte) []byte {
 	start := len(dst)
@@ -603,6 +611,7 @@ func AppendPredictions(dst []byte, sessionID uint64, grades []byte) []byte {
 
 // DecodePredictions decodes a FramePredictions payload, appending the
 // validated grades into grades[:0].
+//
 //repro:hotpath
 func DecodePredictions(payload []byte, grades []Grade) (sessionID uint64, out []Grade, err error) {
 	sessionID, n, err := uvarint(payload)
@@ -702,6 +711,7 @@ func DecodeStats(payload []byte) (sessionID uint64, res sim.Result, err error) {
 
 // AppendBusy appends a complete FrameBusy to dst. retryAfterMillis is
 // the server's backoff hint (0 = client's choice).
+//
 //repro:hotpath
 func AppendBusy(dst []byte, sessionID, retryAfterMillis uint64) []byte {
 	start := len(dst)

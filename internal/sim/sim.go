@@ -44,10 +44,12 @@ type Result struct {
 }
 
 // MPKI returns the run's mispredictions per kilo-instruction.
+//
 //repro:deterministic
 func (r Result) MPKI() float64 { return metrics.MPKI(r.Total.Misps, r.Instructions) }
 
 // Level aggregates the class counts into the three confidence levels.
+//
 //repro:deterministic
 func (r Result) Level(l core.Level) metrics.Counts {
 	var c metrics.Counts
@@ -60,19 +62,23 @@ func (r Result) Level(l core.Level) metrics.Counts {
 }
 
 // Pcov returns the prediction coverage of a class.
+//
 //repro:deterministic
 func (r Result) Pcov(c core.Class) float64 { return metrics.Pcov(r.Class[c], r.Total) }
 
 // MPcov returns the misprediction coverage of a class.
+//
 //repro:deterministic
 func (r Result) MPcov(c core.Class) float64 { return metrics.MPcov(r.Class[c], r.Total) }
 
 // MPrate returns the misprediction rate of a class in MKP.
+//
 //repro:deterministic
 func (r Result) MPrate(c core.Class) float64 { return r.Class[c].MKP() }
 
 // ClassMPKI returns the class's contribution to whole-trace misp/KI (the
 // right-hand panels of Figures 2, 3 and 5).
+//
 //repro:deterministic
 func (r Result) ClassMPKI(c core.Class) float64 {
 	return metrics.MPKI(r.Class[c].Misps, r.Instructions)
@@ -80,6 +86,7 @@ func (r Result) ClassMPKI(c core.Class) float64 {
 
 // Add merges another result into r (suite aggregation). Trace/Config/Mode
 // are kept from r unless empty.
+//
 //repro:deterministic
 func (r *Result) Add(other Result) {
 	if r.Trace == "" {
@@ -101,6 +108,7 @@ func (r *Result) Add(other Result) {
 // level is high confidence, Medium and Low are not. It is exact because
 // every backend grades with class.Level() == level (the predictor.Backend
 // contract), so the seven-class tally determines the binary split.
+//
 //repro:deterministic
 func (r Result) Binary() metrics.Binary {
 	hi := r.Level(core.High)
@@ -117,6 +125,7 @@ func (r Result) Binary() metrics.Binary {
 // per-branch sequence: Run loops over it offline and the serve session
 // calls it per served branch, so online tallies equal offline ones by
 // construction.
+//
 //repro:hotpath
 func (r *Result) Step(b predictor.Backend, br trace.Branch) (pred bool, class core.Class, level core.Level) {
 	pred, class, level = b.Predict(br.PC)
@@ -129,8 +138,16 @@ func (r *Result) Step(b predictor.Backend, br trace.Branch) (pred bool, class co
 	return pred, class, level
 }
 
+// batchSize is how many branches Run reads from the trace before it
+// steps them, the batch the serve client sends: decoding a batch and then
+// stepping it keeps the trace generator's and the predictor's working
+// sets apart instead of interleaving them per branch.
+const batchSize = 1024
+
 // Run drives a backend over one trace (optionally truncated to limit
-// records; 0 = full trace) and collects per-class statistics.
+// records; 0 = full trace) and collects per-class statistics. When the
+// reader fails, the branches read before the failure are stepped and the
+// error is returned with their tallies.
 func Run(b predictor.Backend, tr trace.Trace, limit uint64) (Result, error) {
 	res := Result{
 		Trace:  tr.Name(),
@@ -138,15 +155,25 @@ func Run(b predictor.Backend, tr trace.Trace, limit uint64) (Result, error) {
 		Mode:   predictor.ModeOf(b),
 	}
 	r := trace.Limit(tr, limit).Open()
+	var batch [batchSize]trace.Branch
 	for {
-		br, err := r.Next()
+		n := 0
+		var err error
+		for n < len(batch) {
+			if batch[n], err = r.Next(); err != nil {
+				break
+			}
+			n++
+		}
+		for _, br := range batch[:n] {
+			res.Step(b, br)
+		}
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		if err != nil {
 			return res, err
 		}
-		res.Step(b, br)
 	}
 	res.FinalProbability = predictor.SaturationProbabilityOf(b)
 	return res, nil
@@ -182,6 +209,7 @@ type SuiteResult struct {
 // that assemble suites from individually cached trace results. The
 // assembly is deterministic, so a suite built from memoized per-trace
 // results is bit-identical to a freshly simulated one.
+//
 //repro:deterministic
 func AssembleSuite(configName string, mode core.AutomatonMode, per []Result) SuiteResult {
 	var out SuiteResult

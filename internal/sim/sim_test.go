@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"io"
 	"math"
 	"testing"
 
@@ -239,5 +241,86 @@ func TestMPKIZeroInstr(t *testing.T) {
 	var r Result
 	if r.MPKI() != 0 {
 		t.Fatal("zero-instruction MPKI must be 0")
+	}
+}
+
+// failAt yields the first n records of inner, then fails with err.
+type failAt struct {
+	inner trace.Trace
+	n     int
+	err   error
+}
+
+func (f failAt) Name() string { return f.inner.Name() }
+func (f failAt) Open() trace.Reader {
+	return &failAtReader{inner: f.inner.Open(), left: f.n, err: f.err}
+}
+
+type failAtReader struct {
+	inner trace.Reader
+	left  int
+	err   error
+}
+
+func (r *failAtReader) Next() (trace.Branch, error) {
+	if r.left == 0 {
+		return trace.Branch{}, r.err
+	}
+	r.left--
+	return r.inner.Next()
+}
+
+// TestRunBatchesLikeOneBranchAtATime: Run reads the trace in batches, so
+// limits on either side of a batch boundary and a reader that fails
+// mid-batch must give the Result and error of a loop that steps each
+// branch as it is read.
+func TestRunBatchesLikeOneBranchAtATime(t *testing.T) {
+	base, _ := workload.ByName("INT-1")
+	readErr := errors.New("read failed")
+	spec := predictor.MustParse("tage-16K?mode=probabilistic")
+	for _, tc := range []struct {
+		name     string
+		tr       trace.Trace
+		limit    uint64
+		branches uint64
+	}{
+		{"limit=1023", base, 1023, 1023},
+		{"limit=1024", base, 1024, 1024},
+		{"limit=1025", base, 1025, 1025},
+		{"limit=3000", base, 3000, 3000},
+		{"fail@1500", failAt{base, 1500, readErr}, 3000, 1500},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, gotErr := RunSpec(spec, tc.tr, tc.limit)
+
+			b, err := predictor.Build(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := Result{Trace: tc.tr.Name(), Config: b.Label(), Mode: predictor.ModeOf(b)}
+			var wantErr error
+			r := trace.Limit(tc.tr, tc.limit).Open()
+			for {
+				br, err := r.Next()
+				if errors.Is(err, io.EOF) {
+					want.FinalProbability = predictor.SaturationProbabilityOf(b)
+					break
+				}
+				if err != nil {
+					wantErr = err
+					break
+				}
+				want.Step(b, br)
+			}
+			if gotErr != wantErr {
+				t.Fatalf("error %v, want %v", gotErr, wantErr)
+			}
+			if got.Branches != tc.branches {
+				t.Fatalf("stepped %d branches, want %d", got.Branches, tc.branches)
+			}
+			if got != want {
+				t.Fatalf("Result differs from the per-branch loop:\n got %+v\nwant %+v", got, want)
+			}
+		})
 	}
 }

@@ -30,6 +30,7 @@ const (
 // packEntry assembles an entry word. ctr is masked to its two's
 // complement field; tag and u are assumed in range (tag is computed
 // under tagMask, u under the UBits saturation bound).
+//
 //repro:hotpath
 func packEntry(tag uint16, ctr int8, u uint8) uint32 {
 	return uint32(tag) |
@@ -38,27 +39,32 @@ func packEntry(tag uint16, ctr int8, u uint8) uint32 {
 }
 
 // entryTag extracts the stored partial tag.
+//
 //repro:hotpath
 func entryTag(e uint32) uint16 { return uint16(e) }
 
 // entryCtr extracts the prediction counter, sign-extending the 6-bit
 // field to int8.
+//
 //repro:hotpath
 func entryCtr(e uint32) int8 {
 	return int8(uint8(e>>entryCtrShift)<<(8-entryCtrBits)) >> (8 - entryCtrBits)
 }
 
 // entryU extracts the useful counter.
+//
 //repro:hotpath
 func entryU(e uint32) uint8 { return uint8(e>>entryUShift) & (1<<entryUBits - 1) }
 
 // entrySetCtr returns e with the prediction counter replaced.
+//
 //repro:hotpath
 func entrySetCtr(e uint32, ctr int8) uint32 {
 	return e&^entryCtrMask | uint32(ctr)&(1<<entryCtrBits-1)<<entryCtrShift
 }
 
 // entrySetU returns e with the useful counter replaced.
+//
 //repro:hotpath
 func entrySetU(e uint32, u uint8) uint32 {
 	return e&^entryUMask | uint32(u)<<entryUShift
@@ -68,6 +74,7 @@ func entrySetU(e uint32, u uint8) uint32 {
 // periodic graceful-reset transform. Shifting the whole u field right
 // inside the word and re-masking drops the bit that crosses into the ctr
 // field, which is exactly u >>= 1.
+//
 //repro:hotpath
 func entryAgeU(e uint32) uint32 {
 	return e&^entryUMask | (e&entryUMask)>>1&entryUMask

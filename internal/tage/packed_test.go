@@ -460,3 +460,62 @@ func TestPackedMatchesSOADifferential(t *testing.T) {
 		}
 	}
 }
+
+// TestFoldWordMatchesFolded checks the packed fold word against three
+// history.Folded registers, the reference definition, for every fold
+// geometry Validate admits: TaggedLog 1..24 × TagBits 2..16, each at
+// window lengths 1, c-1, c, 2c+1 (c each field's width) and 300. The
+// word is advanced by Predictor.Update itself: a one-table predictor
+// small enough to allocate for every case gets the layout under test
+// installed over its own, which only its history advance and its tag
+// reads use, and each update must leave the three fields equal to the
+// reference folds and every spare bit clear. The snapshot packing must
+// rebuild the word from its fields with each one masked to its width.
+func TestFoldWordMatchesFolded(t *testing.T) {
+	for taggedLog := uint(1); taggedLog <= 24; taggedLog++ {
+		for tagBits := uint(2); tagBits <= 16; tagBits++ {
+			lay := newFoldLayout(taggedLog, tagBits)
+			lengths := map[int]bool{1: true, 300: true}
+			for _, c := range []int{int(lay.c0), int(lay.c1), int(lay.c2)} {
+				lengths[c] = true
+				lengths[2*c+1] = true
+				if c > 1 {
+					lengths[c-1] = true
+				}
+			}
+			for hl := range lengths {
+				p := New(Config{BimodalLog: 4, TaggedLog: 4, TagBits: 8, HistLengths: []int{hl}, Seed: 1})
+				p.fold = lay
+				p.folds[0].out = lay.out(hl)
+				buf := history.NewBuffer(hl + 2)
+				ref := []history.Folded{
+					history.MakeFolded(hl, int(taggedLog)),
+					history.MakeFolded(hl, int(tagBits)),
+					history.MakeFolded(hl, int(tagBits-1)),
+				}
+				rng := xrand.New(uint64(hl)<<16 | uint64(taggedLog)<<8 | uint64(tagBits))
+				for i := 0; i < hl+200; i++ {
+					pc, taken := 0x400000+uint64(rng.Intn(64))*4, rng.Bool()
+					p.Predict(pc)
+					p.Update(pc, taken)
+					buf.Push(taken)
+					for j := range ref {
+						ref[j].Update(buf)
+					}
+					w := p.folds[0].w
+					idx, tag, tag2 := lay.fields(w)
+					if w&^lay.keep != 0 || idx != uint64(ref[0].Value()) || tag != uint64(ref[1].Value()) || tag2 != uint64(ref[2].Value()) {
+						t.Fatalf("TaggedLog %d TagBits %d L %d, update %d: word %#x = (%#x, %#x, %#x), spare %#x; want (%#x, %#x, %#x)",
+							taggedLog, tagBits, hl, i, w, idx, tag, tag2, w&^lay.keep, ref[0].Value(), ref[1].Value(), ref[2].Value())
+					}
+					// Restore packs three decoded values: bits above a
+					// field's width must drop, not spill into the next.
+					high := ^uint64(0)
+					if got := lay.pack(idx|high<<lay.c0, tag|high<<lay.c1, tag2|high<<lay.c2); got != w {
+						t.Fatalf("TaggedLog %d TagBits %d L %d: pack of widened fields = %#x, want %#x", taggedLog, tagBits, hl, got, w)
+					}
+				}
+			}
+		}
+	}
+}

@@ -1,7 +1,7 @@
 // Snapshot codec for the TAGE predictor. Because the whole predictor
 // lives in one packed arena (bimodal words + one-word tagged entries),
 // the bulk of the state is a single length-prefixed word copy; the rest
-// is the folded-history registers, the global/path history, the
+// is the folded-history words, the global/path history, the
 // USE_ALT_ON_NA counter, the aging tick and the allocation RNG stream.
 // Per-prediction scratch (lastObs, pos, tagc, ...) is dead between a
 // resolved Update and the next Predict — the only points snapshots are
@@ -26,14 +26,14 @@ func (p *Predictor) AppendState(dst []byte) []byte {
 		binary.LittleEndian.PutUint32(words, w)
 		words = words[4:]
 	}
-	// Three folded registers per table, written as one flat count so the
-	// byte stream is unchanged from when folds was a flat slice.
+	// Three folds per table, written as one flat count of separate values
+	// so the byte stream does not depend on how the folds are stored.
 	dst = binary.AppendUvarint(dst, uint64(3*len(p.folds)))
 	for i := range p.folds {
-		f := &p.folds[i]
-		dst = binary.AppendUvarint(dst, uint64(f.idx.Value()))
-		dst = binary.AppendUvarint(dst, uint64(f.tag.Value()))
-		dst = binary.AppendUvarint(dst, uint64(f.tag2.Value()))
+		idx, tag, tag2 := p.fold.fields(p.folds[i].w)
+		dst = binary.AppendUvarint(dst, idx)
+		dst = binary.AppendUvarint(dst, tag)
+		dst = binary.AppendUvarint(dst, tag2)
 	}
 	dst = p.ghist.AppendState(dst)
 	dst = binary.AppendUvarint(dst, uint64(p.phist.Value()))
@@ -67,10 +67,8 @@ func (p *Predictor) RestoreState(r *statecodec.Reader) error {
 		return fmt.Errorf("%w: tage folds %d, want %d", statecodec.ErrCorrupt, nf, 3*len(p.folds))
 	}
 	for i := range p.folds {
-		f := &p.folds[i]
-		f.idx.SetValue(uint32(r.Uvarint()))
-		f.tag.SetValue(uint32(r.Uvarint()))
-		f.tag2.SetValue(uint32(r.Uvarint()))
+		idx, tag, tag2 := r.Uvarint(), r.Uvarint(), r.Uvarint()
+		p.folds[i].w = p.fold.pack(idx, tag, tag2)
 	}
 	if err := p.ghist.RestoreState(r); err != nil {
 		return err

@@ -58,12 +58,14 @@ type Observation struct {
 }
 
 // Tagged reports whether the prediction was provided by a tagged component.
+//
 //repro:hotpath
 func (o Observation) Tagged() bool { return o.Provider != ProviderBimodal }
 
 // Strength returns |2·ctr+1| of the provider counter for tagged providers,
 // the paper's tagged-class discriminator; it returns 0 for bimodal
 // providers.
+//
 //repro:hotpath
 func (o Observation) Strength() int {
 	if !o.Tagged() {
@@ -100,11 +102,12 @@ type Predictor struct {
 
 	histLens []int // geometric history lengths fixed by cfg
 
-	// folds holds each table's folded-history registers, history length
-	// and path-hash parameters in one struct: the per-branch history
-	// advance walks one contiguous slice, and a probe reads everything
-	// its bank hashes from adjacent words.
+	// folds holds each table's fold word, history length and path-hash
+	// parameters in one struct: the per-branch history advance walks one
+	// contiguous slice, and a probe reads everything its bank hashes
+	// from adjacent words.
 	folds []tableFolds
+	fold  foldLayout // fold-word geometry, the same for every table
 
 	ghist *history.Buffer
 	phist *history.Path
@@ -128,20 +131,63 @@ type Predictor struct {
 	allocScratch []int    // per-prediction scratch
 }
 
-// tableFolds is one tagged table's folded-history state: the index
-// compression, the two tag compressions, and the history length whose
-// oldest bit leaves the fold window on each update. It also carries the
-// table's precomputed path-hash parameters — the path-history mask
+// tableFolds is one tagged table's folded-history state: its three
+// history compressions packed in one word w (see foldLayout), the
+// history length whose oldest bit leaves the fold window on each update,
+// and out, the word with one bit set in each field where that leaving
+// bit is folded in (bit histLen % width of the field). It also carries
+// the table's precomputed path-hash parameters — the path-history mask
 // ((1 << min(histLen, PathBits)) - 1) and the rotation amount
 // (bank % taggedLog, 1-based bank) — so the per-probe hash is pure
 // shift/mask work with no integer division.
 type tableFolds struct {
-	idx      history.Folded
-	tag      history.Folded
-	tag2     history.Folded
+	w        uint64
+	out      uint64
 	histLen  int
 	pathMask uint32
 	pathSh   uint32
+}
+
+// foldLayout places a table's three folded histories in one uint64: the
+// index fold (c0 = TaggedLog bits) at bit 0, the tag fold (c1 = TagBits)
+// at o1 = c0+1, and the second tag fold (c2 = TagBits-1) at o2 = o1+c1+1.
+// The spare bit above each field catches the bit a shift carries out of
+// it, which the advance folds back into the field's bit 0, so one
+// shift-xor-mask sequence advances all three folds exactly as
+// history.Folded advances each. Validate bounds the fields to
+// 24+16+15 bits, 58 with the spares.
+type foldLayout struct {
+	c0, c1, c2 uint   // field widths
+	o1, o2     uint   // offsets of the tag folds
+	keep       uint64 // the three fields, spare bits clear
+	newest     uint64 // bit 0 of each field: where the newest outcome enters
+}
+
+func newFoldLayout(taggedLog, tagBits uint) foldLayout {
+	l := foldLayout{c0: taggedLog, c1: tagBits, c2: max(tagBits-1, 1)}
+	l.o1 = l.c0 + 1
+	l.o2 = l.o1 + l.c1 + 1
+	l.keep = 1<<l.c0 - 1 | (1<<l.c1-1)<<l.o1 | (1<<l.c2-1)<<l.o2
+	l.newest = 1 | 1<<l.o1 | 1<<l.o2
+	return l
+}
+
+// out returns the leaving-bit mask of a table with history length
+// histLen: the bit histLen % width of each field.
+func (l foldLayout) out(histLen int) uint64 {
+	return 1<<(uint(histLen)%l.c0) | 1<<(l.o1+uint(histLen)%l.c1) | 1<<(l.o2+uint(histLen)%l.c2)
+}
+
+// fields unpacks a fold word into its index, tag and second tag folds.
+func (l foldLayout) fields(w uint64) (idx, tag, tag2 uint64) {
+	return w & (1<<l.c0 - 1), w >> l.o1 & (1<<l.c1 - 1), w >> l.o2 & (1<<l.c2 - 1)
+}
+
+// pack is fields' inverse. Each value is masked to its field width, as
+// history.Folded.SetValue masks, so a corrupt snapshot cannot spill one
+// fold into the next.
+func (l foldLayout) pack(idx, tag, tag2 uint64) uint64 {
+	return idx&(1<<l.c0-1) | (tag&(1<<l.c1-1))<<l.o1 | (tag2&(1<<l.c2-1))<<l.o2
 }
 
 // New builds a predictor with the standard saturating-counter automaton.
@@ -185,21 +231,11 @@ func NewWithAutomaton(cfg Config, auto counter.Automaton) *Predictor {
 
 		allocScratch: make([]int, 0, m),
 	}
-	tagBits := int(cfg.TagBits)
-	for i := 0; i < m; i++ {
-		hl := cfg.HistLengths[i]
-		t2 := tagBits - 1
-		if t2 < 1 {
-			t2 = 1
-		}
-		ps := uint(hl)
-		if ps > cfg.PathBits {
-			ps = cfg.PathBits
-		}
+	p.fold = newFoldLayout(cfg.TaggedLog, cfg.TagBits)
+	for i, hl := range cfg.HistLengths {
+		ps := min(uint(hl), cfg.PathBits)
 		p.folds[i] = tableFolds{
-			idx:      history.MakeFolded(hl, int(cfg.TaggedLog)),
-			tag:      history.MakeFolded(hl, tagBits),
-			tag2:     history.MakeFolded(hl, t2),
+			out:      p.fold.out(hl),
 			histLen:  hl,
 			pathMask: uint32(1)<<ps - 1,
 			pathSh:   uint32(uint(i+1) % cfg.TaggedLog),
@@ -217,6 +253,7 @@ func (p *Predictor) Automaton() counter.Automaton { return p.auto }
 // Predict computes the prediction for pc and returns the component
 // observation. Each Predict must be followed by exactly one Update for the
 // same pc before predicting the next branch.
+//
 //repro:hotpath
 func (p *Predictor) Predict(pc uint64) Observation {
 	logg := p.taggedLog
@@ -241,13 +278,14 @@ func (p *Predictor) Predict(pc uint64) Observation {
 	pcTag := uint32(pc >> 2)
 	pcIdx := pcTag ^ uint32(pc>>((2+logg)&63))
 	path := p.phist.Value()
+	o1, o2 := p.fold.o1&63, p.fold.o2&63
 	// One pass computes each bank's absolute flat-storage position and
-	// partial tag from the bank's folded-history registers. The index
-	// mixes in the F() path-history hash of the reference TAGE
-	// simulator: two rotations by the bank's precomputed amount sh
-	// within taggedLog bits. Validate bounds taggedLog by 24, so every
-	// shift count here is below 32 and the & 31 / & 63 masks are no-ops
-	// that drop the compiler's oversized-shift guards.
+	// partial tag from the bank's fold word. The index mixes in the F()
+	// path-history hash of the reference TAGE simulator: two rotations
+	// by the bank's precomputed amount sh within taggedLog bits.
+	// Validate bounds taggedLog by 24 and the fold word by 58 bits, so
+	// every shift count here is below 64 and the & 31 / & 63 masks are
+	// no-ops that drop the compiler's oversized-shift guards.
 	for i := range folds {
 		f := &folds[i]
 		sh := uint(f.pathSh) & 31
@@ -257,9 +295,10 @@ func (p *Predictor) Predict(pc uint64) Observation {
 		a2 = ((a2 << sh) & rowMask) + (a2 >> rsh)
 		a = (a & rowMask) ^ a2
 		a = ((a << sh) & rowMask) + (a >> rsh)
-		idx := pcIdx ^ f.idx.Value() ^ a
+		w := f.w
+		idx := pcIdx ^ uint32(w) ^ a
 		bankPos[i] = uint32(i)<<(logg&31) | idx&rowMask
-		bankTag[i] = uint16((pcTag ^ f.tag.Value() ^ f.tag2.Value()<<1) & tagMask)
+		bankTag[i] = uint16((pcTag ^ uint32(w>>o1^(w>>o2)<<1)) & tagMask)
 	}
 	for bank := len(pos) - 1; bank >= 1; bank-- {
 		if entryTag(entries[pos[bank]]) == tagc[bank] { //repro:allow-bce pos[bank] = (bank-1)<<taggedLog | (row & rowMask) < numTables<<taggedLog = len(entries) by arena construction
@@ -326,6 +365,7 @@ func (p *Predictor) Predict(pc uint64) Observation {
 // Update resolves the branch predicted by the immediately preceding
 // Predict call, training tables, allocating entries on mispredictions, and
 // advancing the global/path histories.
+//
 //repro:hotpath
 func (p *Predictor) Update(pc uint64, taken bool) {
 	if !p.havePred || p.lastObs.PC != pc {
@@ -405,24 +445,32 @@ func (p *Predictor) Update(pc uint64, taken bool) {
 		}
 	}
 
-	// Advance histories: push the outcome and path bits, then run every
-	// folded-history register in one pass over the contiguous fold slice.
-	// The three folds of a table share one history window, so the boundary
-	// bits are loaded once per table and fed from registers (the newest
-	// bit is the outcome just pushed).
-	p.ghist.Push(taken) //repro:allow-bce inlined circular-buffer write: head & mask < len(bits) by NewBuffer's power-of-two sizing
+	// Advance histories: push the outcome and path bits, then each
+	// table's fold word in one pass over the contiguous fold slice. The
+	// word takes the new outcome into bit 0 of all three fields, the
+	// leaving bit at the three positions in out, and each field's
+	// carry-out (its spare bit) back into its bit 0: history.Folded's
+	// update, three fields at a time. Validate bounds every width and
+	// offset below 64, so the & 63 masks only drop the compiler's
+	// oversized-shift guards.
+	p.ghist.Push(taken) //repro:allow-bce inlined circular-buffer write: head>>6 < len(words) by NewBuffer's power-of-two sizing
 	p.phist.Push(pc)
-	var newest uint8
+	var newest uint64
 	if taken {
-		newest = 1
+		newest = p.fold.newest
 	}
-	folds := p.folds
+	c0, c1, c2 := p.fold.c0&63, p.fold.c1&63, p.fold.c2&63
+	wrap1, wrap2 := uint64(1)<<(p.fold.o1&63), uint64(1)<<(p.fold.o2&63)
+	keep := p.fold.keep
+	ghist, folds := p.ghist, p.folds
 	for t := range folds {
 		f := &folds[t]
-		leaving := p.ghist.Bit(f.histLen) //repro:allow-bce inlined circular-buffer read: (head+i) & mask < len(bits) by NewBuffer's power-of-two sizing
-		f.idx.UpdateBits(newest, leaving)
-		f.tag.UpdateBits(newest, leaving)
-		f.tag2.UpdateBits(newest, leaving)
+		leaving := uint64(ghist.Bit(f.histLen)) //repro:allow-bce inlined circular-buffer read: ((head+i) & mask)>>6 < len(words) by NewBuffer's power-of-two sizing
+		w := f.w<<1 ^ newest ^ f.out&-leaving
+		w ^= w >> c0 & 1
+		w ^= w >> c1 & wrap1
+		w ^= w >> c2 & wrap2
+		f.w = w & keep
 	}
 }
 
@@ -432,6 +480,7 @@ func (p *Predictor) Update(pc uint64, taken bool) {
 // probability 1/2 before considering the next, the reference design's 2:1
 // skew); if every candidate is useful, their u counters are decremented
 // instead (the anti-ping-pong rule of the TAGE paper).
+//
 //repro:hotpath
 func (p *Predictor) allocate(taken bool) {
 	m := p.numTables
@@ -480,6 +529,7 @@ func (p *Predictor) allocate(taken bool) {
 
 // UseAltOnNA returns the current USE_ALT_ON_NA counter value (for tests
 // and diagnostics).
+//
 //repro:hotpath
 func (p *Predictor) UseAltOnNA() int8 { return p.useAltOnNA }
 

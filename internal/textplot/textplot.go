@@ -25,6 +25,7 @@ type StackRow struct {
 // Each row is scaled independently when normalize is true (distribution
 // panels, where parts sum to ~1) or against the global maximum row total
 // otherwise (magnitude panels such as MPKI breakdowns).
+//
 //repro:deterministic
 func StackedBars(w io.Writer, title string, segments []string, rows []StackRow, width int, normalize bool) {
 	if width < 10 {
@@ -99,6 +100,7 @@ type Bar struct {
 
 // Bars renders labeled horizontal bars scaled to the maximum value, with
 // the numeric value printed after each bar.
+//
 //repro:deterministic
 func Bars(w io.Writer, title string, bars []Bar, width int) {
 	if width < 10 {
@@ -126,6 +128,7 @@ func Bars(w io.Writer, title string, bars []Bar, width int) {
 
 // GroupedBars renders one group of bars per row label (e.g. one group per
 // trace with one bar per prediction class), as in Figures 4 and 6.
+//
 //repro:deterministic
 func GroupedBars(w io.Writer, title string, groups []Group, width int) {
 	fmt.Fprintf(w, "%s\n", title)
@@ -160,6 +163,7 @@ type Group struct {
 }
 
 // Table renders a simple aligned text table.
+//
 //repro:deterministic
 func Table(w io.Writer, title string, header []string, rows [][]string) {
 	fmt.Fprintf(w, "%s\n", title)

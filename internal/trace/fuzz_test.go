@@ -25,7 +25,7 @@ func FuzzRead(f *testing.F) {
 	// Hostile headers: a count field promising ~2^32 records (and one just
 	// past the hard limit) with no data behind it. The parser must fail on
 	// the missing records without reserving count-sized memory up front.
-	header := append(append([]byte{}, valid[:4]...), 0) // magic + empty name
+	header := append(append([]byte{}, valid[:4]...), 0)                            // magic + empty name
 	f.Add(append(append([]byte{}, header...), 0xFF, 0xFF, 0xFF, 0xFF, 0x0F))       // count = 2^32-1
 	f.Add(append(append([]byte{}, header...), 0x81, 0x80, 0x80, 0x80, 0x10))       // count = 2^32+1
 	f.Add(append(append([]byte{}, header...), 0x80, 0x80, 0x40, 0x00, 0x03, 0x00)) // count = 2^20, one record

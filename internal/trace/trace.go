@@ -184,6 +184,7 @@ var ErrBadFormat = errors.New("trace: bad file format")
 // is the single definition of the record codec, shared by the file
 // writer and the serve wire protocol. Records with Instr == 0 are not
 // representable; AppendRecord encodes them as Instr == 1.
+//
 //repro:hotpath
 func AppendRecord(dst []byte, prevPC uint64, b Branch) ([]byte, uint64) {
 	dst = binary.AppendVarint(dst, int64(b.PC)-int64(prevPC))
@@ -203,6 +204,7 @@ func AppendRecord(dst []byte, prevPC uint64, b Branch) ([]byte, uint64) {
 // the new previous PC. A truncated or malformed record, or one whose
 // instruction count does not fit a uint32, yields an ErrBadFormat-wrapped
 // error and consumes nothing.
+//
 //repro:hotpath
 func DecodeRecord(src []byte, prevPC uint64) (Branch, int, uint64, error) {
 	delta, n := binary.Varint(src)

@@ -19,6 +19,7 @@ package xrand
 // SplitMix64 advances the given state and returns a well-mixed 64-bit value.
 // It implements the splitmix64 algorithm (Steele, Lea, Flood 2014), which is
 // the standard way to expand a single seed into multiple independent seeds.
+//
 //repro:hotpath
 func SplitMix64(state *uint64) uint64 {
 	*state += 0x9E3779B97F4A7C15
@@ -30,6 +31,7 @@ func SplitMix64(state *uint64) uint64 {
 
 // Mix64 hashes a 64-bit value through the splitmix64 finalizer. It is used
 // to derive decorrelated per-component seeds from (seed, component-id) pairs.
+//
 //repro:hotpath
 func Mix64(x uint64) uint64 {
 	x ^= x >> 30
@@ -66,12 +68,14 @@ func (r *Rand) Derive(id uint64) *Rand {
 // DeriveInto reseeds dst to the exact stream Derive(id) would return,
 // without allocating. It lets callers that recycle generator storage
 // (pooled trace readers) re-derive per-component streams in place.
+//
 //repro:hotpath
 func (r *Rand) DeriveInto(id uint64, dst *Rand) {
 	dst.Seed(Mix64(r.state ^ Mix64(id+0x9E3779B97F4A7C15)))
 }
 
 // Seed resets the generator state.
+//
 //repro:hotpath
 func (r *Rand) Seed(seed uint64) {
 	s := seed
@@ -88,6 +92,7 @@ func (r *Rand) Seed(seed uint64) {
 // State returns the raw generator state, for snapshot codecs. Restoring
 // it with SetState reproduces the stream bit for bit; Seed would not,
 // because it mixes the seed before storing it.
+//
 //repro:hotpath
 func (r *Rand) State() uint64 { return r.state }
 
@@ -95,6 +100,7 @@ func (r *Rand) State() uint64 { return r.state }
 // produced by a seeded generator, but possible in a corrupt snapshot —
 // is remapped to the same non-zero constant Seed uses, because the
 // all-zero state is a fixed point of xorshift.
+//
 //repro:hotpath
 func (r *Rand) SetState(s uint64) {
 	if s == 0 {
@@ -104,6 +110,7 @@ func (r *Rand) SetState(s uint64) {
 }
 
 // Uint64 returns the next 64 bits from the stream.
+//
 //repro:hotpath
 func (r *Rand) Uint64() uint64 {
 	x := r.state
@@ -115,12 +122,14 @@ func (r *Rand) Uint64() uint64 {
 }
 
 // Uint32 returns the next 32 bits from the stream.
+//
 //repro:hotpath
 func (r *Rand) Uint32() uint32 {
 	return uint32(r.Uint64() >> 32)
 }
 
 // Intn returns a uniformly distributed int in [0, n). It panics if n <= 0.
+//
 //repro:hotpath
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
@@ -130,6 +139,7 @@ func (r *Rand) Intn(n int) int {
 }
 
 // Float64 returns a uniformly distributed float64 in [0, 1).
+//
 //repro:hotpath
 func (r *Rand) Float64() float64 {
 	// 53 high-quality bits -> [0,1).
@@ -137,12 +147,14 @@ func (r *Rand) Float64() float64 {
 }
 
 // Bool returns true with probability 1/2.
+//
 //repro:hotpath
 func (r *Rand) Bool() bool {
 	return r.Uint64()&1 == 1
 }
 
 // WithProbability returns true with probability p (clamped to [0,1]).
+//
 //repro:hotpath
 func (r *Rand) WithProbability(p float64) bool {
 	if p <= 0 {
@@ -157,6 +169,7 @@ func (r *Rand) WithProbability(p float64) bool {
 // OneIn returns true with probability 1/n. It panics if n <= 0.
 // OneIn(1) always returns true. For power-of-two n this compiles down to a
 // mask test, mirroring how cheap the hardware LFSR test would be.
+//
 //repro:hotpath
 func (r *Rand) OneIn(n int) bool {
 	if n <= 0 {
