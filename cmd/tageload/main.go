@@ -22,14 +22,11 @@
 // traces until the deadline — the throughput-soak configuration the CI
 // smoke job uses. Every round trip has a 30 s read/write deadline.
 //
-// With -nodes, tageload drives a cluster through the failover-aware
-// router: sessions are keyed (tageload/<conn>/<trace>, so durable),
-// placed by consistent hashing, and survive node restarts and crashes —
-// transient failures are retried with the router's default budget and
-// breaker and reported in the final cluster roll-up instead of aborting
-// the run:
+// With -keyed, sessions are keyed (tageload/<conn>/<trace>), so a
+// server with a state directory checkpoints them, and a graceful
+// shutdown mid-run writes their drain checkpoint:
 //
-//	tageload -nodes localhost:7421,localhost:7431 -suite cbp1 -verify
+//	tageload -keyed -addr localhost:7421 -duration 10s -conns 2
 package main
 
 import (
@@ -37,7 +34,6 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
@@ -61,7 +57,7 @@ func main() {
 		batch     = flag.Int("batch", 1024, "branches per request batch")
 		branches  = flag.Uint64("branches", 0, "branch records per trace (0 = full trace)")
 		duration  = flag.Duration("duration", 0, "soak: loop replays until this deadline (0 = one exact pass)")
-		nodes     = flag.String("nodes", "", "comma-separated cluster addresses; enables the failover-aware router with durable keyed sessions (overrides -addr)")
+		keyed     = flag.Bool("keyed", false, "open durable keyed sessions (tageload/<conn>/<trace>)")
 		verify    = flag.Bool("verify", false, "pass mode: recompute every trace offline and require bit-identical tallies")
 	)
 	flag.Parse()
@@ -95,17 +91,6 @@ func main() {
 		traces, err = workload.Suite(*suiteName)
 		if err != nil {
 			fatal("tageload: unknown suite", "err", err)
-		}
-	}
-
-	var router *serve.Router
-	if *nodes != "" {
-		router, err = serve.NewRouter(serve.RouterConfig{
-			Nodes:  strings.Split(*nodes, ","),
-			Client: clientCfg,
-		})
-		if err != nil {
-			fatal("tageload: router setup failed", "err", err)
 		}
 	}
 
@@ -148,48 +133,30 @@ func main() {
 		go func(w int) {
 			defer wg.Done()
 			out := &outs[w]
-			var replay func(i int) bool
-			if router != nil {
-				// Router mode: keyed durable sessions, transient node
-				// failures retried inside Replay (reported in the cluster
-				// roll-up) instead of aborting the worker.
-				replay = func(i int) bool {
-					key := fmt.Sprintf("tageload/%d/%s", w, traces[i].Name())
-					rs, err := router.Open(key, req)
-					if err != nil {
-						out.err = err
-						return false
-					}
-					res, err := rs.Replay(traces[i], *branches, *batch, &lat)
-					if err != nil {
-						out.err = fmt.Errorf("%s: %w", traces[i].Name(), err)
-						return false
-					}
-					out.results = append(out.results, res)
-					return true
+			c, err := serve.DialConfig(*addr, clientCfg)
+			if err != nil {
+				out.err = err
+				return
+			}
+			defer c.Close()
+			defer func() { out.busy = c.BusyRetries() }()
+			replay := func(i int) bool {
+				req := req
+				if *keyed {
+					req.Key = fmt.Sprintf("tageload/%d/%s", w, traces[i].Name())
 				}
-			} else {
-				c, err := serve.DialConfig(*addr, clientCfg)
+				sess, err := c.OpenSession(req)
 				if err != nil {
 					out.err = err
-					return
+					return false
 				}
-				defer c.Close()
-				defer func() { out.busy = c.BusyRetries() }()
-				replay = func(i int) bool {
-					sess, err := c.OpenSession(req)
-					if err != nil {
-						out.err = err
-						return false
-					}
-					res, err := sess.Replay(traces[i], *branches, *batch, &lat)
-					if err != nil {
-						out.err = fmt.Errorf("%s: %w", traces[i].Name(), err)
-						return false
-					}
-					out.results = append(out.results, res)
-					return true
+				res, err := sess.Replay(traces[i], *branches, *batch, &lat)
+				if err != nil {
+					out.err = fmt.Errorf("%s: %w", traces[i].Name(), err)
+					return false
 				}
+				out.results = append(out.results, res)
+				return true
 			}
 			if deadline.IsZero() {
 				// Pass mode: strided exact shares, each trace replayed
@@ -220,13 +187,6 @@ func main() {
 	var busy uint64
 	for i := range outs {
 		if outs[i].err != nil {
-			if router != nil {
-				// The router's flight recorder holds the retries, breaker
-				// transitions and failovers leading up to the failure.
-				var tail strings.Builder
-				router.Events().WriteText(&tail)
-				logger.Error("tageload: router events at failure", "events", tail.String())
-			}
 			fatal("tageload: connection failed", "conn", i, "err", outs[i].err)
 		}
 		all = append(all, outs[i].results...)
@@ -255,14 +215,7 @@ func main() {
 	if deadline.IsZero() {
 		fmt.Println("  (exact pass: per-level counts are bit-identical to offline sim.Run)")
 	}
-	if router != nil {
-		fmt.Println("  cluster:")
-		for _, ns := range router.Stats() {
-			fmt.Printf("    %-24s sessions=%d retries=%d recoveries=%d failovers=%d busy_retries=%d breaker_opens=%d breaker_closes=%d\n",
-				ns.Addr, ns.Sessions, ns.Retries, ns.Recoveries, ns.Failovers,
-				ns.BusyRetries, ns.BreakerOpens, ns.BreakerCloses)
-		}
-	} else if busy > 0 {
+	if busy > 0 {
 		fmt.Printf("  busy retries (load-shed batches retried): %d\n", busy)
 	}
 	if *verify {

@@ -3,9 +3,10 @@
 // live confidence-level breakdown — the storage-free estimate as a
 // queryable signal rather than a post-hoc table. The second half is the
 // durability story: predictor state snapshot/restore, and a keyed
-// session surviving the death of its node through the failover-aware
-// session router. The example exits non-zero unless that session fails
-// over exactly once and still matches the offline run.
+// session surviving a restart of its server through the server's
+// checkpoints. The example exits non-zero unless that session resumes
+// exactly where the first server stopped and still matches the offline
+// run.
 package main
 
 import (
@@ -13,6 +14,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -24,8 +26,7 @@ import (
 
 // gatedTrace wraps a trace so that its first reader blocks before
 // returning branch `at` until release is closed, closing reached when
-// it gets there. Readers opened later (the router reopens the trace to
-// rewind after a failover) pass straight through.
+// it gets there. Readers opened later pass straight through.
 type gatedTrace struct {
 	repro.Trace
 	at      uint64
@@ -51,22 +52,37 @@ func (r *gatedReader) Next() (repro.Branch, error) {
 	return r.rd.Next()
 }
 
-func main() {
-	// An in-process server: ephemeral loopback port, default predictor
-	// 64K/probabilistic for minimal clients. Production deployments run
-	// cmd/tageserved instead; the engine is the same.
-	srv := repro.NewServer(repro.ServeConfig{
-		Engine: repro.ServeEngineConfig{DefaultSpec: "tage-64K?mode=probabilistic"},
-	})
+// Close forwards an early release (a replay aborted mid-trace) to the
+// wrapped reader.
+func (r *gatedReader) Close() {
+	if c, ok := r.rd.(interface{ Close() }); ok {
+		c.Close()
+	}
+}
+
+// serve starts an in-process server on an ephemeral loopback port and
+// returns it with its address.
+func serve(cfg repro.ServeConfig) (*repro.Server, string) {
+	srv := repro.NewServer(cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
 	go srv.Serve(ln)
+	return srv, ln.Addr().String()
+}
+
+func main() {
+	// An in-process server, default predictor 64K/probabilistic for
+	// minimal clients. Production deployments run cmd/tageserved
+	// instead; the engine is the same.
+	srv, addr := serve(repro.ServeConfig{
+		Engine: repro.ServeEngineConfig{DefaultSpec: "tage-64K?mode=probabilistic"},
+	})
 	defer srv.Shutdown(context.Background())
 
 	// A client session: open, stream branch batches, read grades.
-	c, err := repro.DialServer(ln.Addr().String())
+	c, err := repro.DialServer(addr)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -157,87 +173,81 @@ func main() {
 	fmt.Printf("\nsnapshot: %d-byte blob; restored predictor agrees on the next 10k branches: %v\n",
 		len(blob), agree)
 
-	// Durability, layer two: a 2-node cluster behind the session router.
-	// Keyed sessions are placed by consistent hashing; when their node
-	// dies mid-stream the router fails over to the survivor, reseeds it
-	// from the last fetched snapshot, rewinds the replay cursor to the
-	// server's authoritative branch count, and the final tallies are
-	// STILL bit-identical to an uninterrupted offline run. (Give each
-	// node a ServeConfig.StateDir and sessions additionally survive node
-	// restarts via on-disk checkpoints — see cmd/tageserved -state-dir.)
-	srvA := repro.NewServer(repro.ServeConfig{})
-	lnA, err := net.Listen("tcp", "127.0.0.1:0")
+	// Durability, layer two: a keyed session survives a restart of its
+	// server. Server A checkpoints keyed sessions into a state directory,
+	// and its graceful shutdown writes a final checkpoint for every live
+	// one. Server B boots on the same directory and restores them. A
+	// client that reopens the key resumes at the checkpointed cursor:
+	// Replay adopts the server's tallies, rewinds the trace to that
+	// branch, and the final tallies are STILL bit-identical to an
+	// uninterrupted offline run.
+	stateDir, err := os.MkdirTemp("", "tage-serving-")
 	if err != nil {
 		log.Fatal(err)
 	}
-	go srvA.Serve(lnA)
-	srvB := repro.NewServer(repro.ServeConfig{})
-	lnB, err := net.Listen("tcp", "127.0.0.1:0")
+	defer os.RemoveAll(stateDir)
+	const (
+		key   = "session/demo"
+		limit = 200_000
+		stop  = 16 * 1024 // branch at which server A goes down
+	)
+	open := repro.ServeOpenRequest{Spec: "tage-16K", Key: key}
+	srvA, addrA := serve(repro.ServeConfig{StateDir: stateDir})
+	ca, err := repro.DialServer(addrA)
 	if err != nil {
 		log.Fatal(err)
 	}
-	go srvB.Serve(lnB)
-	defer srvB.Shutdown(context.Background())
-
-	router, err := repro.NewSessionRouter(repro.RouterConfig{
-		Nodes:        []string{lnA.Addr().String(), lnB.Addr().String()},
-		RetryBackoff: 10 * time.Millisecond,
-	})
+	sa, err := ca.OpenSession(open)
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Find a key the ring places on node A — the node we will kill.
-	key := "session/demo"
-	for i := 0; router.NodeFor(key) != lnA.Addr().String(); i++ {
-		key = fmt.Sprintf("session/demo-%d", i)
-	}
-	rs, err := router.Open(key, repro.ServeOpenRequest{Spec: "tage-16K"})
-	if err != nil {
-		log.Fatal(err)
-	}
-	type outcome struct {
-		res repro.Result
-		err error
-	}
-	// Kill node A at a fixed point of the stream: the replay's reader
-	// blocks before branch 16*1024 until node A is down. By then the
-	// session has served 16 batches and refreshed its failover snapshot
-	// (every 8 batches), and most of the 200k-branch replay is still
-	// ahead.
-	gate := &gatedTrace{Trace: tr, at: 16 * 1024, reached: make(chan struct{}), release: make(chan struct{})}
-	done := make(chan outcome, 1)
+	// Shut server A down at a fixed point of the stream: the replay's
+	// reader blocks before branch 16*1024 until A is down, so the session
+	// has served exactly 16 batches and most of the 200k-branch replay is
+	// still ahead.
+	gate := &gatedTrace{Trace: tr, at: stop, reached: make(chan struct{}), release: make(chan struct{})}
+	done := make(chan error, 1)
 	go func() {
-		res, err := rs.Replay(gate, 200_000, 1024, nil)
-		done <- outcome{res, err}
+		_, err := sa.Replay(gate, limit, 1024, nil)
+		done <- err
 	}()
 	select {
 	case <-gate.reached:
-	case o := <-done:
-		log.Fatalf("replay finished before node A was killed (err=%v)", o.err)
+	case err := <-done:
+		log.Fatalf("replay finished before server A went down (err=%v)", err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	srvA.Shutdown(ctx)
 	cancel()
 	close(gate.release)
-	o := <-done
-	if o.err != nil {
-		log.Fatal(o.err)
+	if err := <-done; err == nil {
+		log.Fatal("replay finished although server A went down mid-stream")
 	}
-	offline, err := repro.RunSpec("tage-16K", tr, 200_000)
+	ca.Close()
+
+	srvB, addrB := serve(repro.ServeConfig{StateDir: stateDir})
+	defer srvB.Shutdown(context.Background())
+	cb, err := repro.DialServer(addrB)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nrouted session %q survived its node dying mid-stream on %s\n", key, rs.Node())
-	fmt.Printf("failover replay bit-identical to offline run: %v (%.2f misp/KI over %d branches)\n",
-		o.res == offline, o.res.MPKI(), o.res.Branches)
-	failovers := uint64(0)
-	for _, ns := range router.Stats() {
-		fmt.Printf("  node %-21s sessions=%d retries=%d failovers=%d\n",
-			ns.Addr, ns.Sessions, ns.Retries, ns.Failovers)
-		failovers += ns.Failovers
+	defer cb.Close()
+	sb, err := cb.OpenSession(open)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if failovers != 1 || o.res != offline {
-		log.Fatalf("want exactly one failover and a result equal to the offline run; got %d failovers, equal=%v",
-			failovers, o.res == offline)
+	resumed, err := sb.Replay(tr, limit, 1024, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	offline, err := repro.RunSpec("tage-16K", tr, limit)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nkeyed session %q survived a server restart: resumed at %d, equal offline: %v (%.2f misp/KI over %d branches)\n",
+		key, sb.Resumed(), resumed == offline, resumed.MPKI(), resumed.Branches)
+	if sb.Resumed() != stop || resumed != offline {
+		log.Fatalf("want a resume at branch %d and a result equal to the offline run; got a resume at %d, equal=%v",
+			stop, sb.Resumed(), resumed == offline)
 	}
 }

@@ -57,14 +57,12 @@ const GCFlags = "-m=1 -d=ssa/check_bce/debug=1,ssa/prove/debug=1"
 // mustBeZero lists hotpath functions that may carry no unwaived bounds
 // check, no unproven shift and no heap escape, golden or not: the
 // per-branch TAGE loops and the history and counter helpers they run,
-// the reference fold update the TAGE fold word is tested against, the
-// shared sim/serve branch step, the serve batch loop, and the
+// the shared sim/serve branch step, the serve batch loop, and the
 // observability record paths.
 var mustBeZero = []string{
 	"repro/internal/tage.Predictor.Predict",
 	"repro/internal/tage.Predictor.Update",
 	"repro/internal/tage.Predictor.allocate",
-	"repro/internal/history.Folded.UpdateBits",
 	"repro/internal/history.Path.Push",
 	"repro/internal/counter.SignedMin",
 	"repro/internal/counter.SignedMax",
@@ -95,7 +93,6 @@ var inlineAllowList = []struct {
 	{"repro/internal/tage", "entrySetCtr"},
 	{"repro/internal/tage", "entrySetU"},
 	{"repro/internal/tage", "entryAgeU"},
-	{"repro/internal/history", "(*Folded).UpdateBits"},
 	{"repro/internal/history", "(*Folded).Value"},
 	{"repro/internal/bimodal", "(*Packed).index"},
 	{"repro/internal/bimodal", "(*Packed).Counter"},

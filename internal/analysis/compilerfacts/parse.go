@@ -20,7 +20,7 @@ const (
 	SliceBoundsCheck
 	// CanInline is an escape-analysis "can inline F" fact; Name holds the
 	// compiler's spelling of the function ("packEntry",
-	// "(*Folded).UpdateBits", "Kind.String").
+	// "(*Folded).Value", "Kind.String").
 	CanInline
 	// MovedToHeap is a "moved to heap: x" escape; Name holds the variable.
 	MovedToHeap

@@ -91,24 +91,16 @@ type Folded struct {
 // NewFolded returns a folded image of the most recent origLen bits
 // compressed into compLen bits. compLen must be in [1, 31]: the wrap bit
 // of a full 32-bit register would fall off the top of the shift, and
-// bounding the width lets UpdateBits mask its shift counts to 31 for
-// free. origLen must be non-negative.
+// bounding the width lets Update mask its shift counts to 31 for free.
+// origLen must be non-negative.
 func NewFolded(origLen, compLen int) *Folded {
-	f := MakeFolded(origLen, compLen)
-	return &f
-}
-
-// MakeFolded is NewFolded as a value constructor: predictors that keep
-// their fold state in one contiguous slice (cache-friendly flat storage)
-// embed Folded by value instead of chasing per-table pointers.
-func MakeFolded(origLen, compLen int) Folded {
 	if compLen < 1 || compLen > 31 {
 		panic(fmt.Sprintf("history: invalid folded compression length %d", compLen))
 	}
 	if origLen < 0 {
 		panic(fmt.Sprintf("history: invalid folded original length %d", origLen))
 	}
-	return Folded{
+	return &Folded{
 		origLen:  origLen,
 		compLen:  compLen,
 		outPoint: uint(origLen % compLen),
@@ -119,22 +111,13 @@ func MakeFolded(origLen, compLen int) Folded {
 // Update folds the newest history bit in and the bit leaving the origLen
 // window out. It must be called once per Buffer.Push, after the push.
 //
-//repro:hotpath
-func (f *Folded) Update(b *Buffer) {
-	f.UpdateBits(b.Bit(0), b.Bit(f.origLen))
-}
-
-// UpdateBits is Update with the two boundary bits supplied by the caller,
-// for a predictor that keeps several folds over one history window and
-// loads the newest and leaving bit once for all of them.
-//
 // Both shift counts are below compLen <= 31 by construction; the & 31
 // masks are no-ops that let the compiler drop its oversized-shift guards.
 //
 //repro:hotpath
-func (f *Folded) UpdateBits(newest, leaving uint8) {
-	f.comp = (f.comp << 1) | uint32(newest)
-	f.comp ^= uint32(leaving) << (f.outPoint & 31)
+func (f *Folded) Update(b *Buffer) {
+	f.comp = (f.comp << 1) | uint32(b.Bit(0))
+	f.comp ^= uint32(b.Bit(f.origLen)) << (f.outPoint & 31)
 	f.comp ^= f.comp >> (uint(f.compLen) & 31)
 	f.comp &= f.mask
 }

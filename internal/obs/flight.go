@@ -22,11 +22,6 @@ const (
 	EvCheckpointFail
 	EvRestore
 	EvRestoreFail
-	EvBreakerOpen
-	EvBreakerClose
-	EvFailover
-	EvRetry
-	EvRecovery
 )
 
 var kindNames = [...]string{
@@ -39,11 +34,6 @@ var kindNames = [...]string{
 	EvCheckpointFail: "checkpoint-fail",
 	EvRestore:        "restore",
 	EvRestoreFail:    "restore-fail",
-	EvBreakerOpen:    "breaker-open",
-	EvBreakerClose:   "breaker-close",
-	EvFailover:       "failover",
-	EvRetry:          "retry",
-	EvRecovery:       "recovery",
 }
 
 // String returns the dash-separated kind name used in dumps.
@@ -66,7 +56,7 @@ type Event struct {
 	Batch    int    // records in the batch
 	Key      string // durable session key, if keyed
 	Backend  string // backend spec label
-	Cause    string // shed/retry/eviction/failure cause
+	Cause    string // shed/eviction/failure cause
 	QueueNS  int64  // read-to-serve-start (head-of-line wait)
 	ServeNS  int64  // predictor serve time
 	FlushNS  int64  // response flush time

@@ -310,7 +310,7 @@ func TestFlightRecorderText(t *testing.T) {
 
 // TestEventKindNames keeps every kind printable.
 func TestEventKindNames(t *testing.T) {
-	for k := EvNone; k <= EvRecovery; k++ {
+	for k := EvNone; k <= EvRestoreFail; k++ {
 		if k.String() == "" || k.String() == "unknown" {
 			t.Fatalf("kind %d has no name", k)
 		}

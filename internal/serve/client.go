@@ -99,27 +99,26 @@ func NewClient(conn net.Conn) *Client {
 func (c *Client) Close() error { return c.conn.Close() }
 
 // BusyRetries reports how many internal busy (load-shed) retries this
-// client has performed — the load generators roll it up per node.
+// client has performed.
 func (c *Client) BusyRetries() uint64 { return c.busyRetries }
 
-// backoff is the one retry schedule of the client side, shared by busy
-// retries and router recovery. Each wait is jittered uniformly over
-// [d/2, 3d/2) from a seeded stream, so synchronized clients retrying
-// the same fault spread out instead of stampeding in lockstep. The base
-// d doubles per wait until it reaches max; a server's retry-after hint
-// replaces it for one wait.
+// backoff is the one retry schedule of the client side. Each wait is
+// jittered uniformly over [d/2, 3d/2) from a seeded stream, so
+// synchronized clients retrying the same fault spread out instead of
+// stampeding in lockstep. The base d doubles per wait until it reaches
+// max; a server's retry-after hint replaces it for one wait.
 type backoff struct {
 	rng       *xrand.Rand
 	base, max time.Duration
 }
 
 // jitterRand seeds a backoff stream: replayable when seed is fixed (0
-// derives one from the clock), decorrelated across session keys.
-func jitterRand(seed uint64, key string) *xrand.Rand {
+// derives one from the clock).
+func jitterRand(seed uint64) *xrand.Rand {
 	if seed == 0 {
 		seed = uint64(time.Now().UnixNano())
 	}
-	return xrand.New(seed ^ ringHash(key))
+	return xrand.New(seed)
 }
 
 // next returns the wait before the next retry and advances the base.
@@ -213,7 +212,7 @@ func (c *Client) OpenSession(req OpenRequest) (*ClientSession, error) {
 }
 
 // OpenSnapshot opens (or resumes) a session from a snapshot blob — the
-// migration/failover path. The blob must decode locally so the session
+// migration path. The blob must decode locally so the session
 // can carry its key client-side.
 func (c *Client) OpenSnapshot(blob []byte) (*ClientSession, error) {
 	snap, err := DecodeSessionSnapshot(blob)
@@ -252,7 +251,7 @@ func (s *ClientSession) Resumed() uint64 { return s.resumed }
 
 // Snapshot fetches the session's durable snapshot blob from the server.
 // The blob is copied out of the frame buffer, so it stays valid across
-// further client calls — the failover token a router holds on to.
+// further client calls.
 func (s *ClientSession) Snapshot() ([]byte, error) {
 	c := s.c
 	c.out = AppendSnapGet(c.out[:0], s.id)
@@ -305,7 +304,7 @@ func (s *ClientSession) Predict(records []trace.Branch) ([]Grade, error) {
 		}
 		if attempt == 0 {
 			if c.rng == nil {
-				c.rng = jitterRand(c.cfg.Seed, "")
+				c.rng = jitterRand(c.cfg.Seed)
 			}
 			bo = backoff{rng: c.rng, base: c.cfg.BusyBackoff, max: maxBusyBackoff}
 			if bo.base <= 0 {
@@ -363,9 +362,10 @@ func (s *ClientSession) Close() (sim.Result, error) {
 }
 
 // Replay streams tr (truncated to limit records; 0 = full trace) through
-// the session in batches of batchSize branches, cross-checks the served
-// grades against the known outcomes, closes the session, and returns the
-// server's final tallies labeled with the trace name.
+// the session in batches of batchSize branches (out-of-range sizes select
+// 1024), cross-checks the served grades against the known outcomes,
+// closes the session, and returns the server's final tallies labeled
+// with the trace name.
 //
 // The returned Result is bit-identical to sim.Run over the same (config,
 // options, trace, limit) — the equivalence the tests pin — because the
@@ -374,63 +374,27 @@ func (s *ClientSession) Close() (sim.Result, error) {
 // client-side tally derived from the wire grades must equal the
 // server-side stats, or an error is returned. A session that resumed
 // server-side state (Resumed() > 0) first adopts the server's tallies
-// and replays the trace from its cursor.
+// and replays the trace from its cursor, so a client that lost its
+// server mid-replay redials, reopens the key and calls Replay again.
+// Trace read errors are properties of the input, which IsRetryable
+// never classifies as transport failures.
 //
 // When lat is non-nil, one round-trip latency sample is recorded per
 // batch.
 func (s *ClientSession) Replay(tr trace.Trace, limit uint64, batchSize int, lat *obs.Histogram) (sim.Result, error) {
 	local := sim.Result{Trace: tr.Name(), Config: s.config, Mode: s.mode}
 	if s.resumed > 0 {
-		if _, err := s.resync(&local); err != nil {
+		if err := s.resync(&local); err != nil {
 			return sim.Result{}, err
 		}
 	}
-	return s.stream(tr, limit, newBatch(batchSize), lat, &local, nil)
-}
-
-// newBatch allocates the replay batch buffer; its capacity is the batch
-// size (out-of-range sizes select 1024).
-func newBatch(batchSize int) []trace.Branch {
 	if batchSize <= 0 || batchSize > MaxBatch {
 		batchSize = 1024
 	}
-	return make([]trace.Branch, 0, batchSize)
-}
-
-// resync overwrites local with the server's authoritative tallies for
-// the session, which moves the replay cursor (local.Branches) to the
-// server's branch count, and returns the snapshot blob it read them
-// from.
-func (s *ClientSession) resync(local *sim.Result) ([]byte, error) {
-	blob, err := s.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	snap, err := DecodeSessionSnapshot(blob)
-	if err != nil {
-		return nil, err
-	}
-	name := local.Trace
-	*local = snap.Res
-	local.Trace = name
-	return blob, nil
-}
-
-// stream is the one client-side replay loop. It opens tr (truncated to
-// limit) at the cursor local.Branches and streams it through the
-// session in batches of cap(batch) branches. Each batch's wire grades
-// are tallied into local, its round trip is sampled into lat (nil
-// disables), and onBatch (nil skips) runs after it. At the end of the
-// trace stream closes the session and returns the server's final stats,
-// cross-checked against local. On error, local holds exactly the
-// batches the server answered, so the router can resync and call stream
-// again. Trace read errors are properties of the input, which
-// IsRetryable never classifies as transport failures.
-func (s *ClientSession) stream(tr trace.Trace, limit uint64, batch []trace.Branch, lat *obs.Histogram,
-	local *sim.Result, onBatch func()) (sim.Result, error) {
+	batch := make([]trace.Branch, 0, batchSize)
 	rd := trace.Limit(tr, limit).Open()
 	// Release the reader's resources (open file, pooled decode or
-	// generator state) if the stream aborts mid-trace — a server or
+	// generator state) if the replay aborts mid-trace — a server or
 	// network error must not leak a file descriptor per failed replay.
 	// Once the reader returns io.EOF or a decode error it must not be
 	// touched again (it closes itself, and its state may already be
@@ -484,9 +448,6 @@ func (s *ClientSession) stream(tr trace.Trace, limit uint64, batch []trace.Branc
 			// server actually saw.
 			local.Instructions += uint64(max(batch[i].Instr, 1))
 		}
-		if onBatch != nil {
-			onBatch()
-		}
 	}
 	res, err := s.Close()
 	if err != nil {
@@ -494,9 +455,27 @@ func (s *ClientSession) stream(tr trace.Trace, limit uint64, batch []trace.Branc
 	}
 	res.Trace = local.Trace
 	local.FinalProbability = res.FinalProbability
-	if *local != res {
+	if local != res {
 		return sim.Result{}, fmt.Errorf("serve: wire grades disagree with server stats for %s: client %+v server %+v",
-			tr.Name(), *local, res)
+			tr.Name(), local, res)
 	}
 	return res, nil
+}
+
+// resync overwrites local with the server's authoritative tallies for
+// the session, which moves the replay cursor (local.Branches) to the
+// server's branch count.
+func (s *ClientSession) resync(local *sim.Result) error {
+	blob, err := s.Snapshot()
+	if err != nil {
+		return err
+	}
+	snap, err := DecodeSessionSnapshot(blob)
+	if err != nil {
+		return err
+	}
+	name := local.Trace
+	*local = snap.Res
+	local.Trace = name
+	return nil
 }

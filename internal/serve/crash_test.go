@@ -1,9 +1,10 @@
 // Crash recovery proven with real processes: the parent test spawns its
 // own test binary as a checkpointing server, replays a trace against it
-// through a Router, kills the server with SIGKILL mid-replay, restarts
-// it on the same address and state directory, and requires the resumed
-// replay to finish with tallies bit-identical to an uninterrupted
-// offline run — the durability acceptance pin of the serve layer.
+// through a keyed session, kills the server with SIGKILL mid-replay,
+// restarts it on the same address and state directory, reopens the key
+// and requires the resumed replay to finish with tallies bit-identical
+// to an uninterrupted offline run — the durability acceptance pin of the
+// serve layer.
 package serve
 
 import (
@@ -119,27 +120,21 @@ func TestCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRouter(RouterConfig{
-		Nodes:        []string{addr},
-		MaxRetries:   12,
-		RetryBackoff: 25 * time.Millisecond,
-		Client:       ClientConfig{DialTimeout: time.Second, ReadTimeout: 10 * time.Second, WriteTimeout: 10 * time.Second},
-	})
+	cfg := ClientConfig{DialTimeout: time.Second, ReadTimeout: 10 * time.Second, WriteTimeout: 10 * time.Second}
+	req := OpenRequest{Spec: spec, Key: key}
+	c, err := DialConfig(addr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := r.Open(key, OpenRequest{Spec: spec})
+	defer c.Close()
+	sess, err := c.OpenSession(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	type outcome struct {
-		res sim.Result
-		err error
-	}
-	done := make(chan outcome, 1)
+	done := make(chan error, 1)
 	go func() {
-		res, err := rs.Replay(tr, limit, batchSize, nil)
-		done <- outcome{res, err}
+		_, err := sess.Replay(tr, limit, batchSize, nil)
+		done <- err
 	}()
 
 	// SIGKILL the server as soon as its checkpoint loop has written the
@@ -160,8 +155,8 @@ func TestCrashRecovery(t *testing.T) {
 			break
 		}
 		select {
-		case o := <-done:
-			t.Fatalf("replay finished before any checkpoint landed (err=%v)", o.err)
+		case err := <-done:
+			t.Fatalf("replay finished before any checkpoint landed (err=%v)", err)
 		default:
 		}
 		if time.Now().After(deadline) {
@@ -174,25 +169,39 @@ func TestCrashRecovery(t *testing.T) {
 	}
 	child.Wait() // reap; exit status of a SIGKILLed process is expected noise
 	childDone = true
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("replay finished before the kill -9 landed")
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("replay did not fail after the kill -9")
+	}
 
-	// Restart on the same address and state directory. The router session
-	// reconnects on its own, resumes from the restored checkpoint, rewinds
-	// its trace cursor, and replays the tail the crash swallowed.
+	// Restart on the same address and state directory, reopen the key:
+	// the session resumes from the restored checkpoint, and Replay
+	// rewinds its trace cursor and replays the tail the crash swallowed.
 	child2 := startCrashChild(t, addr, stateDir)
 	defer func() {
 		child2.Process.Kill()
 		child2.Wait()
 	}()
 	waitServing(t, addr, 15*time.Second)
-
-	var o outcome
-	select {
-	case o = <-done:
-	case <-time.After(120 * time.Second):
-		t.Fatal("replay did not finish after crash recovery")
+	c2, err := DialConfig(addr, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if o.err != nil {
-		t.Fatalf("replay across crash: %v", o.err)
+	defer c2.Close()
+	sess2, err := c2.OpenSession(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess2.Resumed() == 0 {
+		t.Fatal("reopened key resumed at branch 0 despite a checkpoint on disk")
+	}
+	res, err := sess2.Replay(tr, limit, batchSize, nil)
+	if err != nil {
+		t.Fatalf("replay across crash: %v", err)
 	}
 	sp, err := predictor.Parse(spec)
 	if err != nil {
@@ -202,13 +211,8 @@ func TestCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offline.Mode = o.res.Mode // router sessions label with the request's (zero) mode
-	if o.res != offline {
-		t.Errorf("crash-recovered replay %+v != offline %+v", o.res, offline)
-	}
-	stats := r.Stats()
-	if len(stats) != 1 || stats[0].Retries == 0 {
-		t.Errorf("router recorded no retries across a kill -9: %+v", stats)
+	if res != offline {
+		t.Errorf("crash-recovered replay %+v != offline %+v", res, offline)
 	}
 	// The state directory still holds the (consumed-on-close) bookkeeping:
 	// a successful Replay closed the session, deleting its checkpoint.

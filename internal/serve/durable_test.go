@@ -12,6 +12,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -192,6 +193,168 @@ func TestKeyedReopenFencesOldID(t *testing.T) {
 	if snap := srv.Engine().Snapshot(); snap.Branches != 1000 || snap.LiveSessions != 1 || snap.OpenedSessions != 1 {
 		t.Fatalf("engine: %d branches, %d live, %d opened; want 1000, 1, 1",
 			snap.Branches, snap.LiveSessions, snap.OpenedSessions)
+	}
+}
+
+// gatedTrace wraps a trace so that every reader blocks before returning
+// branch at until release is closed; the first reader to get there
+// closes reached. Readers opened after the release pass straight
+// through.
+type gatedTrace struct {
+	trace.Trace
+	at      uint64
+	reached chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (g *gatedTrace) Open() trace.Reader { return &gatedReader{g: g, rd: g.Trace.Open()} }
+
+type gatedReader struct {
+	g  *gatedTrace
+	rd trace.Reader
+	n  uint64
+}
+
+func (r *gatedReader) Next() (trace.Branch, error) {
+	if r.n == r.g.at {
+		r.g.once.Do(func() { close(r.g.reached) })
+		<-r.g.release
+	}
+	r.n++
+	return r.rd.Next()
+}
+
+// Close forwards an early release to the wrapped reader.
+func (r *gatedReader) Close() {
+	if c, ok := r.rd.(interface{ Close() }); ok {
+		c.Close()
+	}
+}
+
+// TestKeyedResumeAfterRestart pins the single-node recovery recipe: a
+// keyed replay whose server shuts down mid-stream fails, and once a
+// replacement server boots on the same address and state directory the
+// client redials, reopens the key, resumes exactly at the drain
+// checkpoint's cursor, and the replay still matches offline bit for
+// bit. This is the in-process twin of the kill-9 test in crash_test.go.
+func TestKeyedResumeAfterRestart(t *testing.T) {
+	dir := t.TempDir()
+	srvA := startServer(t, Config{StateDir: dir, CheckpointInterval: 5 * time.Millisecond})
+	addr := srvA.Addr().String()
+	const (
+		limit     = 300_000
+		batchSize = 512
+		stop      = 16 * batchSize
+	)
+	req := OpenRequest{Spec: "bimodal-64K", Key: "restart/FP-2"}
+	tr, err := workload.ByName("FP-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := dial(t, srvA).OpenSession(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The replay's reader blocks before branch stop until the server is
+	// down, so the shutdown lands at the same point of the stream on
+	// every run, never after the replay finished.
+	gate := &gatedTrace{Trace: tr, at: stop, reached: make(chan struct{}), release: make(chan struct{})}
+	done := make(chan error, 1)
+	go func() {
+		_, err := sess.Replay(gate, limit, batchSize, nil)
+		done <- err
+	}()
+	select {
+	case <-gate.reached:
+	case err := <-done:
+		t.Fatalf("replay finished before the induced restart (err=%v)", err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("replay never reached the restart point")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	if err := srvA.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	cancel()
+	close(gate.release)
+	if err := <-done; err == nil {
+		t.Fatal("replay finished although its server shut down mid-stream")
+	}
+
+	// A replacement on the same address and state directory — the
+	// in-process twin of a restart.
+	srvB := NewServer(Config{StateDir: dir, CheckpointInterval: 5 * time.Millisecond})
+	lnB, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("rebinding %s: %v", addr, err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srvB.Serve(lnB) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := srvB.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown replacement: %v", err)
+		}
+		if err := <-serveDone; err != nil {
+			t.Errorf("replacement serve returned: %v", err)
+		}
+	})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	sess2, err := c.OpenSession(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sess2.Resumed(); got != stop {
+		t.Fatalf("reopened key resumed at %d, want the drain cursor %d", got, stop)
+	}
+	res, err := sess2.Replay(tr, limit, batchSize, nil)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if got := srvB.Engine().Snapshot().CheckpointRestores; got != 1 {
+		t.Errorf("restarted server restored %d sessions, want 1", got)
+	}
+	sp, err := predictor.Parse(req.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offline, err := sim.RunSpec(sp, tr, limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res != offline {
+		t.Errorf("restart replay %+v != offline %+v", res, offline)
+	}
+}
+
+// TestReplayCursorPastTrace pins that a resumed session whose server
+// cursor lies beyond the requested trace length fails the replay with an
+// error a reopen loop must not retry: the short trace is a property of
+// the request, not a transport fault.
+func TestReplayCursorPastTrace(t *testing.T) {
+	srv := startServer(t, Config{})
+	tr, err := workload.ByName("MM-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := OpenRequest{Spec: "tage-16K", Key: "resume/past-end"}
+	sess, err := dial(t, srv).OpenSession(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamSlice(t, sess, collectBranches(t, tr, 3000), 1000)
+	sess2, err := dial(t, srv).OpenSession(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess2.Replay(tr, 2000, 500, nil); err == nil || IsRetryable(err) {
+		t.Fatalf("replay to 2000 of a session at 3000: err = %v, want a non-retryable error", err)
 	}
 }
 

@@ -309,10 +309,10 @@ func (e *Engine) reopenLocked(old *Session, now int64) *Session {
 }
 
 // OpenSnapshot opens (or resumes) a session from a decoded snapshot blob
-// — the FrameOpenSnap migration/failover path. A live session already
-// holding the snapshot's key wins, moved to a new id as for a keyed
-// Open: the blob a failing-over client carries is at most as fresh as
-// the live state.
+// — the FrameOpenSnap migration path. A live session already holding
+// the snapshot's key wins, moved to a new id as for a keyed Open: the
+// blob a migrating client carries is at most as fresh as the live
+// state.
 func (e *Engine) OpenSnapshot(snap SessionSnapshot, now int64) (*Session, error) {
 	e.keyMu.Lock()
 	defer e.keyMu.Unlock()

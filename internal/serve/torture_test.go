@@ -21,6 +21,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/predictor"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -384,28 +385,28 @@ func TestClientBusyBudgetExhausted(t *testing.T) {
 	}
 }
 
-// TestBackoff pins the one retry schedule of busy retries and router
-// recovery, computing the waits without sleeping: jitter replays from a
-// fixed seed and decorrelates across keys, every wait lies in
-// [d/2, 3d/2), doubling stops at the cap, and a retry-after hint
-// replaces the computed base.
+// TestBackoff pins the one retry schedule of the client side,
+// computing the waits without sleeping: jitter replays from a fixed seed
+// and decorrelates across seeds, every wait lies in [d/2, 3d/2),
+// doubling stops at the cap, and a retry-after hint replaces the
+// computed base.
 func TestBackoff(t *testing.T) {
 	const base, limit = time.Millisecond, 8 * time.Millisecond
-	waits := func(seed uint64, key string) []time.Duration {
-		bo := backoff{rng: jitterRand(seed, key), base: base, max: limit}
+	waits := func(seed uint64) []time.Duration {
+		bo := backoff{rng: jitterRand(seed), base: base, max: limit}
 		out := make([]time.Duration, 16)
 		for i := range out {
 			out[i] = bo.next(0)
 		}
 		return out
 	}
-	if a, b := waits(42, "k1"), waits(42, "k1"); !slices.Equal(a, b) {
-		t.Fatalf("same seed and key, different waits:\n%v\n%v", a, b)
+	if a, b := waits(42), waits(42); !slices.Equal(a, b) {
+		t.Fatalf("same seed, different waits:\n%v\n%v", a, b)
 	}
-	if a, b := waits(42, "k1"), waits(42, "k2"); slices.Equal(a, b) {
-		t.Fatalf("keys k1 and k2 share a wait sequence: %v", a)
+	if a, b := waits(42), waits(43); slices.Equal(a, b) {
+		t.Fatalf("seeds 42 and 43 share a wait sequence: %v", a)
 	}
-	bo := backoff{rng: jitterRand(7, "bounds"), base: base, max: limit}
+	bo := backoff{rng: jitterRand(7), base: base, max: limit}
 	for i := 0; i < 1000; i++ {
 		d := min(base<<min(i, 8), limit)
 		if w := bo.next(0); w < d/2 || w >= d+d/2 {
@@ -413,7 +414,7 @@ func TestBackoff(t *testing.T) {
 		}
 	}
 	const hint = 100 * time.Millisecond
-	bo = backoff{rng: jitterRand(7, "hint"), base: base, max: limit}
+	bo = backoff{rng: jitterRand(8), base: base, max: limit}
 	for i := 0; i < 1000; i++ {
 		if w := bo.next(hint); w < hint/2 || w >= hint+hint/2 {
 			t.Fatalf("hinted wait %d = %v outside [%v, %v)", i, w, hint/2, hint+hint/2)
@@ -534,15 +535,15 @@ func TestServerEvictsSlowReader(t *testing.T) {
 // subtest each.
 var chaosSeeds = []uint64{1337, 7, 2024}
 
-// TestChaosEndToEnd drives four concurrent routed sessions through a
+// TestChaosEndToEnd drives four concurrent keyed sessions through a
 // real server behind a fault-injecting listener: corruption, drops,
 // resets and stalls that outlast the server's FrameTimeout on every
-// server-side conn, one admission slot for all four sessions, and a
-// breaker that trips on the first failure. Online must still equal
-// offline bit for bit, because every fault either resyncs from the
-// authoritative cursor or retries a batch the server never applied. No
-// session and no admission slot may leak, and every breaker transition
-// must be legal.
+// server-side conn, and one admission slot for all four sessions. Each
+// session recovers as a single-node client does (replayKeyed): redial,
+// reopen the key, Replay again. Online must still equal offline bit for
+// bit, because every fault either resyncs from the authoritative cursor
+// or retries a batch the server never applied. No session and no
+// admission slot may leak.
 //
 // Each seed is a subtest. The seed fixes every connection's fault
 // schedule (goroutine timing still varies), so a failing seed reruns
@@ -554,6 +555,75 @@ func TestChaosEndToEnd(t *testing.T) {
 	for _, seed := range chaosSeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { chaosRun(t, seed) })
 	}
+}
+
+// recoverable classifies an error for a keyed session's reopen loop:
+// transport-level failures retry, and so does an unknown-session
+// rejection — after a server restart or idle eviction the keyed re-open
+// restores the session from its checkpoint.
+//
+// A corrupt frame (ErrCorrupt locally, ErrCodeCorrupt from the peer) is
+// fatal for a plain client — the mangled exchange's fate is unknown, so
+// resending the same bytes could double-apply — but recoverable here:
+// the loop drops the connection and resyncs its cursor and tallies from
+// the server's authoritative snapshot instead of retrying bytes,
+// preserving exactly-once.
+func recoverable(err error) bool {
+	if IsRetryable(err) {
+		return true
+	}
+	if errors.Is(err, ErrCorrupt) {
+		return true
+	}
+	var re *RemoteError
+	return errors.As(err, &re) && (re.Code == ErrCodeUnknownSession || re.Code == ErrCodeCorrupt)
+}
+
+// replayKeyed replays tr through the keyed session req.Key on addr, and
+// on every error recoverable accepts redials, reopens the key and calls
+// Replay again, which resumes from the server's cursor. Failed attempts
+// in a row wait out a jittered doubling backoff; an attempt that opened
+// the session restarts it. It returns the result and the number of
+// reopens.
+func replayKeyed(addr string, cfg ClientConfig, req OpenRequest, tr trace.Trace, limit uint64, batchSize int) (sim.Result, int, error) {
+	const maxFailsInRow = 100
+	rng := jitterRand(cfg.Seed)
+	var bo backoff
+	for reopens, fails := 0, 0; ; reopens++ {
+		res, opened, err := replayOnce(addr, cfg, req, tr, limit, batchSize)
+		if err == nil {
+			return res, reopens, nil
+		}
+		if !recoverable(err) {
+			return sim.Result{}, reopens, err
+		}
+		if opened {
+			fails = 0
+		}
+		if fails == 0 {
+			bo = backoff{rng: rng, base: time.Millisecond, max: 2 * time.Second}
+		}
+		if fails++; fails > maxFailsInRow {
+			return sim.Result{}, reopens, fmt.Errorf("key %q: %d failed reopens in a row: %w", req.Key, fails-1, err)
+		}
+		bo.sleep(0)
+	}
+}
+
+// replayOnce is one attempt of replayKeyed: dial, open the key, Replay.
+// opened reports whether the open succeeded.
+func replayOnce(addr string, cfg ClientConfig, req OpenRequest, tr trace.Trace, limit uint64, batchSize int) (res sim.Result, opened bool, err error) {
+	c, err := DialConfig(addr, cfg)
+	if err != nil {
+		return sim.Result{}, false, err
+	}
+	defer c.Close()
+	sess, err := c.OpenSession(req)
+	if err != nil {
+		return sim.Result{}, false, err
+	}
+	res, err = sess.Replay(tr, limit, batchSize, nil)
+	return res, true, err
 }
 
 func chaosRun(t *testing.T, seed uint64) {
@@ -592,22 +662,7 @@ func chaosRun(t *testing.T, seed uint64) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-
-	r, err := NewRouter(RouterConfig{
-		Nodes:            []string{srv.Addr().String()},
-		MaxRetries:       100,
-		RetryBackoff:     time.Millisecond,
-		BreakerThreshold: 1,
-		BreakerCooldown:  5 * time.Millisecond,
-		// A corrupted length prefix in a response can promise bytes the
-		// server never sends; the read deadline turns that hang into
-		// one more recovered fault.
-		Client: ClientConfig{Seed: seed, ReadTimeout: 250 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	addr := srv.Addr().String()
 	specs := []struct {
 		trace string
 		spec  string
@@ -623,6 +678,7 @@ func chaosRun(t *testing.T, seed uint64) {
 	)
 	var wg sync.WaitGroup
 	errs := make([]error, len(specs))
+	reopens := make([]int, len(specs))
 	for i, sc := range specs {
 		wg.Add(1)
 		go func(i int, traceName, spec string) {
@@ -632,12 +688,15 @@ func chaosRun(t *testing.T, seed uint64) {
 				errs[i] = err
 				return
 			}
-			rs, err := r.Open(fmt.Sprintf("chaos/%s", traceName), OpenRequest{Spec: spec})
-			if err != nil {
-				errs[i] = fmt.Errorf("open %s: %w", traceName, err)
-				return
-			}
-			res, err := rs.Replay(tr, limit, batchSize, nil)
+			// A corrupted length prefix in a response can promise bytes
+			// the server never sends; the read deadline turns that hang
+			// into one more recovered fault. Each session gets its own
+			// jitter seed, so sessions hit by one fault do not retry in
+			// lockstep.
+			cfg := ClientConfig{Seed: seed + uint64(i), ReadTimeout: 250 * time.Millisecond}
+			req := OpenRequest{Spec: spec, Key: "chaos/" + traceName}
+			res, n, err := replayKeyed(addr, cfg, req, tr, limit, batchSize)
+			reopens[i] = n
 			if err != nil {
 				errs[i] = fmt.Errorf("replay %s: %w", traceName, err)
 				return
@@ -652,7 +711,6 @@ func chaosRun(t *testing.T, seed uint64) {
 				errs[i] = err
 				return
 			}
-			offline.Mode = res.Mode
 			if res != offline {
 				errs[i] = fmt.Errorf("%s: chaos replay %+v != offline %+v", traceName, res, offline)
 			}
@@ -667,14 +725,17 @@ func chaosRun(t *testing.T, seed uint64) {
 	if total := ln.Stats().Total(); total == 0 {
 		t.Fatal("fault injector injected nothing — the run proved nothing")
 	} else {
-		t.Logf("survived %d injected faults (%s)", total, ln.Stats())
+		t.Logf("survived %d injected faults (%s) with %v reopens", total, ln.Stats(), reopens)
+	}
+	if slices.Max(reopens) == 0 {
+		t.Error("no session reopened its key despite injected faults")
 	}
 
 	// Every session was retired by its Replay. (The engine's service-wide
-	// branch count is not exact: when a close's reply is lost, the router
-	// reopens the key fresh and replays the whole trace again, so the
-	// server counts that session twice while the client result stays
-	// exact.)
+	// branch count is not exact: when a close's reply is lost, the reopen
+	// loop above finds the key retired, opens it fresh and replays the
+	// whole trace again, so the server counts that session twice while
+	// the client result stays exact.)
 	snap := srv.Engine().Snapshot()
 	t.Logf("server: %d sheds, %d slow-peer evictions, %d corrupt frames, %d branches served",
 		snap.ShedBatches, srv.slowEvicted.Load(), srv.corruptFrames.Load(), snap.Branches)
@@ -682,23 +743,12 @@ func chaosRun(t *testing.T, seed uint64) {
 		t.Fatalf("%d sessions still live after every replay finished", snap.LiveSessions)
 	}
 	// No leaked admission slot: a handler may still be finishing a
-	// stalled write to a conn the router already gave up on, so the
+	// stalled write to a conn the client already gave up on, so the
 	// count must drain to zero rather than be zero at once.
 	for deadline := time.Now().Add(5 * time.Second); srv.Engine().Snapshot().InflightBatches != 0; {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d admission slots still held after every replay finished", srv.Engine().Snapshot().InflightBatches)
 		}
 		time.Sleep(time.Millisecond)
-	}
-	for _, ns := range r.Stats() {
-		if ns.Recoveries == 0 {
-			t.Errorf("node %s: no mid-stream recovery despite injected faults", ns.Addr)
-		}
-		// The breaker alternates closed→open→closed, so the opens lead
-		// the closes by at most the one breaker still open.
-		if ns.BreakerOpens < ns.BreakerCloses || ns.BreakerOpens > ns.BreakerCloses+1 {
-			t.Errorf("node %s: %d breaker opens against %d closes", ns.Addr, ns.BreakerOpens, ns.BreakerCloses)
-		}
-		t.Logf("router roll-up %+v", ns)
 	}
 }

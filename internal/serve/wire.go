@@ -57,15 +57,11 @@
 // (FrameSnapGet → FrameSnap) and installable on another server
 // (FrameOpenSnap), which is how sessions migrate.
 //
-// Router places keyed sessions on a multi-node cluster by consistent
-// hashing and recovers them client-side: transport failures and
-// unknown-session rejections retry with capped exponential backoff —
-// reconnecting to the same node (which restores from its checkpoint) or
-// failing over to the next ring node seeded with the last fetched
-// snapshot. ClientSession.Replay and RouterSession.Replay run one batch
-// loop: a session that resumed server-side state, and a routed session
-// after every recovery, adopts the server's tallies and rewinds its
-// trace cursor to the server's authoritative branch count, so the final
+// A client recovers a keyed session that lost its server mid-replay by
+// redialing, reopening the key and calling ClientSession.Replay again:
+// the reopened session resumes from the server's checkpoint or live
+// state, and Replay adopts the server's tallies and rewinds its trace
+// cursor to the server's authoritative branch count, so the final
 // tallies stay bit-identical to an uninterrupted offline sim.Run even
 // across a kill -9 (crash_test.go proves exactly that).
 package serve
@@ -130,7 +126,7 @@ const (
 	// snapshot (AppendSessionSnapshot) any node can resume from.
 	FrameSnap byte = 0x0A
 	// FrameOpenSnap opens (or resumes) a session from a snapshot blob
-	// (uvarint length + bytes): the migration/failover path. Answered with
+	// (uvarint length + bytes): the migration path. Answered with
 	// FrameOpened; if a live session already holds the snapshot's key it
 	// wins and the blob is ignored.
 	FrameOpenSnap byte = 0x0B
@@ -173,9 +169,9 @@ var ErrProtocol = fmt.Errorf("serve: protocol error")
 // of range: the bytes were mangled in flight. It wraps ErrProtocol —
 // fatal for the connection, and NOT blindly retryable (a corrupt
 // *response* means the server may already have applied the request;
-// resending would double-apply). The Router recovers from it anyway,
-// because its resync path re-reads the server's authoritative cursor
-// instead of retrying bytes.
+// resending would double-apply). A keyed session recovers from it
+// anyway by reopening its key, because Replay's resync re-reads the
+// server's authoritative cursor instead of retrying bytes.
 var ErrCorrupt = fmt.Errorf("%w: frame checksum mismatch", ErrProtocol)
 
 // ErrIO reports a transport-level failure (truncated read mid-frame, a

@@ -258,7 +258,7 @@ func TestReadFrameLimits(t *testing.T) {
 	// A length prefix out of range — too short for a type byte and CRC,
 	// or oversized, which must be rejected before any allocation of that
 	// size — is corruption in flight exactly like a mangled body, since
-	// the CRC does not cover the prefix: ErrCorrupt, which the router
+	// the CRC does not cover the prefix: ErrCorrupt, which a keyed reopen
 	// recovers from, not a bare (fatal) ErrProtocol.
 	for _, length := range []uint32{0, 3, 4, MaxFrame + 1, math.MaxUint32} {
 		frame := binary.LittleEndian.AppendUint32(nil, length)

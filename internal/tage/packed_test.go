@@ -188,9 +188,9 @@ func newSOA(cfg Config, auto counter.Automaton) *soaPredictor {
 			ps = cfg.PathBits
 		}
 		p.pathSizes[i] = ps
-		p.folds[3*i] = history.MakeFolded(hl, int(cfg.TaggedLog))
-		p.folds[3*i+1] = history.MakeFolded(hl, tagBits)
-		p.folds[3*i+2] = history.MakeFolded(hl, t2)
+		p.folds[3*i] = *history.NewFolded(hl, int(cfg.TaggedLog))
+		p.folds[3*i+1] = *history.NewFolded(hl, tagBits)
+		p.folds[3*i+2] = *history.NewFolded(hl, t2)
 	}
 	return p
 }
@@ -489,9 +489,9 @@ func TestFoldWordMatchesFolded(t *testing.T) {
 				p.folds[0].out = lay.out(hl)
 				buf := history.NewBuffer(hl + 2)
 				ref := []history.Folded{
-					history.MakeFolded(hl, int(taggedLog)),
-					history.MakeFolded(hl, int(tagBits)),
-					history.MakeFolded(hl, int(tagBits-1)),
+					*history.NewFolded(hl, int(taggedLog)),
+					*history.NewFolded(hl, int(tagBits)),
+					*history.NewFolded(hl, int(tagBits-1)),
 				}
 				rng := xrand.New(uint64(hl)<<16 | uint64(taggedLog)<<8 | uint64(tagBits))
 				for i := 0; i < hl+200; i++ {

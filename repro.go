@@ -181,26 +181,3 @@ func OpenCheckpointStore(dir string) (*CheckpointStore, error) {
 // ServeOpenRequest names the backend (and optional durable key) a
 // session open carries (see serve.OpenRequest).
 type ServeOpenRequest = serve.OpenRequest
-
-// RouterConfig configures a failover-aware session router over a set of
-// server nodes (see serve.RouterConfig).
-type RouterConfig = serve.RouterConfig
-
-// SessionRouter places keyed sessions on a cluster of servers by
-// consistent hashing and transparently recovers them from node restarts
-// and failures (see serve.Router).
-type SessionRouter = serve.Router
-
-// RoutedSession is a keyed session managed by a SessionRouter; its
-// Replay survives node crashes, restarts and failovers with tallies
-// bit-identical to an uninterrupted run (see serve.RouterSession).
-type RoutedSession = serve.RouterSession
-
-// RouterNodeStats is the per-node roll-up of sessions placed, retries
-// and failovers (see serve.NodeStats).
-type RouterNodeStats = serve.NodeStats
-
-// NewSessionRouter builds a failover-aware session router.
-func NewSessionRouter(cfg RouterConfig) (*SessionRouter, error) {
-	return serve.NewRouter(cfg)
-}
