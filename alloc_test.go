@@ -436,79 +436,8 @@ func TestObsHotPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestTraceOpenReuseZeroAllocs asserts that reopening a synthetic
-// workload Program allocates nothing once its reader pool is warm: an
-// exhausted reader returns itself to the Program's pool, and the next
-// Open re-derives every random stream and resets (not reallocates) every
-// behavior instance. This is the guarantee that cut the ~290k
-// trace-open allocations a full Table 1 run used to pay (3 configs × 2
-// suites × 20 traces, each Open rebuilding hundreds of per-site
-// objects). The program below deliberately includes every behavior
-// archetype, so a behavior whose instance loses its Resettable
-// implementation shows up here as a per-Open allocation.
-func TestTraceOpenReuseZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector makes sync.Pool drop Puts; pool-recycling alloc pins cannot hold under -race")
-	}
-	prog := workload.NewBuilder("alloc-probe", 0xA110C).
-		SetLength(2048).
-		Block(4, 2, 5,
-			workload.S(workload.Const{Taken: true}),
-			workload.S(workload.Loop{Trip: 7}),
-			workload.S(workload.VarLoop{Min: 2, Max: 9}),
-			workload.S(workload.Biased{P: 0.7}),
-		).
-		Block(3, 2, 4,
-			workload.S(workload.Pattern{Bits: []bool{true, false, true}, Noise: 0.01}),
-			workload.S(workload.Correlated{Lags: []int{2, 5}, Noise: 0.02}),
-			workload.S(workload.Markov{PHot: 0.9, PCold: 0.1, Switch: 0.01}),
-		).
-		Block(2, 1, 3,
-			workload.S(workload.Phased{
-				Phases: []workload.Behavior{workload.Biased{P: 0.9}, workload.Loop{Trip: 4}},
-				Period: 200,
-			}),
-			workload.S(workload.LocalPattern{Taps: []int{1, 3}}),
-		).
-		MustBuild()
-
-	drain := func() {
-		r := prog.Open()
-		for {
-			if _, err := r.Next(); err != nil {
-				return
-			}
-		}
-	}
-	allocs := testing.AllocsPerRun(30, drain)
-	if allocs != 0 {
-		t.Fatalf("%v allocs per trace reopen, want 0 (reader pool not recycling)", allocs)
-	}
-
-	// Every experiment drives traces through trace.Limit (sim.Run wraps
-	// unconditionally), so the wrapped path must recycle too: the
-	// truncating wrapper releases the inner reader back to the pool via
-	// the exported Close hook. Only the limitReader wrapper itself may
-	// allocate per Open.
-	for _, limit := range []uint64{1024, 2048, 4096} { // truncated, exact, over-length
-		lt := trace.Limit(prog, limit)
-		drainWrapped := func() {
-			r := lt.Open()
-			for {
-				if _, err := r.Next(); err != nil {
-					return
-				}
-			}
-		}
-		allocs = testing.AllocsPerRun(30, drainWrapped)
-		if allocs > 1 {
-			t.Fatalf("limit %d: %v allocs per wrapped reopen, want <= 1 (inner reader not recycling through trace.Limit)", limit, allocs)
-		}
-	}
-}
-
-// TestTraceDecodeZeroAllocs asserts the chunked file decoder allocates
-// nothing per decoded record.
+// TestTraceDecodeZeroAllocs asserts the reader of a loaded trace file
+// allocates nothing per record.
 func TestTraceDecodeZeroAllocs(t *testing.T) {
 	src, err := workload.ByName("FP-1")
 	if err != nil {
@@ -518,11 +447,11 @@ func TestTraceDecodeZeroAllocs(t *testing.T) {
 	if err := trace.WriteFile(path, trace.Limit(src, 60_000)); err != nil {
 		t.Fatal(err)
 	}
-	ft, err := trace.OpenFile(path)
+	mem, err := trace.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := ft.Open()
+	r := mem.Open()
 	allocs := testing.AllocsPerRun(30_000, func() {
 		if _, err := r.Next(); err != nil {
 			t.Fatal(err)
@@ -530,20 +459,5 @@ func TestTraceDecodeZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("%v allocs per decoded file record, want 0", allocs)
-	}
-
-	// The in-memory reader must also be allocation-free per record.
-	mem, err := trace.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mr := mem.Open()
-	allocs = testing.AllocsPerRun(30_000, func() {
-		if _, err := mr.Next(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("%v allocs per decoded memory record, want 0", allocs)
 	}
 }

@@ -38,9 +38,9 @@ func main() {
 	var tr trace.Trace
 	switch {
 	case *inFile != "":
-		// Stream the file through the chunked decoder instead of loading
-		// it into memory: stats and re-export are single passes.
-		t, err := trace.OpenFile(*inFile)
+		// The file is loaded whole (16 bytes per record); a malformed
+		// file fails here with trace.ErrBadFormat.
+		t, err := trace.ReadFile(*inFile)
 		if err != nil {
 			fatal(err)
 		}

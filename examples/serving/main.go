@@ -52,14 +52,6 @@ func (r *gatedReader) Next() (repro.Branch, error) {
 	return r.rd.Next()
 }
 
-// Close forwards an early release (a replay aborted mid-trace) to the
-// wrapped reader.
-func (r *gatedReader) Close() {
-	if c, ok := r.rd.(interface{ Close() }); ok {
-		c.Close()
-	}
-}
-
 // serve starts an in-process server on an ephemeral loopback port and
 // returns it with its address.
 func serve(cfg repro.ServeConfig) (*repro.Server, string) {

@@ -12,69 +12,55 @@ type Renderer interface {
 	Render(w io.Writer)
 }
 
-// Names lists the invocable experiment identifiers in presentation order.
+// experiment is one invocable experiment: its identifier and how a Runner
+// computes it.
+type experiment struct {
+	name string
+	run  func(*Runner) (Renderer, error)
+}
+
+// as adapts a typed Runner method to the registry's signature.
+func as[T Renderer](run func(*Runner) (T, error)) func(*Runner) (Renderer, error) {
+	return func(r *Runner) (Renderer, error) { return run(r) }
+}
+
+// registry lists every experiment in presentation order.
+var registry = []experiment{
+	{"table1", as((*Runner).RunTable1)},
+	{"fig2", as((*Runner).RunFigure2)},
+	{"fig3", as((*Runner).RunFigure3)},
+	{"fig4", as((*Runner).RunFigure4)},
+	{"fig5", as((*Runner).RunFigure5)},
+	{"fig6", as((*Runner).RunFigure6)},
+	{"table2", as(func(r *Runner) (ThreeClassTable, error) { return r.RunThreeClass(false) })},
+	{"table3", as(func(r *Runner) (ThreeClassTable, error) { return r.RunThreeClass(true) })},
+	{"sweep", as((*Runner).RunSweep)},
+	{"ablation-window", as((*Runner).RunBimWindowAblation)},
+	{"ablation-usealt", as((*Runner).RunUseAltAblation)},
+	{"ablation-ctr", as((*Runner).RunCtrWidthAblation)},
+	{"estimators", as((*Runner).RunEstimatorComparison)},
+	{"selfconf", as((*Runner).RunSelfConfidence)},
+	{"ltage", as((*Runner).RunLTAGE)},
+	{"inversion", as((*Runner).RunInversion)},
+	{"applications", as((*Runner).RunApplications)},
+	{"census", as((*Runner).RunFamilyCensus)},
+}
+
+// Names lists the invocable experiment identifiers in presentation order,
+// then "all".
 //
 //repro:deterministic
 func Names() []string {
-	return []string{
-		"table1", "fig2", "fig3", "fig4", "fig5", "fig6",
-		"table2", "table3", "sweep",
-		"ablation-window", "ablation-usealt", "ablation-ctr", "estimators",
-		"selfconf", "ltage", "inversion", "applications", "census",
-		"all",
+	names := make([]string, 0, len(registry)+1)
+	for _, e := range registry {
+		names = append(names, e.name)
 	}
+	return append(names, "all")
 }
 
 // Run executes the named experiment (or all of them) and returns the
 // renderers in presentation order.
 func (r *Runner) Run(name string) ([]Renderer, error) {
-	single := map[string]func() (Renderer, error){
-		"table1": func() (Renderer, error) { v, err := r.RunTable1(); return v, err },
-		"fig2":   func() (Renderer, error) { v, err := r.RunFigure2(); return v, err },
-		"fig3":   func() (Renderer, error) { v, err := r.RunFigure3(); return v, err },
-		"fig4":   func() (Renderer, error) { v, err := r.RunFigure4(); return v, err },
-		"fig5":   func() (Renderer, error) { v, err := r.RunFigure5(); return v, err },
-		"fig6":   func() (Renderer, error) { v, err := r.RunFigure6(); return v, err },
-		"table2": func() (Renderer, error) { v, err := r.RunThreeClass(false); return v, err },
-		"table3": func() (Renderer, error) { v, err := r.RunThreeClass(true); return v, err },
-		"sweep":  func() (Renderer, error) { v, err := r.RunSweep(); return v, err },
-		"ablation-window": func() (Renderer, error) {
-			v, err := r.RunBimWindowAblation()
-			return v, err
-		},
-		"ablation-usealt": func() (Renderer, error) {
-			v, err := r.RunUseAltAblation()
-			return v, err
-		},
-		"ablation-ctr": func() (Renderer, error) {
-			v, err := r.RunCtrWidthAblation()
-			return v, err
-		},
-		"estimators": func() (Renderer, error) {
-			v, err := r.RunEstimatorComparison()
-			return v, err
-		},
-		"selfconf": func() (Renderer, error) {
-			v, err := r.RunSelfConfidence()
-			return v, err
-		},
-		"ltage": func() (Renderer, error) {
-			v, err := r.RunLTAGE()
-			return v, err
-		},
-		"inversion": func() (Renderer, error) {
-			v, err := r.RunInversion()
-			return v, err
-		},
-		"applications": func() (Renderer, error) {
-			v, err := r.RunApplications()
-			return v, err
-		},
-		"census": func() (Renderer, error) {
-			v, err := r.RunFamilyCensus()
-			return v, err
-		},
-	}
 	if name == "all" {
 		// The experiments themselves are the outermost parallel axis: they
 		// fan out across the pool (each one fanning its own arms and traces
@@ -83,17 +69,11 @@ func (r *Runner) Run(name string) ([]Renderer, error) {
 		// suite) triple shared between concurrent experiments — table2 and
 		// the sweep both want the modified 16K/CBP-1 run, say — is
 		// simulated exactly once.
-		var names []string
-		for _, n := range Names() {
-			if n != "all" {
-				names = append(names, n)
-			}
-		}
-		out := make([]Renderer, len(names))
-		err := r.Pool.ForEach(len(names), func(i int) error {
-			v, err := single[names[i]]()
+		out := make([]Renderer, len(registry))
+		err := r.Pool.ForEach(len(registry), func(i int) error {
+			v, err := registry[i].run(r)
 			if err != nil {
-				return fmt.Errorf("experiment %s: %w", names[i], err)
+				return fmt.Errorf("experiment %s: %w", registry[i].name, err)
 			}
 			out[i] = v
 			return nil
@@ -103,15 +83,16 @@ func (r *Runner) Run(name string) ([]Renderer, error) {
 		}
 		return out, nil
 	}
-	f, ok := single[name]
-	if !ok {
-		known := Names()
-		sort.Strings(known)
-		return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v)", name, known)
+	for _, e := range registry {
+		if e.name == name {
+			v, err := e.run(r)
+			if err != nil {
+				return nil, fmt.Errorf("experiment %s: %w", name, err)
+			}
+			return []Renderer{v}, nil
+		}
 	}
-	v, err := f()
-	if err != nil {
-		return nil, fmt.Errorf("experiment %s: %w", name, err)
-	}
-	return []Renderer{v}, nil
+	known := Names()
+	sort.Strings(known)
+	return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v)", name, known)
 }

@@ -62,13 +62,6 @@ func (b *Buffer) Bit(i int) uint8 {
 	return uint8(b.words[p>>6]>>(uint(p)&63)) & 1
 }
 
-// Reset clears the buffer to its freshly-constructed state (all bits zero)
-// without reallocating, so pooled readers can recycle their history.
-func (b *Buffer) Reset() {
-	clear(b.words)
-	b.head = 0
-}
-
 // Len returns the number of bits the buffer can address.
 //
 //repro:hotpath

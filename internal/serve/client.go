@@ -393,33 +393,18 @@ func (s *ClientSession) Replay(tr trace.Trace, limit uint64, batchSize int, lat 
 	}
 	batch := make([]trace.Branch, 0, batchSize)
 	rd := trace.Limit(tr, limit).Open()
-	// Release the reader's resources (open file, pooled decode or
-	// generator state) if the replay aborts mid-trace — a server or
-	// network error must not leak a file descriptor per failed replay.
-	// Once the reader returns io.EOF or a decode error it must not be
-	// touched again (it closes itself, and its state may already be
-	// recycled into another Open), so the release only fires on the
-	// not-yet-drained paths.
-	drained := false
-	defer func() {
-		if c, ok := rd.(interface{ Close() }); ok && !drained {
-			c.Close()
-		}
-	}()
 	for skip := local.Branches; skip > 0; skip-- {
 		if _, err := rd.Next(); err != nil {
-			drained = true
 			// %v, not %w: a trace shorter than the server's cursor ends in
 			// io.EOF, which must not read as a retryable transport error.
 			return sim.Result{}, fmt.Errorf("serve: rewinding %s to branch %d: %v", tr.Name(), local.Branches, err)
 		}
 	}
-	for !drained {
+	for {
 		batch = batch[:0]
 		for len(batch) < cap(batch) {
 			b, err := rd.Next()
 			if err != nil {
-				drained = true
 				if !errors.Is(err, io.EOF) {
 					return sim.Result{}, err
 				}

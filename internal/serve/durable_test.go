@@ -225,13 +225,6 @@ func (r *gatedReader) Next() (trace.Branch, error) {
 	return r.rd.Next()
 }
 
-// Close forwards an early release to the wrapped reader.
-func (r *gatedReader) Close() {
-	if c, ok := r.rd.(interface{ Close() }); ok {
-		c.Close()
-	}
-}
-
 // TestKeyedResumeAfterRestart pins the single-node recovery recipe: a
 // keyed replay whose server shuts down mid-stream fails, and once a
 // replacement server boots on the same address and state directory the

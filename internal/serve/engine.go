@@ -54,7 +54,7 @@ type Engine struct {
 	// checkpoint store pointer. It is held across a whole keyed open,
 	// close, sweep, or checkpoint pass, so a key can never race itself
 	// (e.g. an eviction writing a final checkpoint while an open adopts
-	// the previous one). Lock order: keyMu → registry shard → session mu
+	// the previous one). Lock order: keyMu → registry mu → session mu
 	// → retiredMu.
 	keyMu  sync.Mutex
 	keys   map[string]uint64
@@ -77,9 +77,6 @@ type Engine struct {
 
 // EngineConfig sizes an Engine.
 type EngineConfig struct {
-	// Shards is the registry stripe count (rounded up to a power of two;
-	// 0 selects DefaultShards).
-	Shards int
 	// MaxSessions caps live sessions (0 = unlimited). Opens beyond the
 	// cap fail with ErrCodeSessionLimit.
 	MaxSessions int
@@ -97,25 +94,18 @@ type EngineConfig struct {
 	MaxInflight int
 }
 
-// DefaultShards is the registry stripe count when none is configured.
-const DefaultShards = 16
-
 // defaultBackendSpec is the backend an engine serves to requests that
 // name none when EngineConfig.DefaultSpec is empty.
 const defaultBackendSpec = "tage-64K"
 
 // NewEngine builds an engine.
 func NewEngine(cfg EngineConfig) *Engine {
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = DefaultShards
-	}
 	def := cfg.DefaultSpec
 	if def == "" {
 		def = defaultBackendSpec
 	}
 	return &Engine{
-		reg:         newRegistry(shards, cfg.MaxSessions),
+		reg:         newRegistry(cfg.MaxSessions),
 		defaultSpec: def,
 		maxInflight: int64(cfg.MaxInflight),
 		retiredBy:   make(map[string]BackendCounts),
@@ -407,7 +397,7 @@ func (e *Engine) Close(id uint64) (sim.Result, error) {
 	res, first := s.retire()
 	if !first {
 		// Defensive: retire() is only ever called by whichever side
-		// exclusively removed the session from its shard (here, or the
+		// exclusively removed the session from the registry (here, or the
 		// evictor in SweepIdle), so the remover always retires first and
 		// this branch is unreachable today. Release the cap slot anyway
 		// — if a future refactor made retirement lose a race, skipping
@@ -671,7 +661,7 @@ func (e *Engine) Snapshot() Snapshot {
 	e.reg.forEach(func(s *Session) {
 		res, ok := s.liveStats()
 		if !ok {
-			// Retired between the shard snapshot and here; it is (or is
+			// Retired between the registry snapshot and here; it is (or is
 			// about to be) folded into the retired aggregate and will be
 			// fully visible at the next scrape.
 			return

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -272,7 +273,7 @@ func TestIdleEviction(t *testing.T) {
 // every session's tallies must fold exactly once (no double counting, no
 // loss), whichever side wins.
 func TestEngineSweepVsCloseRace(t *testing.T) {
-	eng := NewEngine(EngineConfig{Shards: 4})
+	eng := NewEngine(EngineConfig{})
 	const sessions = 64
 	branches := sampleBranches(100, 9)
 	ids := make([]uint64, sessions)
@@ -311,7 +312,7 @@ func TestEngineSweepVsCloseRace(t *testing.T) {
 // the offline driver. Under -race this is the acceptance criterion's
 // concurrency check.
 func TestConcurrentSessions(t *testing.T) {
-	srv := startServer(t, Config{Engine: EngineConfig{Shards: 4}})
+	srv := startServer(t, Config{})
 	const (
 		conns = 12
 		limit = 8_000
@@ -484,13 +485,11 @@ func TestLatencyRecording(t *testing.T) {
 	}
 }
 
-// TestRegistrySharding covers the registry directly: shard rounding,
-// id→shard spread, and cap accounting under churn.
-func TestRegistrySharding(t *testing.T) {
-	r := newRegistry(3, 0) // rounds up to 4
-	if len(r.shards) != 4 {
-		t.Fatalf("3 shards rounded to %d, want 4", len(r.shards))
-	}
+// TestRegistryOrderAndCap covers the registry directly: forEach visits
+// every live session in ascending id order, and the cap accounting
+// returns to zero under churn.
+func TestRegistryOrderAndCap(t *testing.T) {
+	r := newRegistry(0)
 	var ids []uint64
 	for i := 0; i < 100; i++ {
 		id, ok := r.reserve()
@@ -504,15 +503,15 @@ func TestRegistrySharding(t *testing.T) {
 	if r.count() != 100 {
 		t.Fatalf("count %d, want 100", r.count())
 	}
-	perShard := map[uint64]int{}
 	for _, id := range ids {
-		perShard[id&r.mask]++
 		if _, ok := r.get(id); !ok {
 			t.Fatalf("session %d not found", id)
 		}
 	}
-	if len(perShard) != 4 {
-		t.Fatalf("sequential ids landed on %d/4 shards", len(perShard))
+	var visited []uint64
+	r.forEach(func(s *Session) { visited = append(visited, s.id) })
+	if !slices.Equal(visited, ids) {
+		t.Fatalf("forEach visited %v, want ascending %v", visited, ids)
 	}
 	for _, id := range ids {
 		if _, ok := r.remove(id); !ok {

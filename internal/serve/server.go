@@ -35,8 +35,8 @@ type Config struct {
 	// profiling endpoints are never reachable from the scrape network by
 	// accident.
 	DebugAddr string
-	// Engine sizes the session engine (shards, max sessions, default
-	// predictor configuration).
+	// Engine sizes the session engine (max sessions, default predictor,
+	// in-flight batch cap).
 	Engine EngineConfig
 	// IdleTimeout evicts sessions with no traffic for this long; 0
 	// selects DefaultIdleTimeout, negative disables eviction.

@@ -9,7 +9,8 @@
 // are not redistributable; internal/workload provides deterministic
 // synthetic Trace implementations standing in for them (see its package doc).
 // This package additionally provides a compact binary on-disk format so
-// generated traces can be exported, inspected and re-read.
+// generated traces can be exported, inspected and re-read; Read and
+// ReadFile load a whole file into a Mem.
 package trace
 
 import (
@@ -20,7 +21,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sync"
 )
 
 // Branch is one dynamic conditional branch.
@@ -37,13 +37,6 @@ type Branch struct {
 
 // Reader yields the records of one pass over a trace. Next returns io.EOF
 // after the last record.
-//
-// A Reader holding releasable resources (an open file, pooled decode or
-// generator state) may additionally implement Close(); Limit probes for
-// it so truncated passes release those resources immediately instead of
-// holding them until their natural EOF. A Reader must not be used again
-// after Close or after it has returned io.EOF — its state may be
-// recycled into the next Open of the same trace.
 type Reader interface {
 	Next() (Branch, error)
 }
@@ -277,60 +270,11 @@ func writeRecords(w io.Writer, name string, records []Branch) error {
 
 // Read parses a serialized trace fully into memory.
 func Read(r io.Reader) (*Mem, error) {
-	br := bufio.NewReader(r)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
-	if m != magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadFormat, m[:])
-	}
-	nameLen, err := binary.ReadUvarint(br)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("%w: name length: %v", ErrBadFormat, err)
+		return nil, fmt.Errorf("trace: read: %w", err)
 	}
-	if nameLen > 1<<16 {
-		return nil, fmt.Errorf("%w: unreasonable name length %d", ErrBadFormat, nameLen)
-	}
-	nameBuf := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, nameBuf); err != nil {
-		return nil, fmt.Errorf("%w: name: %v", ErrBadFormat, err)
-	}
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("%w: count: %v", ErrBadFormat, err)
-	}
-	if count > 1<<32 {
-		return nil, fmt.Errorf("%w: unreasonable record count %d", ErrBadFormat, count)
-	}
-	// The count field is attacker-controlled until the records back it up:
-	// cap the up-front reservation so a hostile header cannot demand gigabytes
-	// before a single record parses. Larger traces grow via append, which
-	// only commits memory the stream has actually delivered.
-	reserve := min(count, 1<<20)
-	out := &Mem{TraceName: string(nameBuf), Records: make([]Branch, 0, reserve)}
-	prevPC := uint64(0)
-	for i := uint64(0); i < count; i++ {
-		delta, err := binary.ReadVarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: record %d pc: %v", ErrBadFormat, i, err)
-		}
-		pc := uint64(int64(prevPC) + delta)
-		prevPC = pc
-		packed, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: record %d packed: %v", ErrBadFormat, i, err)
-		}
-		if packed>>1 >= math.MaxUint32 {
-			return nil, fmt.Errorf("%w: record %d: instruction count %d out of range", ErrBadFormat, i, packed>>1+1)
-		}
-		out.Records = append(out.Records, Branch{
-			PC:    pc,
-			Taken: packed&1 == 1,
-			Instr: uint32(packed>>1) + 1,
-		})
-	}
-	return out, nil
+	return decode(data)
 }
 
 // WriteFile serializes a trace to the named file.
@@ -348,220 +292,56 @@ func WriteFile(path string, t Trace) error {
 
 // ReadFile loads a trace file written by WriteFile.
 func ReadFile(path string) (*Mem, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return Read(f)
+	return decode(data)
 }
 
-// OpenFile returns a Trace backed by a file without loading it into
-// memory: each Open re-reads the file, decoding records on demand. The
-// header is validated eagerly so a malformed file fails at OpenFile time.
-func OpenFile(path string) (Trace, error) {
-	ft := &fileTrace{path: path}
-	r, err := ft.open()
-	if err != nil {
-		return nil, err
+// decode parses one serialized trace, decoding every record with
+// DecodeRecord, the codec the serve wire protocol also uses.
+func decode(data []byte) (*Mem, error) {
+	if len(data) < len(magic) || [4]byte(data) != magic {
+		return nil, fmt.Errorf("%w: bad magic %q", ErrBadFormat, data[:min(len(data), len(magic))])
 	}
-	ft.name = r.name
-	return ft, nil
-}
-
-type fileTrace struct {
-	path string
-	name string
-}
-
-func (t *fileTrace) Name() string { return t.name }
-
-// Open implements Trace. Errors opening the file surface through the
-// first Next call.
-func (t *fileTrace) Open() Reader {
-	r, err := t.open()
-	if err != nil {
-		return errReader{err}
-	}
-	return r
-}
-
-// fileBufSize is the chunk size of the streaming file decoder. 64 KiB
-// amortizes syscalls well while staying cache-resident.
-const fileBufSize = 64 * 1024
-
-// fileBufPool recycles decode chunks across Opens, so repeated passes over
-// file traces (suite re-runs, parallel workers) allocate no new buffers in
-// steady state.
-var fileBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, fileBufSize)
-		return &b
-	},
-}
-
-func (t *fileTrace) open() (*fileReader, error) {
-	f, err := os.Open(t.path)
-	if err != nil {
-		return nil, err
-	}
-	bp := fileBufPool.Get().(*[]byte)
-	r := &fileReader{f: f, bufp: bp, buf: *bp}
-	fail := func(err error) (*fileReader, error) {
-		r.close()
-		return nil, err
-	}
-	var m [4]byte
-	if err := r.readFull(m[:]); err != nil {
-		return fail(fmt.Errorf("%w: %v", ErrBadFormat, err))
-	}
-	if m != magic {
-		return fail(fmt.Errorf("%w: bad magic %q", ErrBadFormat, m[:]))
-	}
-	nameLen, err := r.uvarint()
-	if err != nil || nameLen > 1<<16 {
-		return fail(fmt.Errorf("%w: name length", ErrBadFormat))
-	}
-	nameBuf := make([]byte, nameLen)
-	if err := r.readFull(nameBuf); err != nil {
-		return fail(fmt.Errorf("%w: name: %v", ErrBadFormat, err))
-	}
-	count, err := r.uvarint()
-	if err != nil {
-		return fail(fmt.Errorf("%w: count: %v", ErrBadFormat, err))
-	}
-	r.name = string(nameBuf)
-	r.left = count
-	return r, nil
-}
-
-type errReader struct{ err error }
-
-func (e errReader) Next() (Branch, error) { return Branch{}, e.err }
-
-// fileReader streams records out of a trace file through a reusable chunk
-// buffer, decoding varints directly from the chunk (no per-byte interface
-// calls, no per-record allocations).
-type fileReader struct {
-	f      *os.File
-	name   string
-	left   uint64
-	prevPC uint64
-
-	buf      []byte
-	bufp     *[]byte // pooled backing array, returned on close
-	pos, end int
-	eof      bool
-	closed   bool
-	err      error // sticky result returned by every Next after close
-}
-
-// refill slides the unread tail to the front of the chunk and fills the
-// rest from the file.
-func (r *fileReader) refill() error {
-	if r.pos > 0 {
-		copy(r.buf, r.buf[r.pos:r.end])
-		r.end -= r.pos
-		r.pos = 0
-	}
-	for r.end < len(r.buf) && !r.eof {
-		n, err := r.f.Read(r.buf[r.end:])
-		r.end += n
-		if err == io.EOF || (err == nil && n == 0) {
-			r.eof = true
-			break
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readFull copies len(p) bytes out of the stream (header fields only).
-func (r *fileReader) readFull(p []byte) error {
-	for len(p) > 0 {
-		if r.pos == r.end {
-			if r.eof {
-				return io.ErrUnexpectedEOF
-			}
-			if err := r.refill(); err != nil {
-				return err
-			}
-			continue
-		}
-		n := copy(p, r.buf[r.pos:r.end])
-		r.pos += n
-		p = p[n:]
-	}
-	return nil
-}
-
-// uvarint decodes one unsigned varint from the chunk, refilling if the
-// remaining window could truncate it.
-func (r *fileReader) uvarint() (uint64, error) {
-	if r.end-r.pos < binary.MaxVarintLen64 && !r.eof {
-		if err := r.refill(); err != nil {
-			return 0, err
-		}
-	}
-	v, n := binary.Uvarint(r.buf[r.pos:r.end])
+	src := data[len(magic):]
+	nameLen, n := binary.Uvarint(src)
 	if n <= 0 {
-		return 0, io.ErrUnexpectedEOF
+		return nil, fmt.Errorf("%w: name length: truncated varint", ErrBadFormat)
 	}
-	r.pos += n
-	return v, nil
-}
-
-// Next implements Reader, decoding one record; the underlying file closes
-// automatically at EOF or on the first decode error, and every later Next
-// repeats that final result.
-func (r *fileReader) Next() (Branch, error) {
-	if r.closed {
-		return Branch{}, r.err
+	src = src[n:]
+	if nameLen > 1<<16 {
+		return nil, fmt.Errorf("%w: unreasonable name length %d", ErrBadFormat, nameLen)
 	}
-	if r.left == 0 {
-		r.fail(io.EOF)
-		return Branch{}, io.EOF
+	if nameLen > uint64(len(src)) {
+		return nil, fmt.Errorf("%w: name: %d of %d bytes", ErrBadFormat, len(src), nameLen)
 	}
-	// One refill check covers both varints of the record.
-	if r.end-r.pos < 2*binary.MaxVarintLen64 && !r.eof {
-		if err := r.refill(); err != nil {
-			return Branch{}, r.fail(fmt.Errorf("%w: read: %v", ErrBadFormat, err))
+	name := string(src[:nameLen])
+	src = src[nameLen:]
+	count, n := binary.Uvarint(src)
+	if n <= 0 {
+		return nil, fmt.Errorf("%w: count: truncated varint", ErrBadFormat)
+	}
+	src = src[n:]
+	// The count field is untrusted until the records back it up. Every
+	// record takes at least two bytes, so a count the remaining bytes
+	// cannot hold is rejected before anything count-sized is reserved.
+	if count > 1<<32 || count > uint64(len(src))/2 {
+		return nil, fmt.Errorf("%w: %d records in %d bytes", ErrBadFormat, count, len(src))
+	}
+	out := &Mem{TraceName: name, Records: make([]Branch, count)}
+	prevPC := uint64(0)
+	for i := range out.Records {
+		b, n, pc, err := DecodeRecord(src, prevPC)
+		if err != nil {
+			return nil, fmt.Errorf("record %d: %w", i, err)
 		}
+		out.Records[i] = b
+		src, prevPC = src[n:], pc
 	}
-	b, n, pc, err := DecodeRecord(r.buf[r.pos:r.end], r.prevPC)
-	if err != nil {
-		return Branch{}, r.fail(err)
-	}
-	r.pos += n
-	r.prevPC = pc
-	r.left--
-	return b, nil
+	return out, nil
 }
-
-// fail closes the reader with a sticky result and returns it.
-func (r *fileReader) fail(err error) error {
-	if !r.closed {
-		r.closed = true
-		r.err = err
-		r.pos, r.end = 0, 0
-		r.f.Close()
-		if r.bufp != nil {
-			fileBufPool.Put(r.bufp)
-			r.buf, r.bufp = nil, nil
-		}
-	}
-	return r.err
-}
-
-// close releases the reader early (limit truncation); later Nexts see EOF.
-func (r *fileReader) close() { r.fail(io.EOF) }
-
-// Close implements the exported release hook Limit probes for. (The
-// unexported close above remains for package-internal error paths; an
-// unexported method could never satisfy a cross-package interface probe.)
-func (r *fileReader) Close() { r.close() }
 
 // Limit wraps a trace, truncating every pass after max records. A max of 0
 // means no limit. It is how experiment harnesses run shortened simulations.
@@ -584,46 +364,12 @@ func (l *limited) Open() Reader { return &limitReader{inner: l.inner.Open(), lef
 type limitReader struct {
 	inner Reader
 	left  uint64
-	err   error // sticky result repeated once the inner reader is released
-}
-
-// Close releases the wrapped reader early (abandoned passes — e.g. a
-// serving client whose session died mid-replay). Safe after EOF or a
-// prior Close: the wrapper has already dropped its inner reference by
-// then, so a recycled reader can never be touched.
-func (r *limitReader) Close() {
-	if r.inner == nil {
-		return
-	}
-	if c, ok := r.inner.(interface{ Close() }); ok {
-		c.Close()
-	}
-	r.inner, r.err = nil, io.EOF
 }
 
 func (r *limitReader) Next() (Branch, error) {
-	if r.inner == nil {
-		return Branch{}, r.err
-	}
 	if r.left == 0 {
-		// Release resources held by truncated inner readers (file
-		// descriptor, pooled decode buffer, recycled generator state) that
-		// would otherwise only be freed when drained to their natural EOF.
-		if c, ok := r.inner.(interface{ Close() }); ok {
-			c.Close()
-		}
-		r.inner, r.err = nil, io.EOF
 		return Branch{}, io.EOF
 	}
-	b, err := r.inner.Next()
-	if err != nil {
-		// The inner reader finished on its own (natural EOF or a sticky
-		// decode error) and may already have recycled itself into another
-		// Open of the same trace; drop the reference on this path too so
-		// the wrapper can never touch a reader live in another pass.
-		r.inner, r.err = nil, err
-		return b, err
-	}
 	r.left--
-	return b, nil
+	return r.inner.Next()
 }

@@ -49,15 +49,6 @@ type Instance interface {
 	Next(env *Env) bool
 }
 
-// Resettable is an optional Instance extension: Reset(r) must leave the
-// instance in exactly the state Behavior.New(r) would have produced, given
-// an identically-seeded r. Pooled trace readers use it to replay a trace
-// without reallocating per-site state; instances that do not implement it
-// are rebuilt through Behavior.New on every pass.
-type Resettable interface {
-	Reset(r *xrand.Rand)
-}
-
 // Const is a branch that always resolves in the same direction
 // (loop-closing unconditional-like branches, guards that never fire).
 type Const struct{ Taken bool }
@@ -68,8 +59,6 @@ func (c Const) New(*xrand.Rand) Instance { return constInst{c.Taken} }
 type constInst struct{ taken bool }
 
 func (c constInst) Next(*Env) bool { return c.taken }
-
-func (c constInst) Reset(*xrand.Rand) {}
 
 // Loop models a loop back-edge with a fixed trip count: taken Trip-1 times,
 // then not-taken once, repeatedly. Trip must be at least 1; Trip == 1 is a
@@ -98,8 +87,6 @@ func (l *loopInst) Next(*Env) bool {
 	}
 	return true
 }
-
-func (l *loopInst) Reset(*xrand.Rand) { l.count = 0 }
 
 // VarLoop is a loop whose trip count is redrawn uniformly in [Min, Max] for
 // each loop instance — predictable within an instance, unpredictable at the
@@ -141,12 +128,6 @@ func (v *varLoopInst) Next(*Env) bool {
 	return true
 }
 
-func (v *varLoopInst) Reset(r *xrand.Rand) {
-	v.r = r
-	v.count = 0
-	v.redraw()
-}
-
 // Biased is a branch taken with independent probability P per execution —
 // the intrinsically unpredictable archetype. P near 0 or 1 gives an easy
 // branch; P near 0.5 gives a ~50% misprediction floor for any predictor.
@@ -158,8 +139,6 @@ func (b Biased) New(*xrand.Rand) Instance { return biasedInst{p: b.P} }
 type biasedInst struct{ p float64 }
 
 func (b biasedInst) Next(env *Env) bool { return env.Rand.WithProbability(b.p) }
-
-func (b biasedInst) Reset(*xrand.Rand) {}
 
 // Pattern replays a fixed periodic outcome sequence, optionally flipping
 // each outcome with independent probability Noise. A predictor whose
@@ -199,8 +178,6 @@ func (p *patternInst) Next(env *Env) bool {
 	}
 	return v
 }
-
-func (p *patternInst) Reset(*xrand.Rand) { p.pos = 0 }
 
 // Correlated resolves as the XOR of earlier global branch outcomes at the
 // given lags (in branches), optionally inverted, with independent noise
@@ -242,8 +219,6 @@ func (c *correlatedInst) Next(env *Env) bool {
 	return v
 }
 
-func (c *correlatedInst) Reset(*xrand.Rand) {}
-
 // Phased cycles through sub-behaviors, switching every Period executions.
 // It models program phases: each switch invalidates what the predictor
 // learned, producing the warmup / burst mispredictions behind the paper's
@@ -263,22 +238,17 @@ func (p Phased) New(r *xrand.Rand) Instance {
 		return constInst{true}
 	}
 	inst := &phasedInst{
-		specs:  p.Phases,
 		phases: make([]Instance, len(p.Phases)),
-		rands:  make([]xrand.Rand, len(p.Phases)),
 		period: period,
 	}
 	for i, b := range p.Phases {
-		r.DeriveInto(uint64(i), &inst.rands[i])
-		inst.phases[i] = b.New(&inst.rands[i])
+		inst.phases[i] = b.New(r.Derive(uint64(i)))
 	}
 	return inst
 }
 
 type phasedInst struct {
-	specs  []Behavior
 	phases []Instance
-	rands  []xrand.Rand // per-phase derived streams, recycled by Reset
 	period int
 	count  int
 	cur    int
@@ -296,116 +266,3 @@ func (p *phasedInst) Next(env *Env) bool {
 	}
 	return v
 }
-
-func (p *phasedInst) Reset(r *xrand.Rand) {
-	p.count, p.cur = 0, 0
-	for i, b := range p.specs {
-		r.DeriveInto(uint64(i), &p.rands[i])
-		if res, ok := p.phases[i].(Resettable); ok {
-			res.Reset(&p.rands[i])
-		} else {
-			p.phases[i] = b.New(&p.rands[i])
-		}
-	}
-}
-
-// Markov is a two-state burst process: the branch alternates between a
-// "hot" regime (taken with probability PHot) and a "cold" regime (taken
-// with probability PCold), switching regime with probability Switch per
-// execution. It models bursty data-dependent branches whose bias drifts
-// over time — a milder, continuous version of Phased, useful for
-// populating the medium-confidence classes with realistic burst
-// mispredictions.
-type Markov struct {
-	PHot, PCold float64
-	// Switch is the per-execution regime-flip probability (clamped to
-	// (0, 1]; 0 selects 1/1000).
-	Switch float64
-}
-
-// New implements Behavior.
-func (m Markov) New(*xrand.Rand) Instance {
-	sw := m.Switch
-	if sw <= 0 {
-		sw = 0.001
-	}
-	if sw > 1 {
-		sw = 1
-	}
-	return &markovInst{pHot: m.PHot, pCold: m.PCold, sw: sw, hot: true}
-}
-
-type markovInst struct {
-	pHot, pCold float64
-	sw          float64
-	hot         bool
-}
-
-func (m *markovInst) Next(env *Env) bool {
-	if env.Rand.WithProbability(m.sw) {
-		m.hot = !m.hot
-	}
-	p := m.pCold
-	if m.hot {
-		p = m.pHot
-	}
-	return env.Rand.WithProbability(p)
-}
-
-func (m *markovInst) Reset(*xrand.Rand) { m.hot = true }
-
-// LocalPattern is a branch whose outcome depends on its own last k
-// outcomes through a fixed boolean rule (an LFSR-style recurrence),
-// yielding long pseudo-periodic local patterns that global-history
-// predictors capture only with sufficient history and capacity.
-type LocalPattern struct {
-	// Taps are offsets (in this branch's own executions) XORed together to
-	// form the next outcome. Offset 1 is the previous execution.
-	Taps []int
-	// SeedBits initializes the local history (defaults to a fixed pattern).
-	SeedBits []bool
-}
-
-// New implements Behavior.
-func (l LocalPattern) New(*xrand.Rand) Instance {
-	taps := l.Taps
-	if len(taps) == 0 {
-		taps = []int{1, 2}
-	}
-	max := 0
-	for _, t := range taps {
-		if t > max {
-			max = t
-		}
-	}
-	inst := &localPatternInst{taps: taps, hist: make([]bool, max), init: make([]bool, max)}
-	for i := range inst.init {
-		if i < len(l.SeedBits) {
-			inst.init[i] = l.SeedBits[i]
-		} else {
-			inst.init[i] = i%3 == 0
-		}
-	}
-	copy(inst.hist, inst.init)
-	return inst
-}
-
-type localPatternInst struct {
-	taps []int
-	hist []bool // hist[0] = most recent own outcome
-	init []bool // seed state restored by Reset
-}
-
-func (l *localPatternInst) Next(*Env) bool {
-	v := false
-	for _, t := range l.taps {
-		if l.hist[t-1] {
-			v = !v
-		}
-	}
-	copy(l.hist[1:], l.hist)
-	l.hist[0] = v
-	return v
-}
-
-func (l *localPatternInst) Reset(*xrand.Rand) { copy(l.hist, l.init) }

@@ -250,106 +250,3 @@ func TestPhasedPeriodClamped(t *testing.T) {
 		t.Fatalf("period-0 clamps to 1: got %v,%v", a, b)
 	}
 }
-
-func TestMarkovRegimeRates(t *testing.T) {
-	env := newEnv(41)
-	inst := Markov{PHot: 0.95, PCold: 0.05, Switch: 0.002}.New(env.Rand)
-	const n = 200000
-	taken := 0
-	for i := 0; i < n; i++ {
-		if inst.Next(env) {
-			taken++
-		}
-	}
-	// Symmetric regimes: long-run taken rate near 0.5, far from either
-	// regime alone (the process actually switches).
-	frac := float64(taken) / n
-	if frac < 0.3 || frac > 0.7 {
-		t.Fatalf("long-run taken rate %.3f, want mid-range", frac)
-	}
-}
-
-func TestMarkovIsBursty(t *testing.T) {
-	env := newEnv(42)
-	inst := Markov{PHot: 0.95, PCold: 0.05, Switch: 0.002}.New(env.Rand)
-	// Consecutive outcomes must agree far more often than an independent
-	// coin with the same mean would (P(agree) = 0.5 for iid fair).
-	agree, n := 0, 50000
-	prev := inst.Next(env)
-	for i := 0; i < n; i++ {
-		cur := inst.Next(env)
-		if cur == prev {
-			agree++
-		}
-		prev = cur
-	}
-	if frac := float64(agree) / float64(n); frac < 0.75 {
-		t.Fatalf("agreement %.3f, want strongly bursty (> 0.75)", frac)
-	}
-}
-
-func TestMarkovSwitchClamps(t *testing.T) {
-	env := newEnv(43)
-	// Switch 0 must not freeze the process forever (defaults to 1/1000).
-	inst := Markov{PHot: 1, PCold: 0, Switch: 0}.New(env.Rand)
-	first := inst.Next(env)
-	changed := false
-	for i := 0; i < 20000; i++ {
-		if inst.Next(env) != first {
-			changed = true
-			break
-		}
-	}
-	if !changed {
-		t.Fatal("Markov with default switch never changed regime")
-	}
-	// Switch > 1 clamps to 1 (flips every execution) without panicking.
-	inst2 := Markov{PHot: 1, PCold: 0, Switch: 5}.New(env.Rand)
-	for i := 0; i < 10; i++ {
-		inst2.Next(env)
-	}
-}
-
-func TestLocalPatternDeterministic(t *testing.T) {
-	env := newEnv(17)
-	a := LocalPattern{Taps: []int{1, 3}}.New(env.Rand)
-	b := LocalPattern{Taps: []int{1, 3}}.New(env.Rand)
-	for i := 0; i < 200; i++ {
-		if a.Next(env) != b.Next(env) {
-			t.Fatalf("LocalPattern instances diverged at %d", i)
-		}
-	}
-}
-
-func TestLocalPatternNotConstant(t *testing.T) {
-	env := newEnv(18)
-	inst := LocalPattern{Taps: []int{2, 5}}.New(env.Rand)
-	got := run(inst, env, 64)
-	same := true
-	for _, v := range got[1:] {
-		if v != got[0] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatalf("LocalPattern{2,5} degenerated to constant: %v", got)
-	}
-}
-
-func TestLocalPatternDefaultTaps(t *testing.T) {
-	env := newEnv(19)
-	inst := LocalPattern{}.New(env.Rand)
-	for i := 0; i < 10; i++ {
-		inst.Next(env) // must not panic
-	}
-}
-
-func TestLocalPatternSeedBits(t *testing.T) {
-	env := newEnv(20)
-	inst := LocalPattern{Taps: []int{1, 2}, SeedBits: []bool{true, false}}.New(env.Rand)
-	// First outcome: hist[0]=true XOR hist[1]=false = true.
-	if !inst.Next(env) {
-		t.Fatal("seeded first outcome should be true")
-	}
-}

@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/history"
 	"repro/internal/trace"
@@ -39,14 +38,8 @@ type Block struct {
 }
 
 // Program is a synthetic workload implementing trace.Trace. All randomness
-// derives from Seed, so every Open replays the identical stream.
-//
-// Exhausted readers are recycled through an internal pool: a reader returns
-// itself when it reports io.EOF (or is released early by trace.Limit), and
-// the next Open reuses its site/instance storage after a deterministic
-// reset, so repeated passes over the same Program allocate nothing in
-// steady state. A Program must not be copied after its first Open, and a
-// Reader must not be used again once it has returned io.EOF.
+// derives from Seed, so every Open replays the identical stream. Each Open
+// builds fresh per-site state; a Program is never modified by its readers.
 type Program struct {
 	ProgName string
 	Seed     uint64
@@ -54,8 +47,6 @@ type Program struct {
 	Blocks   []Block
 	// Length is the number of branch records per pass (DefaultLength if 0).
 	Length uint64
-
-	readers sync.Pool // recycled *progReader state
 }
 
 // Name implements trace.Trace.
@@ -108,15 +99,9 @@ func (p *Program) Open() trace.Reader {
 		// the suite tests; fail loudly rather than emit a corrupt stream.
 		panic(err)
 	}
-	if v := p.readers.Get(); v != nil {
-		r := v.(*progReader)
-		r.reset()
-		return r
-	}
 	root := xrand.New(p.Seed)
 	r := &progReader{
 		prog: p,
-		root: *root,
 		env: Env{
 			hist: history.NewBuffer(histCapacity),
 		},
@@ -146,12 +131,11 @@ func (p *Program) Open() trace.Reader {
 
 type progReader struct {
 	prog        *Program
-	root        xrand.Rand // seeded from Program.Seed; never advanced
 	sched       xrand.Rand
 	env         Env
 	instances   []Instance
 	siteRands   []xrand.Rand // per-site streams handed to Env.Rand
-	instRands   []xrand.Rand // per-site streams handed to Behavior.New/Reset
+	instRands   []xrand.Rand // per-site streams handed to Behavior.New
 	cumWeights  []int
 	totalWeight int
 
@@ -162,45 +146,7 @@ type progReader struct {
 
 	emitted uint64
 	length  uint64
-	closed  bool // returned to the pool; every later Next is io.EOF
 }
-
-// reset restores a recycled reader to the state a fresh Open constructs,
-// re-deriving every random stream in place (root never advances, so the
-// derivations are bit-identical to construction) and resetting or — for
-// behaviors that do not implement Resettable — rebuilding site instances.
-func (r *progReader) reset() {
-	p := r.prog
-	r.root.DeriveInto(0xB10C, &r.sched)
-	r.env.hist.Reset()
-	r.env.Rand = nil
-	for i, s := range p.Sites {
-		r.root.DeriveInto(0x517E0000+uint64(i), &r.siteRands[i])
-		r.siteRands[i].DeriveInto(1, &r.instRands[i])
-		if res, ok := r.instances[i].(Resettable); ok {
-			res.Reset(&r.instRands[i])
-		} else {
-			r.instances[i] = s.Behavior.New(&r.instRands[i])
-		}
-	}
-	r.curBlock, r.queuePos, r.inBlock, r.repsLeft = 0, 0, false, 0
-	r.emitted = 0
-	r.closed = false
-}
-
-// release returns the reader to its Program's pool. Later Nexts on this
-// handle report io.EOF; the handle must not be retained past that point.
-func (r *progReader) release() {
-	if r.closed {
-		return
-	}
-	r.closed = true
-	r.prog.readers.Put(r)
-}
-
-// Close implements the early-release hook trace.Limit probes for, so
-// truncated passes recycle their reader state too.
-func (r *progReader) Close() { r.release() }
 
 func (r *progReader) pickBlock() int {
 	w := r.sched.Intn(r.totalWeight)
@@ -215,11 +161,7 @@ func (r *progReader) pickBlock() int {
 }
 
 func (r *progReader) Next() (trace.Branch, error) {
-	if r.closed {
-		return trace.Branch{}, io.EOF
-	}
 	if r.emitted >= r.length {
-		r.release()
 		return trace.Branch{}, io.EOF
 	}
 	if !r.inBlock {

@@ -126,9 +126,7 @@ func TestValidateCatchesErrors(t *testing.T) {
 		{"nil behavior", func(p *Program) { p.Sites[0].Behavior = nil }},
 	}
 	for _, c := range cases {
-		// Copy the spec fields explicitly: Program embeds a reader pool and
-		// must not be copied wholesale.
-		p := Program{ProgName: valid.ProgName, Seed: valid.Seed, Length: valid.Length}
+		p := *valid
 		p.Sites = append([]Site(nil), valid.Sites...)
 		p.Blocks = make([]Block, len(valid.Blocks))
 		for i, b := range valid.Blocks {

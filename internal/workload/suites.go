@@ -511,10 +511,9 @@ func buildSuite(specs []spec) []trace.Trace {
 }
 
 // The standard suites are built once and shared: Programs are immutable
-// after construction (every Open derives a fresh deterministic stream), and
-// sharing the instances lets their exhausted-reader pools recycle state
-// across suite runs — without it every Runner.Suite call would rebuild 20
-// Programs and every Open would reallocate all per-site state.
+// after construction (every Open derives a fresh deterministic stream), so
+// one set of instances serves every caller, and no Runner.Suite call
+// rebuilds the 20 Programs of a suite.
 var (
 	suiteOnce [2]sync.Once
 	suiteMem  [2][]trace.Trace

@@ -66,8 +66,8 @@ func (r *Rand) Derive(id uint64) *Rand {
 }
 
 // DeriveInto reseeds dst to the exact stream Derive(id) would return,
-// without allocating. It lets callers that recycle generator storage
-// (pooled trace readers) re-derive per-component streams in place.
+// without allocating. It lets callers that hold generators by value (a
+// slice of per-site streams, a struct field) derive them in place.
 //
 //repro:hotpath
 func (r *Rand) DeriveInto(id uint64, dst *Rand) {

@@ -144,8 +144,8 @@ func Levels() []Level { return core.Levels() }
 // ServeConfig configures an online prediction server (see serve.Config).
 type ServeConfig = serve.Config
 
-// ServeEngineConfig sizes the server's session engine: registry shards,
-// max sessions, default predictor (see serve.EngineConfig).
+// ServeEngineConfig sizes the server's session engine: max sessions,
+// default predictor, in-flight batch cap (see serve.EngineConfig).
 type ServeEngineConfig = serve.EngineConfig
 
 // Server is the online prediction server (see serve.Server).
