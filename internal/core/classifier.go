@@ -17,7 +17,8 @@ const DefaultBimWindow = 8
 //
 // Protocol per branch: call Classify with the Observation returned by the
 // predictor's Predict, then call Resolve with the same observation and the
-// branch outcome (before predicting the next branch).
+// branch outcome (before predicting the next branch). Both read the
+// observation in place through the pointer Predict returned.
 type Classifier struct {
 	ctrBits   uint // construction parameter, fixed for the classifier's lifetime
 	window    int
@@ -53,7 +54,7 @@ func (c *Classifier) Window() int { return c.window }
 // window counter; it does not modify any state.
 //
 //repro:hotpath
-func (c *Classifier) Classify(obs tage.Observation) Class {
+func (c *Classifier) Classify(obs *tage.Observation) Class {
 	if obs.Tagged() {
 		return taggedClass(obs.ProviderCtr, c.ctrBits)
 	}
@@ -90,7 +91,7 @@ func taggedClass(ctr int8, bits uint) Class {
 // same observation.
 //
 //repro:hotpath
-func (c *Classifier) Resolve(obs tage.Observation, taken bool) {
+func (c *Classifier) Resolve(obs *tage.Observation, taken bool) {
 	if obs.Tagged() {
 		return
 	}
@@ -100,6 +101,3 @@ func (c *Classifier) Resolve(obs tage.Observation, taken bool) {
 		c.remaining--
 	}
 }
-
-// Reset clears the window state (for reusing a classifier across traces).
-func (c *Classifier) Reset() { c.remaining = 0 }

@@ -7,8 +7,8 @@ import (
 	"repro/internal/tage"
 )
 
-func bimObs(pc uint64, ctr counter.Bimodal) tage.Observation {
-	return tage.Observation{
+func bimObs(pc uint64, ctr counter.Bimodal) *tage.Observation {
+	return &tage.Observation{
 		PC:          pc,
 		Pred:        ctr.Taken(),
 		AltPred:     ctr.Taken(),
@@ -18,8 +18,8 @@ func bimObs(pc uint64, ctr counter.Bimodal) tage.Observation {
 	}
 }
 
-func tagObs(pc uint64, ctr int8) tage.Observation {
-	return tage.Observation{
+func tagObs(pc uint64, ctr int8) *tage.Observation {
+	return &tage.Observation{
 		PC:          pc,
 		Pred:        counter.TakenSigned(ctr),
 		Provider:    1,
@@ -155,16 +155,6 @@ func TestNegativeWindowClamped(t *testing.T) {
 	cls := NewClassifierWindow(tage.Small16K(), -5)
 	if cls.Window() != 0 {
 		t.Fatalf("negative window should clamp to 0, got %d", cls.Window())
-	}
-}
-
-func TestReset(t *testing.T) {
-	cls := NewClassifier(tage.Small16K())
-	strong := bimObs(0x20, counter.BimodalStrongTaken)
-	cls.Resolve(strong, false)
-	cls.Reset()
-	if got := cls.Classify(strong); got != HighConfBim {
-		t.Fatalf("Reset should close the window, got %v", got)
 	}
 }
 

@@ -92,8 +92,7 @@ type Estimator struct {
 	cfg  tage.Config // construction input, immutable
 	opts Options     // construction input, immutable
 
-	lastObs   tage.Observation // per-prediction scratch; havePred is cleared on restore
-	lastClass Class            // per-prediction scratch; havePred is cleared on restore
+	lastClass Class // per-prediction scratch; havePred is cleared on restore
 	havePred  bool
 }
 
@@ -138,30 +137,32 @@ func NewEstimator(cfg tage.Config, opts Options) *Estimator {
 //
 //repro:hotpath
 func (e *Estimator) Predict(pc uint64) (pred bool, class Class, level Level) {
-	e.lastObs = e.pred.Predict(pc)
-	e.lastClass = e.cls.Classify(e.lastObs)
+	obs := e.pred.Predict(pc)
+	e.lastClass = e.cls.Classify(obs)
 	e.havePred = true
-	return e.lastObs.Pred, e.lastClass, e.lastClass.Level()
+	return obs.Pred, e.lastClass, e.lastClass.Level()
 }
 
 // Observation returns the raw component observation of the most recent
-// Predict.
+// Predict, the predictor's own (see tage.Predictor.Predict for its
+// lifetime).
 //
 //repro:hotpath
-func (e *Estimator) Observation() tage.Observation { return e.lastObs }
+func (e *Estimator) Observation() *tage.Observation { return e.pred.Observation() }
 
 // Update resolves the most recent prediction, training the predictor,
 // advancing the classifier window and feeding the adaptive controller.
 //
 //repro:hotpath
 func (e *Estimator) Update(pc uint64, taken bool) {
-	if !e.havePred || e.lastObs.PC != pc {
+	obs := e.pred.Observation()
+	if !e.havePred || obs.PC != pc {
 		panic(fmt.Sprintf("core: Update(%#x) without matching Predict", pc))
 	}
 	e.havePred = false
-	e.cls.Resolve(e.lastObs, taken)
+	e.cls.Resolve(obs, taken)
 	if e.ctl != nil {
-		e.ctl.Observe(e.lastClass.Level(), e.lastObs.Pred != taken)
+		e.ctl.Observe(e.lastClass.Level(), obs.Pred != taken)
 	}
 	e.pred.Update(pc, taken)
 }

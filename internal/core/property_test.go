@@ -29,7 +29,7 @@ func TestQuickWindowNeverNegative(t *testing.T) {
 		cls := NewClassifierWindow(tage.Small16K(), window)
 		r := xrand.New(seed)
 		for i := 0; i < 500; i++ {
-			var obs tage.Observation
+			var obs *tage.Observation
 			if r.Bool() {
 				obs = bimObs(0x100, counter.Bimodal(r.Intn(4)))
 			} else {
@@ -53,7 +53,7 @@ func TestQuickWindowNeverNegative(t *testing.T) {
 func TestQuickClassifyTotal(t *testing.T) {
 	cls := NewClassifier(tage.Small16K())
 	f := func(tagged bool, ctrRaw int8, bimRaw uint8, windowOpen bool) bool {
-		var obs tage.Observation
+		var obs *tage.Observation
 		if tagged {
 			ctr := ctrRaw % 4
 			if ctrRaw < 0 {
@@ -66,7 +66,7 @@ func TestQuickClassifyTotal(t *testing.T) {
 		if windowOpen {
 			cls.Resolve(bimObs(0x80, counter.BimodalStrongTaken), false)
 		} else {
-			cls.Reset()
+			cls.remaining = 0
 		}
 		c := cls.Classify(obs)
 		if c >= NumClasses {

@@ -120,9 +120,6 @@ func (f *Folded) Update(b *Buffer) {
 //repro:hotpath
 func (f *Folded) Value() uint32 { return f.comp }
 
-// Reset clears the folded state (used together with clearing the buffer).
-func (f *Folded) Reset() { f.comp = 0 }
-
 // OrigLen returns the length of the history window being folded.
 func (f *Folded) OrigLen() int { return f.origLen }
 

@@ -153,19 +153,6 @@ func TestFoldedValueWidth(t *testing.T) {
 	}
 }
 
-func TestFoldedReset(t *testing.T) {
-	buf := NewBuffer(20)
-	f := NewFolded(10, 4)
-	for i := 0; i < 15; i++ {
-		buf.Push(true)
-		f.Update(buf)
-	}
-	f.Reset()
-	if f.Value() != 0 {
-		t.Fatal("Reset must clear the folded value")
-	}
-}
-
 func TestFoldedAccessors(t *testing.T) {
 	f := NewFolded(80, 9)
 	if f.OrigLen() != 80 || f.CompLen() != 9 {

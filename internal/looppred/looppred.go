@@ -233,10 +233,9 @@ type LTAGE struct {
 	// the loop prediction is trusted when valid.
 	withLoop int8
 
-	lastLoop  Prediction       // per-prediction scratch; havePred is cleared on restore
-	lastTage  tage.Observation // per-prediction scratch; havePred is cleared on restore
-	lastPred  bool             // per-prediction scratch; havePred is cleared on restore
-	usedLoop  bool             // per-prediction scratch; havePred is cleared on restore
+	lastLoop  Prediction // per-prediction scratch; havePred is cleared on restore
+	lastPred  bool       // per-prediction scratch; havePred is cleared on restore
+	usedLoop  bool       // per-prediction scratch; havePred is cleared on restore
 	havePred  bool
 	predictPC uint64 // per-prediction scratch; havePred is cleared on restore
 }
@@ -254,23 +253,25 @@ func NewLTAGE(tageCfg tage.Config, loopCfg Config) *LTAGE {
 //
 //repro:hotpath
 func (l *LTAGE) Predict(pc uint64) bool {
-	l.lastTage = l.tage.Predict(pc)
+	tagePred := l.tage.Predict(pc).Pred
 	l.lastLoop = l.loop.Predict(pc)
 	l.usedLoop = l.lastLoop.Valid && l.withLoop >= 0
 	if l.usedLoop {
 		l.lastPred = l.lastLoop.Pred
 	} else {
-		l.lastPred = l.lastTage.Pred
+		l.lastPred = tagePred
 	}
 	l.havePred = true
 	l.predictPC = pc
 	return l.lastPred
 }
 
-// Observation returns the TAGE component observation of the last Predict.
+// Observation returns the TAGE component observation of the last
+// Predict, the TAGE predictor's own (see tage.Predictor.Predict for its
+// lifetime).
 //
 //repro:hotpath
-func (l *LTAGE) Observation() tage.Observation { return l.lastTage }
+func (l *LTAGE) Observation() *tage.Observation { return l.tage.Observation() }
 
 // UsedLoop reports whether the last prediction came from the loop
 // predictor.
@@ -286,9 +287,10 @@ func (l *LTAGE) Update(pc uint64, taken bool) {
 		panic(fmt.Sprintf("looppred: Update(%#x) without matching Predict", pc))
 	}
 	l.havePred = false
+	tagePred := l.tage.Observation().Pred
 	// WITHLOOP monitors the loop predictor only when it disagrees with
 	// TAGE (the cases where trusting it changes the outcome).
-	if l.lastLoop.Valid && l.lastLoop.Pred != l.lastTage.Pred {
+	if l.lastLoop.Valid && l.lastLoop.Pred != tagePred {
 		if l.lastLoop.Pred == taken {
 			if l.withLoop < 63 {
 				l.withLoop++
@@ -303,7 +305,7 @@ func (l *LTAGE) Update(pc uint64, taken bool) {
 		// the entry believed it to be.
 		l.loop.Invalidate(pc)
 	} else {
-		l.loop.Update(pc, taken, l.lastTage.Pred != taken)
+		l.loop.Update(pc, taken, tagePred != taken)
 	}
 	l.tage.Update(pc, taken)
 }

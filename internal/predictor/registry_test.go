@@ -50,6 +50,14 @@ func TestBuildErrorsListValidChoices(t *testing.T) {
 	if _, _, err := predictor.New("tage-custom"); err == nil {
 		t.Error("custom variant without structure accepted")
 	}
+	// 16 path bits over 2·TaggedLog = 12 fails to build; 12 builds.
+	const custom = "tage-custom?bl=8&tl=6&tag=8&hist=4,9,20"
+	if _, _, err := predictor.New(custom + "&path=16"); err == nil || !strings.Contains(err.Error(), "path-history width 16") {
+		t.Errorf("path width over 2·TaggedLog accepted or misreported: %v", err)
+	}
+	if _, _, err := predictor.New(custom + "&path=12"); err != nil {
+		t.Errorf("path width at 2·TaggedLog rejected: %v", err)
+	}
 }
 
 // TestEveryFamilyRunsEndToEnd builds every registered family from its
@@ -152,7 +160,7 @@ func TestTAGESpecRoundTrip(t *testing.T) {
 		{"denomlog", tage.Small16K(), core.Options{Mode: core.ModeProbabilistic, DenomLog: 5}},
 		{"custom", tage.Config{
 			Name: "probe", BimodalLog: 8, TaggedLog: 6, TagBits: 8,
-			HistLengths: []int{4, 9, 20}, Seed: 42,
+			HistLengths: []int{4, 9, 20}, PathBits: 12, Seed: 42,
 		}, core.Options{Mode: core.ModeProbabilistic}},
 	}
 	for _, c := range cases {

@@ -35,7 +35,9 @@ type Config struct {
 	UBits uint
 
 	// PathBits is the path-history register width hashed into table
-	// indices (16 in the reference TAGE implementations).
+	// indices (16 in the reference TAGE implementations). A table hashes
+	// min(history length, PathBits) of them, and Validate bounds that by
+	// 2·TaggedLog.
 	PathBits uint
 
 	// UResetPeriod is the number of updates between graceful u resets
@@ -101,6 +103,13 @@ func (c Config) Validate() error {
 			return fmt.Errorf("tage: history lengths not strictly increasing: %v", c.HistLengths)
 		}
 	}
+	// The path hash is tabulated (see newPathTable), which reproduces
+	// the reference F() only while F's additions cannot carry: the
+	// widest bank may hash at most 2·TaggedLog path bits.
+	if w := c.pathWidth(c.HistLengths[len(c.HistLengths)-1]); w > 2*c.TaggedLog {
+		return fmt.Errorf("tage: path-history width %d exceeds 2·TaggedLog = %d (PathBits %d, longest history %d); lower PathBits to %d",
+			w, 2*c.TaggedLog, c.PathBits, c.HistLengths[len(c.HistLengths)-1], 2*c.TaggedLog)
+	}
 	if c.CtrBits < 2 || c.CtrBits > 6 {
 		return fmt.Errorf("tage: bad CtrBits %d", c.CtrBits)
 	}
@@ -109,6 +118,11 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// pathWidth returns how many path-history bits the index hash of a
+// table with history length histLen reads: min(histLen, PathBits), and
+// at most the 32 bits the path register holds.
+func (c Config) pathWidth(histLen int) uint { return min(uint(histLen), c.PathBits, 32) }
 
 // NumTables returns the number of tagged tables.
 func (c Config) NumTables() int { return len(c.HistLengths) }

@@ -196,17 +196,73 @@ func newSOA(cfg Config, auto counter.Automaton) *soaPredictor {
 }
 
 func (p *soaPredictor) pathHash(bank int) uint32 {
-	logg := p.taggedLog
-	size := p.pathSizes[bank-1]
-	a := p.phist.Value() & ((1 << size) - 1)
-	mask := p.rowMask
+	return refPathHash(p.phist.Value(), p.pathSizes[bank-1], uint(bank), p.taggedLog)
+}
+
+// refPathHash is the reference simulator's F(): the path-history hash of
+// 1-based bank over the low size bits of path, in tables of 2^logg rows.
+func refPathHash(path uint32, size, bank, logg uint) uint32 {
+	a := path & ((1 << size) - 1)
+	mask := uint32(1)<<logg - 1
 	a1 := a & mask
 	a2 := a >> logg
-	sh := uint(bank) % logg
+	sh := bank % logg
 	a2 = ((a2 << sh) & mask) + (a2 >> (logg - sh))
 	a = a1 ^ a2
 	a = ((a << sh) & mask) + (a >> (logg - sh))
 	return a & mask
+}
+
+// TestPathHashTableMatchesReference checks the tabulated path hash
+// against refPathHash for every geometry Validate admits: TaggedLog
+// 1..24 × PathBits 1..32, over TaggedLog+1 banks (every rotation
+// amount, and one wrap), the first hashing a shorter history than the
+// rest so one table mixes path widths. Each bank's value, the XOR of
+// its entries in the rows of the path's bytes, must equal the reference
+// for every path value of a register up to 16 bits wide, and for 4096
+// seeded values of a wider one.
+func TestPathHashTableMatchesReference(t *testing.T) {
+	rng := xrand.New(0xF00D)
+	for taggedLog := uint(1); taggedLog <= 24; taggedLog++ {
+		for pathBits := uint(1); pathBits <= 32; pathBits++ {
+			hist := make([]int, taggedLog+1)
+			for i := range hist {
+				hist[i] = int(pathBits) + i
+			}
+			hist[0] = max(1, int(pathBits)/2)
+			cfg := Config{BimodalLog: 1, TaggedLog: taggedLog, TagBits: 2, HistLengths: hist, PathBits: pathBits}
+			if cfg.Validate() != nil {
+				continue
+			}
+			widths := make([]uint, len(hist))
+			for i, hl := range hist {
+				widths[i] = cfg.pathWidth(hl)
+			}
+			rows, nbytes := newPathTable(taggedLog, widths)
+			m := len(widths)
+			check := func(path uint32) {
+				for i, w := range widths {
+					var got uint32
+					for k := range nbytes {
+						got ^= rows[(k<<8|int(path>>(8*k)&255))*m+i]
+					}
+					if want := refPathHash(path, w, uint(i+1), taggedLog); got != want {
+						t.Fatalf("TaggedLog %d PathBits %d bank %d (width %d), path %#x: table %#x, reference %#x",
+							taggedLog, pathBits, i+1, w, path, got, want)
+					}
+				}
+			}
+			if pathBits <= 16 {
+				for path := range uint32(1) << pathBits {
+					check(path)
+				}
+				continue
+			}
+			for range 4096 {
+				check(rng.Uint32() & (uint32(1)<<pathBits - 1))
+			}
+		}
+	}
 }
 
 func (p *soaPredictor) tableIndex(pc uint64, bank int) uint32 {
@@ -376,7 +432,7 @@ func (p *soaPredictor) allocate(taken bool) {
 // diffConfigs are the differential-test configurations: the paper's
 // standard sizes plus a widest-fields config exercising every bitfield
 // at the maximum width Validate admits (16-bit tags, 6-bit counters,
-// 4-bit u).
+// 4-bit u), with the widest path Validate admits for its TaggedLog.
 func diffConfigs() []Config {
 	wide := Config{
 		Name:        "wide-fields",
@@ -386,6 +442,7 @@ func diffConfigs() []Config {
 		HistLengths: history.GeometricLengths(4, 64, 4),
 		CtrBits:     6,
 		UBits:       4,
+		PathBits:    14,
 		Seed:        0x11DE,
 	}
 	cfgs := append(StandardConfigs(), wide)
@@ -420,8 +477,8 @@ func TestPackedMatchesSOADifferential(t *testing.T) {
 			check := func(pc uint64, taken bool, src string, i int) {
 				po := packed.Predict(pc)
 				so := soa.Predict(pc)
-				if po != so {
-					t.Fatalf("%s/%s/%s branch %d: packed %+v != soa %+v", cfg.Name, mode, src, i, po, so)
+				if *po != so {
+					t.Fatalf("%s/%s/%s branch %d: packed %+v != soa %+v", cfg.Name, mode, src, i, *po, so)
 				}
 				packed.Update(pc, taken)
 				soa.Update(pc, taken)
@@ -444,11 +501,14 @@ func TestPackedMatchesSOADifferential(t *testing.T) {
 
 			// Random stream over a small PC set: heavy aliasing and
 			// allocation pressure, the regime where a field-packing bug
-			// (e.g. u leaking into ctr during aging) would surface.
+			// (e.g. u leaking into ctr during aging) would surface. The
+			// PCs are byte addresses, odd ones included: the path
+			// history takes bit 0 of each PC, and the workload traces'
+			// PCs are all even, so only this stream drives the path hash.
 			rng := xrand.New(cfg.Seed ^ 0xD1FF)
 			pcs := make([]uint64, 24)
 			for j := range pcs {
-				pcs[j] = 0x400000 + uint64(rng.Intn(1<<12))*4
+				pcs[j] = 0x400000 + uint64(rng.Intn(1<<14))
 			}
 			for j := 0; j < 20_000; j++ {
 				check(pcs[rng.Intn(len(pcs))], rng.Bool(), "random", j)
@@ -484,7 +544,7 @@ func TestFoldWordMatchesFolded(t *testing.T) {
 				}
 			}
 			for hl := range lengths {
-				p := New(Config{BimodalLog: 4, TaggedLog: 4, TagBits: 8, HistLengths: []int{hl}, Seed: 1})
+				p := New(Config{BimodalLog: 4, TaggedLog: 4, TagBits: 8, HistLengths: []int{hl}, PathBits: 8, Seed: 1})
 				p.fold = lay
 				p.folds[0].out = lay.out(hl)
 				buf := history.NewBuffer(hl + 2)

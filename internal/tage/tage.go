@@ -8,11 +8,15 @@
 // computation, a path-history hash, per-entry signed prediction counters
 // and useful counters, the USE_ALT_ON_NA newly-allocated-entry heuristic,
 // misprediction-driven allocation preferring shorter histories, and
-// periodic graceful aging of the useful counters.
+// periodic graceful aging of the useful counters. The path-history hash
+// is the reference F() in table form: Config.Validate admits only
+// geometries where F is linear over GF(2), so each bank's hash is the
+// XOR of one precomputed value per path byte.
 //
 // Everything the paper's storage-free confidence estimator needs to observe
 // — which component provided the prediction and the value of its prediction
-// counter — is exposed through the Observation returned by Predict.
+// counter — is exposed through the Observation that Predict returns. The
+// predictor writes it once per prediction and hands out a pointer to it.
 package tage
 
 import (
@@ -29,6 +33,10 @@ const ProviderBimodal = -1
 // Observation captures everything visible at the outputs of the predictor
 // components for one prediction — the raw material of the paper's
 // storage-free confidence estimation.
+//
+// The predictor keeps one Observation: Predict overwrites it and
+// returns a pointer to it, which stays valid, and unchanged, until the
+// next Predict or RestoreState. Copy it to keep it longer.
 type Observation struct {
 	// PC is the branch the observation belongs to.
 	PC uint64
@@ -102,12 +110,19 @@ type Predictor struct {
 
 	histLens []int // geometric history lengths fixed by cfg
 
-	// folds holds each table's fold word, history length and path-hash
-	// parameters in one struct: the per-branch history advance walks one
+	// folds holds each table's fold word, history length and bank base
+	// in one struct: the per-branch history advance walks one
 	// contiguous slice, and a probe reads everything its bank hashes
 	// from adjacent words.
 	folds []tableFolds
 	fold  foldLayout // fold-word geometry, the same for every table
+
+	// pathRows is the path-history hash in table form (see
+	// newPathTable): the row of path byte k with value v holds every
+	// bank's hash of v<<8k, at pathRows[(k<<8|v)*numTables:]. pathBytes
+	// is the number of byte tables, at least two.
+	pathRows  []uint32 // fixed by cfg
+	pathBytes int      // fixed by cfg
 
 	ghist *history.Buffer
 	phist *history.Path
@@ -120,7 +135,8 @@ type Predictor struct {
 	tick uint64
 
 	// Per-prediction scratch captured by Predict for the paired Update;
-	// havePred is cleared on restore, invalidating all of it.
+	// havePred is cleared on restore, invalidating all of it. lastObs is
+	// the one Observation, written once per Predict.
 	lastObs      Observation // per-prediction scratch
 	havePred     bool
 	pos          []uint32 // per-prediction scratch
@@ -135,17 +151,14 @@ type Predictor struct {
 // history compressions packed in one word w (see foldLayout), the
 // history length whose oldest bit leaves the fold window on each update,
 // and out, the word with one bit set in each field where that leaving
-// bit is folded in (bit histLen % width of the field). It also carries
-// the table's precomputed path-hash parameters — the path-history mask
-// ((1 << min(histLen, PathBits)) - 1) and the rotation amount
-// (bank % taggedLog, 1-based bank) — so the per-probe hash is pure
-// shift/mask work with no integer division.
+// bit is folded in (bit histLen % width of the field). base is the
+// table's first position in the flat entry storage, i<<TaggedLog for
+// table i.
 type tableFolds struct {
-	w        uint64
-	out      uint64
-	histLen  int
-	pathMask uint32
-	pathSh   uint32
+	w       uint64
+	out     uint64
+	histLen int
+	base    uint32
 }
 
 // foldLayout places a table's three folded histories in one uint64: the
@@ -190,6 +203,48 @@ func (l foldLayout) pack(idx, tag, tag2 uint64) uint64 {
 	return idx&(1<<l.c0-1) | (tag&(1<<l.c1-1))<<l.o1 | (tag2&(1<<l.c2-1))<<l.o2
 }
 
+// pathF is F, the path-history hash of the reference TAGE simulator, for
+// 1-based bank in tables of 2^taggedLog rows: the low width bits of path,
+// split at bit taggedLog, with the high part rotated by bank % taggedLog
+// within taggedLog bits, xored onto the low part, and the result rotated
+// again. Each rotation adds two shifted parts; while width <= 2·taggedLog
+// the parts occupy disjoint bits, the additions are XORs, and F is linear
+// over GF(2), which is what lets newPathTable tabulate it.
+func pathF(path uint32, width, bank, taggedLog uint) uint32 {
+	mask := uint32(1)<<taggedLog - 1
+	sh := bank % taggedLog
+	a := path & (uint32(1)<<width - 1)
+	a2 := a >> taggedLog
+	a2 = ((a2 << sh) & mask) + (a2 >> (taggedLog - sh))
+	a = (a & mask) ^ a2
+	return ((a << sh) & mask) + (a >> (taggedLog - sh))
+}
+
+// newPathTable tabulates pathF for tables whose path widths are given,
+// one per bank, shortest history first. F is linear under the bound
+// Config.Validate enforces, so a bank's hash of a path value is the XOR
+// of its hashes of the value's bytes taken one at a time: the returned
+// rows hold, for each path byte k and byte value v, every bank's F of
+// v<<8k, row (k, v) at (k<<8|v)*len(widths). There are at least two
+// byte tables, enough for the widest bank.
+func newPathTable(taggedLog uint, widths []uint) (rows []uint32, nbytes int) {
+	m := len(widths)
+	nbytes = 2
+	for _, w := range widths {
+		nbytes = max(nbytes, int(w+7)/8)
+	}
+	rows = make([]uint32, (nbytes<<8)*m)
+	for k := range nbytes {
+		for v := range 256 {
+			row := rows[(k<<8|v)*m:][:m]
+			for i, w := range widths {
+				row[i] = pathF(uint32(v)<<(8*k), w, uint(i+1), taggedLog)
+			}
+		}
+	}
+	return rows, nbytes
+}
+
 // New builds a predictor with the standard saturating-counter automaton.
 func New(cfg Config) *Predictor {
 	return NewWithAutomaton(cfg, counter.Standard{})
@@ -232,15 +287,12 @@ func NewWithAutomaton(cfg Config, auto counter.Automaton) *Predictor {
 		allocScratch: make([]int, 0, m),
 	}
 	p.fold = newFoldLayout(cfg.TaggedLog, cfg.TagBits)
+	widths := make([]uint, m)
 	for i, hl := range cfg.HistLengths {
-		ps := min(uint(hl), cfg.PathBits)
-		p.folds[i] = tableFolds{
-			out:      p.fold.out(hl),
-			histLen:  hl,
-			pathMask: uint32(1)<<ps - 1,
-			pathSh:   uint32(uint(i+1) % cfg.TaggedLog),
-		}
+		p.folds[i] = tableFolds{out: p.fold.out(hl), histLen: hl, base: uint32(i) << cfg.TaggedLog}
+		widths[i] = cfg.pathWidth(hl)
 	}
+	p.pathRows, p.pathBytes = newPathTable(cfg.TaggedLog, widths)
 	return p
 }
 
@@ -251,11 +303,12 @@ func (p *Predictor) Config() Config { return p.cfg }
 func (p *Predictor) Automaton() counter.Automaton { return p.auto }
 
 // Predict computes the prediction for pc and returns the component
-// observation. Each Predict must be followed by exactly one Update for the
-// same pc before predicting the next branch.
+// observation: a pointer to the predictor's one Observation, valid until
+// the next Predict or RestoreState. Each Predict must be followed by
+// exactly one Update for the same pc before predicting the next branch.
 //
 //repro:hotpath
-func (p *Predictor) Predict(pc uint64) Observation {
+func (p *Predictor) Predict(pc uint64) *Observation {
 	logg := p.taggedLog
 	rowMask, tagMask := p.rowMask, p.tagMask
 	// Scratch as locals behind geometry guards: with
@@ -279,26 +332,30 @@ func (p *Predictor) Predict(pc uint64) Observation {
 	pcIdx := pcTag ^ uint32(pc>>((2+logg)&63))
 	path := p.phist.Value()
 	o1, o2 := p.fold.o1&63, p.fold.o2&63
+	// The path hash of every bank is the XOR of one row per path byte
+	// (see newPathTable); the first two rows are read here, any further
+	// ones after the hash loop.
+	m, rows := len(folds), p.pathRows
+	lo := rows[int(path&255)*m:][:m]          //repro:allow-bce row offset v*m + m <= 256*m <= len(pathRows) by newPathTable's sizing
+	hi := rows[(256|int(path>>8&255))*m:][:m] //repro:allow-bce row offset (256+v)*m + m <= 512*m <= len(pathRows) by newPathTable's sizing
 	// One pass computes each bank's absolute flat-storage position and
-	// partial tag from the bank's fold word. The index mixes in the F()
-	// path-history hash of the reference TAGE simulator: two rotations
-	// by the bank's precomputed amount sh within taggedLog bits.
-	// Validate bounds taggedLog by 24 and the fold word by 58 bits, so
-	// every shift count here is below 64 and the & 31 / & 63 masks are
-	// no-ops that drop the compiler's oversized-shift guards.
+	// partial tag from the bank's fold word and path-hash rows.
+	// Validate bounds the fold word by 58 bits, so every shift count
+	// here is below 64 and the & 63 masks are no-ops that drop the
+	// compiler's oversized-shift guards.
 	for i := range folds {
 		f := &folds[i]
-		sh := uint(f.pathSh) & 31
-		rsh := (logg - uint(f.pathSh)) & 31
-		a := path & f.pathMask
-		a2 := a >> (logg & 31)
-		a2 = ((a2 << sh) & rowMask) + (a2 >> rsh)
-		a = (a & rowMask) ^ a2
-		a = ((a << sh) & rowMask) + (a >> rsh)
 		w := f.w
-		idx := pcIdx ^ uint32(w) ^ a
-		bankPos[i] = uint32(i)<<(logg&31) | idx&rowMask
+		bankPos[i] = f.base | (pcIdx^uint32(w)^lo[i]^hi[i])&rowMask
 		bankTag[i] = uint16((pcTag ^ uint32(w>>o1^(w>>o2)<<1)) & tagMask)
+	}
+	// Path widths above 16 bits: one more row per byte. Row values are
+	// below 2^TaggedLog, so they leave each bank's base bits alone.
+	for k := 2; k < p.pathBytes; k++ {
+		row := rows[(k<<8|int(path>>(8*k&31)&255))*m:][:m] //repro:allow-bce k < pathBytes, so (k<<8|v)*m + m <= len(pathRows) by newPathTable's sizing
+		for i := range bankPos {
+			bankPos[i] ^= row[i]
+		}
 	}
 	for bank := len(pos) - 1; bank >= 1; bank-- {
 		if entryTag(entries[pos[bank]]) == tagc[bank] { //repro:allow-bce pos[bank] = (bank-1)<<taggedLog | (row & rowMask) < numTables<<taggedLog = len(entries) by arena construction
@@ -312,55 +369,55 @@ func (p *Predictor) Predict(pc uint64) Observation {
 	}
 	p.hitBank, p.altBank = hitBank, altBank
 
-	obs := Observation{
-		PC:          pc,
-		Provider:    ProviderBimodal,
-		AltProvider: ProviderBimodal,
-		BimCtr:      p.base.Counter(pc), //repro:allow-bce inlined bimodal read: slot/packedPerWord < len(words) by NewPackedIn's length check
-	}
-	basePred := obs.BimCtr.Taken()
+	// The one Observation is written field by field, straight from
+	// registers: a composite literal would be built on the stack and
+	// copied.
+	o := &p.lastObs
+	bimCtr := p.base.Counter(pc) //repro:allow-bce inlined bimodal read: slot/packedPerWord < len(words) by NewPackedIn's length check
+	basePred := bimCtr.Taken()
+	o.PC, o.BimCtr = pc, bimCtr
+	p.havePred = true
 
 	if hitBank == 0 {
-		obs.Pred = basePred
-		obs.AltPred = basePred
 		p.longestPred = basePred
-		p.lastObs = obs
-		p.havePred = true
-		return obs
+		o.Pred, o.AltPred, o.UsedAlt = basePred, basePred, false
+		o.Provider, o.ProviderCtr, o.ProviderU = ProviderBimodal, 0, 0
+		o.AltProvider, o.AltCtr = ProviderBimodal, 0
+		return o
 	}
 
 	// The provider's word was just loaded by the tag-match loop; ctr and
 	// u come out of the same word with no further memory traffic.
 	providerEntry := entries[pos[hitBank]] //repro:allow-bce pos[hitBank] is an arena position < len(entries) by construction (see the tag-match loop)
 	providerCtr := entryCtr(providerEntry)
-	p.longestPred = counter.TakenSigned(providerCtr)
+	longestPred := counter.TakenSigned(providerCtr)
+	p.longestPred = longestPred
 
-	altPred := basePred
+	altPred, altProvider, altCtr := basePred, ProviderBimodal, int8(0)
 	if altBank > 0 {
-		altCtr := entryCtr(entries[pos[altBank]]) //repro:allow-bce pos[altBank] is an arena position < len(entries) by construction
+		altCtr = entryCtr(entries[pos[altBank]]) //repro:allow-bce pos[altBank] is an arena position < len(entries) by construction
 		altPred = counter.TakenSigned(altCtr)
-		obs.AltProvider = altBank - 1
-		obs.AltCtr = altCtr
+		altProvider = altBank - 1
 	}
-
-	obs.Provider = hitBank - 1
-	obs.ProviderCtr = providerCtr
-	obs.ProviderU = entryU(providerEntry)
-	obs.AltPred = altPred
 
 	// Prediction selection (paper §3.1): use the provider counter unless it
 	// is weak and USE_ALT_ON_NA is non-negative.
-	if p.cfg.DisableUseAltOnNA || p.useAltOnNA < 0 || !counter.WeakSigned(providerCtr) {
-		obs.Pred = p.longestPred
-	} else {
-		obs.Pred = altPred
-		obs.UsedAlt = obs.Pred != p.longestPred
+	pred := longestPred
+	if !p.cfg.DisableUseAltOnNA && p.useAltOnNA >= 0 && counter.WeakSigned(providerCtr) {
+		pred = altPred
 	}
 
-	p.lastObs = obs
-	p.havePred = true
-	return obs
+	o.Pred, o.AltPred, o.UsedAlt = pred, altPred, pred != longestPred
+	o.Provider, o.ProviderCtr, o.ProviderU = hitBank-1, providerCtr, entryU(providerEntry)
+	o.AltProvider, o.AltCtr = altProvider, altCtr
+	return o
 }
+
+// Observation returns the observation of the most recent Predict: the
+// pointer Predict returned, with the same lifetime.
+//
+//repro:hotpath
+func (p *Predictor) Observation() *Observation { return &p.lastObs }
 
 // Update resolves the branch predicted by the immediately preceding
 // Predict call, training tables, allocating entries on mispredictions, and
@@ -368,11 +425,11 @@ func (p *Predictor) Predict(pc uint64) Observation {
 //
 //repro:hotpath
 func (p *Predictor) Update(pc uint64, taken bool) {
-	if !p.havePred || p.lastObs.PC != pc {
+	obs := &p.lastObs
+	if !p.havePred || obs.PC != pc {
 		panic("tage: Update without a matching Predict of the same pc")
 	}
 	p.havePred = false
-	obs := p.lastObs
 	m := p.numTables
 	ctrBits := p.cfg.CtrBits
 	hitBank, altBank := p.hitBank, p.altBank

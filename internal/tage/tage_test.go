@@ -1,6 +1,7 @@
 package tage
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/counter"
@@ -97,6 +98,8 @@ func TestConfigValidation(t *testing.T) {
 		{BimodalLog: 10, TaggedLog: 8, TagBits: 1, HistLengths: []int{3, 9}},
 		{BimodalLog: 10, TaggedLog: 8, TagBits: 9, HistLengths: []int{3, 9}, CtrBits: 1},
 		{BimodalLog: 10, TaggedLog: 8, TagBits: 9, HistLengths: []int{3, 9}, UBits: 5},
+		// 16 path bits over 2·TaggedLog = 14: the path hash would carry.
+		{BimodalLog: 10, TaggedLog: 7, TagBits: 9, HistLengths: []int{3, 20}},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -106,6 +109,22 @@ func TestConfigValidation(t *testing.T) {
 	for _, c := range StandardConfigs() {
 		if err := c.Validate(); err != nil {
 			t.Errorf("%s rejected: %v", c.Name, err)
+		}
+	}
+	// The path-width bound names both numbers, and admits a geometry at
+	// the bound, one whose histories are shorter than PathBits, and one
+	// whose PathBits exceeds the 32-bit path register.
+	err := Config{BimodalLog: 10, TaggedLog: 7, TagBits: 9, HistLengths: []int{3, 20}}.Validate()
+	if err == nil || !strings.Contains(err.Error(), "width 16") || !strings.Contains(err.Error(), "= 14") {
+		t.Errorf("path-width error %v does not name the width 16 and the bound 14", err)
+	}
+	for _, c := range []Config{
+		{BimodalLog: 10, TaggedLog: 7, TagBits: 9, HistLengths: []int{3, 20}, PathBits: 14},
+		{BimodalLog: 10, TaggedLog: 7, TagBits: 9, HistLengths: []int{3, 14}},
+		{BimodalLog: 10, TaggedLog: 16, TagBits: 9, HistLengths: []int{3, 200}, PathBits: 64},
+	} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", c, err)
 		}
 	}
 }
