@@ -432,7 +432,9 @@ func (p *soaPredictor) allocate(taken bool) {
 // diffConfigs are the differential-test configurations: the paper's
 // standard sizes plus a widest-fields config exercising every bitfield
 // at the maximum width Validate admits (16-bit tags, 6-bit counters,
-// 4-bit u), with the widest path Validate admits for its TaggedLog.
+// 4-bit u), with the widest path Validate admits for its TaggedLog, and
+// a wide-path config whose longer banks hash 21 and 32 path bits, so
+// Predict XORs in the path-byte rows past the first two.
 func diffConfigs() []Config {
 	wide := Config{
 		Name:        "wide-fields",
@@ -445,7 +447,16 @@ func diffConfigs() []Config {
 		PathBits:    14,
 		Seed:        0x11DE,
 	}
-	cfgs := append(StandardConfigs(), wide)
+	widePath := Config{
+		Name:        "wide-path",
+		BimodalLog:  10,
+		TaggedLog:   16,
+		TagBits:     12,
+		HistLengths: history.GeometricLengths(4, 200, 6),
+		PathBits:    32,
+		Seed:        0x9A7B,
+	}
+	cfgs := append(StandardConfigs(), wide, widePath)
 	for i := range cfgs {
 		// A short aging period makes the graceful u reset fire thousands
 		// of times within the differential run (the default 2^18 would
@@ -488,23 +499,34 @@ func TestPackedMatchesSOADifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := trace.Limit(tr, 30_000).Open()
-			i := 0
-			for {
-				b, err := r.Next()
-				if err != nil {
-					break
+			// The trace twice: as recorded, then with bit 0 of each PC
+			// set from its bit 2. The workload traces' PCs are all even,
+			// so the first pass holds the path history at 0; the second
+			// gives it live values that recur with the program's
+			// control flow, so long-history banks hit through the
+			// tabulated path hash.
+			for pass, src := range []string{"INT-3", "INT-3/odd"} {
+				r := trace.Limit(tr, 30_000).Open()
+				i := 0
+				for {
+					b, err := r.Next()
+					if err != nil {
+						break
+					}
+					pc := b.PC
+					if pass == 1 {
+						pc |= pc >> 2 & 1
+					}
+					check(pc, b.Taken, src, i)
+					i++
 				}
-				check(b.PC, b.Taken, "INT-3", i)
-				i++
 			}
 
 			// Random stream over a small PC set: heavy aliasing and
 			// allocation pressure, the regime where a field-packing bug
 			// (e.g. u leaking into ctr during aging) would surface. The
-			// PCs are byte addresses, odd ones included: the path
-			// history takes bit 0 of each PC, and the workload traces'
-			// PCs are all even, so only this stream drives the path hash.
+			// PCs are byte addresses, odd ones included, so the path
+			// history (bit 0 of each PC) takes random values here.
 			rng := xrand.New(cfg.Seed ^ 0xD1FF)
 			pcs := make([]uint64, 24)
 			for j := range pcs {

@@ -157,10 +157,9 @@ func TestPredictIsReadOnly(t *testing.T) {
 		if err != nil {
 			break
 		}
-		first := p.Predict(b.PC)
+		first := *p.Predict(b.PC)
 		for i := 0; i < 3; i++ {
-			again := p.Predict(b.PC)
-			if again != first {
+			if again := *p.Predict(b.PC); again != first {
 				t.Fatal("repeated Predict changed the observation")
 			}
 		}
