@@ -13,10 +13,10 @@
 // runs them all.
 //
 // -parallel sets the simulation worker count (0 = GOMAXPROCS, 1 = serial).
-// Both the experiment axis (sweep points, ablation arms, figure panels,
-// the experiments of -experiment all) and the trace axis fan out across
-// the same pool, and shared (config, options, suite) combinations are
-// simulated exactly once; output is byte-identical at every worker count.
+// The run plans every simulation the chosen experiments read, then
+// executes the plan trace by trace across the pool: each trace is read
+// once, every distinct (config, options, trace) simulation runs exactly
+// once, and output is byte-identical at every worker count.
 package main
 
 import (

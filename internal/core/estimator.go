@@ -109,18 +109,9 @@ func NewEstimator(cfg tage.Config, opts Options) *Estimator {
 		prob = counter.NewProbabilistic(xrand.Mix64(cfg.Seed^0xC0FF), denomLog)
 		auto = prob
 	}
-	pred := tage.NewWithAutomaton(cfg, auto)
-
-	window := opts.BimWindow
-	switch {
-	case window < 0:
-		window = 0
-	case window == 0:
-		window = DefaultBimWindow
-	}
 	e := &Estimator{
-		pred: pred,
-		cls:  NewClassifierWindow(cfg, window),
+		pred: tage.NewWithAutomaton(cfg, auto),
+		cls:  NewOptionsClassifier(cfg, opts),
 		auto: prob,
 		mode: opts.Mode,
 		cfg:  cfg,
@@ -130,6 +121,17 @@ func NewEstimator(cfg tage.Config, opts Options) *Estimator {
 		e.ctl = NewAdaptive(prob, opts.TargetMKP, opts.AdaptiveWindow)
 	}
 	return e
+}
+
+// NewOptionsClassifier returns the classifier NewEstimator builds for
+// (cfg, opts): opts.BimWindow sets its window (0 = DefaultBimWindow,
+// negative = none). It is the estimator's only part that reads BimWindow.
+func NewOptionsClassifier(cfg tage.Config, opts Options) *Classifier {
+	window := opts.BimWindow
+	if window == 0 {
+		window = DefaultBimWindow
+	}
+	return NewClassifierWindow(cfg, window)
 }
 
 // Predict returns the prediction for pc together with its confidence class

@@ -28,39 +28,39 @@ type BimWindowRow struct {
 }
 
 // RunBimWindowAblation runs the sweep on the 16 Kbit predictor over CBP-1
-// with the modified automaton. Window arms fan out across the pool; rows
-// merge in arm order.
+// with the modified automaton.
 func (r *Runner) RunBimWindowAblation() (BimWindowAblation, error) {
-	windows := []int{-1, 4, 8, 16, 32}
-	rows := make([]BimWindowRow, len(windows))
-	err := r.Pool.ForEach(len(windows), func(i int) error {
-		win := windows[i]
+	return runAs[BimWindowAblation](r, "ablation-window")
+}
+
+// bimWindows are the swept medium-conf-bim windows (-1 disables it). The
+// arms differ only in the classifier, so on each trace they share one
+// predictor (predictorKey).
+var bimWindows = []int{-1, 4, 8, 16, 32}
+
+func planBimWindow(p *plan) {
+	for _, win := range bimWindows {
 		opts := modifiedOpts()
 		opts.BimWindow = win
-		sr, err := r.Suite(tage.Small16K(), opts, "cbp1")
-		if err != nil {
-			return err
-		}
-		agg := sr.Aggregate
-		shown := win
-		if win < 0 {
-			shown = 0
-		}
-		rows[i] = BimWindowRow{
-			Window: shown,
+		p.suite(tage.Small16K(), opts, "cbp1")
+	}
+}
+
+func reduceBimWindow(res []sim.SuiteResult) (BimWindowAblation, error) {
+	var a BimWindowAblation
+	for i, win := range bimWindows {
+		agg := res[i].Aggregate
+		a.Rows = append(a.Rows, BimWindowRow{
+			Window: max(win, 0),
 			MediumBim: LevelCell{
 				Pcov:   agg.Pcov(core.MediumConfBim),
 				MPcov:  agg.MPcov(core.MediumConfBim),
 				MPrate: agg.MPrate(core.MediumConfBim),
 			},
 			HighBimMPrate: agg.MPrate(core.HighConfBim),
-		}
-		return nil
-	})
-	if err != nil {
-		return BimWindowAblation{}, err
+		})
 	}
-	return BimWindowAblation{Rows: rows}, nil
+	return a, nil
 }
 
 // Render writes the window ablation table.
@@ -97,29 +97,25 @@ type UseAltRow struct {
 }
 
 // RunUseAltAblation compares CBP-1 accuracy with and without the
-// heuristic across the three sizes. The flat (config × on/off) job list
-// fans out across the pool; rows merge in config order.
+// heuristic across the three sizes.
 func (r *Runner) RunUseAltAblation() (UseAltAblation, error) {
-	cfgs := tage.StandardConfigs()
-	aggs := make([]sim.Result, 2*len(cfgs)) // [2i] with, [2i+1] without
-	err := r.Pool.ForEach(len(aggs), func(i int) error {
-		cfg := cfgs[i/2]
-		if i%2 == 1 {
-			cfg.DisableUseAltOnNA = true
-		}
-		sr, err := r.Suite(cfg, standardOpts(), "cbp1")
-		if err != nil {
-			return err
-		}
-		aggs[i] = sr.Aggregate
-		return nil
-	})
-	if err != nil {
-		return UseAltAblation{}, err
+	return runAs[UseAltAblation](r, "ablation-usealt")
+}
+
+// planUseAlt requests each standard configuration with the heuristic,
+// then without it.
+func planUseAlt(p *plan) {
+	for _, cfg := range tage.StandardConfigs() {
+		p.suite(cfg, standardOpts(), "cbp1")
+		cfg.DisableUseAltOnNA = true
+		p.suite(cfg, standardOpts(), "cbp1")
 	}
+}
+
+func reduceUseAlt(res []sim.SuiteResult) (UseAltAblation, error) {
 	var out UseAltAblation
-	for i, cfg := range cfgs {
-		with, without := aggs[2*i], aggs[2*i+1]
+	for i, cfg := range tage.StandardConfigs() {
+		with, without := res[2*i].Aggregate, res[2*i+1].Aggregate
 		out.Rows = append(out.Rows, UseAltRow{
 			Config:      cfg.Name,
 			WithMPKI:    with.MPKI(),
@@ -168,35 +164,39 @@ type CtrWidthRow struct {
 
 // RunCtrWidthAblation compares 3-bit and 4-bit counters on the 16 and
 // 64 Kbit predictors over CBP-1 (standard automaton, so the comparison
-// isolates the widening itself). The flat (config × width) grid fans out
-// across the pool; rows merge in grid order.
+// isolates the widening itself).
 func (r *Runner) RunCtrWidthAblation() (CtrWidthAblation, error) {
-	bases := []tage.Config{tage.Small16K(), tage.Medium64K()}
-	widths := []uint{3, 4}
-	rows := make([]CtrWidthRow, len(bases)*len(widths))
-	err := r.Pool.ForEach(len(rows), func(i int) error {
-		base := bases[i/len(widths)]
-		bits := widths[i%len(widths)]
-		cfg := base
-		cfg.CtrBits = bits
-		sr, err := r.Suite(cfg, standardOpts(), "cbp1")
-		if err != nil {
-			return err
+	return runAs[CtrWidthAblation](r, "ablation-ctr")
+}
+
+var (
+	ctrBases  = []tage.Config{tage.Small16K(), tage.Medium64K()}
+	ctrWidths = []uint{3, 4}
+)
+
+// planCtrWidth requests the (config × width) grid, config-major.
+func planCtrWidth(p *plan) {
+	for _, cfg := range ctrBases {
+		for _, bits := range ctrWidths {
+			cfg.CtrBits = bits
+			p.suite(cfg, standardOpts(), "cbp1")
 		}
+	}
+}
+
+func reduceCtrWidth(res []sim.SuiteResult) (CtrWidthAblation, error) {
+	var a CtrWidthAblation
+	for i, sr := range res {
 		agg := sr.Aggregate
-		rows[i] = CtrWidthRow{
-			Config:     base.Name,
-			CtrBits:    bits,
+		a.Rows = append(a.Rows, CtrWidthRow{
+			Config:     agg.Config,
+			CtrBits:    ctrWidths[i%len(ctrWidths)],
 			MPKI:       agg.MPKI(),
 			StagPcov:   agg.Pcov(core.Stag),
 			StagMPrate: agg.MPrate(core.Stag),
-		}
-		return nil
-	})
-	if err != nil {
-		return CtrWidthAblation{}, err
+		})
 	}
-	return CtrWidthAblation{Rows: rows}, nil
+	return a, nil
 }
 
 // Render writes the counter-width ablation table.
@@ -236,10 +236,9 @@ type EstimatorRow struct {
 // TAGE: the storage-free estimator with the modified automaton, and the
 // JRS tables grading the standard predictor (JRS does not need the
 // automaton change). Every row is a backend spec whose High grade is its
-// confidence estimate, so each (estimator, trace) cell is one
-// sim.RunSpec. The flat matrix fans out across the pool in one pass;
-// confusions merge in estimator-major, trace-minor order so the totals
-// match the serial reference exactly.
+// confidence estimate, so each (estimator, trace) cell is one spec run;
+// each trace is read once for all three (runSpecs), and confusions merge
+// in estimator-major, trace-minor order.
 func (r *Runner) RunEstimatorComparison() (EstimatorComparison, error) {
 	var out EstimatorComparison
 	traces, err := workload.Suite("cbp1")
@@ -258,18 +257,18 @@ func (r *Runner) RunEstimatorComparison() (EstimatorComparison, error) {
 		{"JRS 4-bit enhanced", jrs.DefaultStorageBits, predictor.MustParse("jrs-16K?enhanced=true")},
 	}
 
-	cells := make([]metrics.Binary, len(estimators)*len(traces))
-	if err := r.Pool.ForEach(len(cells), func(i int) error {
-		res, err := sim.RunSpec(estimators[i/len(traces)].spec, traces[i%len(traces)], r.Limit)
-		cells[i] = res.Binary()
-		return err
-	}); err != nil {
+	specs := make([]predictor.Spec, len(estimators))
+	for i, e := range estimators {
+		specs[i] = e.spec
+	}
+	cells, err := r.runSpecs(specs, traces)
+	if err != nil {
 		return out, err
 	}
 	for ei, e := range estimators {
 		var conf metrics.Binary
 		for ti := range traces {
-			conf.Add(cells[ei*len(traces)+ti])
+			conf.Add(cells[ei*len(traces)+ti].Binary())
 		}
 		out.Rows = append(out.Rows, EstimatorRow{Name: e.name, StorageBits: e.bits, Confusion: conf})
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/tage"
 	"repro/internal/textplot"
 )
@@ -28,24 +29,22 @@ type FamilyCensusRow struct {
 	LowMKP   float64 // low level misprediction rate
 }
 
-// RunFamilyCensus aggregates the cached CBP-1 suite run by family prefix.
-// The per-family reductions are independent arms over the shared suite
-// result, so they fan out across the pool; rows merge in family order.
+// RunFamilyCensus aggregates the CBP-1 suite run by family prefix.
 func (r *Runner) RunFamilyCensus() (FamilyCensus, error) {
-	sr, err := r.Suite(tage.Small16K(), modifiedOpts(), "cbp1")
-	if err != nil {
-		return FamilyCensus{}, err
-	}
-	families := []string{"FP", "INT", "MM", "SERV"}
-	rows := make([]FamilyCensusRow, len(families))
-	err = r.Pool.ForEach(len(families), func(i int) error {
-		fam := families[i]
+	return runAs[FamilyCensus](r, "census")
+}
+
+func planCensus(p *plan) { p.suite(tage.Small16K(), modifiedOpts(), "cbp1") }
+
+func reduceCensus(res []sim.SuiteResult) (FamilyCensus, error) {
+	var out FamilyCensus
+	for _, fam := range []string{"FP", "INT", "MM", "SERV"} {
 		var agg struct {
 			misps, instr, preds uint64
 			bim, high           uint64
 			lowPreds, lowMisps  uint64
 		}
-		for _, res := range sr.PerTrace {
+		for _, res := range res[0].PerTrace {
 			if !strings.HasPrefix(res.Trace, fam+"-") {
 				continue
 			}
@@ -62,7 +61,7 @@ func (r *Runner) RunFamilyCensus() (FamilyCensus, error) {
 			agg.lowMisps += lo.Misps
 		}
 		if agg.preds == 0 {
-			return fmt.Errorf("experiments: family %s matched no traces", fam)
+			return FamilyCensus{}, fmt.Errorf("experiments: family %s matched no traces", fam)
 		}
 		row := FamilyCensusRow{
 			Family:   fam,
@@ -73,13 +72,9 @@ func (r *Runner) RunFamilyCensus() (FamilyCensus, error) {
 		if agg.lowPreds > 0 {
 			row.LowMKP = 1000 * float64(agg.lowMisps) / float64(agg.lowPreds)
 		}
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return FamilyCensus{}, err
+		out.Rows = append(out.Rows, row)
 	}
-	return FamilyCensus{Rows: rows}, nil
+	return out, nil
 }
 
 // Render writes the census.

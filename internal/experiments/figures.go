@@ -44,34 +44,27 @@ type DistributionFigure struct {
 // RunFigure2 builds the CBP-1 distribution figure (standard automaton,
 // three sizes).
 func (r *Runner) RunFigure2() (DistributionFigure, error) {
-	return r.distribution("Figure 2: class distributions, CBP-1 traces", standardOpts(),
-		[]panelSpec{
-			{tage.Small16K(), "cbp1"},
-			{tage.Medium64K(), "cbp1"},
-			{tage.Large256K(), "cbp1"},
-		})
+	return runAs[DistributionFigure](r, "fig2")
 }
 
 // RunFigure3 builds the CBP-2 distribution figure (standard automaton,
 // three sizes).
 func (r *Runner) RunFigure3() (DistributionFigure, error) {
-	return r.distribution("Figure 3: class distributions, CBP-2 traces", standardOpts(),
-		[]panelSpec{
-			{tage.Small16K(), "cbp2"},
-			{tage.Medium64K(), "cbp2"},
-			{tage.Large256K(), "cbp2"},
-		})
+	return runAs[DistributionFigure](r, "fig3")
 }
 
 // RunFigure5 builds the modified-automaton distribution figure with the
 // paper's three panels (16K CBP-1, 64K CBP-2, 256K CBP-1).
 func (r *Runner) RunFigure5() (DistributionFigure, error) {
-	return r.distribution("Figure 5: class distributions, modified 3-bit counter automaton", modifiedOpts(),
-		[]panelSpec{
-			{tage.Small16K(), "cbp1"},
-			{tage.Medium64K(), "cbp2"},
-			{tage.Large256K(), "cbp1"},
-		})
+	return runAs[DistributionFigure](r, "fig5")
+}
+
+// distribution is the plan and reduction of a distribution figure: one
+// panel per (config, suite) under one estimator.
+type distribution struct {
+	title  string
+	opts   core.Options
+	panels []panelSpec
 }
 
 type panelSpec struct {
@@ -79,27 +72,36 @@ type panelSpec struct {
 	suite string
 }
 
-// distribution computes one panel per spec; panels are independent arms,
-// so they fan out across the pool and merge in spec order.
-func (r *Runner) distribution(title string, opts core.Options, specs []panelSpec) (DistributionFigure, error) {
-	panels := make([]DistPanel, len(specs))
-	err := r.Pool.ForEach(len(specs), func(i int) error {
-		s := specs[i]
-		sr, err := r.Suite(s.cfg, opts, s.suite)
-		if err != nil {
-			return err
-		}
-		panels[i] = DistPanel{
-			Config: s.cfg.Name,
-			Suite:  s.suite,
-			Traces: sr.PerTrace,
-		}
-		return nil
-	})
-	if err != nil {
-		return DistributionFigure{Title: title}, err
+var (
+	figure2 = distribution{"Figure 2: class distributions, CBP-1 traces", standardOpts(), []panelSpec{
+		{tage.Small16K(), "cbp1"},
+		{tage.Medium64K(), "cbp1"},
+		{tage.Large256K(), "cbp1"},
+	}}
+	figure3 = distribution{"Figure 3: class distributions, CBP-2 traces", standardOpts(), []panelSpec{
+		{tage.Small16K(), "cbp2"},
+		{tage.Medium64K(), "cbp2"},
+		{tage.Large256K(), "cbp2"},
+	}}
+	figure5 = distribution{"Figure 5: class distributions, modified 3-bit counter automaton", modifiedOpts(), []panelSpec{
+		{tage.Small16K(), "cbp1"},
+		{tage.Medium64K(), "cbp2"},
+		{tage.Large256K(), "cbp1"},
+	}}
+)
+
+func (d distribution) plan(p *plan) {
+	for _, s := range d.panels {
+		p.suite(s.cfg, d.opts, s.suite)
 	}
-	return DistributionFigure{Title: title, Panels: panels}, nil
+}
+
+func (d distribution) reduce(res []sim.SuiteResult) (DistributionFigure, error) {
+	f := DistributionFigure{Title: d.title}
+	for i, s := range d.panels {
+		f.Panels = append(f.Panels, DistPanel{Config: s.cfg.Name, Suite: s.suite, Traces: res[i].PerTrace})
+	}
+	return f, nil
 }
 
 // Render draws each panel as a pair of stacked-bar charts mirroring the
@@ -146,28 +148,28 @@ type RatesFigure struct {
 }
 
 // RunFigure4 computes the standard-automaton rates figure.
-func (r *Runner) RunFigure4() (RatesFigure, error) {
-	res, err := r.Traces(tage.Medium64K(), standardOpts(), Figure4Traces)
-	if err != nil {
-		return RatesFigure{}, err
-	}
-	return RatesFigure{
-		Title:  "Figure 4: misprediction rates per prediction class (MKP), 64Kbits, CBP-2 traces",
-		Traces: res,
-	}, nil
-}
+func (r *Runner) RunFigure4() (RatesFigure, error) { return runAs[RatesFigure](r, "fig4") }
 
 // RunFigure6 computes the modified-automaton rates figure.
-func (r *Runner) RunFigure6() (RatesFigure, error) {
-	res, err := r.Traces(tage.Medium64K(), modifiedOpts(), Figure4Traces)
-	if err != nil {
-		return RatesFigure{}, err
-	}
-	return RatesFigure{
-		Title:    "Figure 6: misprediction rates per prediction class (MKP), 64Kbits, modified automaton",
-		Modified: true,
-		Traces:   res,
-	}, nil
+func (r *Runner) RunFigure6() (RatesFigure, error) { return runAs[RatesFigure](r, "fig6") }
+
+// rates is the plan and reduction of a rates figure: the 64 Kbit
+// predictor over Figure4Traces under one estimator.
+type rates struct {
+	title    string
+	modified bool
+	opts     core.Options
+}
+
+var (
+	figure4 = rates{"Figure 4: misprediction rates per prediction class (MKP), 64Kbits, CBP-2 traces", false, standardOpts()}
+	figure6 = rates{"Figure 6: misprediction rates per prediction class (MKP), 64Kbits, modified automaton", true, modifiedOpts()}
+)
+
+func (f rates) plan(p *plan) { p.traces(tage.Medium64K(), f.opts, Figure4Traces) }
+
+func (f rates) reduce(res []sim.SuiteResult) (RatesFigure, error) {
+	return RatesFigure{Title: f.title, Modified: f.modified, Traces: res[0].PerTrace}, nil
 }
 
 // Render draws one group of class-rate bars per trace.

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/tage"
 	"repro/internal/textplot"
 )
@@ -33,15 +34,14 @@ type InversionRow struct {
 	DeltaMPKI float64
 }
 
-// RunInversion computes the per-class inversion deltas from the cached
-// suite run.
-func (r *Runner) RunInversion() (Inversion, error) {
+// RunInversion computes the per-class inversion deltas.
+func (r *Runner) RunInversion() (Inversion, error) { return runAs[Inversion](r, "inversion") }
+
+func planInversion(p *plan) { p.suite(tage.Small16K(), modifiedOpts(), "cbp1") }
+
+func reduceInversion(res []sim.SuiteResult) (Inversion, error) {
 	var out Inversion
-	sr, err := r.Suite(tage.Small16K(), modifiedOpts(), "cbp1")
-	if err != nil {
-		return out, err
-	}
-	agg := sr.Aggregate
+	agg := res[0].Aggregate
 	for _, c := range core.Classes() {
 		cc := agg.Class[c]
 		// Inverting flips correct predictions to misses and vice versa.

@@ -22,26 +22,64 @@ func renderAll(t *testing.T, limit uint64, workers int) (*Runner, []byte) {
 	return r, buf.Bytes()
 }
 
+// renderByName runs every experiment as its own Run on one fresh runner,
+// the Runs fanned out across the runner's pool in reverse presentation
+// order (the shape of the benchmark's reproduce-all pass), and returns
+// the renders concatenated in presentation order.
+func renderByName(t *testing.T, limit uint64, workers int) (*Runner, []byte) {
+	t.Helper()
+	r := NewWorkers(limit, workers)
+	names := Names()
+	names = names[:len(names)-1] // drop "all"
+	out := make([][]byte, len(names))
+	err := r.Pool.ForEach(len(names), func(i int) error {
+		i = len(names) - 1 - i
+		v, err := r.Run(names[i])
+		if err != nil {
+			return err
+		}
+		var buf bytes.Buffer
+		v[0].Render(&buf)
+		buf.WriteByte('\n')
+		out[i] = buf.Bytes()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, bytes.Join(out, nil)
+}
+
 // TestCompositeAllByteIdenticalAcrossWorkers runs the full `-experiment
-// all` composite — the path where concurrent experiments hammer one
-// shared Runner cache — serially and with 4 workers, and requires (a)
-// byte-identical renders and (b) the same number of distinct per-trace
-// simulations on both sides: the singleflight memo must collapse every
-// shared (config, options, trace) triple to exactly one simulation even
-// when the arms race for it. Run with -race to check the memo for data
-// races.
+// all` composite serially and with 4 workers, and every experiment as its
+// own concurrent Run on one runner — the paths where concurrent
+// executions share one memo — and requires (a) byte-identical renders and
+// (b) the same number of distinct per-trace simulations and memo hits on
+// every side: the memo must collapse every shared (config, options,
+// trace) triple to exactly one simulation however the executions race
+// for it, and concurrent Runs must not deadlock on each other's claims.
+// Run with -race to check the memo for data races.
 func TestCompositeAllByteIdenticalAcrossWorkers(t *testing.T) {
 	const limit = 4000
 	serial, sb := renderAll(t, limit, 1)
-	parallel, pb := renderAll(t, limit, 4)
-	if !bytes.Equal(sb, pb) {
-		t.Fatalf("composite all renders differently in parallel:\n--- serial ---\n%s\n--- parallel ---\n%s", sb, pb)
-	}
-	if s, p := serial.Simulations(), parallel.Simulations(); s != p {
-		t.Fatalf("serial ran %d trace simulations, parallel ran %d — concurrent arms duplicated or lost work", s, p)
-	}
-	if s, p := serial.TraceHits(), parallel.TraceHits(); s != p {
-		t.Fatalf("serial recorded %d trace hits, parallel %d — concurrent arms duplicated or lost work", s, p)
+	for _, leg := range []struct {
+		name    string
+		run     func(*testing.T, uint64, int) (*Runner, []byte)
+		workers int
+	}{
+		{"all, 4 workers", renderAll, 4},
+		{"per-name Runs, 2 workers", renderByName, 2},
+	} {
+		r, b := leg.run(t, limit, leg.workers)
+		if !bytes.Equal(sb, b) {
+			t.Fatalf("%s renders differently from the serial all:\n--- serial ---\n%s\n--- %s ---\n%s", leg.name, sb, leg.name, b)
+		}
+		if s, p := serial.Simulations(), r.Simulations(); s != p {
+			t.Fatalf("serial ran %d trace simulations, %s ran %d — concurrent arms duplicated or lost work", s, leg.name, p)
+		}
+		if s, p := serial.TraceHits(), r.TraceHits(); s != p {
+			t.Fatalf("serial recorded %d trace hits, %s %d — concurrent arms duplicated or lost work", s, leg.name, p)
+		}
 	}
 }
 

@@ -15,10 +15,17 @@
 // plus ablation studies (USE_ALT_ON_NA, the medium-conf-bim window,
 // counter width, storage-free vs JRS estimation).
 //
-// A Runner caches simulations at (configuration, options, trace)
-// granularity, so composite invocations (`-experiment all`, the
-// benchmark harness) run each shared trace simulation exactly once —
-// including across suites and trace subsets that overlap.
+// An experiment is planned, then executed, then reduced. Its plan lists
+// the TAGE simulations it reads, each a (configuration, options, trace
+// list) request; Runner.Run executes the plans of the experiments it
+// runs (every plan at once for "all") through one memo of (spec, trace)
+// entries, and each experiment then reduces its results, in plan and
+// trace order, into the table or figure it renders. Execution is by
+// trace: every trace is read once per execution, in 1024-branch batches,
+// and every entry it claimed on that trace steps over each batch. The
+// experiments that grade other estimators (estimators, selfconf) run
+// their spec × trace matrices the same way, one pass per trace, outside
+// the memo.
 package experiments
 
 import (
@@ -26,6 +33,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/counter"
 	"repro/internal/predictor"
 	"repro/internal/sim"
 	"repro/internal/tage"
@@ -38,20 +46,21 @@ import (
 // (600k) is what `reprotables` renders by default.
 const DefaultLimit = workload.SuiteLength
 
-// Runner executes and caches simulations at (config, options, trace)
-// granularity. Simulations fan out across Pool's workers; results (and
-// therefore the memoized cache) are bit-identical to a serial run
-// regardless of the worker count.
+// Runner executes experiment plans and memoizes their simulations at
+// (spec, trace) granularity: predictor.TAGESpec of the (config, options)
+// pair plus the trace name. Traces fan out across Pool's workers; results
+// (and therefore the memo) are bit-identical to a serial run regardless
+// of the worker count.
 //
-// A Runner is safe for concurrent use: the memo is a per-trace
-// singleflight — when several experiment arms ask for the same (config,
-// options, trace) triple concurrently, one of them simulates and the
-// rest block on the result, so every distinct triple is simulated
-// exactly once per Runner lifetime no matter how the arms are scheduled.
-// Because the unit of sharing is the trace rather than the whole suite,
-// suites that overlap (a full-suite table row and a figure's trace
-// subset, say) share the overlapping runs too: Suite and Traces assemble
-// their results from the same per-trace entries.
+// A Runner is safe for concurrent use. An execution first claims, under
+// one lock, every entry of its plan that the memo lacks; it then
+// simulates all of its claims, grouped by trace, and only then waits on
+// the entries other executions claimed. No execution waits while it
+// holds unsimulated claims, so concurrent Runs cannot deadlock, and every
+// distinct entry is simulated exactly once per Runner lifetime however
+// the Runs are scheduled. Because the unit of sharing is the trace rather
+// than the whole suite, suites that overlap (a full-suite table row and
+// a figure's trace subset, say) share the overlapping entries too.
 type Runner struct {
 	// Limit is the per-trace record budget (0 = full trace).
 	Limit uint64
@@ -61,14 +70,15 @@ type Runner struct {
 
 	mu    sync.Mutex
 	cache map[string]*traceEntry
-	sims  atomic.Uint64 // distinct per-trace simulations actually executed
-	hits  atomic.Uint64 // per-trace requests served from the memo
+	sims  atomic.Uint64 // distinct entries claimed, each simulated once
+	hits  atomic.Uint64 // requested entries that were already in the memo
 }
 
-// traceEntry is one memoized (config, options, trace) simulation; once
-// gates the single execution, after which res/err are immutable.
+// traceEntry is one memoized (spec, trace) simulation. The execution
+// that claimed it sets res and err, then closes done; both are immutable
+// after that.
 type traceEntry struct {
-	once sync.Once
+	done chan struct{}
 	res  sim.Result
 	err  error
 }
@@ -88,80 +98,207 @@ func NewWorkers(limit uint64, workers int) *Runner {
 	}
 }
 
-// keyPrefix is the canonical backend spec for (cfg, opts) plus a
-// separator; a trace's cache key is this prefix plus the trace name
-// (appended once per trace, so a suite lookup formats the config exactly
-// once). predictor.TAGESpec encodes every result-affecting Config and
-// Options field losslessly and injectively — distinct pairs always
-// produce distinct specs — so the key is collision-proof by
-// construction, replacing the hand-maintained field list that once
-// omitted AdaptiveWindow and truncated TargetMKP.
-func (r *Runner) keyPrefix(cfg tage.Config, opts core.Options) string {
-	return predictor.TAGESpec(cfg, opts).String() + "|"
+// request is one simulation an experiment plans: a fresh estimator for
+// (cfg, opts) over each trace.
+type request struct {
+	cfg    tage.Config
+	opts   core.Options
+	traces []trace.Trace
 }
 
-// results returns the per-trace results for (cfg, opts) over traces, in
-// trace order, simulating only the traces the memo has not seen. Every
-// trace goes through the pool and its entry's sync.Once: the first
-// request simulates, and every other request — an entry completed
-// earlier, or one a concurrent arm is simulating, which once.Do waits
-// for — counts as a hit and sees the identical result. The pool returns
-// the error a serial loop over the traces would hit first.
-func (r *Runner) results(cfg tage.Config, opts core.Options, traces []trace.Trace) ([]sim.Result, error) {
-	entries := make([]*traceEntry, len(traces))
-	prefix := r.keyPrefix(cfg, opts)
+// plan accumulates an experiment's requests in the order its reduction
+// reads them. It keeps the first unknown suite or trace name as err.
+type plan struct {
+	reqs []request
+	err  error
+}
+
+// suite requests (cfg, opts) over the named workload suite.
+func (p *plan) suite(cfg tage.Config, opts core.Options, name string) {
+	traces, err := workload.Suite(name)
+	p.add(cfg, opts, traces, err)
+}
+
+// traces requests (cfg, opts) over the named traces.
+func (p *plan) traces(cfg tage.Config, opts core.Options, names []string) {
+	traces := make([]trace.Trace, len(names))
+	var err error
+	for i, name := range names {
+		if traces[i], err = workload.ByName(name); err != nil {
+			break
+		}
+	}
+	p.add(cfg, opts, traces, err)
+}
+
+func (p *plan) add(cfg tage.Config, opts core.Options, traces []trace.Trace, err error) {
+	if p.err == nil {
+		p.err = err
+	}
+	p.reqs = append(p.reqs, request{cfg: cfg, opts: opts, traces: traces})
+}
+
+// claim is one memo entry an execution simulates.
+type claim struct {
+	entry *traceEntry
+	cfg   tage.Config
+	opts  core.Options
+	trace trace.Trace
+}
+
+// execute claims the entries of reqs that the memo lacks, simulates them
+// and returns every request's entries in trace order. An entry another
+// execution claimed may still be running; collect waits for it.
+func (r *Runner) execute(reqs []request) [][]*traceEntry {
+	entries := make([][]*traceEntry, len(reqs))
+	var claims []claim
+	requested := 0
 	r.mu.Lock()
 	if r.cache == nil {
 		r.cache = make(map[string]*traceEntry)
 	}
-	for i, tr := range traces {
-		k := prefix + tr.Name()
-		e, ok := r.cache[k]
-		if !ok {
-			e = &traceEntry{}
-			r.cache[k] = e
+	for i, q := range reqs {
+		prefix := predictor.TAGESpec(q.cfg, q.opts).String() + "|"
+		entries[i] = make([]*traceEntry, len(q.traces))
+		for j, tr := range q.traces {
+			k := prefix + tr.Name()
+			e, ok := r.cache[k]
+			if !ok {
+				e = &traceEntry{done: make(chan struct{})}
+				r.cache[k] = e
+				claims = append(claims, claim{entry: e, cfg: q.cfg, opts: q.opts, trace: tr})
+			}
+			entries[i][j] = e
 		}
-		entries[i] = e
+		requested += len(q.traces)
 	}
 	r.mu.Unlock()
-	err := r.Pool.ForEach(len(entries), func(i int) error {
-		e := entries[i]
-		ran := false
-		e.once.Do(func() {
-			ran = true
-			r.sims.Add(1)
-			e.res, e.err = sim.RunConfig(cfg, opts, traces[i], r.Limit)
-		})
-		if !ran {
-			r.hits.Add(1)
+	r.sims.Add(uint64(len(claims)))
+	r.hits.Add(uint64(requested - len(claims)))
+
+	// Group the claims by trace, in first-claim order.
+	var groups [][]claim
+	byTrace := make(map[string]int)
+	for _, c := range claims {
+		g, ok := byTrace[c.trace.Name()]
+		if !ok {
+			g = len(groups)
+			byTrace[c.trace.Name()] = g
+			groups = append(groups, nil)
 		}
-		return e.err
-	})
-	if err != nil {
-		return nil, err
+		groups[g] = append(groups[g], c)
 	}
-	out := make([]sim.Result, len(entries))
-	for i, e := range entries {
-		out[i] = e.res
+	// Every group runs (a failed trace stores its error in its entries
+	// and stops nothing), so no claimed entry is left open.
+	_ = r.Pool.ForEach(len(groups), func(g int) error {
+		r.simulate(groups[g])
+		return nil
+	})
+	return entries
+}
+
+// simulate runs one trace's claims in one pass.
+func (r *Runner) simulate(group []claim) {
+	lanes, members := lanesFor(group)
+	res, err := sim.RunLanes(lanes, group[0].trace, r.Limit)
+	i := 0
+	for _, m := range members {
+		for _, e := range m {
+			e.res, e.err = res[i], err
+			i++
+			close(e.done)
+		}
+	}
+}
+
+// lanesFor builds the lanes of one trace's claims and each lane's entries
+// in RunLanes' result order. Claims whose estimators run the same
+// predictor (predictorKey) share one lane: the first claim's estimator
+// steps, and every later one is a shadow classifier over its predictions.
+func lanesFor(group []claim) ([]sim.Lane, [][]*traceEntry) {
+	var lanes []sim.Lane
+	var members [][]*traceEntry
+	laneOf := make(map[string]int)
+	for _, c := range group {
+		key := predictorKey(c.cfg, c.opts)
+		if i, ok := laneOf[key]; ok && key != "" {
+			lanes[i].Shadows = append(lanes[i].Shadows, core.NewOptionsClassifier(c.cfg, c.opts))
+			members[i] = append(members[i], c.entry)
+			continue
+		}
+		laneOf[key] = len(lanes)
+		lanes = append(lanes, sim.Lane{Backend: core.NewEstimator(c.cfg, c.opts)})
+		members = append(members, []*traceEntry{c.entry})
+	}
+	return lanes, members
+}
+
+// predictorKey names the TAGE predictor that NewEstimator(cfg, opts)
+// runs: the spec with the classifier-only field (BimWindow) cleared and
+// an explicit default saturation denominator dropped. Estimators with
+// equal keys run bit-identical predictors. Adaptive estimators get ""
+// and never share: their controller feeds each class back into the
+// automaton.
+func predictorKey(cfg tage.Config, opts core.Options) string {
+	if opts.Mode == core.ModeAdaptive {
+		return ""
+	}
+	opts.BimWindow = 0
+	if opts.DenomLog == counter.DefaultDenomLog {
+		opts.DenomLog = 0
+	}
+	return predictor.TAGESpec(cfg, opts).String()
+}
+
+// collect waits for the entries of each request and assembles its
+// SuiteResult in trace order. It returns the first error in request and
+// trace order, the one a serial loop would hit first.
+func collect(reqs []request, entries [][]*traceEntry) ([]sim.SuiteResult, error) {
+	out := make([]sim.SuiteResult, len(reqs))
+	for i, q := range reqs {
+		per := make([]sim.Result, len(entries[i]))
+		for j, e := range entries[i] {
+			<-e.done
+			if e.err != nil {
+				return nil, e.err
+			}
+			per[j] = e.res
+		}
+		out[i] = sim.AssembleSuite(q.cfg.Name, q.opts.Mode, per)
 	}
 	return out, nil
 }
 
+// run executes a one-request plan.
+func (r *Runner) run(p plan) (sim.SuiteResult, error) {
+	if p.err != nil {
+		return sim.SuiteResult{}, p.err
+	}
+	res, err := collect(p.reqs, r.execute(p.reqs))
+	if err != nil {
+		return sim.SuiteResult{}, err
+	}
+	return res[0], nil
+}
+
 // Suite runs the named suite under the given configuration and estimator
-// options, assembling the SuiteResult from individually memoized
-// per-trace results (in deterministic trace order, so the assembly is
-// bit-identical to a fresh whole-suite simulation). Only traces the memo
-// has not seen are simulated.
+// options through the memo, assembling the SuiteResult from the per-trace
+// entries in trace order (bit-identical to a fresh whole-suite
+// simulation). Only traces the memo has not seen are simulated.
 func (r *Runner) Suite(cfg tage.Config, opts core.Options, suiteName string) (sim.SuiteResult, error) {
-	traces, err := workload.Suite(suiteName)
-	if err != nil {
-		return sim.SuiteResult{}, err
-	}
-	per, err := r.results(cfg, opts, traces)
-	if err != nil {
-		return sim.SuiteResult{}, err
-	}
-	return sim.AssembleSuite(cfg.Name, opts.Mode, per), nil
+	var p plan
+	p.suite(cfg, opts, suiteName)
+	return r.run(p)
+}
+
+// Traces runs specific traces through the same per-trace memo as Suite:
+// a trace already simulated as part of a full-suite run under the same
+// (config, options) is a cache hit here, and vice versa.
+func (r *Runner) Traces(cfg tage.Config, opts core.Options, names []string) ([]sim.Result, error) {
+	var p plan
+	p.traces(cfg, opts, names)
+	sr, err := r.run(p)
+	return sr.PerTrace, err
 }
 
 // Simulations returns the number of distinct per-trace simulations this
@@ -176,20 +313,28 @@ func (r *Runner) Simulations() uint64 { return r.sims.Load() }
 // across overlapping suites, repeated arms and composite invocations.
 func (r *Runner) TraceHits() uint64 { return r.hits.Load() }
 
-// Traces runs specific traces (used by the figure-4/6 experiments)
-// through the same per-trace memo as Suite: a trace already simulated as
-// part of a full-suite run under the same (config, options) is a cache
-// hit here, and vice versa.
-func (r *Runner) Traces(cfg tage.Config, opts core.Options, names []string) ([]sim.Result, error) {
-	traces := make([]trace.Trace, len(names))
-	for i, name := range names {
-		tr, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
+// runSpecs runs every spec over every trace outside the memo, one pass
+// per trace with a fresh backend per spec, and returns the results
+// spec-major: cells[s*len(traces)+t]. Traces fan out across the pool.
+func (r *Runner) runSpecs(specs []predictor.Spec, traces []trace.Trace) ([]sim.Result, error) {
+	nt := len(traces)
+	cells := make([]sim.Result, len(specs)*nt)
+	err := r.Pool.ForEach(nt, func(t int) error {
+		lanes := make([]sim.Lane, len(specs))
+		for s, sp := range specs {
+			b, err := predictor.Build(sp)
+			if err != nil {
+				return err
+			}
+			lanes[s].Backend = b
 		}
-		traces[i] = tr
-	}
-	return r.results(cfg, opts, traces)
+		res, err := sim.RunLanes(lanes, traces[t], r.Limit)
+		for s := range specs {
+			cells[s*nt+t] = res[s]
+		}
+		return err
+	})
+	return cells, err
 }
 
 // standardOpts is the §5 estimator (unmodified automaton).
@@ -205,10 +350,4 @@ func modifiedOpts() core.Options {
 // adaptiveOpts is the §6.2 adaptive estimator.
 func adaptiveOpts() core.Options {
 	return core.Options{Mode: core.ModeAdaptive}
-}
-
-// limitTrace applies the runner's budget to a raw trace (for experiments
-// that run traces directly rather than through sim).
-func (r *Runner) limitTrace(t trace.Trace) trace.Trace {
-	return trace.Limit(t, r.Limit)
 }

@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/tage"
+	"repro/internal/workload"
 )
 
 // TestRunnerKeyCoversAllResultAffectingFields is the regression test for
@@ -167,6 +170,99 @@ func TestRunnerSingleflightSimulatesOnce(t *testing.T) {
 	for i := 1; i < callers; i++ {
 		if results[i] != results[0] {
 			t.Fatalf("caller %d saw MPKI %v, caller 0 saw %v", i, results[i], results[0])
+		}
+	}
+}
+
+// TestSharedPredictorLanes: entries that differ only in the classifier
+// share one predictor (one lane) on each trace, and every entry still
+// equals its own sim.RunConfig. The window group of the ablation (-1, 4, 8, 16, 32),
+// the default window and the explicit default denominator share one
+// key; the adaptive, denomlog, ctr and noalt variants each keep their
+// own predictor, and merging any of them changes a result.
+func TestSharedPredictorLanes(t *testing.T) {
+	const limit = 20000
+	cfg := tage.Small16K()
+	modified := func(f func(*core.Options)) core.Options { o := modifiedOpts(); f(&o); return o }
+	adaptive := func(win int) core.Options {
+		return core.Options{Mode: core.ModeAdaptive, AdaptiveWindow: 512, BimWindow: win}
+	}
+	ctr4, noalt := cfg, cfg
+	ctr4.CtrBits = 4
+	noalt.DisableUseAltOnNA = true
+
+	type variant struct {
+		name string
+		cfg  tage.Config
+		opts core.Options
+	}
+	group := []variant{{"default", cfg, modifiedOpts()}}
+	for _, win := range bimWindows {
+		group = append(group, variant{fmt.Sprintf("window=%d", win), cfg, modified(func(o *core.Options) { o.BimWindow = win })})
+	}
+	group = append(group, variant{"denomlog=7", cfg, modified(func(o *core.Options) { o.DenomLog = 7 })})
+	apart := []variant{
+		{"denomlog=6", cfg, modified(func(o *core.Options) { o.DenomLog = 6 })},
+		{"adaptive", cfg, adaptive(0)},
+		{"adaptive&window=4", cfg, adaptive(4)},
+		{"ctr=4", ctr4, modifiedOpts()},
+		{"noalt", noalt, modifiedOpts()},
+		{"standard", cfg, standardOpts()},
+	}
+	want := predictorKey(cfg, modifiedOpts())
+	for _, v := range group {
+		if got := predictorKey(v.cfg, v.opts); got != want {
+			t.Errorf("%s: key %q, want the group's %q", v.name, got, want)
+		}
+	}
+	keys := map[string]string{want: "default"}
+	for _, v := range apart {
+		k := predictorKey(v.cfg, v.opts)
+		if v.opts.Mode == core.ModeAdaptive {
+			if k != "" {
+				t.Errorf("%s: adaptive key %q, want none", v.name, k)
+			}
+			continue
+		}
+		if other, ok := keys[k]; ok {
+			t.Errorf("%s shares key %q with %s", v.name, k, other)
+		}
+		keys[k] = v.name
+	}
+
+	// One trace's claims of every variant: the group is one lane, every
+	// other variant a lane of its own.
+	traces := workload.CBP1()[:3]
+	all := append(group, apart...)
+	var claims []claim
+	for _, v := range all {
+		claims = append(claims, claim{entry: &traceEntry{}, cfg: v.cfg, opts: v.opts, trace: traces[0]})
+	}
+	lanes, _ := lanesFor(claims)
+	if len(lanes) != 1+len(apart) || len(lanes[0].Shadows) != len(group)-1 {
+		t.Errorf("%d lanes, the first with %d shadows; want %d lanes, the first with %d shadows",
+			len(lanes), len(lanes[0].Shadows), 1+len(apart), len(group)-1)
+	}
+
+	// One execution over every variant: each entry equals its own run.
+	var reqs []request
+	for _, v := range all {
+		reqs = append(reqs, request{cfg: v.cfg, opts: v.opts, traces: traces})
+	}
+	r := NewWorkers(limit, 2)
+	res, err := collect(reqs, r.execute(reqs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range all {
+		for j, tr := range traces {
+			alone, err := sim.RunConfig(v.cfg, v.opts, tr, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res[i].PerTrace[j]; got != alone {
+				t.Errorf("%s on %s differs from its own RunConfig:\n got %+v\nwant %+v", v.name, tr.Name(), got, alone)
+			}
 		}
 	}
 }

@@ -57,26 +57,20 @@ func (r *Runner) RunSelfConfidence() (SelfConfidence, error) {
 		{"O-GEHL |sum|>=theta", ogehl.DefaultConfig().StorageBits(), predictor.MustParse("ogehl")},
 	}
 
-	// Every (scheme, trace) run is independent, and so is each trace of
-	// the paper's TAGE storage-free estimator (64 Kbit, the size class of
-	// the O-GEHL configuration above). The whole flat matrix — schemes
-	// plus the TAGE tail rows — fans out across the pool in one pass, then
-	// merges in scheme-major, trace-minor order so the totals match the
-	// serial reference exactly.
-	tageTail := predictor.MustParse("tage-64K?mode=probabilistic")
-	nt := len(traces)
-	cells := make([]sim.Result, (len(schemes)+1)*nt)
-	if err := r.Pool.ForEach(len(cells), func(i int) error {
-		var err error
-		if si := i / nt; si < len(schemes) {
-			cells[i], err = sim.RunSpec(schemes[si].spec, traces[i%nt], r.Limit)
-		} else {
-			cells[i], err = sim.RunSpec(tageTail, traces[i%nt], r.Limit)
-		}
-		return err
-	}); err != nil {
+	// The last spec is the paper's TAGE storage-free estimator (64 Kbit,
+	// the size class of the O-GEHL configuration above). Each trace is
+	// read once for every spec (runSpecs); totals merge in spec-major,
+	// trace-minor order.
+	var specs []predictor.Spec
+	for _, s := range schemes {
+		specs = append(specs, s.spec)
+	}
+	specs = append(specs, predictor.MustParse("tage-64K?mode=probabilistic"))
+	cells, err := r.runSpecs(specs, traces)
+	if err != nil {
 		return out, err
 	}
+	nt := len(traces)
 	suite := func(si int) sim.Result {
 		var agg sim.Result
 		for _, c := range cells[si*nt : (si+1)*nt] {

@@ -5,7 +5,7 @@ import (
 	"io"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
+	"repro/internal/sim"
 	"repro/internal/tage"
 	"repro/internal/textplot"
 )
@@ -33,14 +33,12 @@ type Sweep struct {
 // (probability 1 down to 1/1024).
 var SweepDenomLogs = []uint{0, 2, 4, 6, 7, 9, 10}
 
-// RunSweep runs the sweep on the 16 Kbit configuration over CBP-1. The
-// operating points are independent arms, so they fan out across the pool
-// (each arm's traces fan out in turn); rows land in sweep order, keeping
-// the table bit-identical to a serial run.
-func (r *Runner) RunSweep() (Sweep, error) {
-	rows := make([]SweepRow, len(SweepDenomLogs))
-	err := r.Pool.ForEach(len(SweepDenomLogs), func(i int) error {
-		dl := SweepDenomLogs[i]
+// RunSweep runs the sweep on the 16 Kbit configuration over CBP-1.
+func (r *Runner) RunSweep() (Sweep, error) { return runAs[Sweep](r, "sweep") }
+
+// planSweep requests one CBP-1 suite per operating point, in sweep order.
+func planSweep(p *plan) {
+	for _, dl := range SweepDenomLogs {
 		opts := core.Options{Mode: core.ModeProbabilistic, DenomLog: dl}
 		if dl == 0 {
 			// Probability 1 is exactly the standard automaton (the
@@ -48,39 +46,23 @@ func (r *Runner) RunSweep() (Sweep, error) {
 			// DenomLog 0 to mean "default", so express the point directly.
 			opts = core.Options{Mode: core.ModeStandard}
 		}
-		sr, err := r.Suite(tage.Small16K(), opts, "cbp1")
-		if err != nil {
-			return err
-		}
-		agg := sr.Aggregate
+		p.suite(tage.Small16K(), opts, "cbp1")
+	}
+}
+
+func reduceSweep(res []sim.SuiteResult) (Sweep, error) {
+	var s Sweep
+	for i, dl := range SweepDenomLogs {
+		agg := res[i].Aggregate
 		row := SweepRow{
 			DenomLog:    dl,
 			Probability: 1 / float64(uint64(1)<<dl),
 			MPKI:        agg.MPKI(),
 		}
-		for _, l := range core.Levels() {
-			lc := agg.Level(l)
-			cell := LevelCell{
-				Pcov:   metrics.Pcov(lc, agg.Total),
-				MPcov:  metrics.MPcov(lc, agg.Total),
-				MPrate: lc.MKP(),
-			}
-			switch l {
-			case core.Low:
-				row.Low = cell
-			case core.Medium:
-				row.Medium = cell
-			default:
-				row.High = cell
-			}
-		}
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return Sweep{}, err
+		row.High, row.Medium, row.Low = levelCells(agg)
+		s.Rows = append(s.Rows, row)
 	}
-	return Sweep{Rows: rows}, nil
+	return s, nil
 }
 
 // Render writes the sweep as a table.

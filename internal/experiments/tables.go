@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/sim"
 	"repro/internal/tage"
 	"repro/internal/textplot"
 	"repro/internal/workload"
@@ -37,33 +38,29 @@ var PaperTable1 = map[string][2]float64{
 }
 
 // RunTable1 simulates both suites under the three standard configurations.
-// The flat (config × suite) grid fans out across the pool; rows merge in
-// config order.
-func (r *Runner) RunTable1() (Table1, error) {
-	cfgs := tage.StandardConfigs()
-	suites := workload.SuiteNames()
-	mpkis := make([]float64, len(cfgs)*len(suites))
-	err := r.Pool.ForEach(len(mpkis), func(i int) error {
-		sr, err := r.Suite(cfgs[i/len(suites)], standardOpts(), suites[i%len(suites)])
-		if err != nil {
-			return err
+func (r *Runner) RunTable1() (Table1, error) { return runAs[Table1](r, "table1") }
+
+// planTable1 requests the (config × suite) grid, config-major.
+func planTable1(p *plan) {
+	for _, cfg := range tage.StandardConfigs() {
+		for _, suite := range workload.SuiteNames() {
+			p.suite(cfg, standardOpts(), suite)
 		}
-		mpkis[i] = sr.Aggregate.MPKI()
-		return nil
-	})
-	if err != nil {
-		return Table1{}, err
 	}
+}
+
+func reduceTable1(res []sim.SuiteResult) (Table1, error) {
 	var t Table1
-	for ci, cfg := range cfgs {
+	ns := len(workload.SuiteNames())
+	for ci, cfg := range tage.StandardConfigs() {
 		t.Rows = append(t.Rows, Table1Row{
 			Config:    cfg,
 			TotalBits: cfg.StorageBits(),
 			NumTables: cfg.NumTables(),
 			MinHist:   cfg.HistLengths[0],
 			MaxHist:   cfg.HistLengths[len(cfg.HistLengths)-1],
-			CBP1MPKI:  mpkis[ci*len(suites)],
-			CBP2MPKI:  mpkis[ci*len(suites)+1],
+			CBP1MPKI:  res[ci*ns].Aggregate.MPKI(),
+			CBP2MPKI:  res[ci*ns+1].Aggregate.MPKI(),
 		})
 	}
 	return t, nil
@@ -148,52 +145,58 @@ var PaperTable3 = map[string][3]LevelCell{
 }
 
 // RunThreeClass produces Table 2 (adaptive=false) or Table 3
-// (adaptive=true). The flat (config × suite) grid fans out across the
-// pool; rows merge in grid order.
+// (adaptive=true).
 func (r *Runner) RunThreeClass(adaptive bool) (ThreeClassTable, error) {
-	opts := modifiedOpts()
 	if adaptive {
-		opts = adaptiveOpts()
+		return runAs[ThreeClassTable](r, "table3")
 	}
-	cfgs := tage.StandardConfigs()
+	return runAs[ThreeClassTable](r, "table2")
+}
+
+// threeClass is the plan and reduction of Table 2 or Table 3: the
+// (config × suite) grid, config-major, under one estimator.
+type threeClass struct {
+	adaptive bool
+	opts     core.Options
+}
+
+var (
+	table2 = threeClass{false, modifiedOpts()}
+	table3 = threeClass{true, adaptiveOpts()}
+)
+
+func (tc threeClass) plan(p *plan) {
+	for _, cfg := range tage.StandardConfigs() {
+		for _, suite := range workload.SuiteNames() {
+			p.suite(cfg, tc.opts, suite)
+		}
+	}
+}
+
+func (tc threeClass) reduce(res []sim.SuiteResult) (ThreeClassTable, error) {
+	t := ThreeClassTable{Adaptive: tc.adaptive}
 	suites := workload.SuiteNames()
-	rows := make([]ThreeClassRow, len(cfgs)*len(suites))
-	err := r.Pool.ForEach(len(rows), func(i int) error {
-		cfg := cfgs[i/len(suites)]
-		suite := suites[i%len(suites)]
-		sr, err := r.Suite(cfg, opts, suite)
-		if err != nil {
-			return err
-		}
-		agg := sr.Aggregate
+	for i, sr := range res {
 		row := ThreeClassRow{
-			Config:           cfg.Name,
-			Suite:            suite,
-			FinalProbability: agg.FinalProbability,
+			Config:           sr.Aggregate.Config,
+			Suite:            suites[i%len(suites)],
+			FinalProbability: sr.Aggregate.FinalProbability,
 		}
-		for _, l := range core.Levels() {
-			lc := agg.Level(l)
-			cell := LevelCell{
-				Pcov:   metrics.Pcov(lc, agg.Total),
-				MPcov:  metrics.MPcov(lc, agg.Total),
-				MPrate: lc.MKP(),
-			}
-			switch l {
-			case core.Low:
-				row.Low = cell
-			case core.Medium:
-				row.Medium = cell
-			default:
-				row.High = cell
-			}
-		}
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return ThreeClassTable{Adaptive: adaptive}, err
+		row.High, row.Medium, row.Low = levelCells(sr.Aggregate)
+		t.Rows = append(t.Rows, row)
 	}
-	return ThreeClassTable{Adaptive: adaptive, Rows: rows}, nil
+	return t, nil
+}
+
+// levelCells returns the high, medium and low level cells of a result.
+//
+//repro:deterministic
+func levelCells(agg sim.Result) (high, medium, low LevelCell) {
+	cell := func(l core.Level) LevelCell {
+		lc := agg.Level(l)
+		return LevelCell{Pcov: metrics.Pcov(lc, agg.Total), MPcov: metrics.MPcov(lc, agg.Total), MPrate: lc.MKP()}
+	}
+	return cell(core.High), cell(core.Medium), cell(core.Low)
 }
 
 // Render writes the table in the paper's layout with the paper's values.

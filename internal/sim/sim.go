@@ -138,7 +138,7 @@ func (r *Result) Step(b predictor.Backend, br trace.Branch) (pred bool, class co
 	return pred, class, level
 }
 
-// batchSize is how many branches Run reads from the trace before it
+// batchSize is how many branches a run reads from the trace before it
 // steps them, the batch the serve client sends: decoding a batch and then
 // stepping it keeps the trace generator's and the predictor's working
 // sets apart instead of interleaving them per branch.
@@ -149,34 +149,92 @@ const batchSize = 1024
 // reader fails, the branches read before the failure are stepped and the
 // error is returned with their tallies.
 func Run(b predictor.Backend, tr trace.Trace, limit uint64) (Result, error) {
-	res := Result{
-		Trace:  tr.Name(),
-		Config: b.Label(),
-		Mode:   predictor.ModeOf(b),
+	res, err := RunLanes([]Lane{{Backend: b}}, tr, limit)
+	return res[0], err
+}
+
+// Lane is one predictor of a RunLanes pass: a backend, plus the
+// classifiers that grade that backend's own TAGE predictions a second
+// way. The storage-free estimator never feeds back into the predictor
+// outside the adaptive mode, so estimators that differ only in their
+// classifier run one identical predictor; a shadow classifier stands for
+// such an estimator without simulating the predictor again.
+type Lane struct {
+	Backend predictor.Backend
+	// Shadows grade each prediction from the Observation the Backend's
+	// step left valid and resolve it with the outcome. Shadow k's Result
+	// is the Backend's with Class tallied by Shadows[k]. Non-empty only
+	// for a backend with a TAGE Observation (core.Estimator).
+	Shadows []*core.Classifier
+}
+
+// RunLanes drives every lane over one pass of tr: it opens the trace once
+// and steps each lane's backend over every batch in turn. The results
+// come in lane order, each backend's followed by its shadows'. Every
+// backend's Result, and the error, equal Run(backend, tr, limit) alone.
+func RunLanes(lanes []Lane, tr trace.Trace, limit uint64) ([]Result, error) {
+	var out []Result
+	for _, l := range lanes {
+		res := Result{Trace: tr.Name(), Config: l.Backend.Label(), Mode: predictor.ModeOf(l.Backend)}
+		for range len(l.Shadows) + 1 {
+			out = append(out, res)
+		}
 	}
 	r := trace.Limit(tr, limit).Open()
 	var batch [batchSize]trace.Branch
-	for {
+	var err error
+	for err == nil {
 		n := 0
-		var err error
 		for n < len(batch) {
 			if batch[n], err = r.Next(); err != nil {
 				break
 			}
 			n++
 		}
-		for _, br := range batch[:n] {
-			res.Step(b, br)
-		}
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return res, err
+		i := 0
+		for _, l := range lanes {
+			l.step(out[i:i+1+len(l.Shadows)], batch[:n])
+			i += 1 + len(l.Shadows)
 		}
 	}
-	res.FinalProbability = predictor.SaturationProbabilityOf(b)
-	return res, nil
+	i := 0
+	for _, l := range lanes {
+		if errors.Is(err, io.EOF) {
+			out[i].FinalProbability = predictor.SaturationProbabilityOf(l.Backend)
+		}
+		for k := range l.Shadows {
+			class := out[i+1+k].Class
+			out[i+1+k] = out[i]
+			out[i+1+k].Class = class
+		}
+		i += 1 + len(l.Shadows)
+	}
+	if errors.Is(err, io.EOF) {
+		err = nil
+	}
+	return out, err
+}
+
+// step runs one batch through the lane: res[0] is the backend's Result,
+// res[1+k] collects shadow k's class tally.
+func (l Lane) step(res []Result, batch []trace.Branch) {
+	own := &res[0]
+	if len(l.Shadows) == 0 {
+		for _, br := range batch {
+			own.Step(l.Backend, br)
+		}
+		return
+	}
+	obs := l.Backend.(interface{ Observation() *tage.Observation })
+	for _, br := range batch {
+		own.Step(l.Backend, br)
+		o := obs.Observation()
+		miss := o.Pred != br.Taken
+		for k, c := range l.Shadows {
+			res[1+k].Class[c.Classify(o)].Record(miss)
+			c.Resolve(o, br.Taken)
+		}
+	}
 }
 
 // RunConfig builds a fresh estimator for (cfg, opts) and runs it over tr.

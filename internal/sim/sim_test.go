@@ -324,3 +324,72 @@ func TestRunBatchesLikeOneBranchAtATime(t *testing.T) {
 		})
 	}
 }
+
+// TestRunLanesEqualsRunPerBackend: one RunLanes pass over several
+// backends gives each backend the Result and the error of its own Run,
+// at limits on either side of a batch boundary and when the reader fails
+// mid-batch. A shadow classifier's Result equals the Run of an estimator
+// that differs from the lane's only in that classifier's window.
+func TestRunLanesEqualsRunPerBackend(t *testing.T) {
+	base, _ := workload.ByName("INT-1")
+	readErr := errors.New("read failed")
+	specs := []string{"tage-16K?mode=probabilistic", "jrs-16K", "bimodal-16K", "tage-64K"}
+	shadowWindows := []int{-1, 4, 32}
+	cfg, opts := tage.Small16K(), core.Options{Mode: core.ModeProbabilistic}
+	for _, tc := range []struct {
+		name  string
+		tr    trace.Trace
+		limit uint64
+	}{
+		{"limit=1023", base, 1023},
+		{"limit=1024", base, 1024},
+		{"limit=1025", base, 1025},
+		{"fail@1500", failAt{base, 1500, readErr}, 3000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var lanes []Lane
+			var want []Result
+			var wantErr error
+			run := func(b predictor.Backend) {
+				res, err := Run(b, tc.tr, tc.limit)
+				want = append(want, res)
+				if wantErr == nil {
+					wantErr = err
+				} else if err != wantErr {
+					t.Fatalf("backends disagree on the error: %v and %v", wantErr, err)
+				}
+			}
+			for _, s := range specs {
+				lane, err := predictor.Build(predictor.MustParse(s))
+				if err != nil {
+					t.Fatal(err)
+				}
+				alone, _ := predictor.Build(predictor.MustParse(s))
+				lanes = append(lanes, Lane{Backend: lane})
+				run(alone)
+			}
+			shadowed := Lane{Backend: core.NewEstimator(cfg, opts)}
+			run(core.NewEstimator(cfg, opts))
+			for _, w := range shadowWindows {
+				o := opts
+				o.BimWindow = w
+				shadowed.Shadows = append(shadowed.Shadows, core.NewOptionsClassifier(cfg, o))
+				run(core.NewEstimator(cfg, o))
+			}
+			lanes = append(lanes, shadowed)
+
+			got, gotErr := RunLanes(lanes, tc.tr, tc.limit)
+			if gotErr != wantErr {
+				t.Fatalf("error %v, want %v", gotErr, wantErr)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%d results, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("result %d differs from its own Run:\n got %+v\nwant %+v", i, got[i], want[i])
+				}
+			}
+		})
+	}
+}

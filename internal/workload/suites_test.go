@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -192,5 +194,36 @@ func TestPatternBitsNotDegenerate(t *testing.T) {
 		if ones == 0 || ones == period {
 			t.Fatalf("period %d: degenerate constant pattern", period)
 		}
+	}
+}
+
+// BenchmarkGenerate measures the synthetic trace source alone: every
+// trace of both suites read through its reader at the benchmark's 150k
+// branches per trace, in ns per branch. The tagebench ladder's
+// workload.generate rung also collects the branches into a growing
+// slice (trace.Collect), so it reads higher.
+func BenchmarkGenerate(b *testing.B) {
+	const limit = 150_000
+	var sink uint64
+	n := 0
+	for b.Loop() {
+		for _, tr := range All() {
+			r := trace.Limit(tr, limit).Open()
+			for {
+				br, err := r.Next()
+				if errors.Is(err, io.EOF) {
+					break
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				sink += br.PC
+				n++
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/branch")
+	if sink == 0 {
+		b.Fatal("no branches generated")
 	}
 }

@@ -5,27 +5,31 @@
 # end-to-end metric against the parent's own spread across the pairs.
 # No committed baseline is involved, so the gate enforces on any host.
 #
-#   bash scripts/bench_gate.sh PARENT_DIR CHANGE_DIR
+#   bash scripts/bench_gate.sh PARENT_DIR CHANGE_DIR [WORKLOAD]
+#
+# WORKLOAD is one of BENCHMARK.json's workloads, default offline-suite
+# (the predictor hot path: tage, core, sim tally, and nothing else). A
+# change that claims a gain on another workload gates on that one.
 #
 # Prints the comparison table. Exits non-zero when a row reads
 # `regressed`, or when a run exits non-zero (tagebench exits 1 when a
 # result differs from its golden, `"correct": false`).
 set -euo pipefail
 
-if [ "$#" -ne 2 ]; then
-  echo "usage: $0 PARENT_DIR CHANGE_DIR" >&2
+if [ "$#" -lt 2 ] || [ "$#" -gt 3 ]; then
+  echo "usage: $0 PARENT_DIR CHANGE_DIR [WORKLOAD]" >&2
   exit 2
 fi
 parent=$(cd "$1" && pwd)
 change=$(cd "$2" && pwd)
-
-# The predictor hot path (tage, core, sim tally) and nothing else.
-readonly workload=offline-suite
+readonly workload=${3:-offline-suite}
 # tagebench's minPairs: fewer pairs read `unresolved`, never `regressed`.
 readonly pairs=10
 # Held out: bench/README.md reserves seeds 1-5 for development.
 readonly first_seed=11
-# About 5 s a run, so the 20 runs take about 2 minutes.
+# A run repeats its pass for 3 s (at least one pass): about 5 s a run on
+# offline-suite, so the 20 runs take about 2 minutes; one reproduce-all
+# pass takes about 11 s on 2 CPUs.
 readonly seconds=3
 
 out=$(mktemp -d)
