@@ -56,13 +56,20 @@ const GCFlags = "-m=1 -d=ssa/check_bce/debug=1,ssa/prove/debug=1"
 
 // mustBeZero lists hotpath functions that may carry no unwaived bounds
 // check, no unproven shift and no heap escape, golden or not: the
-// per-branch TAGE loops and the history and counter helpers they run,
-// the shared sim/serve branch step, the serve batch loop, and the
+// per-branch TAGE loops (the probe, the update and the history
+// front-end's advance and hash) and the history and counter helpers
+// they run, the shared sim/serve branch step, the serve batch loop, and the
 // observability record paths.
 var mustBeZero = []string{
 	"repro/internal/tage.Predictor.Predict",
 	"repro/internal/tage.Predictor.Update",
 	"repro/internal/tage.Predictor.allocate",
+	"repro/internal/tage.front.push",
+	"repro/internal/tage.front.hash",
+	"repro/internal/tage.front.hashWide",
+	"repro/internal/tage.Front.Push",
+	"repro/internal/history.Buffer.Push",
+	"repro/internal/history.Buffer.Bit",
 	"repro/internal/history.Path.Push",
 	"repro/internal/counter.SignedMin",
 	"repro/internal/counter.SignedMax",

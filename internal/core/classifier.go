@@ -20,7 +20,10 @@ const DefaultBimWindow = 8
 // branch outcome (before predicting the next branch). Both read the
 // observation in place through the pointer Predict returned.
 type Classifier struct {
-	ctrBits   uint // construction parameter, fixed for the classifier's lifetime
+	// tagged maps a tagged provider's counter, as a byte, to its class
+	// (taggedClass for the predictor's counter width): fixed at
+	// construction.
+	tagged    [256]Class
 	window    int
 	remaining int
 }
@@ -44,7 +47,11 @@ func NewClassifierWindow(cfg tage.Config, window int) *Classifier {
 	if window < 0 {
 		window = 0
 	}
-	return &Classifier{ctrBits: ctrBits, window: window}
+	c := &Classifier{window: window}
+	for v := range c.tagged {
+		c.tagged[v] = taggedClass(int8(v), ctrBits)
+	}
+	return c
 }
 
 // Window returns the configured medium-conf-bim window length.
@@ -56,7 +63,7 @@ func (c *Classifier) Window() int { return c.window }
 //repro:hotpath
 func (c *Classifier) Classify(obs *tage.Observation) Class {
 	if obs.Tagged() {
-		return taggedClass(obs.ProviderCtr, c.ctrBits)
+		return c.tagged[uint8(obs.ProviderCtr)]
 	}
 	if obs.BimCtr.Weak() {
 		return LowConfBim
@@ -71,8 +78,7 @@ func (c *Classifier) Classify(obs *tage.Observation) Class {
 // weak (1) → Wtag, nearly weak (3) → NWtag, saturated → Stag, anything in
 // between → NStag. For the paper's 3-bit counters the in-between value is
 // exactly 5; the rule extends to the §6 4-bit widening experiment.
-//
-//repro:hotpath
+// NewClassifierWindow tabulates it over every counter value.
 func taggedClass(ctr int8, bits uint) Class {
 	switch s := counter.Strength(ctr); {
 	case s == 1:

@@ -1,5 +1,5 @@
 // Package history implements the branch-history machinery of geometric
-// history length predictors: a circular global-history bit buffer, the
+// history length predictors: a global-history outcome buffer, the
 // incrementally-folded (cyclic shift register) compressions of that history
 // used to index and tag the predictor tables, a short path-history
 // register, and the geometric history-length series
@@ -12,20 +12,27 @@ package history
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
-// Buffer is a circular buffer of branch-outcome bits. Bit(0) is the outcome
-// of the most recently pushed branch. The capacity is rounded up to a power
-// of two so that indexing is a mask.
+// Buffer is a branch-outcome history. Bit(0) is the outcome of the most
+// recently pushed branch. The capacity is rounded up to a power of two,
+// the size of the ring the snapshot encoding describes (see AppendState).
 //
-// The bits are packed 64 to a uint64 word, bit p of the buffer at bit p%64
-// of word p/64, so a read is one load and a shift and the whole 300-bit
-// history of the largest TAGE fits in eight words.
+// The outcomes are held one per bool in a linear window: Bit(i) is
+// bits[pos+i], one byte load with no wrap-around mask and no shift. A push
+// moves the window down one byte; when it reaches the front of the
+// array, the newest size-1 outcomes are copied back to the end, once
+// every max(size, 4096) pushes.
 type Buffer struct {
-	words []uint64
-	head  int // physical index of the most recent bit
-	mask  int // size-1: size is a power of two, fixed at construction
+	bits []bool // the window bits[pos : pos+size], with slack below it
+	pos  int    // index of the newest outcome in bits
+	mask int    // size-1: size is a power of two, fixed at construction
 }
+
+// bufferSlide is the smallest number of pushes between two window
+// copies: the array holds max(size, bufferSlide) + size - 1 bytes.
+const bufferSlide = 4096
 
 // NewBuffer returns a buffer able to serve Bit(i) for i in [0, capacity].
 func NewBuffer(capacity int) *Buffer {
@@ -36,21 +43,35 @@ func NewBuffer(capacity int) *Buffer {
 	for size < capacity+2 {
 		size <<= 1
 	}
-	return &Buffer{words: make([]uint64, (size+63)/64), mask: size - 1}
+	slide := max(size, bufferSlide)
+	// pos starts at slide-1 and moves in step with the ring head of the
+	// snapshot encoding: pos ≡ head-1 (mod size) holds from the empty
+	// buffer (head 0) on, and a slide moves pos by slide, a multiple of
+	// size.
+	return &Buffer{bits: make([]bool, slide+size-1), pos: slide - 1, mask: size - 1}
 }
 
 // Push records the outcome of a new branch as the most recent history bit.
 //
 //repro:hotpath
 func (b *Buffer) Push(taken bool) {
-	b.head = (b.head - 1) & b.mask
-	var bit uint64
-	if taken {
-		bit = 1
+	if b.pos == 0 {
+		b.slide()
 	}
-	w := &b.words[b.head>>6]
-	sh := uint(b.head) & 63
-	*w = *w&^(1<<sh) | bit<<sh
+	b.pos--
+	b.bits[b.pos] = taken //repro:allow-bce pos-1 >= 0 by the slide above, and pos+size <= len(bits) by NewBuffer's sizing
+}
+
+// slide copies the newest size-1 outcomes to the end of the array and
+// points the window at them, so that the next push has room below. It
+// runs once per max(size, 4096) pushes and stays out of line, off the
+// push's path.
+//
+//go:noinline
+func (b *Buffer) slide() {
+	slide := len(b.bits) - b.mask
+	copy(b.bits[slide:], b.bits[:b.mask])
+	b.pos = slide
 }
 
 // Bit returns the i-th most recent outcome bit (0 = newest). i must be less
@@ -58,14 +79,34 @@ func (b *Buffer) Push(taken bool) {
 //
 //repro:hotpath
 func (b *Buffer) Bit(i int) uint8 {
-	p := (b.head + i) & b.mask
-	return uint8(b.words[p>>6]>>(uint(p)&63)) & 1
+	if b.bits[b.pos+i] { //repro:allow-bce pos+i < pos+size <= len(bits) for i below the capacity, by NewBuffer's sizing
+		return 1
+	}
+	return 0
 }
 
 // Len returns the number of bits the buffer can address.
 //
 //repro:hotpath
 func (b *Buffer) Len() int { return b.mask + 1 }
+
+// Equal reports whether b and o have the same size and hold the same
+// outcomes.
+func (b *Buffer) Equal(o *Buffer) bool {
+	return b.mask == o.mask && slices.Equal(b.window(), o.window())
+}
+
+// CopyFrom makes b hold src's outcomes. The two must have the same size.
+func (b *Buffer) CopyFrom(src *Buffer) {
+	if b.mask != src.mask {
+		panic("history: CopyFrom between buffers of different sizes")
+	}
+	copy(b.bits, src.bits)
+	b.pos = src.pos
+}
+
+// window returns the size outcomes the buffer addresses, newest first.
+func (b *Buffer) window() []bool { return b.bits[b.pos : b.pos+b.mask+1] }
 
 // Folded is an incrementally maintained compression ("cyclic shift
 // register") of the most recent origLen history bits into compLen bits, as

@@ -11,22 +11,25 @@ import (
 	"repro/internal/statecodec"
 )
 
-// AppendState appends the buffer's contents: physical size, head index,
-// then the physical bit array packed 8 bits per byte (bit i of byte j is
-// physical bit j*8+i), which is the little-endian byte image of the words
-// cut to the size. Serializing the physical layout rather than the logical
-// window keeps restore a straight copy and preserves bit identity.
+// AppendState appends the buffer's contents as the ring buffer it
+// encodes: physical size, head index, then the physical bit array packed
+// 8 bits per byte (bit i of byte j is physical bit j*8+i). The ring
+// holds the newest outcome at physical bit head and Bit(i) at
+// (head+i) mod size, and head moves down one per push from 0, so the
+// bytes are the same however the buffer stores its outcomes.
 func (b *Buffer) AppendState(dst []byte) []byte {
 	size := b.Len()
+	head := (b.pos + 1) & b.mask
 	dst = binary.AppendUvarint(dst, uint64(size))
-	dst = binary.AppendUvarint(dst, uint64(b.head))
-	n := (size + 7) / 8
-	for _, w := range b.words[:n/8] {
-		dst = binary.LittleEndian.AppendUint64(dst, w)
-	}
-	// A buffer under 64 bits is one word cut to its byte count.
-	for k := 0; k < n%8; k++ {
-		dst = append(dst, byte(b.words[0]>>(8*k)))
+	dst = binary.AppendUvarint(dst, uint64(head))
+	off := len(dst)
+	dst = append(dst, make([]byte, (size+7)/8)...)
+	packed := dst[off:]
+	for i, bit := range b.window() {
+		if bit {
+			p := (head + i) & b.mask
+			packed[p/8] |= 1 << (p % 8)
+		}
 	}
 	return dst
 }
@@ -51,15 +54,13 @@ func (b *Buffer) RestoreState(r *statecodec.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	b.head = int(head)
-	clear(b.words)
-	for j, c := range packed {
-		b.words[j/8] |= uint64(c) << (j % 8 * 8)
-	}
-	// Bits past the size (a buffer under 64 bits, or under 8) are never
-	// read; clear them so a corrupt image re-encodes as its valid bits.
-	if size < 64 {
-		b.words[0] &= 1<<size - 1
+	// pos ≡ head-1 (mod size), as NewBuffer and Push keep it. Bits past
+	// the size in the last byte are never read, so a corrupt image
+	// re-encodes as its valid bits.
+	b.pos = (int(head) - 1) & b.mask
+	for i := range b.window() {
+		p := (int(head) + i) & b.mask
+		b.bits[b.pos+i] = packed[p/8]>>(p%8)&1 == 1
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package history
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"testing"
 
@@ -51,6 +52,66 @@ func TestBufferStatePinned(t *testing.T) {
 		}
 		if again := restored.AppendState([]byte{0xA5}); string(again) != string(img) {
 			t.Errorf("size %d: re-encoded state differs from the original", tc.size)
+		}
+	}
+}
+
+// ring is the circular buffer whose bytes AppendState writes: the newest
+// outcome at physical bit head, head moving down one per push.
+type ring struct {
+	bits []byte
+	head int
+}
+
+func (r *ring) push(bit byte) {
+	r.head = (r.head - 1) & (len(r.bits) - 1)
+	r.bits[r.head] = bit
+}
+
+func (r *ring) state() []byte {
+	size := len(r.bits)
+	dst := binary.AppendUvarint(nil, uint64(size))
+	dst = binary.AppendUvarint(dst, uint64(r.head))
+	packed := make([]byte, (size+7)/8)
+	for p, bit := range r.bits {
+		packed[p/8] |= bit << (p % 8)
+	}
+	return append(dst, packed...)
+}
+
+// TestBufferMatchesRing drives the linear window across many slides,
+// including a size above the slide distance, and checks every Bit and
+// the snapshot bytes against the ring they encode; a buffer restored
+// mid-stream must continue identically.
+func TestBufferMatchesRing(t *testing.T) {
+	for _, capacity := range []int{1, 6, 300, 6000} {
+		b := NewBuffer(capacity)
+		ref := &ring{bits: make([]byte, b.Len())}
+		r := xrand.New(uint64(capacity))
+		for i := 0; i < 3*b.Len()+3*bufferSlide+7; i++ {
+			bit := byte(r.Intn(2))
+			b.Push(bit == 1)
+			ref.push(bit)
+			if i%997 != 0 {
+				continue
+			}
+			for j := 0; j < b.Len(); j++ {
+				if got, want := b.Bit(j), ref.bits[(ref.head+j)&(b.Len()-1)]; got != want {
+					t.Fatalf("size %d, push %d: Bit(%d) = %d, want %d", b.Len(), i, j, got, want)
+				}
+			}
+			img := b.AppendState(nil)
+			if string(img) != string(ref.state()) {
+				t.Fatalf("size %d, push %d: state bytes differ from the ring's", b.Len(), i)
+			}
+			restored := NewBuffer(capacity)
+			if err := restored.RestoreState(statecodec.NewReader(img)); err != nil {
+				t.Fatal(err)
+			}
+			if !restored.Equal(b) {
+				t.Fatalf("size %d, push %d: restored buffer differs", b.Len(), i)
+			}
+			b = restored
 		}
 	}
 }

@@ -12,6 +12,7 @@ package sim
 import (
 	"errors"
 	"io"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -159,6 +160,11 @@ func Run(b predictor.Backend, tr trace.Trace, limit uint64) (Result, error) {
 // outside the adaptive mode, so estimators that differ only in their
 // classifier run one identical predictor; a shadow classifier stands for
 // such an estimator without simulating the predictor again.
+//
+// A backend that exposes its TAGE predictor (core.Estimator's
+// Predictor) may share its history front-end with the pass's other
+// lanes of the same geometry (tage.Front); each lane's backend is then
+// its own, and must not appear in another lane.
 type Lane struct {
 	Backend predictor.Backend
 	// Shadows grade each prediction from the Observation the Backend's
@@ -171,7 +177,16 @@ type Lane struct {
 // RunLanes drives every lane over one pass of tr: it opens the trace once
 // and steps each lane's backend over every batch in turn. The results
 // come in lane order, each backend's followed by its shadows'. Every
-// backend's Result, and the error, equal Run(backend, tr, limit) alone.
+// backend's Result, and the error, equal Run(backend, tr, limit) alone,
+// and so does the state each backend ends the pass in.
+//
+// TAGE history depends only on the trace, so lanes whose TAGE predictors
+// have one geometry and the same history share one tage.Front: it
+// advances once per branch for all of them, and each lane steps the
+// batch through Result.Step as usual, predicting from the rows the
+// front recorded (adaptive lanes too: their controller never touches
+// the history). At the end of the pass each of them takes the front's
+// history, the one its own front-end would have reached.
 func RunLanes(lanes []Lane, tr trace.Trace, limit uint64) ([]Result, error) {
 	var out []Result
 	for _, l := range lanes {
@@ -180,6 +195,7 @@ func RunLanes(lanes []Lane, tr trace.Trace, limit uint64) ([]Result, error) {
 			out = append(out, res)
 		}
 	}
+	fronts, follows := shareFronts(lanes)
 	r := trace.Limit(tr, limit).Open()
 	var batch [batchSize]trace.Branch
 	var err error
@@ -191,14 +207,26 @@ func RunLanes(lanes []Lane, tr trace.Trace, limit uint64) ([]Result, error) {
 			}
 			n++
 		}
+		for _, f := range fronts {
+			f.Reset()
+			for _, br := range batch[:n] {
+				f.Push(br.PC, br.Taken)
+			}
+		}
 		i := 0
-		for _, l := range lanes {
+		for k, l := range lanes {
+			if fl := follows[k]; fl.front != nil {
+				fl.pred.Follow(fl.front)
+			}
 			l.step(out[i:i+1+len(l.Shadows)], batch[:n])
 			i += 1 + len(l.Shadows)
 		}
 	}
 	i := 0
-	for _, l := range lanes {
+	for k, l := range lanes {
+		if fl := follows[k]; fl.front != nil {
+			fl.pred.Unfollow(fl.front)
+		}
 		if errors.Is(err, io.EOF) {
 			out[i].FinalProbability = predictor.SaturationProbabilityOf(l.Backend)
 		}
@@ -213,6 +241,43 @@ func RunLanes(lanes []Lane, tr trace.Trace, limit uint64) ([]Result, error) {
 		err = nil
 	}
 	return out, err
+}
+
+// follow is a lane's TAGE predictor, nil for other backends, and the
+// front it follows, nil for a lane that advances its own history.
+type follow struct {
+	pred  *tage.Predictor
+	front *tage.Front
+}
+
+// shareFronts groups the lanes whose backends expose a TAGE predictor
+// by history (tage.Predictor.SameHistory) and gives each group of two or
+// more one front, started from its first member's history. It returns
+// the fronts and each lane's follow.
+func shareFronts(lanes []Lane) ([]*tage.Front, []follow) {
+	follows := make([]follow, len(lanes))
+	var fronts []*tage.Front
+	var leads []int // each group's first lane
+	for k, l := range lanes {
+		b, ok := l.Backend.(interface{ Predictor() *tage.Predictor })
+		if !ok {
+			continue
+		}
+		p := b.Predictor()
+		follows[k].pred = p
+		g := slices.IndexFunc(leads, func(j int) bool { return follows[j].pred.SameHistory(p) })
+		if g < 0 {
+			leads = append(leads, k)
+			fronts = append(fronts, nil)
+			continue
+		}
+		if fronts[g] == nil {
+			fronts[g] = tage.NewFront(p, batchSize)
+			follows[leads[g]].front = fronts[g]
+		}
+		follows[k].front = fronts[g]
+	}
+	return slices.DeleteFunc(fronts, func(f *tage.Front) bool { return f == nil }), follows
 }
 
 // step runs one batch through the lane: res[0] is the backend's Result,

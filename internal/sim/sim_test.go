@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"testing"
@@ -325,15 +326,43 @@ func TestRunBatchesLikeOneBranchAtATime(t *testing.T) {
 	}
 }
 
+// oddPCs sets bit 0 of every PC from bit 2. Workload PCs are even, and
+// the TAGE path history is the PCs' bit 0, so this makes the path hash
+// live.
+type oddPCs struct{ inner trace.Trace }
+
+func (o oddPCs) Name() string       { return o.inner.Name() }
+func (o oddPCs) Open() trace.Reader { return oddPCReader{o.inner.Open()} }
+
+type oddPCReader struct{ inner trace.Reader }
+
+func (r oddPCReader) Next() (trace.Branch, error) {
+	b, err := r.inner.Next()
+	b.PC |= b.PC >> 2 & 1
+	return b, err
+}
+
 // TestRunLanesEqualsRunPerBackend: one RunLanes pass over several
 // backends gives each backend the Result and the error of its own Run,
-// at limits on either side of a batch boundary and when the reader fails
-// mid-batch. A shadow classifier's Result equals the Run of an estimator
-// that differs from the lane's only in that classifier's window.
+// and leaves it in the state its own Run leaves (snapshot bytes), at
+// limits on either side of a batch boundary and when the reader fails
+// mid-batch. Most TAGE lanes share one geometry, so they follow one
+// history front-end; a lane stepped ahead of the pass has another
+// history and must not. A shadow classifier's Result equals the Run of
+// an estimator that differs from the lane's only in that classifier's
+// window. The stream has odd PCs, so the path hash is live.
 func TestRunLanesEqualsRunPerBackend(t *testing.T) {
-	base, _ := workload.ByName("INT-1")
+	int1, _ := workload.ByName("INT-1")
+	base := oddPCs{int1}
 	readErr := errors.New("read failed")
-	specs := []string{"tage-16K?mode=probabilistic", "jrs-16K", "bimodal-16K", "tage-64K"}
+	specs := []string{
+		"tage-16K?mode=probabilistic", "jrs-16K", "bimodal-16K", "tage-64K",
+		// The 16K geometry again: automaton, counter width and
+		// USE_ALT_ON_NA are the tables', not the history's.
+		"tage-16K", "tage-16K?mode=adaptive", "tage-16K?ctr=4", "tage-16K?noalt=true",
+		"tage-16K?mode=probabilistic&denomlog=3",
+	}
+	const ahead = "tage-16K?mode=probabilistic"
 	shadowWindows := []int{-1, 4, 32}
 	cfg, opts := tage.Small16K(), core.Options{Mode: core.ModeProbabilistic}
 	for _, tc := range []struct {
@@ -349,6 +378,7 @@ func TestRunLanesEqualsRunPerBackend(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var lanes []Lane
 			var want []Result
+			var wantState [][]byte
 			var wantErr error
 			run := func(b predictor.Backend) {
 				res, err := Run(b, tc.tr, tc.limit)
@@ -359,17 +389,43 @@ func TestRunLanesEqualsRunPerBackend(t *testing.T) {
 					t.Fatalf("backends disagree on the error: %v and %v", wantErr, err)
 				}
 			}
-			for _, s := range specs {
-				lane, err := predictor.Build(predictor.MustParse(s))
+			state := func(b predictor.Backend) []byte {
+				img, err := predictor.AppendSnapshot(nil, b)
 				if err != nil {
 					t.Fatal(err)
 				}
-				alone, _ := predictor.Build(predictor.MustParse(s))
-				lanes = append(lanes, Lane{Backend: lane})
-				run(alone)
+				return img
 			}
+			build := func(s string) predictor.Backend {
+				b, err := predictor.Build(predictor.MustParse(s))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+			for _, s := range specs {
+				alone := build(s)
+				lanes = append(lanes, Lane{Backend: build(s)})
+				run(alone)
+				wantState = append(wantState, state(alone))
+			}
+			// Two hundred branches of another trace put this lane's
+			// history ahead of the others'.
+			other, _ := workload.ByName("FP-1")
+			lane, alone := build(ahead), build(ahead)
+			for _, b := range []predictor.Backend{lane, alone} {
+				if _, err := Run(b, other, 200); err != nil {
+					t.Fatal(err)
+				}
+			}
+			lanes = append(lanes, Lane{Backend: lane})
+			run(alone)
+			wantState = append(wantState, state(alone))
+
 			shadowed := Lane{Backend: core.NewEstimator(cfg, opts)}
-			run(core.NewEstimator(cfg, opts))
+			alone = core.NewEstimator(cfg, opts)
+			run(alone)
+			wantState = append(wantState, state(alone))
 			for _, w := range shadowWindows {
 				o := opts
 				o.BimWindow = w
@@ -390,6 +446,43 @@ func TestRunLanesEqualsRunPerBackend(t *testing.T) {
 					t.Errorf("result %d differs from its own Run:\n got %+v\nwant %+v", i, got[i], want[i])
 				}
 			}
+			for i, l := range lanes {
+				if img := state(l.Backend); string(img) != string(wantState[i]) {
+					t.Errorf("lane %d (%s) ends the pass in another state than its own Run", i, l.Backend.Label())
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRunLanes times one RunLanes pass of k estimators of one
+// configuration (64K, §6 probabilistic automaton) over 100k branches of
+// INT-3 held in memory, in ns per lane-branch: the pass's time over k
+// times its branches. Lanes of one geometry share one history
+// front-end, so the per-lane cost falls as k grows; k=1 is the lone
+// predictor's path.
+func BenchmarkRunLanes(b *testing.B) {
+	base, _ := workload.ByName("INT-3")
+	recs, err := trace.Collect(trace.Limit(base, 100_000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	mem := &trace.Mem{TraceName: base.Name(), Records: recs}
+	cfg, opts := tage.Medium64K(), core.Options{Mode: core.ModeProbabilistic}
+	for _, k := range []int{1, 3, 6} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			for range b.N {
+				b.StopTimer()
+				lanes := make([]Lane, k)
+				for i := range lanes {
+					lanes[i].Backend = core.NewEstimator(cfg, opts)
+				}
+				b.StartTimer()
+				if _, err := RunLanes(lanes, mem, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k*len(recs)), "ns/lane-branch")
 		})
 	}
 }

@@ -547,16 +547,29 @@ func TestPackedMatchesSOADifferential(t *testing.T) {
 // history.Folded registers, the reference definition, for every fold
 // geometry Validate admits: TaggedLog 1..24 × TagBits 2..16, each at
 // window lengths 1, c-1, c, 2c+1 (c each field's width) and 300. The
-// word is advanced by Predictor.Update itself: a one-table predictor
-// small enough to allocate for every case gets the layout under test
-// installed over its own, which only its history advance and its tag
-// reads use, and each update must leave the three fields equal to the
-// reference folds and every spare bit clear. The snapshot packing must
-// rebuild the word from its fields with each one masked to its width.
+// word is advanced by the history front-end's own push, through
+// Predictor.Update: a one-table predictor small enough to allocate for
+// every case gets the layout under test installed over its own, which
+// only its history advance and its hash use, and each update must leave
+// the three fields equal to the reference folds and every spare bit
+// clear. The advance's carry gather must index foldWrap exactly for all
+// eight spare patterns. The snapshot packing must rebuild the word from
+// its fields with each one masked to its width.
 func TestFoldWordMatchesFolded(t *testing.T) {
 	for taggedLog := uint(1); taggedLog <= 24; taggedLog++ {
 		for tagBits := uint(2); tagBits <= 16; tagBits++ {
 			lay := newFoldLayout(taggedLog, tagBits)
+			for pat := range 8 {
+				var sp uint64
+				for k, s := range []uint{lay.c0, foldO1 + lay.c1, foldO2 + lay.c2} {
+					if pat>>(2-k)&1 == 1 {
+						sp |= 1 << s
+					}
+				}
+				if sp&^lay.spares != 0 || sp*lay.gather>>61 != uint64(pat) {
+					t.Fatalf("TaggedLog %d TagBits %d: spares %#x gather to %d, want %d", taggedLog, tagBits, sp, sp*lay.gather>>61, pat)
+				}
+			}
 			lengths := map[int]bool{1: true, 300: true}
 			for _, c := range []int{int(lay.c0), int(lay.c1), int(lay.c2)} {
 				lengths[c] = true
@@ -567,8 +580,8 @@ func TestFoldWordMatchesFolded(t *testing.T) {
 			}
 			for hl := range lengths {
 				p := New(Config{BimodalLog: 4, TaggedLog: 4, TagBits: 8, HistLengths: []int{hl}, PathBits: 8, Seed: 1})
-				p.fold = lay
-				p.folds[0].out = lay.out(hl)
+				p.fe.fold = lay
+				p.fe.folds[0].out = lay.out(hl)
 				buf := history.NewBuffer(hl + 2)
 				ref := []history.Folded{
 					*history.NewFolded(hl, int(taggedLog)),
@@ -584,7 +597,7 @@ func TestFoldWordMatchesFolded(t *testing.T) {
 					for j := range ref {
 						ref[j].Update(buf)
 					}
-					w := p.folds[0].w
+					w := p.fe.folds[0].w
 					idx, tag, tag2 := lay.fields(w)
 					if w&^lay.keep != 0 || idx != uint64(ref[0].Value()) || tag != uint64(ref[1].Value()) || tag2 != uint64(ref[2].Value()) {
 						t.Fatalf("TaggedLog %d TagBits %d L %d, update %d: word %#x = (%#x, %#x, %#x), spare %#x; want (%#x, %#x, %#x)",

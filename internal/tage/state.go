@@ -28,15 +28,16 @@ func (p *Predictor) AppendState(dst []byte) []byte {
 	}
 	// Three folds per table, written as one flat count of separate values
 	// so the byte stream does not depend on how the folds are stored.
-	dst = binary.AppendUvarint(dst, uint64(3*len(p.folds)))
-	for i := range p.folds {
-		idx, tag, tag2 := p.fold.fields(p.folds[i].w)
+	fe := &p.fe
+	dst = binary.AppendUvarint(dst, uint64(3*len(fe.folds)))
+	for i := range fe.folds {
+		idx, tag, tag2 := fe.fold.fields(fe.folds[i].w)
 		dst = binary.AppendUvarint(dst, idx)
 		dst = binary.AppendUvarint(dst, tag)
 		dst = binary.AppendUvarint(dst, tag2)
 	}
-	dst = p.ghist.AppendState(dst)
-	dst = binary.AppendUvarint(dst, uint64(p.phist.Value()))
+	dst = fe.ghist.AppendState(dst)
+	dst = binary.AppendUvarint(dst, uint64(fe.phist.Value()))
 	dst = binary.AppendVarint(dst, int64(p.useAltOnNA))
 	dst = binary.AppendUvarint(dst, p.tick)
 	dst = binary.LittleEndian.AppendUint64(dst, p.rng.State())
@@ -59,21 +60,24 @@ func (p *Predictor) RestoreState(r *statecodec.Reader) error {
 	for i := range p.arena {
 		p.arena[i] = r.Uint32()
 	}
+	fe := &p.fe
 	nf := r.Uvarint()
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if nf != uint64(3*len(p.folds)) {
-		return fmt.Errorf("%w: tage folds %d, want %d", statecodec.ErrCorrupt, nf, 3*len(p.folds))
+	if nf != uint64(3*len(fe.folds)) {
+		return fmt.Errorf("%w: tage folds %d, want %d", statecodec.ErrCorrupt, nf, 3*len(fe.folds))
 	}
-	for i := range p.folds {
+	for i := range fe.folds {
 		idx, tag, tag2 := r.Uvarint(), r.Uvarint(), r.Uvarint()
-		p.folds[i].w = p.fold.pack(idx, tag, tag2)
+		fe.folds[i].w = fe.fold.pack(idx, tag, tag2)
 	}
-	if err := p.ghist.RestoreState(r); err != nil {
+	if err := fe.ghist.RestoreState(r); err != nil {
 		return err
 	}
-	p.phist.SetValue(uint32(r.Uvarint()))
+	fe.phist.SetValue(uint32(r.Uvarint()))
+	fe.hash()
+	p.rows, p.following = fe.row, false
 	ualt := r.Varint()
 	p.tick = r.Uvarint()
 	rngState := r.Uint64()

@@ -13,6 +13,15 @@
 // geometries where F is linear over GF(2), so each bank's hash is the
 // XOR of one precomputed value per path byte.
 //
+// The history front-end (front.go) is split from the tables: the global
+// and path histories, each table's three folds packed in one word, and
+// the history half of every bank's index and tag, which Predict combines
+// with the branch's pc. It depends only on the branch stream, so
+// predictors of one geometry (TaggedLog, TagBits, HistLengths, PathBits)
+// fed the same branches can share one: a Front advances once per branch
+// and every predictor following it reads its recorded rows. A lone
+// Predictor advances its own front-end in Update.
+//
 // Everything the paper's storage-free confidence estimator needs to observe
 // — which component provided the prediction and the value of its prediction
 // counter — is exposed through the Observation that Predict returns. The
@@ -22,7 +31,6 @@ package tage
 import (
 	"repro/internal/bimodal"
 	"repro/internal/counter"
-	"repro/internal/history"
 	"repro/internal/xrand"
 )
 
@@ -110,22 +118,12 @@ type Predictor struct {
 
 	histLens []int // geometric history lengths fixed by cfg
 
-	// folds holds each table's fold word, history length and bank base
-	// in one struct: the per-branch history advance walks one
-	// contiguous slice, and a probe reads everything its bank hashes
-	// from adjacent words.
-	folds []tableFolds
-	fold  foldLayout // fold-word geometry, the same for every table
-
-	// pathRows is the path-history hash in table form (see
-	// newPathTable): the row of path byte k with value v holds every
-	// bank's hash of v<<8k, at pathRows[(k<<8|v)*numTables:]. pathBytes
-	// is the number of byte tables, at least two.
-	pathRows  []uint32 // fixed by cfg
-	pathBytes int      // fixed by cfg
-
-	ghist *history.Buffer
-	phist *history.Path
+	// fe is the predictor's own history front-end, and rows the hash rows
+	// Predict reads: fe.row, or while following a Front the rest of its
+	// batch (see Follow).
+	fe        front
+	rows      []uint64
+	following bool
 
 	useAltOnNA int8 // 4-bit signed: >= 0 favors altpred on weak new entries
 
@@ -145,62 +143,6 @@ type Predictor struct {
 	altBank      int      // per-prediction scratch
 	longestPred  bool     // per-prediction scratch
 	allocScratch []int    // per-prediction scratch
-}
-
-// tableFolds is one tagged table's folded-history state: its three
-// history compressions packed in one word w (see foldLayout), the
-// history length whose oldest bit leaves the fold window on each update,
-// and out, the word with one bit set in each field where that leaving
-// bit is folded in (bit histLen % width of the field). base is the
-// table's first position in the flat entry storage, i<<TaggedLog for
-// table i.
-type tableFolds struct {
-	w       uint64
-	out     uint64
-	histLen int
-	base    uint32
-}
-
-// foldLayout places a table's three folded histories in one uint64: the
-// index fold (c0 = TaggedLog bits) at bit 0, the tag fold (c1 = TagBits)
-// at o1 = c0+1, and the second tag fold (c2 = TagBits-1) at o2 = o1+c1+1.
-// The spare bit above each field catches the bit a shift carries out of
-// it, which the advance folds back into the field's bit 0, so one
-// shift-xor-mask sequence advances all three folds exactly as
-// history.Folded advances each. Validate bounds the fields to
-// 24+16+15 bits, 58 with the spares.
-type foldLayout struct {
-	c0, c1, c2 uint   // field widths
-	o1, o2     uint   // offsets of the tag folds
-	keep       uint64 // the three fields, spare bits clear
-	newest     uint64 // bit 0 of each field: where the newest outcome enters
-}
-
-func newFoldLayout(taggedLog, tagBits uint) foldLayout {
-	l := foldLayout{c0: taggedLog, c1: tagBits, c2: max(tagBits-1, 1)}
-	l.o1 = l.c0 + 1
-	l.o2 = l.o1 + l.c1 + 1
-	l.keep = 1<<l.c0 - 1 | (1<<l.c1-1)<<l.o1 | (1<<l.c2-1)<<l.o2
-	l.newest = 1 | 1<<l.o1 | 1<<l.o2
-	return l
-}
-
-// out returns the leaving-bit mask of a table with history length
-// histLen: the bit histLen % width of each field.
-func (l foldLayout) out(histLen int) uint64 {
-	return 1<<(uint(histLen)%l.c0) | 1<<(l.o1+uint(histLen)%l.c1) | 1<<(l.o2+uint(histLen)%l.c2)
-}
-
-// fields unpacks a fold word into its index, tag and second tag folds.
-func (l foldLayout) fields(w uint64) (idx, tag, tag2 uint64) {
-	return w & (1<<l.c0 - 1), w >> l.o1 & (1<<l.c1 - 1), w >> l.o2 & (1<<l.c2 - 1)
-}
-
-// pack is fields' inverse. Each value is masked to its field width, as
-// history.Folded.SetValue masks, so a corrupt snapshot cannot spill one
-// fold into the next.
-func (l foldLayout) pack(idx, tag, tag2 uint64) uint64 {
-	return idx&(1<<l.c0-1) | (tag&(1<<l.c1-1))<<l.o1 | (tag2&(1<<l.c2-1))<<l.o2
 }
 
 // pathF is F, the path-history hash of the reference TAGE simulator, for
@@ -259,7 +201,6 @@ func NewWithAutomaton(cfg Config, auto counter.Automaton) *Predictor {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	maxHist := cfg.HistLengths[len(cfg.HistLengths)-1]
 	m := len(cfg.HistLengths)
 	rows := 1 << cfg.TaggedLog
 	// One arena holds the whole predictor: the packed bimodal base table
@@ -276,9 +217,7 @@ func NewWithAutomaton(cfg Config, auto counter.Automaton) *Predictor {
 		rowMask:   uint32(rows - 1),
 		tagMask:   (uint32(1) << cfg.TagBits) - 1,
 		histLens:  append([]int(nil), cfg.HistLengths...),
-		folds:     make([]tableFolds, m),
-		ghist:     history.NewBuffer(maxHist + 2),
-		phist:     history.NewPath(cfg.PathBits),
+		fe:        newFront(cfg),
 		auto:      auto,
 		rng:       xrand.New(xrand.Mix64(cfg.Seed ^ 0x7A6E)),
 		pos:       make([]uint32, m+1),
@@ -286,13 +225,7 @@ func NewWithAutomaton(cfg Config, auto counter.Automaton) *Predictor {
 
 		allocScratch: make([]int, 0, m),
 	}
-	p.fold = newFoldLayout(cfg.TaggedLog, cfg.TagBits)
-	widths := make([]uint, m)
-	for i, hl := range cfg.HistLengths {
-		p.folds[i] = tableFolds{out: p.fold.out(hl), histLen: hl, base: uint32(i) << cfg.TaggedLog}
-		widths[i] = cfg.pathWidth(hl)
-	}
-	p.pathRows, p.pathBytes = newPathTable(cfg.TaggedLog, widths)
+	p.rows = p.fe.row
 	return p
 }
 
@@ -312,53 +245,41 @@ func (p *Predictor) Predict(pc uint64) *Observation {
 	logg := p.taggedLog
 	rowMask, tagMask := p.rowMask, p.tagMask
 	// Scratch as locals behind geometry guards: with
-	// len(pos) == len(tagc) == len(folds)+1 established, the per-bank
-	// loops below index the scratch and fold slices check-free. Bank b
+	// len(pos) == len(tagc) == numTables+1 established, the per-bank
+	// loops below index the scratch and the hash row check-free. Bank b
 	// (1-based) hashes into pos[b] and tagc[b]; the hash loop writes
 	// through views starting at bank 1 because the compiler cannot carry
 	// a +1 offset from a length relation to an index.
-	pos, tagc, folds := p.pos, p.tagc, p.folds
+	pos, tagc := p.pos, p.tagc
 	if len(pos) == 0 || len(tagc) != len(pos) {
 		panic("tage: prediction scratch out of sync with geometry")
 	}
 	bankPos, bankTag := pos[1:], tagc[1:]
-	if len(bankPos) != len(folds) || len(bankTag) != len(folds) {
+	// The history half of every bank's index and tag, from the front-end
+	// (see front.row); a following predictor at the end of its batch
+	// panics here.
+	row := p.rows[:len(bankPos)] //repro:allow-bce the one check a follower past its batch must fail; numTables <= len(rows) otherwise
+	if len(bankTag) != len(row) {
 		panic("tage: prediction scratch out of sync with geometry")
 	}
 	entries := p.entries
 	hitBank, altBank := 0, 0
-	// The per-branch hash inputs are the same for every bank.
+	// The pc half is the same for every bank. Validate bounds TaggedLog
+	// by 24, so the & 63 is a no-op that drops the compiler's
+	// oversized-shift guard.
 	pcTag := uint32(pc >> 2)
-	pcIdx := pcTag ^ uint32(pc>>((2+logg)&63))
-	path := p.phist.Value()
-	o1, o2 := p.fold.o1&63, p.fold.o2&63
-	// The path hash of every bank is the XOR of one row per path byte
-	// (see newPathTable); the first two rows are read here, any further
-	// ones after the hash loop.
-	m, rows := len(folds), p.pathRows
-	lo := rows[int(path&255)*m:][:m]          //repro:allow-bce row offset v*m + m <= 256*m <= len(pathRows) by newPathTable's sizing
-	hi := rows[(256|int(path>>8&255))*m:][:m] //repro:allow-bce row offset (256+v)*m + m <= 512*m <= len(pathRows) by newPathTable's sizing
-	// One pass computes each bank's absolute flat-storage position and
-	// partial tag from the bank's fold word and path-hash rows.
-	// Validate bounds the fold word by 58 bits, so every shift count
-	// here is below 64 and the & 63 masks are no-ops that drop the
-	// compiler's oversized-shift guards.
-	for i := range folds {
-		f := &folds[i]
-		w := f.w
-		bankPos[i] = f.base | (pcIdx^uint32(w)^lo[i]^hi[i])&rowMask
-		bankTag[i] = uint16((pcTag ^ uint32(w>>o1^(w>>o2)<<1)) & tagMask)
-	}
-	// Path widths above 16 bits: one more row per byte. Row values are
-	// below 2^TaggedLog, so they leave each bank's base bits alone.
-	for k := 2; k < p.pathBytes; k++ {
-		row := rows[(k<<8|int(path>>(8*k&31)&255))*m:][:m] //repro:allow-bce k < pathBytes, so (k<<8|v)*m + m <= len(pathRows) by newPathTable's sizing
-		for i := range bankPos {
-			bankPos[i] ^= row[i]
-		}
-	}
-	for bank := len(pos) - 1; bank >= 1; bank-- {
-		if entryTag(entries[pos[bank]]) == tagc[bank] { //repro:allow-bce pos[bank] = (bank-1)<<taggedLog | (row & rowMask) < numTables<<taggedLog = len(entries) by arena construction
+	pcIdx := (pcTag ^ uint32(pc>>((2+logg)&63))) & rowMask
+	pcTag &= tagMask
+	// Probe from the longest history down, hashing each bank as it is
+	// reached; the probe stops at the alternate, so banks below it are
+	// neither hashed nor recorded. Update and allocate read only the
+	// banks from the longest down to the alternate.
+	for i := len(row) - 1; i >= 0; i-- {
+		r := row[i]
+		ps, tg := uint32(r)^pcIdx, uint16(r>>32)^uint16(pcTag)
+		bankPos[i], bankTag[i] = ps, tg
+		if entryTag(entries[ps]) == tg { //repro:allow-bce ps = i<<taggedLog | (row & rowMask) < numTables<<taggedLog = len(entries) by arena construction
+			bank := i + 1
 			if hitBank == 0 {
 				hitBank = bank
 			} else {
@@ -502,33 +423,13 @@ func (p *Predictor) Update(pc uint64, taken bool) {
 		}
 	}
 
-	// Advance histories: push the outcome and path bits, then each
-	// table's fold word in one pass over the contiguous fold slice. The
-	// word takes the new outcome into bit 0 of all three fields, the
-	// leaving bit at the three positions in out, and each field's
-	// carry-out (its spare bit) back into its bit 0: history.Folded's
-	// update, three fields at a time. Validate bounds every width and
-	// offset below 64, so the & 63 masks only drop the compiler's
-	// oversized-shift guards.
-	p.ghist.Push(taken) //repro:allow-bce inlined circular-buffer write: head>>6 < len(words) by NewBuffer's power-of-two sizing
-	p.phist.Push(pc)
-	var newest uint64
-	if taken {
-		newest = p.fold.newest
+	// Advance the history, or, following a Front, step to the batch's
+	// next row: the front advances for every follower at once.
+	if p.following {
+		p.rows = p.rows[m:] //repro:allow-bce Predict just read rows[:m], so m <= len(rows)
+		return
 	}
-	c0, c1, c2 := p.fold.c0&63, p.fold.c1&63, p.fold.c2&63
-	wrap1, wrap2 := uint64(1)<<(p.fold.o1&63), uint64(1)<<(p.fold.o2&63)
-	keep := p.fold.keep
-	ghist, folds := p.ghist, p.folds
-	for t := range folds {
-		f := &folds[t]
-		leaving := uint64(ghist.Bit(f.histLen)) //repro:allow-bce inlined circular-buffer read: ((head+i) & mask)>>6 < len(words) by NewBuffer's power-of-two sizing
-		w := f.w<<1 ^ newest ^ f.out&-leaving
-		w ^= w >> c0 & 1
-		w ^= w >> c1 & wrap1
-		w ^= w >> c2 & wrap2
-		f.w = w & keep
-	}
+	p.fe.push(pc, taken)
 }
 
 // allocate installs at most one new entry in a table with a longer history

@@ -478,3 +478,71 @@ func TestTaggedEntries(t *testing.T) {
 		t.Fatalf("256K tagged entries = %d, want 2048", got)
 	}
 }
+
+// TestFrontFollowersMatchSolo: predictors of one geometry following one
+// Front make, branch for branch, the predictions of the same predictors
+// run alone, and after Unfollow hold the state a solo run leaves
+// (snapshot bytes). The PCs are odd half the time, so the path hash is
+// live. A Front of another geometry cannot be followed, and a follower
+// that predicts past its batch panics instead of reading stale rows.
+func TestFrontFollowersMatchSolo(t *testing.T) {
+	cfg := Small16K()
+	wide := cfg
+	wide.CtrBits, wide.DisableUseAltOnNA = 4, true
+	build := func() []*Predictor {
+		return []*Predictor{
+			New(cfg),
+			NewWithAutomaton(cfg, counter.NewProbabilistic(3, 3)),
+			New(wide),
+		}
+	}
+	solo, follow := build(), build()
+	tr, _ := workload.ByName("INT-3")
+	recs, err := trace.Collect(trace.Limit(tr, 2500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := NewFront(follow[0], 1000)
+	for start := 0; start < len(recs); start += 1000 {
+		batch := recs[start:min(start+1000, len(recs))]
+		front.Reset()
+		for i := range batch {
+			batch[i].PC |= batch[i].PC >> 2 & 1
+			front.Push(batch[i].PC, batch[i].Taken)
+		}
+		for k, p := range follow {
+			p.Follow(front)
+			for i, b := range batch {
+				want := *solo[k].Predict(b.PC)
+				if got := *p.Predict(b.PC); got != want {
+					t.Fatalf("predictor %d, branch %d: following %+v, alone %+v", k, start+i, got, want)
+				}
+				solo[k].Update(b.PC, b.Taken)
+				p.Update(b.PC, b.Taken)
+			}
+		}
+	}
+	for k, p := range follow {
+		p.Unfollow(front)
+		if string(p.AppendState(nil)) != string(solo[k].AppendState(nil)) {
+			t.Errorf("predictor %d: state after Unfollow differs from its solo run's", k)
+		}
+	}
+
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("Follow of a 64K front by a 16K predictor", func() { follow[0].Follow(NewFront(New(Medium64K()), 1)) })
+	front.Reset()
+	front.Push(0x400000, true)
+	follow[0].Follow(front)
+	follow[0].Predict(0x400000)
+	follow[0].Update(0x400000, true)
+	mustPanic("Predict past the batch", func() { follow[0].Predict(0x400004) })
+}
