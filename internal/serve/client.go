@@ -185,12 +185,12 @@ func (c *Client) roundTrip(want byte) ([]byte, error) {
 // ClientSession is one open session on a server, driven through a
 // Client.
 type ClientSession struct {
-	c       *Client
-	id      uint64
-	key     string
-	config  string
-	mode    core.AutomatonMode
-	resumed uint64
+	c   *Client
+	id  uint64
+	key string
+	// opened is the session as FrameOpened reported it: its label, mode
+	// and tallies at the open. Replay starts from these tallies.
+	opened sim.Result
 }
 
 // Open is OpenSession for a TAGE configuration name (empty = 64K, or
@@ -208,24 +208,6 @@ func (c *Client) Open(config string, opts core.Options) (*ClientSession, error) 
 // sim.Run labels the same backend.
 func (c *Client) OpenSession(req OpenRequest) (*ClientSession, error) {
 	c.out = AppendOpen(c.out[:0], req)
-	return c.opened(req.Key)
-}
-
-// OpenSnapshot opens (or resumes) a session from a snapshot blob — the
-// migration path. The blob must decode locally so the session
-// can carry its key client-side.
-func (c *Client) OpenSnapshot(blob []byte) (*ClientSession, error) {
-	snap, err := DecodeSessionSnapshot(blob)
-	if err != nil {
-		return nil, err
-	}
-	c.out = AppendOpenSnap(c.out[:0], blob)
-	return c.opened(snap.Key)
-}
-
-// opened sends the open frame assembled in c.out and builds the session
-// from the server's FrameOpened.
-func (c *Client) opened(key string) (*ClientSession, error) {
 	payload, err := c.roundTrip(FrameOpened)
 	if err != nil {
 		return nil, err
@@ -234,7 +216,7 @@ func (c *Client) opened(key string) (*ClientSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ClientSession{c: c, id: o.ID, key: key, config: o.Config, mode: o.Mode, resumed: o.Branches}, nil
+	return &ClientSession{c: c, id: o.ID, key: req.Key, opened: o.Res}, nil
 }
 
 // ID returns the server-assigned session id.
@@ -247,7 +229,7 @@ func (s *ClientSession) Key() string { return s.key }
 // this client opened it — non-zero when a keyed open resumed a live or
 // checkpointed session. It is the replay cursor: a client streaming a
 // known trace skips this many branches.
-func (s *ClientSession) Resumed() uint64 { return s.resumed }
+func (s *ClientSession) Resumed() uint64 { return s.opened.Branches }
 
 // Snapshot fetches the session's durable snapshot blob from the server.
 // The blob is copied out of the frame buffer, so it stays valid across
@@ -272,7 +254,7 @@ func (s *ClientSession) Snapshot() ([]byte, error) {
 // Config returns the server-resolved backend label of the session: the
 // canonical configuration name for TAGE sessions ("64Kbits"), the
 // canonical spec string for spec-opened backends ("bimodal-64K").
-func (s *ClientSession) Config() string { return s.config }
+func (s *ClientSession) Config() string { return s.opened.Config }
 
 // Predict streams one branch batch through the session and returns the
 // served grades (valid until the next call on the same client). Batches
@@ -356,8 +338,8 @@ func (s *ClientSession) Close() (sim.Result, error) {
 	if id != s.id {
 		return sim.Result{}, fmt.Errorf("%w: stats for session %d, want %d", ErrProtocol, id, s.id)
 	}
-	res.Config = s.config
-	res.Mode = s.mode
+	res.Config = s.opened.Config
+	res.Mode = s.opened.Mode
 	return res, nil
 }
 
@@ -372,22 +354,18 @@ func (s *ClientSession) Close() (sim.Result, error) {
 // session applies the exact per-branch sequence of the offline driver to
 // an identically-seeded estimator. Replay verifies this end to end: the
 // client-side tally derived from the wire grades must equal the
-// server-side stats, or an error is returned. A session that resumed
-// server-side state (Resumed() > 0) first adopts the server's tallies
-// and replays the trace from its cursor, so a client that lost its
-// server mid-replay redials, reopens the key and calls Replay again.
+// server-side stats, or an error is returned. Replay starts from the
+// tallies FrameOpened carried and replays the trace from their branch
+// count, so a client that lost its server mid-replay redials, reopens
+// the key and calls Replay again.
 // Trace read errors are properties of the input, which IsRetryable
 // never classifies as transport failures.
 //
 // When lat is non-nil, one round-trip latency sample is recorded per
 // batch.
 func (s *ClientSession) Replay(tr trace.Trace, limit uint64, batchSize int, lat *obs.Histogram) (sim.Result, error) {
-	local := sim.Result{Trace: tr.Name(), Config: s.config, Mode: s.mode}
-	if s.resumed > 0 {
-		if err := s.resync(&local); err != nil {
-			return sim.Result{}, err
-		}
-	}
+	local := s.opened
+	local.Trace = tr.Name()
 	if batchSize <= 0 || batchSize > MaxBatch {
 		batchSize = 1024
 	}
@@ -445,22 +423,4 @@ func (s *ClientSession) Replay(tr trace.Trace, limit uint64, batchSize int, lat 
 			tr.Name(), local, res)
 	}
 	return res, nil
-}
-
-// resync overwrites local with the server's authoritative tallies for
-// the session, which moves the replay cursor (local.Branches) to the
-// server's branch count.
-func (s *ClientSession) resync(local *sim.Result) error {
-	blob, err := s.Snapshot()
-	if err != nil {
-		return err
-	}
-	snap, err := DecodeSessionSnapshot(blob)
-	if err != nil {
-		return err
-	}
-	name := local.Trace
-	*local = snap.Res
-	local.Trace = name
-	return nil
 }

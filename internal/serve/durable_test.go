@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -11,14 +13,17 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/predictor"
 	"repro/internal/sim"
+	"repro/internal/statecodec"
 	"repro/internal/tage"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -38,17 +43,16 @@ func streamSlice(t *testing.T, sess *ClientSession, branches []trace.Branch, bat
 	}
 }
 
-// TestSnapshotCutEquivalence is the wire-level migration pin: replaying
-// the head of a trace on one server, fetching the session snapshot, and
-// finishing the replay on a second (fresh) server via FrameOpenSnap
-// yields final tallies bit-identical to an uninterrupted offline run —
-// the snapshot cut is exact at any branch index, for every backend
-// family. (The full config×mode×trace matrix is pinned at the predictor
-// layer by TestSnapshotRestoreBitIdentity; this covers the session
-// envelope and the wire path.)
+// TestSnapshotCutEquivalence pins that a checkpoint cut is exact at any
+// branch index, for every backend family: replaying the head of a trace
+// on one server, draining it at the cut, and finishing the replay
+// through a keyed reopen on a second server booted on the same state
+// directory yields final tallies bit-identical to an uninterrupted
+// offline run. (The full config×mode×trace matrix is pinned at the
+// predictor layer by TestSnapshotRestoreBitIdentity; this covers the
+// session envelope, the checkpoint store and the wire path.)
 func TestSnapshotCutEquivalence(t *testing.T) {
-	srcSrv := startServer(t, Config{})
-	dstSrv := startServer(t, Config{})
+	dir := t.TempDir()
 	tr, err := workload.ByName("INT-1")
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +60,7 @@ func TestSnapshotCutEquivalence(t *testing.T) {
 	const limit = 20_000
 	branches := collectBranches(t, tr, limit)
 	// Arbitrary, deliberately batch-unaligned cut points.
-	for _, tc := range []struct {
+	cases := []struct {
 		spec string
 		cut  int
 	}{
@@ -65,16 +69,11 @@ func TestSnapshotCutEquivalence(t *testing.T) {
 		{"bimodal-64K?log=13", 1},
 		{"jrs-16K?enhanced=true", 19_999},
 		{"perceptron", 9_876},
-	} {
-		sp, err := predictor.Parse(tc.spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		offline, err := sim.RunSpec(sp, tr, limit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := dial(t, srcSrv)
+	}
+	srcSrv := startServer(t, Config{StateDir: dir, CheckpointInterval: -1})
+	src := dial(t, srcSrv)
+	labels := make([]string, len(cases))
+	for i, tc := range cases {
 		sess, err := src.OpenSession(OpenRequest{Spec: tc.spec, Key: "cut/" + tc.spec})
 		if err != nil {
 			t.Fatalf("OpenSession(%q): %v", tc.spec, err)
@@ -83,33 +82,160 @@ func TestSnapshotCutEquivalence(t *testing.T) {
 			t.Fatalf("%s: fresh session resumed at %d", tc.spec, sess.Resumed())
 		}
 		streamSlice(t, sess, branches[:tc.cut], 777)
-		blob, err := sess.Snapshot()
+		labels[i] = sess.Config()
+	}
+	// The drain writes every session's checkpoint at its cut.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	if err := srcSrv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	cancel()
+
+	dstSrv := startServer(t, Config{StateDir: dir, CheckpointInterval: -1})
+	dst := dial(t, dstSrv)
+	for i, tc := range cases {
+		sp, err := predictor.Parse(tc.spec)
 		if err != nil {
-			t.Fatalf("Snapshot(%q): %v", tc.spec, err)
+			t.Fatal(err)
 		}
-		dst := dial(t, dstSrv)
-		sess2, err := dst.OpenSnapshot(blob)
+		offline, err := sim.RunSpec(sp, tr, limit)
 		if err != nil {
-			t.Fatalf("OpenSnapshot(%q): %v", tc.spec, err)
+			t.Fatal(err)
 		}
-		if got := sess2.Resumed(); got != uint64(tc.cut) {
-			t.Fatalf("%s: migrated session resumed at %d, want %d", tc.spec, got, tc.cut)
+		sess, err := dst.OpenSession(OpenRequest{Key: "cut/" + tc.spec})
+		if err != nil {
+			t.Fatalf("reopen %q: %v", tc.spec, err)
 		}
-		if sess2.Key() != sess.Key() || sess2.Config() != sess.Config() {
-			t.Fatalf("%s: migration changed identity: %q/%q -> %q/%q",
-				tc.spec, sess.Key(), sess.Config(), sess2.Key(), sess2.Config())
+		if got := sess.Resumed(); got != uint64(tc.cut) {
+			t.Fatalf("%s: restored session resumed at %d, want %d", tc.spec, got, tc.cut)
 		}
-		streamSlice(t, sess2, branches[tc.cut:], 777)
-		res, err := sess2.Close()
+		if sess.Config() != labels[i] {
+			t.Fatalf("%s: restore changed the label: %q -> %q", tc.spec, labels[i], sess.Config())
+		}
+		streamSlice(t, sess, branches[tc.cut:], 777)
+		res, err := sess.Close()
 		if err != nil {
 			t.Fatalf("Close(%q): %v", tc.spec, err)
 		}
 		res.Trace = tr.Name()
 		if res != offline {
-			t.Errorf("%s cut %d: migrated %+v != offline %+v", tc.spec, tc.cut, res, offline)
+			t.Errorf("%s cut %d: restored %+v != offline %+v", tc.spec, tc.cut, res, offline)
 		}
-		src.Close()
-		dst.Close()
+	}
+}
+
+// frameLog is a net.Conn that records the type of every frame written
+// through it, reassembling frames across Write boundaries.
+type frameLog struct {
+	net.Conn
+	pending []byte
+	types   []byte
+}
+
+func (l *frameLog) Write(p []byte) (int, error) {
+	l.pending = append(l.pending, p...)
+	for len(l.pending) >= 5 {
+		n := 4 + int(binary.LittleEndian.Uint32(l.pending))
+		if len(l.pending) < n {
+			break
+		}
+		l.types = append(l.types, l.pending[4])
+		l.pending = l.pending[n:]
+	}
+	return l.Conn.Write(p)
+}
+
+// TestReopenCarriesTallies pins that a keyed reopen is the whole
+// recovery: FrameOpened carries the session's tallies, equal to the
+// FrameStats a close at the same cursor returns, and a resumed Replay
+// sends no FrameSnapGet.
+func TestReopenCarriesTallies(t *testing.T) {
+	srv := startServer(t, Config{})
+	tr, err := workload.ByName("SERV-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cut, limit = 3_001, 8_000
+	const spec = "tage-16K?mkp=4&mode=adaptive"
+	sp, err := predictor.Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offline, err := sim.RunSpec(sp, tr, limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := collectBranches(t, tr, cut)
+	for _, key := range []string{"tallies/stats", "tallies/replay"} {
+		sess, err := dial(t, srv).OpenSession(OpenRequest{Spec: spec, Key: key})
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamSlice(t, sess, head, 1000)
+	}
+
+	reopened, err := dial(t, srv).OpenSession(OpenRequest{Key: "tallies/stats"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened := reopened.opened
+	stats, err := reopened.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opened.Branches != cut || opened != stats {
+		t.Fatalf("reopen tallies %+v, close at the same cursor %+v (want branches %d)", opened, stats, cut)
+	}
+
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := &frameLog{Conn: conn}
+	c := NewClient(written)
+	defer c.Close()
+	sess, err := c.OpenSession(OpenRequest{Key: "tallies/replay"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Replay(tr, limit, 1000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res != offline {
+		t.Errorf("resumed replay %+v != offline %+v", res, offline)
+	}
+	if types := written.types; bytes.IndexByte(types, FrameSnapGet) >= 0 || types[0] != FrameOpen || types[len(types)-1] != FrameClose {
+		t.Errorf("resumed replay wrote frame types %x, want FrameOpen, batches, FrameClose and no FrameSnapGet", types)
+	}
+}
+
+// TestUnknownFrameCloses pins the unknown-frame path: a frame type the
+// server does not know — 0x0B, which no frame holds — is answered with
+// ErrCodeMalformed and the connection closes.
+func TestUnknownFrameCloses(t *testing.T) {
+	srv := startServer(t, Config{})
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	frame := BeginFrame(nil, 0x0B)
+	frame = EndFrame(statecodec.AppendString(frame, "blob"), 0)
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	typ, payload, _, err := ReadFrame(br, nil)
+	if err != nil || typ != FrameError {
+		t.Fatalf("reply: type %#02x err %v, want FrameError", typ, err)
+	}
+	if re, err := DecodeError(payload); err != nil || re.Code != ErrCodeMalformed {
+		t.Fatalf("reply %+v (err %v), want code ErrCodeMalformed", re, err)
+	}
+	if _, _, _, err := ReadFrame(br, nil); err != io.EOF {
+		t.Fatalf("after the error frame: err = %v, want io.EOF (connection closed)", err)
 	}
 }
 
@@ -165,7 +291,7 @@ func TestReplayResumedKeyedSession(t *testing.T) {
 // reopen: reopening a live key moves the session to a new id, so a batch
 // that arrives late on the connection the client abandoned, addressed to
 // the old id, is rejected as an unknown session instead of being served
-// a second time behind the reopening client's resync. The moved session
+// a second time after the reopen handed out the cursor. The moved session
 // keeps the cursor, and the live-session count does not change.
 func TestKeyedReopenFencesOldID(t *testing.T) {
 	srv := startServer(t, Config{})
@@ -643,10 +769,9 @@ func TestCheckpointMetrics(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejections pins the failure envelope of the snapshot wire
-// surface: anonymous sessions cannot be snapshotted, and corrupt or
-// truncated blobs are rejected with ErrCodeSnapshot — cleanly, on a
-// connection that stays usable.
+// TestSnapshotRejections pins the failure envelope of FrameSnapGet: an
+// anonymous session cannot be snapshotted, and the rejection is
+// ErrCodeSnapshot, answered in-band on a connection that stays usable.
 func TestSnapshotRejections(t *testing.T) {
 	srv := startServer(t, Config{})
 	c := dial(t, srv)
@@ -658,33 +783,96 @@ func TestSnapshotRejections(t *testing.T) {
 	if _, err := sess.Snapshot(); !errors.As(err, &re) || re.Code != ErrCodeSnapshot {
 		t.Fatalf("anonymous snapshot: err = %v, want ErrCodeSnapshot", err)
 	}
-	if _, err := c.OpenSnapshot([]byte("definitely not a snapshot")); err == nil {
-		t.Fatal("junk blob accepted")
+	if _, err := sess.Predict(sampleBranches(10, 3)); err != nil {
+		t.Fatalf("connection dead after the snapshot rejection: %v", err)
 	}
-	// A structurally valid blob corrupted after sealing must be rejected
-	// server-side too (the client-side decode is bypassed here by writing
-	// the frame directly).
-	keyed, err := c.OpenSession(OpenRequest{Config: "16K", Key: "rej/k"})
+}
+
+// TestCheckpointRestoreRejections pins AttachStore's promise for
+// checkpoints that cannot be restored — corrupt ones, junk, and a valid
+// blob stored under another key: at AttachStore and again on a keyed
+// open, each is counted in CheckpointRestoreFailures, recorded as
+// EvRestoreFail and skipped, and the key then opens fresh. A valid
+// checkpoint beside them still restores.
+func TestCheckpointRestoreRejections(t *testing.T) {
+	dir := t.TempDir()
+	cs, err := OpenCheckpointStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := workload.ByName("INT-1")
+	warm := NewEngine(EngineConfig{})
+	if _, err := warm.AttachStore(cs, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"good", "other"} {
+		s, err := warm.Open(OpenRequest{Spec: "tage-16K", Key: key}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Serve(sampleBranches(500, 4), nil, 1)
+	}
+	if n := warm.CheckpointDirty(2, true); n != 2 {
+		t.Fatalf("checkpointed %d sessions, want 2", n)
+	}
+	good, err := cs.Read("good")
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamSlice(t, keyed, collectBranches(t, tr, 1_000), 250)
-	blob, err := keyed.Snapshot()
+	other, err := cs.Read("other")
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob[len(blob)/2] ^= 0x40
-	c.out = AppendOpenSnap(c.out[:0], blob)
-	if _, err := c.roundTrip(FrameOpened); !errors.As(err, &re) || re.Code != ErrCodeSnapshot {
-		t.Fatalf("corrupt blob: err = %v, want ErrCodeSnapshot", err)
+	if err := cs.Delete("other"); err != nil {
+		t.Fatal(err)
 	}
-	// The connection survived all three rejections.
-	if _, err := keyed.Predict(collectBranches(t, tr, 10)); err != nil {
-		t.Fatalf("connection dead after snapshot rejections: %v", err)
+	corrupt := bytes.Clone(good)
+	corrupt[len(corrupt)/2] ^= 0x40
+	bad := map[string][]byte{
+		"bad/corrupt":   corrupt,
+		"bad/junk":      []byte("definitely not a snapshot"),
+		"bad/wrong-key": other,
+	}
+	for key, blob := range bad {
+		if err := cs.Write(key, blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	eng := NewEngine(EngineConfig{})
+	rec := obs.NewFlightRecorder(16)
+	eng.SetEvents(rec)
+	if n, err := eng.AttachStore(cs, 3); err != nil || n != 1 {
+		t.Fatalf("AttachStore restored %d (err %v), want only the valid checkpoint", n, err)
+	}
+	failed := func() []string {
+		var keys []string
+		for _, ev := range rec.Snapshot() {
+			if ev.Kind == obs.EvRestoreFail {
+				keys = append(keys, ev.Key)
+			}
+		}
+		slices.Sort(keys)
+		return keys
+	}
+	want := []string{"bad/corrupt", "bad/junk", "bad/wrong-key"}
+	if got := eng.Snapshot().CheckpointRestoreFailures; got != 3 || !slices.Equal(failed(), want) {
+		t.Fatalf("after AttachStore: %d restore failures, events for %v; want 3 for %v", got, failed(), want)
+	}
+	for key := range bad {
+		s, err := eng.Open(OpenRequest{Spec: "bimodal-64K", Key: key}, 4)
+		if err != nil {
+			t.Fatalf("open %q: %v", key, err)
+		}
+		if s.Branches() != 0 || s.ConfigName() != "bimodal-64K" {
+			t.Errorf("open %q: %s at branch %d, want a fresh bimodal-64K session", key, s.ConfigName(), s.Branches())
+		}
+	}
+	want = []string{"bad/corrupt", "bad/corrupt", "bad/junk", "bad/junk", "bad/wrong-key", "bad/wrong-key"}
+	if got := eng.Snapshot().CheckpointRestoreFailures; got != 6 || !slices.Equal(failed(), want) {
+		t.Fatalf("after keyed opens: %d restore failures, events for %v; want 6 for %v", got, failed(), want)
+	}
+	if s, err := eng.Open(OpenRequest{Key: "good"}, 5); err != nil || s.Branches() != 500 {
+		t.Fatalf("valid checkpoint: %v, want restored at 500", err)
 	}
 }
 

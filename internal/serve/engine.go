@@ -219,7 +219,9 @@ func (e *Engine) Open(req OpenRequest, now int64) (*Session, error) {
 }
 
 // adoptLocked restores the stored checkpoint blob as a live session for
-// key. Caller holds keyMu.
+// key and publishes it under the key, subtracting any tallies this
+// engine parked for the key at eviction time so every branch stays
+// counted exactly once across evict/restore cycles. Caller holds keyMu.
 func (e *Engine) adoptLocked(key string, blob []byte, now int64) (*Session, error) {
 	snap, err := DecodeSessionSnapshot(blob)
 	if err != nil {
@@ -228,14 +230,6 @@ func (e *Engine) adoptLocked(key string, blob []byte, now int64) (*Session, erro
 	if snap.Key != key {
 		return nil, fmt.Errorf("%w: checkpoint key %q stored under %q", predictor.ErrSnapshot, snap.Key, key)
 	}
-	return e.resumeLocked(snap, now)
-}
-
-// resumeLocked builds a live session from a decoded snapshot and
-// publishes it under its key, subtracting any tallies this engine parked
-// for the key at eviction time so every branch stays counted exactly
-// once across evict/restore cycles. Caller holds keyMu.
-func (e *Engine) resumeLocked(snap SessionSnapshot, now int64) (*Session, error) {
 	id, ok := e.reg.reserve()
 	if !ok {
 		return nil, &RemoteError{
@@ -249,14 +243,14 @@ func (e *Engine) resumeLocked(snap SessionSnapshot, now int64) (*Session, error)
 		return nil, err
 	}
 	s := newSession(id, bk, snap.Res.Config, snap.Res.Mode, now)
-	s.key = snap.Key
+	s.key = key
 	s.res = snap.Res
 	s.ckptBranches = snap.Res.Branches
-	if parked, ok := e.parked[snap.Key]; ok {
+	if parked, ok := e.parked[key]; ok {
 		e.unfold(parked)
-		delete(e.parked, snap.Key)
+		delete(e.parked, key)
 	}
-	e.keys[snap.Key] = id
+	e.keys[key] = id
 	e.reg.insert(s)
 	e.opened.Add(1)
 	e.ckptRestores.Add(1)
@@ -267,7 +261,7 @@ func (e *Engine) resumeLocked(snap SessionSnapshot, now int64) (*Session, error)
 		UnixNano: now,
 		Kind:     obs.EvRestore,
 		Session:  id,
-		Key:      snap.Key,
+		Key:      key,
 		Backend:  snap.Res.Config,
 	})
 	return s, nil
@@ -276,7 +270,7 @@ func (e *Engine) resumeLocked(snap SessionSnapshot, now int64) (*Session, error)
 // reopenLocked moves a live keyed session to a new id, under its lock,
 // and retires the old id without folding its tallies. A batch still in
 // flight on a connection the client abandoned names the old id, so it
-// cannot be served again after the reopening client resynced its
+// cannot be served again after the reopen handed the client its
 // cursor. Caller holds keyMu, as every keyed retire path does.
 func (e *Engine) reopenLocked(old *Session, now int64) *Session {
 	old.mu.Lock()
@@ -296,30 +290,6 @@ func (e *Engine) reopenLocked(old *Session, now int64) *Session {
 	e.reg.insert(s)
 	e.keys[s.key] = s.id
 	return s
-}
-
-// OpenSnapshot opens (or resumes) a session from a decoded snapshot blob
-// — the FrameOpenSnap migration path. A live session already holding
-// the snapshot's key wins, moved to a new id as for a keyed Open: the
-// blob a migrating client carries is at most as fresh as the live
-// state.
-func (e *Engine) OpenSnapshot(snap SessionSnapshot, now int64) (*Session, error) {
-	e.keyMu.Lock()
-	defer e.keyMu.Unlock()
-	if id, ok := e.keys[snap.Key]; ok {
-		if s, ok := e.reg.get(id); ok {
-			return e.reopenLocked(s, now), nil
-		}
-		delete(e.keys, snap.Key)
-	}
-	s, err := e.resumeLocked(snap, now)
-	if err != nil {
-		return nil, err
-	}
-	// Persist the adopted state immediately: a node that accepted a
-	// migrated session must survive its own crash from that point on.
-	e.writeCheckpointLocked(s, now)
-	return s, nil
 }
 
 // openFresh builds a brand-new session from spec ("" selects the
@@ -491,14 +461,6 @@ func (e *Engine) checkpointLocked(s *Session, now int64, force bool) bool {
 		return false
 	}
 	return ok && e.writeBlobLocked(s.key, blob, now)
-}
-
-// writeCheckpointLocked force-writes one session's checkpoint. Caller
-// holds keyMu.
-func (e *Engine) writeCheckpointLocked(s *Session, now int64) {
-	if e.store != nil {
-		e.checkpointLocked(s, now, true)
-	}
 }
 
 // writeBlobLocked persists one encoded checkpoint and bumps the

@@ -18,15 +18,15 @@ import (
 //
 // Hardened clients retry only retryable failures; fatal ones surface
 // immediately. A keyed session's recovery is to redial, reopen the key
-// and call ClientSession.Replay again, which resyncs from the server's
-// cursor.
+// and call ClientSession.Replay again, which continues from the cursor
+// and tallies the reopen returned.
 //
 // A load-shed rejection (BusyError) is retryable by definition: the
 // server did not apply the batch. A corrupt frame (ErrCorrupt) is NOT —
 // it wraps ErrProtocol, because a corrupt response leaves the request's
 // fate unknown and blindly resending could double-apply; only a keyed
-// reopen, whose Replay re-reads the server's authoritative cursor, may
-// recover from it.
+// reopen, which returns the server's authoritative cursor, may recover
+// from it.
 func IsRetryable(err error) bool {
 	if err == nil {
 		return false

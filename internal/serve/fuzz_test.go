@@ -46,6 +46,8 @@ func FuzzFrame(f *testing.F) {
 		res.Total.Add(res.Class[i])
 	}
 	res.Branches = res.Total.Preds
+	resumed := res
+	resumed.Mode, resumed.Config = core.ModeAdaptive, "64Kbits"
 	var grades []byte
 	for _, cl := range core.Classes() {
 		grades = append(grades, EncodeGrade(true, cl, cl.Level()))
@@ -55,8 +57,8 @@ func FuzzFrame(f *testing.F) {
 		AppendOpen(nil, OpenRequest{Spec: "bimodal-64K?log=13"}),
 		AppendOpen(nil, OpenRequest{Spec: "tage-16K?mkp=4&mode=adaptive"}),
 		AppendOpen(nil, OpenRequest{Spec: "tage-16K", Key: "trace/INT-1#0"}),
-		AppendOpened(nil, Opened{ID: 7, Config: "64Kbits"}),
-		AppendOpened(nil, Opened{ID: 7, Branches: 123456, Mode: core.ModeAdaptive, Config: "64Kbits"}),
+		AppendOpened(nil, Opened{ID: 7, Res: sim.Result{Config: "64Kbits"}}),
+		AppendOpened(nil, Opened{ID: 7, Res: resumed}),
 		AppendBatch(nil, 7, sampleBranches(20, 5)),
 		AppendPredictions(nil, 7, grades),
 		AppendClose(nil, 7),
@@ -64,7 +66,7 @@ func FuzzFrame(f *testing.F) {
 		AppendError(nil, ErrCodeMalformed, "bad"),
 		AppendSnapGet(nil, 7),
 		AppendSnap(nil, 7, []byte("not a real snapshot blob")),
-		AppendOpenSnap(nil, []byte("not a real snapshot blob")),
+		AppendOpened(nil, Opened{ID: 7, Res: res}),
 		AppendBusy(nil, 7, 25),
 		// Hostile length prefixes: all-ones, just past MaxFrame, and the
 		// maximum uint32 — each must be rejected by the bounds check
@@ -217,16 +219,6 @@ func FuzzFrame(f *testing.F) {
 				if !bytes.Equal(AppendSessionSnapshot(nil, snap), blob) {
 					t.Fatal("session snapshot is not a re-encoding fixed point")
 				}
-			}
-		case FrameOpenSnap:
-			blob, err := DecodeOpenSnap(payload)
-			if err != nil {
-				return
-			}
-			reenc := AppendOpenSnap(nil, blob)
-			blob2, err := DecodeOpenSnap(framePayload(t, reenc))
-			if err != nil || !bytes.Equal(blob, blob2) {
-				t.Fatalf("opensnap round trip failed: %v", err)
 			}
 		case FrameBusy:
 			be, err := DecodeBusy(payload)

@@ -375,7 +375,7 @@ func TestSharedSessionAcrossConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2 := dial(t, srv)
-	shared := &ClientSession{c: c2, id: sess.ID(), config: sess.config, mode: sess.mode}
+	shared := &ClientSession{c: c2, id: sess.ID(), opened: sess.opened}
 
 	const per = 2000
 	var wg sync.WaitGroup
@@ -390,7 +390,7 @@ func TestSharedSessionAcrossConnections(t *testing.T) {
 					return
 				}
 			}
-		}(s, uint64(len(s.config)))
+		}(s, uint64(len(s.Config())))
 		// distinct seeds irrelevant; interleaving is the point
 	}
 	wg.Wait()

@@ -846,28 +846,6 @@ func (s *Server) handleFrame(st *connState, typ byte, payload []byte) (fatal boo
 				fmt.Sprintf("snapshot frame of %d bytes exceeds frame limit", n))
 			return false
 		}
-	case FrameOpenSnap:
-		blob, err := DecodeOpenSnap(payload)
-		if err != nil {
-			st.out = AppendError(st.out, ErrCodeMalformed, err.Error())
-			return false
-		}
-		snap, err := DecodeSessionSnapshot(blob)
-		if err != nil {
-			st.out = AppendError(st.out, ErrCodeSnapshot, err.Error())
-			return false
-		}
-		sess, err := s.eng.OpenSnapshot(snap, now)
-		if err != nil {
-			var re *RemoteError
-			if errors.As(err, &re) {
-				st.out = AppendError(st.out, re.Code, re.Message)
-			} else {
-				st.out = AppendError(st.out, ErrCodeSnapshot, err.Error())
-			}
-			return false
-		}
-		st.out = AppendOpened(st.out, sess.opened())
 	default:
 		// Unknown frame types are unrecoverable: a future peer speaking
 		// a newer protocol would race our misinterpretation of its

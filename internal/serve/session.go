@@ -81,13 +81,11 @@ func (s *Session) Branches() uint64 {
 //repro:locked res.Config is immutable after construction; audited lock-free read
 func (s *Session) ConfigName() string { return s.res.Config }
 
-// opened is the FrameOpened acknowledgement for the session. Only the
-// branch count takes the lock: the label and mode are immutable after
-// construction.
-//
-//repro:locked res.Config and res.Mode are immutable after construction; audited lock-free read
+// opened is the FrameOpened acknowledgement for the session: its tallies
+// and labels, read under the session lock in one Stats call, so the
+// tallies are exactly those at the branch cursor they carry.
 func (s *Session) opened() Opened {
-	return Opened{ID: s.id, Branches: s.Branches(), Mode: s.res.Mode, Config: s.res.Config}
+	return Opened{ID: s.id, Res: s.Stats()}
 }
 
 // step serves one branch through sim.Result.Step — the same per-branch

@@ -1,10 +1,10 @@
 // Session snapshot codec: the durable form of one serve session — its
 // key, labels, running tallies and the full predictor snapshot — sealed
 // with a version byte and a CRC32 like the predictor envelope it wraps.
-// A blob is self-contained: any node (or a freshly restarted one) can
-// resume the session from it, and a resumed session continues
-// bit-identically to the snapshotted one, which is what makes crash
-// recovery and cross-node migration exact rather than approximate.
+// A blob is self-contained: a restarted server resumes the session from
+// its checkpoint, and the resumed session continues bit-identically to
+// the snapshotted one, which is what makes crash recovery exact rather
+// than approximate.
 package serve
 
 import (
@@ -13,7 +13,6 @@ import (
 	"hash/crc32"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/predictor"
 	"repro/internal/sim"
 	"repro/internal/statecodec"
@@ -42,8 +41,8 @@ type SessionSnapshot struct {
 //	NumClasses × (preds, misps)            | predictor blob | CRC32 LE32
 //
 // where strings and the predictor blob are uvarint length-prefixed and
-// counters are uvarints. Only per-class tallies travel; Total is their
-// exact sum and is reconstructed on decode. Live sessions encode the
+// the counters are the tally codec's (appendTallies, without the
+// probability). Live sessions encode the
 // same layout in place (Session.AppendSnapshot); this form wraps an
 // already-encoded predictor blob.
 func AppendSessionSnapshot(dst []byte, snap SessionSnapshot) []byte {
@@ -60,13 +59,7 @@ func appendSessionHead(dst []byte, key string, res *sim.Result) []byte {
 	dst = statecodec.AppendString(dst, key)
 	dst = statecodec.AppendString(dst, res.Config)
 	dst = append(dst, byte(res.Mode))
-	dst = binary.AppendUvarint(dst, res.Branches)
-	dst = binary.AppendUvarint(dst, res.Instructions)
-	for _, c := range res.Class {
-		dst = binary.AppendUvarint(dst, c.Preds)
-		dst = binary.AppendUvarint(dst, c.Misps)
-	}
-	return dst
+	return appendTallies(dst, res, false)
 }
 
 // sealSessionSnapshot appends the CRC over the snapshot begun at start.
@@ -95,12 +88,7 @@ func DecodeSessionSnapshot(blob []byte) (SessionSnapshot, error) {
 	key := r.Blob()
 	label := r.Blob()
 	mode := r.Byte()
-	branches := r.Uvarint()
-	instructions := r.Uvarint()
-	var class [core.NumClasses]metrics.Counts
-	for i := range class {
-		class[i] = metrics.Counts{Preds: r.Uvarint(), Misps: r.Uvarint()}
-	}
+	res, terr := readTallies(r, false)
 	pb := r.Blob()
 	if err := r.Finish(); err != nil {
 		return snap, fmt.Errorf("%w: session snapshot: %v", predictor.ErrSnapshot, err)
@@ -114,23 +102,13 @@ func DecodeSessionSnapshot(blob []byte) (SessionSnapshot, error) {
 	if core.AutomatonMode(mode) > core.ModeAdaptive {
 		return snap, fmt.Errorf("%w: session snapshot mode %d", predictor.ErrSnapshot, mode)
 	}
+	if terr != nil {
+		return snap, fmt.Errorf("%w: session snapshot: %v", predictor.ErrSnapshot, terr)
+	}
 	snap.Key = string(key)
+	snap.Res = res
 	snap.Res.Config = string(label)
 	snap.Res.Mode = core.AutomatonMode(mode)
-	snap.Res.Branches = branches
-	snap.Res.Instructions = instructions
-	for i := range class {
-		if class[i].Misps > class[i].Preds {
-			return snap, fmt.Errorf("%w: session snapshot class %d misps %d exceed preds %d",
-				predictor.ErrSnapshot, i, class[i].Misps, class[i].Preds)
-		}
-		snap.Res.Class[i] = class[i]
-		snap.Res.Total.Add(class[i])
-	}
-	if snap.Res.Total.Preds != branches {
-		return snap, fmt.Errorf("%w: session snapshot class sum %d does not match branches %d",
-			predictor.ErrSnapshot, snap.Res.Total.Preds, branches)
-	}
 	snap.Predictor = append([]byte(nil), pb...)
 	return snap, nil
 }

@@ -119,13 +119,15 @@ func tortureFrames(t *testing.T) [][]byte {
 		res.Total.Add(res.Class[i])
 	}
 	res.Branches = res.Total.Preds
+	resumed := res
+	resumed.Config = "64Kbits"
 	var grades []byte
 	for _, cl := range core.Classes() {
 		grades = append(grades, EncodeGrade(true, cl, cl.Level()))
 	}
 	return [][]byte{
 		AppendOpen(nil, OpenRequest{Spec: "tage-16K?mkp=4&mode=adaptive", Key: "torture/1"}),
-		AppendOpened(nil, Opened{ID: 7, Branches: 123456, Config: "64Kbits"}),
+		AppendOpened(nil, Opened{ID: 7, Res: resumed}),
 		AppendBatch(nil, 7, sampleBranches(100, 5)),
 		AppendPredictions(nil, 7, grades),
 		AppendClose(nil, 7),
@@ -133,7 +135,6 @@ func tortureFrames(t *testing.T) [][]byte {
 		AppendError(nil, ErrCodeMalformed, "bad"),
 		AppendSnapGet(nil, 7),
 		AppendSnap(nil, 7, []byte("not a real snapshot blob")),
-		AppendOpenSnap(nil, []byte("also not a real snapshot blob")),
 		AppendBusy(nil, 7, 25),
 	}
 }
@@ -298,7 +299,7 @@ func TestClientBusyRetry(t *testing.T) {
 		if _, _, _, err := ReadFrame(br, nil); err != nil {
 			return
 		}
-		out = AppendOpened(out[:0], Opened{ID: 9, Config: "16K"})
+		out = AppendOpened(out[:0], Opened{ID: 9, Res: sim.Result{Config: "16K"}})
 		sc.Write(out)
 		// Shed the first batches, then serve.
 		for i := 0; ; i++ {
@@ -356,7 +357,7 @@ func TestClientBusyBudgetExhausted(t *testing.T) {
 		if _, _, _, err := ReadFrame(br, nil); err != nil {
 			return
 		}
-		out = AppendOpened(out[:0], Opened{ID: 9, Config: "16K"})
+		out = AppendOpened(out[:0], Opened{ID: 9, Res: sim.Result{Config: "16K"}})
 		sc.Write(out)
 		for {
 			if _, _, _, err := ReadFrame(br, nil); err != nil {
@@ -541,7 +542,7 @@ var chaosSeeds = []uint64{1337, 7, 2024}
 // server-side conn, and one admission slot for all four sessions. Each
 // session recovers as a single-node client does (replayKeyed): redial,
 // reopen the key, Replay again. Online must still equal offline bit for
-// bit, because every fault either resyncs from the authoritative cursor
+// bit, because every fault either reopens at the authoritative cursor
 // or retries a batch the server never applied. No session and no
 // admission slot may leak.
 //
@@ -565,9 +566,9 @@ func TestChaosEndToEnd(t *testing.T) {
 // A corrupt frame (ErrCorrupt locally, ErrCodeCorrupt from the peer) is
 // fatal for a plain client — the mangled exchange's fate is unknown, so
 // resending the same bytes could double-apply — but recoverable here:
-// the loop drops the connection and resyncs its cursor and tallies from
-// the server's authoritative snapshot instead of retrying bytes,
-// preserving exactly-once.
+// the loop drops the connection and reopens the key, whose FrameOpened
+// carries the server's authoritative cursor and tallies, instead of
+// retrying bytes, preserving exactly-once.
 func recoverable(err error) bool {
 	if IsRetryable(err) {
 		return true

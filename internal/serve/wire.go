@@ -45,25 +45,23 @@
 //
 // Sessions opened with a key are durable. Give the server a
 // Config.StateDir (a bare Engine takes a CheckpointStore through
-// AttachStore) and the engine checkpoints dirty keyed sessions periodically, on eviction and on
-// graceful shutdown; a restarted server restores every checkpoint before
-// accepting traffic, and a keyed re-open resumes exactly at the
-// checkpointed branch cursor (FrameOpened carries it). Re-opening a
-// live key moves the session to a new id, so a batch still in flight on
-// a connection the client abandoned cannot be served after the client
-// resynced its cursor. The checkpoint
-// blob is the versioned session snapshot — spec line, predictor state
-// image, per-class tallies, CRC — also fetchable live over the wire
-// (FrameSnapGet → FrameSnap) and installable on another server
-// (FrameOpenSnap), which is how sessions migrate.
+// AttachStore) and the engine checkpoints dirty keyed sessions
+// periodically, on eviction and on graceful shutdown; a restarted server
+// restores every checkpoint before accepting traffic. The checkpoint is
+// the versioned session snapshot — spec line, predictor state image,
+// per-class tallies, CRC — which is also fetchable live over the wire
+// (FrameSnapGet → FrameSnap).
 //
-// A client recovers a keyed session that lost its server mid-replay by
-// redialing, reopening the key and calling ClientSession.Replay again:
-// the reopened session resumes from the server's checkpoint or live
-// state, and Replay adopts the server's tallies and rewinds its trace
-// cursor to the server's authoritative branch count, so the final
-// tallies stay bit-identical to an uninterrupted offline sim.Run even
-// across a kill -9 (crash_test.go proves exactly that).
+// Recovery has one recipe. A client that lost its server mid-replay
+// redials, reopens the key and calls ClientSession.Replay again. The
+// reopen resumes the live session, or restores its checkpoint, and
+// FrameOpened carries the session's tallies, read at the same instant
+// as its branch cursor. Replay adopts those tallies and rewinds its
+// trace to that cursor, so the final tallies stay bit-identical to an
+// uninterrupted offline sim.Run even across a kill -9 (crash_test.go
+// proves exactly that). Reopening a live key moves the session to a new
+// id, so a batch still in flight on a connection the client abandoned
+// cannot be served after the reopen handed out the cursor.
 package serve
 
 import (
@@ -92,12 +90,15 @@ const (
 	// a non-empty key makes the session durable (see OpenRequest.Key).
 	FrameOpen byte = 0x01
 	// FrameOpened acknowledges FrameOpen with the session id (uvarint),
-	// the branches the session has already served (uvarint; non-zero when
-	// a keyed open resumed a live or checkpointed session — the client's
-	// replay cursor), the session's automaton mode (one byte; standard
-	// for backends without one), and the resolved backend label (uvarint
-	// length + bytes) — canonical even when the request named an alias or
-	// relied on the server default.
+	// the session's automaton mode (one byte; standard for backends
+	// without one), the resolved backend label (uvarint length + bytes) —
+	// canonical even when the request named an alias or relied on the
+	// server default — and then the session's tallies in FrameStats's
+	// layout. The counts are zero for a fresh session; a keyed open that
+	// resumed a live or checkpointed session carries its tallies, and
+	// their branch count is the client's replay cursor. (Before the
+	// tallies were added, the branch count sat alone after the id, so a
+	// client of that layout rejects this frame.)
 	FrameOpened byte = 0x02
 	// FrameBatch streams branches into a session: session id uvarint,
 	// record count uvarint, then count records in the TBT1 per-record
@@ -109,9 +110,10 @@ const (
 	// FrameClose retires a session: session id uvarint.
 	FrameClose byte = 0x05
 	// FrameStats answers FrameClose with the session's final tallies:
-	// session id uvarint, branches uvarint, instructions uvarint, then
-	// per class (NumClasses of them, in class order) preds and misps
-	// uvarints, then the final saturation probability (float64 LE bits).
+	// session id uvarint, then the tallies (appendTallies): branches
+	// uvarint, instructions uvarint, per class (NumClasses of them, in
+	// class order) preds and misps uvarints, and the saturation
+	// probability (float64 LE bits).
 	FrameStats byte = 0x06
 	// FrameError reports a request failure: code uvarint, message
 	// (uvarint length + bytes). The connection stays usable unless the
@@ -122,14 +124,10 @@ const (
 	// id uvarint. Answered with FrameSnap.
 	FrameSnapGet byte = 0x09
 	// FrameSnap answers FrameSnapGet: session id uvarint, snapshot blob
-	// (uvarint length + bytes). The blob is a self-contained session
-	// snapshot (AppendSessionSnapshot) any node can resume from.
+	// (uvarint length + bytes). The blob is the session snapshot
+	// (AppendSessionSnapshot) a checkpoint stores. 0x0B is unassigned: a
+	// peer that sends it gets the unknown-frame close.
 	FrameSnap byte = 0x0A
-	// FrameOpenSnap opens (or resumes) a session from a snapshot blob
-	// (uvarint length + bytes): the migration path. Answered with
-	// FrameOpened; if a live session already holds the snapshot's key it
-	// wins and the blob is ignored.
-	FrameOpenSnap byte = 0x0B
 	// FrameBusy rejects a FrameBatch under overload: session id uvarint,
 	// retry-after hint in milliseconds uvarint (0 = client's choice). The
 	// batch was NOT applied — the session cursor did not move — so the
@@ -170,8 +168,9 @@ var ErrProtocol = fmt.Errorf("serve: protocol error")
 // fatal for the connection, and NOT blindly retryable (a corrupt
 // *response* means the server may already have applied the request;
 // resending would double-apply). A keyed session recovers from it
-// anyway by reopening its key, because Replay's resync re-reads the
-// server's authoritative cursor instead of retrying bytes.
+// anyway by reopening its key: the reopen returns the server's
+// authoritative cursor and tallies, and Replay continues from them
+// instead of retrying bytes.
 var ErrCorrupt = fmt.Errorf("%w: frame checksum mismatch", ErrProtocol)
 
 // ErrIO reports a transport-level failure (truncated read mid-frame, a
@@ -384,50 +383,47 @@ func lenPrefixed(src []byte, limit uint64, what string) (string, []byte, error) 
 
 // Opened is the decoded FrameOpened payload.
 type Opened struct {
-	ID       uint64
-	Branches uint64
-	Mode     core.AutomatonMode
-	Config   string
+	ID uint64
+	// Res is the session as the open found it: its backend label
+	// (Config), automaton mode and tallies, with the saturation
+	// probability in FinalProbability. Res.Branches is the replay cursor.
+	// Trace is never set.
+	Res sim.Result
 }
 
-// AppendOpened appends a complete FrameOpened to dst. Branches is the
-// session's already-served branch count (0 for a fresh session).
+// AppendOpened appends a complete FrameOpened to dst.
 func AppendOpened(dst []byte, o Opened) []byte {
 	start := len(dst)
 	dst = BeginFrame(dst, FrameOpened)
 	dst = binary.AppendUvarint(dst, o.ID)
-	dst = binary.AppendUvarint(dst, o.Branches)
-	dst = append(dst, byte(o.Mode))
-	dst = binary.AppendUvarint(dst, uint64(len(o.Config)))
-	dst = append(dst, o.Config...)
+	dst = append(dst, byte(o.Res.Mode))
+	dst = statecodec.AppendString(dst, o.Res.Config)
+	dst = appendTallies(dst, &o.Res, true)
 	return EndFrame(dst, start)
 }
 
 // DecodeOpened decodes a FrameOpened payload.
 func DecodeOpened(payload []byte) (Opened, error) {
-	var o Opened
-	id, n, err := uvarint(payload)
+	r := statecodec.NewReader(payload)
+	id := r.Uvarint()
+	mode := core.AutomatonMode(r.Byte())
+	label := r.Blob()
+	res, err := readTallies(r, true)
+	if err == nil {
+		err = r.Finish()
+	}
+	if err == nil && mode > core.ModeAdaptive {
+		err = fmt.Errorf("mode %d", mode)
+	}
+	if err == nil && len(label) > maxConfigName {
+		err = fmt.Errorf("label length %d", len(label))
+	}
 	if err != nil {
-		return o, fmt.Errorf("opened session id: %w", err)
+		return Opened{}, fmt.Errorf("%w: opened: %v", ErrProtocol, err)
 	}
-	payload = payload[n:]
-	branches, n, err := uvarint(payload)
-	if err != nil {
-		return o, fmt.Errorf("opened branches: %w", err)
-	}
-	payload = payload[n:]
-	if len(payload) < 1 || core.AutomatonMode(payload[0]) > core.ModeAdaptive {
-		return o, fmt.Errorf("%w: opened mode missing or invalid", ErrProtocol)
-	}
-	mode := core.AutomatonMode(payload[0])
-	config, payload, err := lenPrefixed(payload[1:], maxConfigName, "opened config")
-	if err != nil {
-		return o, err
-	}
-	if len(payload) != 0 {
-		return o, fmt.Errorf("%w: %d trailing bytes after opened", ErrProtocol, len(payload))
-	}
-	return Opened{ID: id, Branches: branches, Mode: mode, Config: config}, nil
+	res.Mode = mode
+	res.Config = string(label)
+	return Opened{ID: id, Res: res}, nil
 }
 
 // AppendSnapGet appends a complete FrameSnapGet to dst.
@@ -483,29 +479,6 @@ func DecodeSnap(payload []byte) (uint64, []byte, error) {
 		return 0, nil, fmt.Errorf("%w: snap blob length %d", ErrProtocol, blobLen)
 	}
 	return id, payload, nil
-}
-
-// AppendOpenSnap appends a complete FrameOpenSnap to dst.
-func AppendOpenSnap(dst []byte, blob []byte) []byte {
-	start := len(dst)
-	dst = BeginFrame(dst, FrameOpenSnap)
-	dst = binary.AppendUvarint(dst, uint64(len(blob)))
-	dst = append(dst, blob...)
-	return EndFrame(dst, start)
-}
-
-// DecodeOpenSnap decodes a FrameOpenSnap payload. The returned blob is a
-// sub-slice of payload.
-func DecodeOpenSnap(payload []byte) ([]byte, error) {
-	blobLen, n, err := uvarint(payload)
-	if err != nil {
-		return nil, fmt.Errorf("opensnap blob length: %w", err)
-	}
-	payload = payload[n:]
-	if blobLen > MaxFrame || blobLen != uint64(len(payload)) {
-		return nil, fmt.Errorf("%w: opensnap blob length %d", ErrProtocol, blobLen)
-	}
-	return payload, nil
 }
 
 // AppendBatch appends a complete FrameBatch to dst. PC deltas restart
@@ -651,20 +624,73 @@ func DecodeClose(payload []byte) (uint64, error) {
 	return id, nil
 }
 
-// AppendStats appends a complete FrameStats to dst. Only the per-class
-// tallies travel; Total is their sum and is reconstructed on decode
-// (every prediction belongs to exactly one class, so the sum is exact).
-func AppendStats(dst []byte, sessionID uint64, res sim.Result) []byte {
-	start := len(dst)
-	dst = BeginFrame(dst, FrameStats)
-	dst = binary.AppendUvarint(dst, sessionID)
+// appendTallies is the tally codec: FrameStats, FrameOpened and the
+// session-snapshot head all encode a session's tallies with it, as
+//
+//	branches | instructions | NumClasses × (preds, misps) [| probability]
+//
+// where counters are uvarints and the probability, appended when prob
+// is set, is the saturation probability as float64 LE bits. The frames
+// carry the probability; a snapshot does not, because a restored
+// backend recomputes it. Only per-class tallies travel: Total is their
+// exact sum and readTallies rebuilds it.
+func appendTallies(dst []byte, res *sim.Result, prob bool) []byte {
 	dst = binary.AppendUvarint(dst, res.Branches)
 	dst = binary.AppendUvarint(dst, res.Instructions)
 	for _, c := range res.Class {
 		dst = binary.AppendUvarint(dst, c.Preds)
 		dst = binary.AppendUvarint(dst, c.Misps)
 	}
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(res.FinalProbability))
+	if prob {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(res.FinalProbability))
+	}
+	return dst
+}
+
+// readTallies decodes appendTallies's layout from r and validates it:
+// no class mispredicts more often than it predicts, the classes sum to
+// the branch count (checked as they accumulate, so a hostile count
+// cannot wrap the sum onto it), and the probability lies in [0,1]. It
+// returns r's decode error or the first violation, unwrapped: the
+// caller classifies it (ErrProtocol on the wire, predictor.ErrSnapshot
+// in a snapshot).
+func readTallies(r *statecodec.Reader, prob bool) (sim.Result, error) {
+	var res sim.Result
+	res.Branches = r.Uvarint()
+	res.Instructions = r.Uvarint()
+	for i := range res.Class {
+		res.Class[i] = metrics.Counts{Preds: r.Uvarint(), Misps: r.Uvarint()}
+	}
+	if prob {
+		res.FinalProbability = math.Float64frombits(r.Uint64())
+	}
+	if err := r.Err(); err != nil {
+		return sim.Result{}, err
+	}
+	for i, c := range res.Class {
+		if c.Misps > c.Preds {
+			return sim.Result{}, fmt.Errorf("class %d misps %d exceed preds %d", i, c.Misps, c.Preds)
+		}
+		if c.Preds > res.Branches-res.Total.Preds {
+			return sim.Result{}, fmt.Errorf("classes through %d sum past branches %d", i, res.Branches)
+		}
+		res.Total.Add(c)
+	}
+	if res.Total.Preds != res.Branches {
+		return sim.Result{}, fmt.Errorf("class sum %d does not match branches %d", res.Total.Preds, res.Branches)
+	}
+	if p := res.FinalProbability; math.IsNaN(p) || p < 0 || p > 1 {
+		return sim.Result{}, fmt.Errorf("saturation probability %v outside [0,1]", p)
+	}
+	return res, nil
+}
+
+// AppendStats appends a complete FrameStats to dst.
+func AppendStats(dst []byte, sessionID uint64, res sim.Result) []byte {
+	start := len(dst)
+	dst = BeginFrame(dst, FrameStats)
+	dst = binary.AppendUvarint(dst, sessionID)
+	dst = appendTallies(dst, &res, true)
 	return EndFrame(dst, start)
 }
 
@@ -672,35 +698,14 @@ func AppendStats(dst []byte, sessionID uint64, res sim.Result) []byte {
 // counts and FinalProbability only; Trace/Config/Mode labels are the
 // caller's (the client knows what it opened).
 func DecodeStats(payload []byte) (sessionID uint64, res sim.Result, err error) {
-	read := func() uint64 {
-		if err != nil {
-			return 0
-		}
-		var v uint64
-		var n int
-		v, n, err = uvarint(payload)
-		payload = payload[n:]
-		return v
-	}
-	sessionID = read()
-	res.Branches = read()
-	res.Instructions = read()
-	for i := range res.Class {
-		res.Class[i] = metrics.Counts{Preds: read(), Misps: read()}
-		res.Total.Add(res.Class[i])
+	r := statecodec.NewReader(payload)
+	sessionID = r.Uvarint()
+	res, err = readTallies(r, true)
+	if err == nil {
+		err = r.Finish()
 	}
 	if err != nil {
-		return 0, sim.Result{}, fmt.Errorf("stats: %w", err)
-	}
-	if len(payload) != 8 {
-		return 0, sim.Result{}, fmt.Errorf("%w: stats payload tail %d bytes, want 8", ErrProtocol, len(payload))
-	}
-	res.FinalProbability = math.Float64frombits(binary.LittleEndian.Uint64(payload))
-	if p := res.FinalProbability; math.IsNaN(p) || p < 0 || p > 1 {
-		return 0, sim.Result{}, fmt.Errorf("%w: stats saturation probability %v outside [0,1]", ErrProtocol, p)
-	}
-	if res.Total.Preds != res.Branches {
-		return 0, sim.Result{}, fmt.Errorf("%w: stats class sum %d does not match branches %d", ErrProtocol, res.Total.Preds, res.Branches)
+		return 0, sim.Result{}, fmt.Errorf("%w: stats: %v", ErrProtocol, err)
 	}
 	return sessionID, res, nil
 }

@@ -115,14 +115,35 @@ func TestDecodeOpenRejects(t *testing.T) {
 	}
 }
 
-func TestOpenedRoundTrip(t *testing.T) {
-	want := Opened{ID: 1234567, Branches: 987654, Mode: core.ModeAdaptive, Config: "64Kbits"}
-	typ, payload := readOne(t, AppendOpened(nil, want))
-	if typ != FrameOpened {
-		t.Fatalf("type %#02x", typ)
+// sampleTallies returns tallies that satisfy the tally codec's
+// invariants: each class predicts more than it mispredicts, and the
+// classes sum to the branch count.
+func sampleTallies() sim.Result {
+	res := sim.Result{Instructions: 67890, FinalProbability: 1.0 / 128}
+	for i := range res.Class {
+		res.Class[i] = metrics.Counts{Preds: uint64(1000 * (i + 1)), Misps: uint64(13 * i)}
+		res.Total.Add(res.Class[i])
 	}
-	if got, err := DecodeOpened(payload); err != nil || got != want {
-		t.Fatalf("got %+v err=%v, want %+v", got, err, want)
+	res.Branches = res.Total.Preds
+	return res
+}
+
+// TestOpenedRoundTrip pins that FrameOpened carries the label, the mode
+// and the full tallies, fresh (all zero) and resumed.
+func TestOpenedRoundTrip(t *testing.T) {
+	resumed := sampleTallies()
+	resumed.Mode, resumed.Config = core.ModeAdaptive, "64Kbits"
+	for _, want := range []Opened{
+		{ID: 7, Res: sim.Result{Config: "bimodal-64K"}},
+		{ID: 1234567, Res: resumed},
+	} {
+		typ, payload := readOne(t, AppendOpened(nil, want))
+		if typ != FrameOpened {
+			t.Fatalf("type %#02x", typ)
+		}
+		if got, err := DecodeOpened(payload); err != nil || got != want {
+			t.Fatalf("got %+v err=%v, want %+v", got, err, want)
+		}
 	}
 }
 
@@ -222,12 +243,7 @@ func TestPredictionsRoundTrip(t *testing.T) {
 }
 
 func TestStatsRoundTrip(t *testing.T) {
-	res := sim.Result{Branches: 12345, Instructions: 67890, FinalProbability: 1.0 / 128}
-	for i := range res.Class {
-		res.Class[i] = metrics.Counts{Preds: uint64(1000 * (i + 1)), Misps: uint64(13 * i)}
-		res.Total.Add(res.Class[i])
-	}
-	res.Branches = res.Total.Preds // stats invariant: classes sum to branches
+	res := sampleTallies()
 	frame := AppendStats(nil, 3, res)
 	typ, payload := readOne(t, frame)
 	if typ != FrameStats {
@@ -239,6 +255,25 @@ func TestStatsRoundTrip(t *testing.T) {
 	}
 	if got != res {
 		t.Fatalf("round trip: got %+v want %+v", got, res)
+	}
+
+	// A class that mispredicts more often than it predicts is not a
+	// tally: the shared tally decoder rejects it in both frames that
+	// carry tallies, as the session snapshot decoder always did.
+	bad := res
+	bad.Class[2].Misps = bad.Class[2].Preds + 1
+	if _, _, err := DecodeStats(framePayload(t, AppendStats(nil, 3, bad))); !errors.Is(err, ErrProtocol) {
+		t.Errorf("stats with misps > preds: err = %v, want ErrProtocol", err)
+	}
+	if _, err := DecodeOpened(framePayload(t, AppendOpened(nil, Opened{ID: 3, Res: bad}))); !errors.Is(err, ErrProtocol) {
+		t.Errorf("opened with misps > preds: err = %v, want ErrProtocol", err)
+	}
+	// Nor do class counts whose sum wraps around onto the branch count.
+	wrapped := sim.Result{Branches: 5}
+	wrapped.Class[0].Preds = math.MaxUint64
+	wrapped.Class[1].Preds = 6
+	if _, _, err := DecodeStats(framePayload(t, AppendStats(nil, 3, wrapped))); !errors.Is(err, ErrProtocol) {
+		t.Errorf("stats whose class sum wraps: err = %v, want ErrProtocol", err)
 	}
 }
 
@@ -293,12 +328,8 @@ func TestDecodeTruncations(t *testing.T) {
 	for _, class := range core.Classes() {
 		grades = append(grades, EncodeGrade(true, class, class.Level()))
 	}
-	res := sim.Result{}
-	for i := range res.Class {
-		res.Class[i] = metrics.Counts{Preds: 100, Misps: 3}
-		res.Total.Add(res.Class[i])
-	}
-	res.Branches = res.Total.Preds
+	res := sampleTallies()
+	res.Config = "64Kbits"
 
 	payloadOf := func(frame []byte) []byte { return frame[5 : len(frame)-4] }
 	cases := []struct {
@@ -312,14 +343,12 @@ func TestDecodeTruncations(t *testing.T) {
 			func(p []byte) error { _, err := DecodeOpen(p); return err }},
 		{"open-keyed", payloadOf(AppendOpen(nil, OpenRequest{Spec: "tage-16K", Key: "trace/INT-1#0"})),
 			func(p []byte) error { _, err := DecodeOpen(p); return err }},
-		{"opened", payloadOf(AppendOpened(nil, Opened{ID: 42, Branches: 77, Mode: core.ModeProbabilistic, Config: "64Kbits"})),
+		{"opened", payloadOf(AppendOpened(nil, Opened{ID: 42, Res: res})),
 			func(p []byte) error { _, err := DecodeOpened(p); return err }},
 		{"snapget", payloadOf(AppendSnapGet(nil, 42)),
 			func(p []byte) error { _, err := DecodeSnapGet(p); return err }},
 		{"snap", payloadOf(AppendSnap(nil, 42, []byte("blobby"))),
 			func(p []byte) error { _, _, err := DecodeSnap(p); return err }},
-		{"opensnap", payloadOf(AppendOpenSnap(nil, []byte("blobby"))),
-			func(p []byte) error { _, err := DecodeOpenSnap(p); return err }},
 		{"batch", payloadOf(AppendBatch(nil, 42, records)),
 			func(p []byte) error { _, _, err := DecodeBatch(p, nil); return err }},
 		{"predictions", payloadOf(AppendPredictions(nil, 42, grades)),

@@ -29,14 +29,20 @@ readonly pairs=10
 # Held out: bench/README.md reserves seeds 1-5 for development.
 readonly first_seed=11
 # A run repeats its pass until its time budget is spent (at least one
-# pass; the pass in flight finishes), and reports the median pass. 3 s
-# is about 5 s a run on offline-suite, so its 20 runs take about 2
-# minutes. One reproduce-all pass takes 7-11 s on 2 CPUs, so a 3 s run
-# would be a single pass; its 15 s budget fits at least two (about
-# 8 minutes for the 20 runs).
+# pass; the pass in flight finishes), and reports the median pass. Each
+# budget is 2.5 times the workload's median pass time on the 2-CPU build
+# host, rounded up to half a second (PERF.md "Gate budgets"), so a run
+# makes at least three passes unless its first two average 25% over
+# that median.
 case "$workload" in
-  reproduce-all) readonly seconds=15 ;;
-  *) readonly seconds=3 ;;
+  offline-suite) readonly seconds=7 ;;
+  serve-stream) readonly seconds=5.5 ;;
+  serve-durable) readonly seconds=6.5 ;;
+  reproduce-all) readonly seconds=21.5 ;;
+  *)
+    echo "bench_gate: unknown workload $workload" >&2
+    exit 2
+    ;;
 esac
 started=$SECONDS
 
@@ -63,7 +69,10 @@ for ((i = 1; i <= pairs; i++)); do
 done
 
 bash "$change/bench/run.sh" -compare "$out/parent.jsonl" "$out/change.jsonl" | tee "$out/compare.txt"
-echo "bench_gate: $workload, $pairs pairs at --seconds $seconds, $((SECONDS - started)) s"
+# The fewest passes any run made: below three, a run's median is one
+# or two samples and the budget above no longer fits the host.
+fewest=$(grep -ho '"pass_s":\[[^]]*\]' "$out/parent.jsonl" "$out/change.jsonl" | awk -F, '{print NF}' | sort -n | head -n 1)
+echo "bench_gate: $workload, $pairs pairs at --seconds $seconds, fewest passes in a run: $fewest, $((SECONDS - started)) s"
 if grep -qw regressed "$out/compare.txt"; then
   echo "bench_gate: regressed" >&2
   exit 1
