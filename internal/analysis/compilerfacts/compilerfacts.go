@@ -30,7 +30,8 @@
 // compiler does not report as "Proved … bounded" counts as unproven —
 // it carries a CMP/SBB/AND guard. A named must-be-zero set — the TAGE
 // probe/update loops and the history and counter helpers they run, the
-// sim/serve branch step and batch loop, the obs Observe/Record paths —
+// sim/serve branch step and batch loop, the trace record codec, the obs
+// Observe/Record paths —
 // additionally fails the gate on any unwaived bounds check, unproven
 // shift or heap escape regardless of what the golden says, so a refresh
 // cannot legitimize a regression there. Individual bounds-check sites
@@ -58,7 +59,8 @@ const GCFlags = "-m=1 -d=ssa/check_bce/debug=1,ssa/prove/debug=1"
 // check, no unproven shift and no heap escape, golden or not: the
 // per-branch TAGE loops (the probe, the update and the history
 // front-end's advance and hash) and the history and counter helpers
-// they run, the shared sim/serve branch step, the serve batch loop, and the
+// they run, the shared sim/serve branch step, the serve batch loop, the
+// record codec every wire batch and trace file goes through, and the
 // observability record paths.
 var mustBeZero = []string{
 	"repro/internal/tage.Predictor.Predict",
@@ -81,6 +83,8 @@ var mustBeZero = []string{
 	"repro/internal/sim.Result.Step",
 	"repro/internal/serve.Session.step",
 	"repro/internal/serve.Session.Serve",
+	"repro/internal/trace.AppendRecords",
+	"repro/internal/trace.DecodeRecords",
 	"repro/internal/obs.Histogram.Observe",
 	"repro/internal/obs.Histogram.ObserveValue",
 	"repro/internal/obs.FlightRecorder.Record",

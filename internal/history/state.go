@@ -7,6 +7,7 @@ package history
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/statecodec"
 )
@@ -22,9 +23,13 @@ func (b *Buffer) AppendState(dst []byte) []byte {
 	head := (b.pos + 1) & b.mask
 	dst = binary.AppendUvarint(dst, uint64(size))
 	dst = binary.AppendUvarint(dst, uint64(head))
-	off := len(dst)
-	dst = append(dst, make([]byte, (size+7)/8)...)
+	off, n := len(dst), (size+7)/8
+	// Grow then clear, not append(dst, make(...)...): the race detector's
+	// instrumentation turns that idiom into a heap allocation even when
+	// dst has room.
+	dst = slices.Grow(dst, n)[:off+n]
 	packed := dst[off:]
+	clear(packed)
 	for i, bit := range b.window() {
 		if bit {
 			p := (head + i) & b.mask

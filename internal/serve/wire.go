@@ -14,8 +14,9 @@
 // corrupted-in-flight frame is always rejected (ErrCorrupt, a protocol
 // error) instead of silently decoding into wrong-but-valid varints. A
 // client opens a session (FrameOpen → FrameOpened), streams branch
-// batches (FrameBatch → FramePredictions) — the batch payload reuses the
-// TBT1 per-record varint codec of internal/trace — and closes the
+// batches (FrameBatch → FramePredictions) — the batch payload is
+// trace.AppendRecords's output, the record codec the TBT1 trace file
+// uses too — and closes the
 // session (FrameClose → FrameStats), receiving the server's per-class
 // tallies, which are bit-identical to an offline sim.Run over the same
 // stream. Protocol violations answer with FrameError.
@@ -101,8 +102,8 @@ const (
 	// client of that layout rejects this frame.)
 	FrameOpened byte = 0x02
 	// FrameBatch streams branches into a session: session id uvarint,
-	// record count uvarint, then count records in the TBT1 per-record
-	// codec (trace.AppendRecord), PC deltas restarting from 0 each batch.
+	// record count uvarint, then count records in the TBT1 record codec
+	// (trace.AppendRecords), PC deltas restarting from 0 each batch.
 	FrameBatch byte = 0x03
 	// FramePredictions answers FrameBatch: session id uvarint, count
 	// uvarint, then one grade byte per branch (see EncodeGrade).
@@ -490,15 +491,13 @@ func AppendBatch(dst []byte, sessionID uint64, records []trace.Branch) []byte {
 	dst = BeginFrame(dst, FrameBatch)
 	dst = binary.AppendUvarint(dst, sessionID)
 	dst = binary.AppendUvarint(dst, uint64(len(records)))
-	prevPC := uint64(0)
-	for _, b := range records {
-		dst, prevPC = trace.AppendRecord(dst, prevPC, b)
-	}
-	return EndFrame(dst, start)
+	return EndFrame(trace.AppendRecords(dst, records), start)
 }
 
 // DecodeBatch decodes a FrameBatch payload, appending the records into
-// records[:0] (pass a reused slice to avoid allocation).
+// records[:0] (pass a reused slice to avoid allocation). A record count
+// over MaxBatch, or one the payload's bytes cannot hold, is rejected
+// before records is grown.
 //
 //repro:hotpath
 func DecodeBatch(payload []byte, records []trace.Branch) (sessionID uint64, out []trace.Branch, err error) {
@@ -515,19 +514,12 @@ func DecodeBatch(payload []byte, records []trace.Branch) (sessionID uint64, out 
 	if count > MaxBatch {
 		return 0, records, fmt.Errorf("%w: batch of %d records exceeds limit %d", ErrProtocol, count, MaxBatch)
 	}
-	out = records[:0]
-	prevPC := uint64(0)
-	for i := uint64(0); i < count; i++ {
-		var b trace.Branch
-		b, n, prevPC, err = trace.DecodeRecord(payload, prevPC)
-		if err != nil {
-			return 0, out, fmt.Errorf("%w: record %d: %v", ErrProtocol, i, err)
-		}
-		payload = payload[n:]
-		out = append(out, b)
+	out, n, err = trace.DecodeRecords(records[:0], payload, count)
+	if err != nil {
+		return 0, out, fmt.Errorf("%w: %v", ErrProtocol, err)
 	}
-	if len(payload) != 0 {
-		return 0, out, fmt.Errorf("%w: %d trailing bytes after batch", ErrProtocol, len(payload))
+	if n != len(payload) {
+		return 0, out, fmt.Errorf("%w: %d trailing bytes after batch", ErrProtocol, len(payload)-n)
 	}
 	return sessionID, out, nil
 }
@@ -578,6 +570,19 @@ func AppendPredictions(dst []byte, sessionID uint64, grades []byte) []byte {
 	return EndFrame(dst, start)
 }
 
+// gradeTable holds DecodeGrade's verdict on every byte, so decoding a
+// FramePredictions payload is one table load per grade.
+var gradeTable = func() (t [256]struct {
+	grade Grade
+	ok    bool
+}) {
+	for b := range t {
+		g, err := DecodeGrade(byte(b))
+		t[b].grade, t[b].ok = g, err == nil
+	}
+	return t
+}()
+
 // DecodePredictions decodes a FramePredictions payload, appending the
 // validated grades into grades[:0].
 //
@@ -598,11 +603,12 @@ func DecodePredictions(payload []byte, grades []Grade) (sessionID uint64, out []
 	}
 	out = grades[:0]
 	for _, g := range payload {
-		grade, err := DecodeGrade(g)
-		if err != nil {
+		e := &gradeTable[g]
+		if !e.ok {
+			_, err := DecodeGrade(g)
 			return 0, out, err
 		}
-		out = append(out, grade)
+		out = append(out, e.grade)
 	}
 	return sessionID, out, nil
 }

@@ -7,12 +7,14 @@ import (
 	"errors"
 	"io"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/workload"
 	"repro/internal/xrand"
 )
 
@@ -188,6 +190,46 @@ func TestBatchRoundTrip(t *testing.T) {
 	for i := range records {
 		if got[i] != records[i] {
 			t.Fatalf("record %d: got %+v want %+v", i, got[i], records[i])
+		}
+	}
+}
+
+// TestBatchBytesPerRecord pins FrameBatch's bytes to the per-record TBT1
+// encoding, built here from encoding/binary alone: for the first 4,096
+// branches of every workload trace, in 1,024-branch batches, AppendBatch
+// writes exactly the frame a record-at-a-time encoder writes, and
+// DecodeBatch reads the batch back.
+func TestBatchBytesPerRecord(t *testing.T) {
+	var recs []trace.Branch
+	for _, tr := range workload.All() {
+		all, err := trace.Collect(trace.Limit(tr, 4096))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < len(all); off += 1024 {
+			batch := all[off:min(off+1024, len(all))]
+			want := BeginFrame(nil, FrameBatch)
+			want = binary.AppendUvarint(want, 5)
+			want = binary.AppendUvarint(want, uint64(len(batch)))
+			prevPC := uint64(0)
+			for _, b := range batch {
+				packed := uint64(b.Instr-1) << 1
+				if b.Taken {
+					packed |= 1
+				}
+				want = binary.AppendVarint(want, int64(b.PC-prevPC))
+				want = binary.AppendUvarint(want, packed)
+				prevPC = b.PC
+			}
+			want = EndFrame(want, 0)
+			if got := AppendBatch(nil, 5, batch); !bytes.Equal(got, want) {
+				t.Fatalf("%s batch at %d: AppendBatch wrote %d bytes, per-record encoding %d", tr.Name(), off, len(got), len(want))
+			}
+			id, got, err := DecodeBatch(want[5:len(want)-4], recs)
+			if err != nil || id != 5 || !slices.Equal(got, batch) {
+				t.Fatalf("%s batch at %d: decoded %d records, id %d, err %v", tr.Name(), off, len(got), id, err)
+			}
+			recs = got
 		}
 	}
 }
@@ -383,5 +425,19 @@ func TestDecodeBatchLimit(t *testing.T) {
 	big := append(payload[:1:1], 0x80, 0x80, 0x40)
 	if _, _, err := DecodeBatch(big, nil); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("oversized count: err = %v", err)
+	}
+	// A count within MaxBatch that the payload's bytes cannot hold (every
+	// record is at least two bytes) is rejected before the records slice
+	// is grown: 65,536 records claimed in a 10-byte payload.
+	hostile := append(payload[:1:1], 0x80, 0x80, 0x04, 0, 0, 2, 3, 4, 5)
+	if len(hostile) != 10 {
+		t.Fatalf("hostile payload is %d bytes", len(hostile))
+	}
+	_, recs, err := DecodeBatch(hostile, nil)
+	if !errors.Is(err, ErrProtocol) {
+		t.Fatalf("hostile count: err = %v", err)
+	}
+	if cap(recs) != 0 {
+		t.Fatalf("hostile count grew the records slice to cap %d", cap(recs))
 	}
 }

@@ -10,17 +10,18 @@
 // synthetic Trace implementations standing in for them (see its package doc).
 // This package additionally provides a compact binary on-disk format so
 // generated traces can be exported, inspected and re-read; Read and
-// ReadFile load a whole file into a Mem.
+// ReadFile load a whole file into a Mem. The file and the serve wire
+// protocol share one record codec, AppendRecords and DecodeRecords.
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"slices"
 )
 
 // Branch is one dynamic conditional branch.
@@ -171,49 +172,124 @@ var magic = [4]byte{'T', 'B', 'T', '1'}
 // ErrBadFormat reports a malformed or truncated trace file.
 var ErrBadFormat = errors.New("trace: bad file format")
 
-// AppendRecord appends one branch record to dst in the TBT1 per-record
-// encoding (pcDelta svarint relative to prevPC, then (Instr-1)<<1|taken
-// uvarint) and returns the extended buffer plus the new previous PC. It
-// is the single definition of the record codec, shared by the file
-// writer and the serve wire protocol. Records with Instr == 0 are not
-// representable; AppendRecord encodes them as Instr == 1.
+// AppendRecords appends recs to dst in the TBT1 record encoding, the one
+// record codec of this module: the trace file's record section and the
+// serve wire protocol's FrameBatch payload are both its output. PC
+// deltas start from 0 at recs[0], so the encoding is self-contained.
+// A record whose PC delta and packed field each fit one varint byte
+// (most records: synthetic programs revisit a small static footprint)
+// is written inline; any other goes through appendRecord. Records with
+// Instr == 0 are not representable and are encoded as Instr == 1.
 //
 //repro:hotpath
-func AppendRecord(dst []byte, prevPC uint64, b Branch) ([]byte, uint64) {
-	dst = binary.AppendVarint(dst, int64(b.PC)-int64(prevPC))
-	instr := b.Instr
-	if instr == 0 {
-		instr = 1
+func AppendRecords(dst []byte, recs []Branch) []byte {
+	prevPC := uint64(0)
+	for _, b := range recs {
+		delta := int64(b.PC - prevPC)
+		packed := uint64(max(b.Instr, 1)-1) << 1
+		if b.Taken {
+			packed |= 1
+		}
+		if uint64(delta+64) < 0x80 && packed < 0x80 {
+			// One zigzag byte for delta in [-64, 63], as binary.AppendVarint.
+			dst = append(dst, byte(delta<<1^delta>>63), byte(packed))
+		} else {
+			dst = appendRecord(dst, delta, packed)
+		}
+		prevPC = b.PC
 	}
-	packed := uint64(instr-1) << 1
-	if b.Taken {
-		packed |= 1
-	}
-	return binary.AppendUvarint(dst, packed), b.PC
+	return dst
 }
 
-// DecodeRecord decodes one branch record from src (the inverse of
-// AppendRecord), returning the record, the number of bytes consumed and
-// the new previous PC. A truncated or malformed record, or one whose
-// instruction count does not fit a uint32, yields an ErrBadFormat-wrapped
-// error and consumes nothing.
+// appendRecord appends one record in the general form: the PC delta as
+// a zigzag varint, then the packed (Instr-1)<<1|taken field as a
+// uvarint.
+func appendRecord(dst []byte, delta int64, packed uint64) []byte {
+	return binary.AppendUvarint(binary.AppendVarint(dst, delta), packed)
+}
+
+// DecodeRecords decodes count records written by AppendRecords from the
+// head of src, appends them to dst and returns the extended slice and
+// the number of bytes consumed. count is untrusted: every record takes
+// at least two bytes, so a count src cannot hold is rejected before dst
+// is grown. A truncated or malformed record, or one whose instruction
+// count does not fit a uint32, is rejected too. Every error wraps
+// ErrBadFormat and comes with dst at its original length and 0 bytes
+// consumed.
 //
 //repro:hotpath
-func DecodeRecord(src []byte, prevPC uint64) (Branch, int, uint64, error) {
+func DecodeRecords(dst []Branch, src []byte, count uint64) ([]Branch, int, error) {
+	if count > uint64(len(src))/2 {
+		return dst, 0, countError(count, len(src))
+	}
+	n := int(count)
+	out := dst
+	if cap(out)-len(out) < n {
+		out = grow(out, n)
+	}
+	recs := out[len(out) : len(out)+n] //repro:allow-bce 0 <= n by the count check, and grow left cap(out) >= len(out)+n
+	out = out[:len(out)+n]
+	rest := src
+	prevPC := uint64(0)
+	for i := range recs {
+		if len(rest) >= 2 && rest[0] < 0x80 && rest[1] < 0x80 {
+			zz, packed := rest[0], rest[1]
+			rest = rest[2:]
+			prevPC += uint64(int64(zz>>1) ^ -int64(zz&1))
+			recs[i] = Branch{PC: prevPC, Taken: packed&1 == 1, Instr: uint32(packed>>1) + 1}
+			continue
+		}
+		b, k, err := decodeRecord(rest, prevPC)
+		if err != nil {
+			return dst, 0, recordError(i, err)
+		}
+		rest = rest[k:] //repro:allow-bce decodeRecord consumes at most len(rest) bytes
+		recs[i], prevPC = b, b.PC
+	}
+	return out, len(src) - len(rest), nil
+}
+
+// grow returns dst with room for n more records: DecodeRecords's one
+// allocation, made once per call and only when the caller's buffer is
+// too small. It stays out of line so the decode loop carries no heap
+// site; the runtime alloc pins check that a reused buffer never grows.
+//
+//go:noinline
+func grow(dst []Branch, n int) []Branch {
+	return slices.Grow(dst, n)
+}
+
+// decodeRecord decodes one record in the general form (the inverse of
+// appendRecord) relative to prevPC, returning it and the number of
+// bytes it took.
+func decodeRecord(src []byte, prevPC uint64) (Branch, int, error) {
 	delta, n := binary.Varint(src)
 	if n <= 0 {
-		return Branch{}, 0, prevPC, fmt.Errorf("%w: pc: truncated varint", ErrBadFormat)
+		return Branch{}, 0, fmt.Errorf("%w: pc: truncated varint", ErrBadFormat)
 	}
 	packed, n2 := binary.Uvarint(src[n:])
 	if n2 <= 0 {
-		return Branch{}, 0, prevPC, fmt.Errorf("%w: packed: truncated varint", ErrBadFormat)
+		return Branch{}, 0, fmt.Errorf("%w: packed: truncated varint", ErrBadFormat)
 	}
 	if packed>>1 >= math.MaxUint32 {
-		return Branch{}, 0, prevPC, fmt.Errorf("%w: instruction count %d out of range", ErrBadFormat, packed>>1+1)
+		return Branch{}, 0, fmt.Errorf("%w: instruction count %d out of range", ErrBadFormat, packed>>1+1)
 	}
-	pc := uint64(int64(prevPC) + delta)
-	b := Branch{PC: pc, Taken: packed&1 == 1, Instr: uint32(packed>>1) + 1}
-	return b, n + n2, pc, nil
+	pc := prevPC + uint64(delta)
+	return Branch{PC: pc, Taken: packed&1 == 1, Instr: uint32(packed>>1) + 1}, n + n2, nil
+}
+
+// countError and recordError build DecodeRecords's errors. They stay
+// out of line so the values they box are not heap sites of the decode
+// loop.
+//
+//go:noinline
+func countError(count uint64, n int) error {
+	return fmt.Errorf("%w: %d records in %d bytes", ErrBadFormat, count, n)
+}
+
+//go:noinline
+func recordError(i int, err error) error {
+	return fmt.Errorf("record %d: %w", i, err)
 }
 
 // Write serializes a record stream to w. The record count must be known up
@@ -234,38 +310,17 @@ func Write(w io.Writer, name string, r Reader) (n uint64, err error) {
 }
 
 func writeRecords(w io.Writer, name string, records []Branch) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	put := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := put(uint64(len(name))); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(name); err != nil {
-		return err
-	}
-	if err := put(uint64(len(records))); err != nil {
-		return err
-	}
-	prevPC := uint64(0)
-	var rec [2 * binary.MaxVarintLen64]byte
 	for _, r := range records {
 		if r.Instr == 0 {
 			return fmt.Errorf("trace: record with zero instruction count at pc %#x", r.PC)
 		}
-		var enc []byte
-		enc, prevPC = AppendRecord(rec[:0], prevPC, r)
-		if _, err := bw.Write(enc); err != nil {
-			return err
-		}
 	}
-	return bw.Flush()
+	buf := append([]byte(nil), magic[:]...)
+	buf = binary.AppendUvarint(buf, uint64(len(name)))
+	buf = append(buf, name...)
+	buf = binary.AppendUvarint(buf, uint64(len(records)))
+	_, err := w.Write(AppendRecords(buf, records))
+	return err
 }
 
 // Read parses a serialized trace fully into memory.
@@ -299,48 +354,45 @@ func ReadFile(path string) (*Mem, error) {
 	return decode(data)
 }
 
-// decode parses one serialized trace, decoding every record with
-// DecodeRecord, the codec the serve wire protocol also uses.
+// decode parses one serialized trace; its records go through
+// DecodeRecords, the codec the serve wire protocol also uses.
 func decode(data []byte) (*Mem, error) {
+	name, count, src, err := decodeHeader(data)
+	if err != nil {
+		return nil, err
+	}
+	records, _, err := DecodeRecords(nil, src, count)
+	if err != nil {
+		return nil, err
+	}
+	return &Mem{TraceName: name, Records: records}, nil
+}
+
+// decodeHeader parses the magic, name and record count of a serialized
+// trace and returns them with the record bytes that follow.
+func decodeHeader(data []byte) (name string, count uint64, records []byte, err error) {
 	if len(data) < len(magic) || [4]byte(data) != magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadFormat, data[:min(len(data), len(magic))])
+		return "", 0, nil, fmt.Errorf("%w: bad magic %q", ErrBadFormat, data[:min(len(data), len(magic))])
 	}
 	src := data[len(magic):]
 	nameLen, n := binary.Uvarint(src)
 	if n <= 0 {
-		return nil, fmt.Errorf("%w: name length: truncated varint", ErrBadFormat)
+		return "", 0, nil, fmt.Errorf("%w: name length: truncated varint", ErrBadFormat)
 	}
 	src = src[n:]
 	if nameLen > 1<<16 {
-		return nil, fmt.Errorf("%w: unreasonable name length %d", ErrBadFormat, nameLen)
+		return "", 0, nil, fmt.Errorf("%w: unreasonable name length %d", ErrBadFormat, nameLen)
 	}
 	if nameLen > uint64(len(src)) {
-		return nil, fmt.Errorf("%w: name: %d of %d bytes", ErrBadFormat, len(src), nameLen)
+		return "", 0, nil, fmt.Errorf("%w: name: %d of %d bytes", ErrBadFormat, len(src), nameLen)
 	}
-	name := string(src[:nameLen])
+	name = string(src[:nameLen])
 	src = src[nameLen:]
-	count, n := binary.Uvarint(src)
+	count, n = binary.Uvarint(src)
 	if n <= 0 {
-		return nil, fmt.Errorf("%w: count: truncated varint", ErrBadFormat)
+		return "", 0, nil, fmt.Errorf("%w: count: truncated varint", ErrBadFormat)
 	}
-	src = src[n:]
-	// The count field is untrusted until the records back it up. Every
-	// record takes at least two bytes, so a count the remaining bytes
-	// cannot hold is rejected before anything count-sized is reserved.
-	if count > 1<<32 || count > uint64(len(src))/2 {
-		return nil, fmt.Errorf("%w: %d records in %d bytes", ErrBadFormat, count, len(src))
-	}
-	out := &Mem{TraceName: name, Records: make([]Branch, count)}
-	prevPC := uint64(0)
-	for i := range out.Records {
-		b, n, pc, err := DecodeRecord(src, prevPC)
-		if err != nil {
-			return nil, fmt.Errorf("record %d: %w", i, err)
-		}
-		out.Records[i] = b
-		src, prevPC = src[n:], pc
-	}
-	return out, nil
+	return name, count, src[n:], nil
 }
 
 // Limit wraps a trace, truncating every pass after max records. A max of 0

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -290,30 +291,28 @@ func BenchmarkBinaryRead(b *testing.B) {
 	}
 }
 
-// TestRecordCodecRoundTrip pins the exported per-record codec (the one
-// definition shared by the file writer and the serve wire protocol):
-// encode→decode is identity, consumed byte counts chain correctly, and
-// the prevPC delta threading matches the file format.
+// TestRecordCodecRoundTrip pins the record codec (the one definition
+// shared by the file writer and the serve wire protocol): AppendRecords
+// → DecodeRecords is identity and consumes every byte, and the same
+// bytes decode record by record through decodeRecord with the PC delta
+// threaded from 0, as the file format defines.
 func TestRecordCodecRoundTrip(t *testing.T) {
 	records := sampleRecords(500, 77)
-	var buf []byte
-	prev := uint64(0)
-	for _, r := range records {
-		buf, prev = AppendRecord(buf, prev, r)
+	buf := AppendRecords(nil, records)
+	got, n, err := DecodeRecords(nil, buf, uint64(len(records)))
+	if err != nil || n != len(buf) || !slices.Equal(got, records) {
+		t.Fatalf("DecodeRecords: %d records, %d of %d bytes, err %v", len(got), n, len(buf), err)
 	}
-	prev = 0
+	prev := uint64(0)
 	for i, want := range records {
-		got, n, newPrev, err := DecodeRecord(buf, prev)
+		got, n, err := decodeRecord(buf, prev)
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
 		if got != want {
 			t.Fatalf("record %d: got %+v want %+v", i, got, want)
 		}
-		if newPrev != want.PC {
-			t.Fatalf("record %d: prevPC %#x, want %#x", i, newPrev, want.PC)
-		}
-		buf, prev = buf[n:], newPrev
+		buf, prev = buf[n:], got.PC
 	}
 	if len(buf) != 0 {
 		t.Fatalf("%d bytes left over after decoding all records", len(buf))
@@ -321,16 +320,22 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 }
 
 // TestDecodeRecordTruncated asserts every truncation of an encoded
-// record errors with ErrBadFormat instead of panicking or decoding junk.
+// record errors with ErrBadFormat in both decoders instead of panicking
+// or decoding junk, and that DecodeRecords then returns dst unchanged.
 func TestDecodeRecordTruncated(t *testing.T) {
-	enc, _ := AppendRecord(nil, 0, Branch{PC: 0x123456789, Taken: true, Instr: 300})
+	want := Branch{PC: 0x123456789, Taken: true, Instr: 300}
+	enc := AppendRecords(nil, []Branch{want})
+	dst := make([]Branch, 1, 4)
 	for cut := 0; cut < len(enc); cut++ {
-		if _, _, _, err := DecodeRecord(enc[:cut], 0); !errors.Is(err, ErrBadFormat) {
+		if _, _, err := decodeRecord(enc[:cut], 0); !errors.Is(err, ErrBadFormat) {
 			t.Fatalf("truncation at %d: err = %v, want ErrBadFormat", cut, err)
 		}
+		got, n, err := DecodeRecords(dst, enc[:cut], 1)
+		if !errors.Is(err, ErrBadFormat) || n != 0 || len(got) != 1 {
+			t.Fatalf("DecodeRecords truncated at %d: %d records, n=%d, err=%v", cut, len(got), n, err)
+		}
 	}
-	if got, n, _, err := DecodeRecord(enc, 0); err != nil || n != len(enc) ||
-		got.PC != 0x123456789 || !got.Taken || got.Instr != 300 {
+	if got, n, err := decodeRecord(enc, 0); err != nil || n != len(enc) || got != want {
 		t.Fatalf("full decode: %+v n=%d err=%v", got, n, err)
 	}
 }
@@ -338,16 +343,16 @@ func TestDecodeRecordTruncated(t *testing.T) {
 // TestAppendRecordZeroInstr pins the codec's clamp: Instr 0 is not
 // representable and encodes as 1 (the file writer rejects it earlier).
 func TestAppendRecordZeroInstr(t *testing.T) {
-	enc, _ := AppendRecord(nil, 0, Branch{PC: 4, Instr: 0})
-	got, _, _, err := DecodeRecord(enc, 0)
-	if err != nil || got.Instr != 1 {
+	enc := AppendRecords(nil, []Branch{{PC: 4, Instr: 0}})
+	got, _, err := DecodeRecords(nil, enc, 1)
+	if err != nil || got[0].Instr != 1 {
 		t.Fatalf("got %+v err=%v, want Instr 1", got, err)
 	}
 }
 
 // rawRecordFile is a one-record trace file whose record carries the given
 // packed (Instr-1)<<1|taken field verbatim, so tests can reach values
-// AppendRecord never writes.
+// AppendRecords never writes.
 func rawRecordFile(packed uint64) []byte {
 	data := append([]byte{}, magic[:]...)
 	data = append(data, 0, 1, 0) // empty name, one record, pc delta 0
@@ -370,11 +375,11 @@ func TestDecodeRejectsOutOfRangeInstr(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			packed := tc.instrLess<<1 | 1
 			rec := binary.AppendUvarint([]byte{0}, packed)
-			b, n, _, err := DecodeRecord(rec, 0)
+			b, n, err := decodeRecord(rec, 0)
 			m, ferr := Read(bytes.NewReader(rawRecordFile(packed)))
 			if tc.want == 0 {
 				if !errors.Is(err, ErrBadFormat) || n != 0 {
-					t.Fatalf("DecodeRecord: got %+v n=%d err=%v, want ErrBadFormat", b, n, err)
+					t.Fatalf("decodeRecord: got %+v n=%d err=%v, want ErrBadFormat", b, n, err)
 				}
 				if !errors.Is(ferr, ErrBadFormat) {
 					t.Fatalf("Read: got %+v err=%v, want ErrBadFormat", m, ferr)
@@ -382,7 +387,7 @@ func TestDecodeRejectsOutOfRangeInstr(t *testing.T) {
 				return
 			}
 			if err != nil || b.Instr != tc.want || n != len(rec) {
-				t.Fatalf("DecodeRecord: got %+v n=%d err=%v, want Instr %d", b, n, err, tc.want)
+				t.Fatalf("decodeRecord: got %+v n=%d err=%v, want Instr %d", b, n, err, tc.want)
 			}
 			if ferr != nil || len(m.Records) != 1 || m.Records[0] != b {
 				t.Fatalf("Read: got %+v err=%v, want [%+v]", m, ferr, b)
